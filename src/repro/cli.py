@@ -79,23 +79,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis import scan_anomalies
-from repro.core import (
-    LAYOUT_KERNELS,
-    SEEDING_MODES,
-    AnalysisSession,
-    TimeSlice,
-    Timeline,
-    Treemap,
-    export_animation_html,
-    render_ascii,
-    render_svg,
-)
-from repro.core.timeline import AUTO_BAND_THRESHOLD
+from repro.constants import AUTO_BAND_THRESHOLD, LAYOUT_KERNELS, SEEDING_MODES
 from repro.errors import ReproError
-from repro.obs import Profiler
-from repro.trace import read_trace, write_trace
-from repro.trace.paje import read_paje
+
+# Each command imports the library code it needs, so a command loads
+# only its own part of the pipeline (``convert`` never loads the
+# aggregation, layout or analysis code).
 
 __all__ = ["main", "build_parser"]
 
@@ -392,10 +381,18 @@ def _read(args):
 
     if is_store_file(args.trace):
         return open_store(args.trace).open_trace()
-    return read_paje(args.trace) if args.paje else read_trace(args.trace)
+    if args.paje:
+        from repro.trace.paje import read_paje
+
+        return read_paje(args.trace)
+    from repro.trace.reader import read_trace
+
+    return read_trace(args.trace)
 
 
-def _session(args) -> AnalysisSession:
+def _session(args):
+    from repro.core import AnalysisSession
+
     session = AnalysisSession(
         _read(args),
         seed=getattr(args, "seed", 0),
@@ -423,6 +420,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from repro.core import render_ascii, render_svg
+
     session = _session(args)
     if args.slice:
         session.set_time_slice(args.slice[0], args.slice[1])
@@ -441,13 +440,13 @@ def _cmd_animate(args) -> int:
     if (args.out_dir is None) == (args.html is None):
         print("error: pass exactly one of --out-dir or --html", file=sys.stderr)
         return 2
+    from repro.core import SvgRenderer, export_animation_html, render_svg
+
     session = _session(args)
     trace = session.trace
     start, end = trace.span()
     width = (end - start) / args.frames
     if args.html is not None:
-        from repro.core import SvgRenderer
-
         frames = list(session.animate(width=width))
         export_animation_html(
             frames, args.html, renderer=SvgRenderer(heat_fill=args.heat)
@@ -465,6 +464,8 @@ def _cmd_animate(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
+    from repro.core import Timeline
+
     timeline = Timeline.from_trace(
         _read(args), row_by="host" if args.by_host else "process"
     )
@@ -478,6 +479,8 @@ def _cmd_timeline(args) -> int:
 
 
 def _cmd_treemap(args) -> int:
+    from repro.core import Treemap
+
     treemap = Treemap.build(
         _read(args), metric=args.metric, max_depth=args.max_depth
     )
@@ -487,6 +490,9 @@ def _cmd_treemap(args) -> int:
 
 
 def _cmd_anomalies(args) -> int:
+    from repro.analysis import scan_anomalies
+    from repro.core import TimeSlice
+
     trace = _read(args)
     start, end = trace.span()
     findings = scan_anomalies(trace, TimeSlice(start, end), z_threshold=args.z)
@@ -499,8 +505,15 @@ def _cmd_anomalies(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.obs import JsonlSpanSink, write_chrome_trace, write_snapshot
+    from repro.core import AnalysisSession, SvgRenderer
+    from repro.obs import (
+        JsonlSpanSink,
+        Profiler,
+        write_chrome_trace,
+        write_snapshot,
+    )
     from repro.obs.registry import registry
+    from repro.trace.writer import write_trace
 
     sink = JsonlSpanSink(args.jsonl) if args.jsonl else None
     with Profiler(sink=sink) as profiler:
@@ -525,8 +538,6 @@ def _cmd_profile(args) -> int:
             session.view(settle_steps=5)
         session.set_time_slice(start, end)
         view = session.view(settle_steps=args.steps)
-        from repro.core import SvgRenderer
-
         markup = SvgRenderer().render(view, title=str(session.time_slice))
         if args.svg:
             args.svg.write_text(markup, encoding="utf-8")
@@ -648,6 +659,7 @@ def _run_traced_app(args):
 def _cmd_causal(args) -> int:
     from repro.obs.causal import format_summary
     from repro.obs.export import write_causal_chrome_trace
+    from repro.trace.writer import write_trace
 
     causal = _run_traced_app(args)
     if causal is None:
@@ -665,13 +677,14 @@ def _cmd_causal(args) -> int:
 
 
 def _cmd_latency(args) -> int:
-    from repro.core import SvgRenderer
+    from repro.core import AnalysisSession, SvgRenderer, Timeline
     from repro.obs.latency import (
         LatencyAttribution,
         format_attribution,
         format_paths,
         propagation_paths,
     )
+    from repro.trace.writer import write_trace
 
     causal = _run_traced_app(args)
     if causal is None:
@@ -792,6 +805,7 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro.server import ReproServer, ServerConfig, format_report, run_load
+    from repro.trace.writer import write_trace
 
     trace = _read(args)
     config = ServerConfig(

@@ -1,0 +1,16 @@
+"""Choice lists shared by the library and the command-line parser.
+
+This module imports nothing, so ``repro.cli`` can build its argument
+parser without loading the aggregation, layout and analysis code.  The
+library modules that use each name re-export it from here.
+"""
+
+#: Every Barnes-Hut execution strategy ``make_layout`` accepts.
+LAYOUT_KERNELS = ("array", "scalar", "sharded")
+
+#: Every first-position strategy ``AnalysisSession`` accepts.
+SEEDING_MODES = ("radial", "multilevel")
+
+#: ``Timeline.render_svg(mode="auto")`` switches from per-message arrows
+#: to aggregated bands above this many arrows.
+AUTO_BAND_THRESHOLD = 2000

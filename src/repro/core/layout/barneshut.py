@@ -10,8 +10,9 @@ Two kernels are available behind the ``kernel`` flag:
 
 * ``"array"`` (default) — the vectorized :class:`ArrayQuadTree` path:
   the layout's ``(n, 2)`` position ndarray feeds the flat
-  structure-of-arrays tree directly and forces for all bodies are
-  evaluated in one batched frontier traversal.  The tree is reused
+  structure-of-arrays tree directly and forces are evaluated by a
+  batched frontier traversal over fixed blocks of bodies, so its
+  memory stays flat as the graph grows.  The tree is reused
   across relaxation steps until some body drifts further than
   ``params.rebuild_drift`` of the root half-size (leaf interactions
   always read current positions, so ``theta == 0`` stays exact even on

@@ -85,42 +85,26 @@ class ForceLayout(ABC):
 
         Without an explicit *position*, the node lands at a random spot
         in a disc whose radius grows with the node count (deterministic
-        given the seed).
+        given the seed).  Inserting many nodes one by one copies the
+        whole SoA each time; use :meth:`add_nodes` for batches.
         """
-        if name in self._index:
-            raise LayoutError(f"duplicate layout node {name!r}")
-        if weight <= 0:
-            raise LayoutError(f"node weight must be > 0, got {weight}")
-        if position is None:
-            radius = self.params.spring_length * max(
-                1.0, math.sqrt(len(self._names) + 1)
-            )
-            angle = self._rng.uniform(0.0, 2.0 * math.pi)
-            r = radius * math.sqrt(self._rng.random())
-            position = (r * math.cos(angle), r * math.sin(angle))
-        self._index[name] = len(self._names)
-        self._names.append(name)
-        self._pos = np.vstack([self._pos, np.asarray(position, dtype=float)])
-        self._vel = np.vstack([self._vel, np.zeros(2)])
-        self._weight = np.append(self._weight, float(weight))
-        self._pinned = np.append(self._pinned, False)
-        self._edge_index = None
-        self._on_bodies_changed()
+        self.add_nodes([name], [weight], [position])
 
     def add_nodes(
         self,
         names: "Iterable[str]",
         weights: "Iterable[float] | None" = None,
-        positions: "np.ndarray | Iterable[tuple[float, float]] | None" = None,
+        positions: (
+            "np.ndarray | Iterable[tuple[float, float] | None] | None"
+        ) = None,
     ) -> None:
         """Insert many nodes in one O(n) batch.
 
-        The large-graph construction path: :meth:`add_node` copies the
-        whole SoA per insertion (quadratic for bulk loads), this
-        appends once.  Placement matches :meth:`add_node`: explicit
-        *positions* are used verbatim, otherwise each node lands at the
-        same deterministic random-disc spot the per-node path would
-        have picked.
+        Placement matches a sequence of :meth:`add_node` calls: an
+        explicit position is used verbatim, and a node without one
+        (*positions* ``None``, or a ``None`` entry) lands at the
+        deterministic random-disc spot the per-node path would have
+        picked, drawn in name order.
         """
         names = list(names)
         if not names:
@@ -140,28 +124,36 @@ class ForceLayout(ABC):
             if (w <= 0).any():
                 bad = float(w[w <= 0][0])
                 raise LayoutError(f"node weight must be > 0, got {bad}")
-        if positions is None:
-            pos = np.empty((k, 2), dtype=float)
-            base = len(self._names)
-            for i in range(k):
-                radius = self.params.spring_length * max(
-                    1.0, math.sqrt(base + i + 1)
-                )
-                angle = self._rng.uniform(0.0, 2.0 * math.pi)
-                r = radius * math.sqrt(self._rng.random())
-                pos[i, 0] = r * math.cos(angle)
-                pos[i, 1] = r * math.sin(angle)
-        else:
-            pos = np.asarray(
-                positions if isinstance(positions, np.ndarray)
-                else list(positions),
-                dtype=float,
-            )
+        base = len(self._names)
+        if isinstance(positions, np.ndarray):
+            pos = np.asarray(positions, dtype=float)
             if pos.shape != (k, 2):
                 raise LayoutError(
                     f"{k} names but positions shape is {pos.shape}"
                 )
-        base = len(self._names)
+        else:
+            spots = [None] * k if positions is None else list(positions)
+            if len(spots) != k:
+                raise LayoutError(f"{k} names but {len(spots)} positions")
+            given = [i for i, spot in enumerate(spots) if spot is not None]
+            pos = np.empty((k, 2), dtype=float)
+            if given:
+                explicit = np.asarray([spots[i] for i in given], dtype=float)
+                if explicit.shape != (len(given), 2):
+                    raise LayoutError(
+                        f"positions must be (x, y) pairs, got shape "
+                        f"{explicit.shape}"
+                    )
+                pos[given] = explicit
+            for i, spot in enumerate(spots):
+                if spot is None:
+                    radius = self.params.spring_length * max(
+                        1.0, math.sqrt(base + i + 1)
+                    )
+                    angle = self._rng.uniform(0.0, 2.0 * math.pi)
+                    r = radius * math.sqrt(self._rng.random())
+                    pos[i, 0] = r * math.cos(angle)
+                    pos[i, 1] = r * math.sin(angle)
         for i, name in enumerate(names):
             self._index[name] = base + i
         self._names.extend(names)
@@ -174,24 +166,44 @@ class ForceLayout(ABC):
 
     def remove_node(self, name: str) -> None:
         """Remove a node and every edge touching it."""
-        idx = self._require(name)
-        last = len(self._names) - 1
-        if idx != last:
-            moved = self._names[last]
-            self._names[idx] = moved
-            self._index[moved] = idx
-            self._pos[idx] = self._pos[last]
-            self._vel[idx] = self._vel[last]
-            self._weight[idx] = self._weight[last]
-            self._pinned[idx] = self._pinned[last]
-        self._names.pop()
-        del self._index[name]
-        self._pos = self._pos[:-1]
-        self._vel = self._vel[:-1]
-        self._weight = self._weight[:-1]
-        self._pinned = self._pinned[:-1]
+        self.remove_nodes([name])
+
+    def remove_nodes(self, names: "Iterable[str]") -> None:
+        """Remove many nodes, and every edge touching them, in one pass.
+
+        The result matches a sequence of :meth:`remove_node` calls in
+        *names* order: each removal moves the last body into the freed
+        slot.  The swaps are replayed on indices and applied to the
+        arrays with one gather, and the edge set is filtered once.
+        """
+        names = list(names)
+        if not names:
+            return
+        gone = set(names)
+        if len(gone) != len(names):
+            raise LayoutError("duplicate names in node removal batch")
+        for name in names:
+            self._require(name)
+        rows = list(range(len(self._names)))
+        for name in names:
+            idx = self._index.pop(name)
+            last = len(self._names) - 1
+            if idx != last:
+                moved = self._names[last]
+                self._names[idx] = moved
+                self._index[moved] = idx
+                rows[idx] = rows[last]
+            self._names.pop()
+            rows.pop()
+        keep = np.asarray(rows, dtype=np.int64)
+        self._pos = self._pos[keep]
+        self._vel = self._vel[keep]
+        self._weight = self._weight[keep]
+        self._pinned = self._pinned[keep]
         self._edges = {
-            pair: None for pair in self._edges if name not in pair
+            pair: None
+            for pair in self._edges
+            if pair[0] not in gone and pair[1] not in gone
         }
         self._edge_index = None
         self._on_bodies_changed()

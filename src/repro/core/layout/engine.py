@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 
+from repro.constants import LAYOUT_KERNELS
 from repro.core.layout.barneshut import BarnesHutLayout
 from repro.core.layout.base import ForceLayout
 from repro.core.layout.forces import LayoutParams
@@ -31,9 +32,6 @@ from repro.errors import LayoutError
 __all__ = ["DynamicLayout", "make_layout", "ALGORITHMS", "LAYOUT_KERNELS"]
 
 ALGORITHMS = ("barneshut", "naive")
-
-#: Every Barnes-Hut execution strategy ``make_layout`` accepts.
-LAYOUT_KERNELS = ("array", "scalar", "sharded")
 
 
 def make_layout(
@@ -129,26 +127,32 @@ class DynamicLayout:
         traces", Section 3.3); without it new nodes start at random.
         """
         self._remember_positions()
-        current = set(self.layout.names())
         target = {node.key for node in graph}
-        created: dict[str, tuple[float, float]] = {}
-        for key in current - target:
+        # Remove in layout index order: removal swaps the last body into
+        # the freed slot, so the body order (and with it every float
+        # sum over bodies) must not depend on set iteration order.
+        stale = [key for key in self.layout.names() if key not in target]
+        for key in stale:
             del self._members[key]
-            self.layout.remove_node(key)
+        self.layout.remove_nodes(stale)
+        new_keys: list[str] = []
+        new_weights: list[float] = []
+        new_spots: list[tuple[float, float] | None] = []
         for node in graph:
-            if node.key in current:
-                self.layout.set_weight(node.key, max(1.0, float(node.weight)))
+            weight = max(1.0, float(node.weight))
+            if node.key in self.layout:
+                self.layout.set_weight(node.key, weight)
             else:
                 position = self._seed_position(node.members)
                 if position is None and seed_positions is not None:
                     position = seed_positions.get(node.key)
-                self.layout.add_node(
-                    node.key, max(1.0, float(node.weight)), position
-                )
-                created[node.key] = self.layout.position(node.key)
+                new_keys.append(node.key)
+                new_weights.append(weight)
+                new_spots.append(position)
             self._members[node.key] = node.members
+        self.layout.add_nodes(new_keys, new_weights, new_spots)
         self.layout.set_edges([(e.a, e.b) for e in graph.edges])
-        return created
+        return {key: self.layout.position(key) for key in new_keys}
 
     def _remember_positions(self) -> None:
         for key, members in self._members.items():

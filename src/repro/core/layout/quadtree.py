@@ -12,9 +12,10 @@ Two implementations live here:
 * :class:`ArrayQuadTree` — the production kernel.  The tree is a flat
   structure of parallel NumPy arrays (``cx/cy/half/mass/com_x/com_y/
   children``) built level-by-level with vectorized group-bys, and
-  forces for *all* bodies are evaluated at once with a frontier
-  traversal (each round expands every (body, cell) pair whose cell
-  fails the opening criterion into its children).
+  forces are evaluated with a frontier traversal over fixed blocks of
+  :data:`BLOCK_BODIES` bodies (each round expands every (body, cell)
+  pair of the block whose cell fails the opening criterion into its
+  children), so the traversal's memory does not grow with n.
 * :class:`QuadTree` — the legacy pointer-based scalar walk, kept as
   the differential-testing oracle (``BarnesHutLayout(kernel="scalar")``)
   and for per-body interaction counting.
@@ -33,10 +34,14 @@ import numpy as np
 
 from repro.errors import LayoutError
 
-__all__ = ["QuadTree", "ArrayQuadTree", "MAX_DEPTH"]
+__all__ = ["QuadTree", "ArrayQuadTree", "MAX_DEPTH", "BLOCK_BODIES"]
 
 #: Stop subdividing past this depth; co-located bodies share a leaf.
 MAX_DEPTH = 32
+
+#: Bodies per block of :meth:`ArrayQuadTree.forces`: the traversal's
+#: transient memory scales with this, not with the body count.
+BLOCK_BODIES = 1024
 
 #: Squared distance under which two bodies count as co-located and get
 #: the deterministic separation kick instead of a diverging force.
@@ -245,7 +250,7 @@ class ArrayQuadTree:
         theta: float,
         bodies: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, int]:
-        """Coulomb repulsion on every body at once.
+        """Coulomb repulsion on every body, one block of bodies at a time.
 
         Returns ``(forces, p2p_pairs)`` where ``forces`` is ``(n, 2)``
         and ``p2p_pairs`` counts the exact body-body interactions
@@ -257,13 +262,19 @@ class ArrayQuadTree:
         no cell is ever accepted, so the result is exact pairwise
         regardless of tree staleness.
 
+        The bodies are walked in blocks of :data:`BLOCK_BODIES`; each
+        block runs its own frontier traversal and writes its rows before
+        the next block starts, so the transient memory is bounded by the
+        block rather than growing with n log n.
+
         ``bodies`` restricts the evaluation to a subset of body indices
         — the primitive behind the sharded kernel, where each worker
         traverses the shared tree for its own shard only.  The returned
         array is still ``(n, 2)``; rows outside the subset are zero.
         A body's accumulation order is identical whether it is
-        evaluated alone, within a shard, or within the full set, so
-        shard results are bitwise equal to the full evaluation's rows.
+        evaluated alone, within a block or shard, or within the full
+        set, so shard results are bitwise equal to the full
+        evaluation's rows.
         """
         n = self.n_bodies
         forces = np.zeros((n, 2), dtype=float)
@@ -277,19 +288,6 @@ class ArrayQuadTree:
         m = np.asarray(masses, dtype=float)
         if m.shape != (n,):
             raise LayoutError(f"tree holds {n} bodies but {m.size} masses")
-        x, y = pos[:, 0], pos[:, 1]
-        theta2 = theta * theta
-        # Far-cell contributions and leaf pairs are *collected* during
-        # the frontier sweep and accumulated in one bincount pass at
-        # the end — per-round work stays pure masking/arithmetic.
-        far_body: list[np.ndarray] = []
-        far_fx: list[np.ndarray] = []
-        far_fy: list[np.ndarray] = []
-        leaf_body: list[np.ndarray] = []
-        leaf_cell: list[np.ndarray] = []
-        com_x, com_y = self.com_x, self.com_y
-        size2, cell_mass, is_leaf = self._size2, self.mass, self.is_leaf
-        # Frontier of (body, cell) pairs: the selected bodies vs root.
         if bodies is None:
             b = np.arange(n, dtype=np.int64)
         else:
@@ -303,9 +301,51 @@ class ArrayQuadTree:
                     f"body indices must be in [0, {n}), got "
                     f"[{b.min()}, {b.max()}]"
                 )
-            if not b.size:
-                return forces, 0
-        c = np.zeros(b.size, dtype=np.int64)
+        # Contiguous coordinate columns: every round gathers from them.
+        x = np.ascontiguousarray(pos[:, 0])
+        y = np.ascontiguousarray(pos[:, 1])
+        theta2 = theta * theta
+        # slot[body]: the body's row within its block's accumulators.
+        slot = np.zeros(n, dtype=np.int64)
+        p2p = 0
+        for lo in range(0, b.size, BLOCK_BODIES):
+            block = b[lo:lo + BLOCK_BODIES]
+            slot[block] = np.arange(block.size, dtype=np.int64)
+            p2p += self._block_forces(
+                x, y, m, block, slot, charge, theta2, forces
+            )
+        return forces, p2p
+
+    def _block_forces(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        m: np.ndarray,
+        block: np.ndarray,
+        slot: np.ndarray,
+        charge: float,
+        theta2: float,
+        out: np.ndarray,
+    ) -> int:
+        """Write the repulsion on *block*'s bodies into their rows of *out*.
+
+        Far-cell terms and leaf cells are *collected* during the
+        frontier sweep and summed in one bincount per block, so
+        per-round work stays pure masking/arithmetic and each body's
+        terms are added in traversal order, whatever shares its block.
+        Returns the number of exact leaf pairs evaluated.
+        """
+        k = block.size
+        far_body: list[np.ndarray] = []
+        far_fx: list[np.ndarray] = []
+        far_fy: list[np.ndarray] = []
+        leaf_body: list[np.ndarray] = []
+        leaf_cell: list[np.ndarray] = []
+        com_x, com_y = self.com_x, self.com_y
+        size2, cell_mass, is_leaf = self._size2, self.mass, self.is_leaf
+        # Frontier of (body, cell) pairs: the block's bodies vs root.
+        b = block
+        c = np.zeros(k, dtype=np.int64)
         while b.size:
             dx = x[b] - com_x[c]
             dy = y[b] - com_y[c]
@@ -329,29 +369,31 @@ class ArrayQuadTree:
                 break
             dc = c[di]
             counts = self._child_count[dc]
-            total = int(counts.sum())
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                counts.cumsum() - counts, counts
-            )
-            c = self._child_list[np.repeat(self._child_start[dc], counts) + within]
+            # CSR expansion: child j of cell dc[i] sits at
+            # _child_start[dc[i]] + j in the child list.
+            first = self._child_start[dc] - (counts.cumsum() - counts)
+            c = self._child_list[
+                np.repeat(first, counts) + np.arange(int(counts.sum()))
+            ]
             b = np.repeat(b[di], counts)
-        fx = np.zeros(n)
-        fy = np.zeros(n)
+        fx = np.zeros(k)
+        fy = np.zeros(k)
         if far_body:
-            ab = np.concatenate(far_body)
-            fx += np.bincount(ab, weights=np.concatenate(far_fx), minlength=n)
-            fy += np.bincount(ab, weights=np.concatenate(far_fy), minlength=n)
+            fs = slot[np.concatenate(far_body)]
+            fx += np.bincount(fs, weights=np.concatenate(far_fx), minlength=k)
+            fy += np.bincount(fs, weights=np.concatenate(far_fy), minlength=k)
         p2p = 0
         if leaf_body:
             lb = np.concatenate(leaf_body)
             lc = np.concatenate(leaf_cell)
             cnt = self.leaf_count[lc]
-            total = int(cnt.sum())
-            # CSR expansion: pair body lb[k] with every resident of its
+            # CSR expansion: pair body lb[j] with every resident of its
             # leaf, then drop the self-pair.
             me = np.repeat(lb, cnt)
-            within = np.arange(total) - np.repeat(cnt.cumsum() - cnt, cnt)
-            other = self.leaf_bodies[np.repeat(self.leaf_start[lc], cnt) + within]
+            first = self.leaf_start[lc] - (cnt.cumsum() - cnt)
+            other = self.leaf_bodies[
+                np.repeat(first, cnt) + np.arange(int(cnt.sum()))
+            ]
             keep = other != me
             me, other = me[keep], other[keep]
             p2p = int(me.size)
@@ -365,11 +407,12 @@ class ArrayQuadTree:
                     oy = np.where(close, _KICK[1], oy)
                     od2 = np.where(close, _KICK[2], od2)
                 scale = charge * m[me] * m[other] / (od2 * np.sqrt(od2))
-                fx += np.bincount(me, weights=scale * ox, minlength=n)
-                fy += np.bincount(me, weights=scale * oy, minlength=n)
-        forces[:, 0] = fx
-        forces[:, 1] = fy
-        return forces, p2p
+                ms = slot[me]
+                fx += np.bincount(ms, weights=scale * ox, minlength=k)
+                fy += np.bincount(ms, weights=scale * oy, minlength=k)
+        out[block, 0] = fx
+        out[block, 1] = fy
+        return p2p
 
 
 class _Cell:

@@ -1,8 +1,8 @@
 """Sharded Barnes-Hut kernel: repulsion partitioned across processes.
 
-The single-process array kernel evaluates forces for *all* bodies in
-one frontier traversal; past ~10^5 bodies that traversal dominates the
-step and pins one core.  Following the pregel-style recipe of
+The single-process array kernel evaluates every body's forces in one
+process (a frontier traversal per block of bodies); past ~10^5 bodies
+that traversal dominates the step and pins one core.  Following the pregel-style recipe of
 *A Distributed Force-Directed Algorithm on Giraph* (PAPERS.md), this
 kernel partitions the body array into ``workers`` contiguous shards and
 runs one **superstep** per repulsion evaluation:

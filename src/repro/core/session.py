@@ -22,6 +22,7 @@ import json
 import pathlib
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.constants import SEEDING_MODES
 from repro.core.aggengine import (
     AggregationEngine,
     SharedTraceData,
@@ -42,9 +43,6 @@ from repro.errors import AggregationError, LayoutError
 from repro.trace.trace import Trace
 
 __all__ = ["AnalysisSession", "SEEDING_MODES"]
-
-#: Every first-position strategy :class:`AnalysisSession` accepts.
-SEEDING_MODES = ("radial", "multilevel")
 
 
 class AnalysisSession:

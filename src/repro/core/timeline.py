@@ -31,15 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.constants import AUTO_BAND_THRESHOLD
 from repro.core.render.colors import category_palette
 from repro.errors import RenderError, TraceError
 from repro.trace.trace import Trace
 
 __all__ = ["StateSpan", "CommArrow", "CommBand", "Timeline"]
-
-#: ``render_svg(mode="auto")`` switches from per-message arrows to
-#: aggregated bands above this many arrows.
-AUTO_BAND_THRESHOLD = 2000
 
 
 @dataclass(frozen=True)

@@ -115,11 +115,14 @@ def _parse(lines: Iterable[str]) -> Trace:
         from repro.trace.signal import Signal
         from repro.trace.trace import Entity, Trace as TraceCls
 
+        by_entity: dict[str, dict[str, float]] = {}
+        for (ename, metric), init in initials.items():
+            by_entity.setdefault(ename, {})[metric] = init
         entities = []
         for entity in trace:
             metrics = dict(entity.metrics)
-            for (ename, metric), init in initials.items():
-                if ename == entity.name and metric in metrics:
+            for metric, init in by_entity.get(entity.name, {}).items():
+                if metric in metrics:
                     old = metrics[metric]
                     metrics[metric] = Signal(old.times, old.values, initial=init)
             entities.append(Entity(entity.name, entity.kind, entity.path, metrics))

@@ -289,17 +289,19 @@ class TestBenchCli:
         assert code == 0
         assert "compare [signals]" in capsys.readouterr().out
 
-    def test_compare_flags_injected_2x_slowdown(self, tmp_path, capsys):
-        """Halving the baseline's medians makes the (unchanged) current
-        run look 2x slower — the gate must exit 3."""
+    def test_compare_flags_injected_10x_slowdown(self, tmp_path, capsys):
+        """Scaling the baseline's medians by 0.1 makes the (unchanged)
+        current run look 10x slower — the gate must exit 3.  The rerun
+        trips it unless it is over 6x faster than the first run, far
+        outside host drift."""
         base_dir = tmp_path / "base"
         assert main(["bench", "--quick", "--suites", "signals",
                      "--out-dir", str(base_dir)]) == 0
         path = base_dir / "BENCH_signals.json"
         doctored = json.loads(path.read_text())
         for stats in doctored["cases"].values():
-            stats["median_s"] /= 2.0
-            stats["iqr_s"] /= 2.0
+            stats["median_s"] *= 0.1
+            stats["iqr_s"] *= 0.1
         path.write_text(json.dumps(doctored))
         code = main(["bench", "--quick", "--suites", "signals",
                      "--out-dir", str(tmp_path / "fresh"),

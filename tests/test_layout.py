@@ -353,6 +353,46 @@ class TestDynamicLayout:
         view = session.view()
         assert view.position("h3") == (500.0, 500.0)
 
+    def test_collapse_layout_does_not_depend_on_hash_seed(self):
+        """Expand two sites, collapse them back: the position bits must
+        not depend on ``PYTHONHASHSEED`` (string-set iteration order)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import hashlib\n"
+            "from repro.core import AnalysisSession\n"
+            "from repro.trace.synthetic import random_hierarchical_trace\n"
+            "trace = random_hierarchical_trace(\n"
+            "    n_sites=5, clusters_per_site=3, hosts_per_cluster=12, seed=3)\n"
+            "session = AnalysisSession(trace, seed=0)\n"
+            "session.aggregate_depth(2)\n"
+            "session.view(settle_steps=5)\n"
+            "sites = sorted(session.grouping.collapsed)\n"
+            "for site in sites[:2]:\n"
+            "    session.disaggregate(site)\n"
+            "session.view(settle_steps=5)\n"
+            "session.aggregate(sites[0])\n"
+            "session.view(settle_steps=5)\n"
+            "session.aggregate_depth(2)\n"
+            "session.view(settle_steps=5)\n"
+            "positions = sorted(session.dynamic.positions().items())\n"
+            "print(hashlib.sha256(repr(positions).encode()).hexdigest())\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        digests = set()
+        for hash_seed in ("0", "1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120,
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests
+
 
 class TestRepulsionStats:
     """The per-step counters every kernel must populate."""

@@ -35,7 +35,7 @@ from repro.core.layout import (
     make_layout,
     validate_workers,
 )
-from repro.core.layout.quadtree import MAX_DEPTH
+from repro.core.layout.quadtree import BLOCK_BODIES, MAX_DEPTH
 from repro.errors import LayoutError
 
 # (n, seed, co-located pairs): 20 scenarios spanning tiny graphs,
@@ -65,15 +65,30 @@ CASES = [
 
 CASE_IDS = [f"n{n}-s{seed}-c{coloc}" for n, seed, coloc in CASES]
 
+# Scenarios larger than one force-evaluation block (BLOCK_BODIES).
+# theta=0 visits every leaf for every body, so the exact case stays
+# just past one block; the approximate nets use a larger one.
+EXACT_BLOCK_CASE = (1100, 25, 60)
+BLOCK_CASE = (2600, 26, 100)
+BLOCK_IDS = [f"n{n}-s{seed}-c{coloc}" for n, seed, coloc in
+             (EXACT_BLOCK_CASE, BLOCK_CASE)]
+
 
 def random_bodies(case):
-    """Deterministic positions and masses for one scenario."""
+    """Deterministic positions and masses for one scenario.
+
+    Bodies ``2k`` and ``2k + 1`` are co-located for ``k < coloc``;
+    scenarios larger than one block also co-locate the two bodies on
+    either side of the first block boundary.
+    """
     n, seed, coloc = case
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-200.0, 200.0, size=(n, 2))
     masses = rng.uniform(0.5, 5.0, size=n)
     for k in range(coloc):
         pts[2 * k + 1] = pts[2 * k]
+    if n > BLOCK_BODIES:
+        pts[BLOCK_BODIES] = pts[BLOCK_BODIES - 1]
     return pts, masses
 
 
@@ -100,7 +115,9 @@ def assert_forces_match(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
 
 
-@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize(
+    "case", CASES + [EXACT_BLOCK_CASE], ids=CASE_IDS + BLOCK_IDS[:1]
+)
 def test_theta_zero_matches_naive_pairwise(case):
     """(a) With theta=0 the vectorized kernel is exactly pairwise."""
     bh = seeded_layout("barneshut", case, theta=0.0)
@@ -312,7 +329,10 @@ class TestTreeReuse:
 # Sharded kernel: bitwise agreement with the single-process array path
 # ----------------------------------------------------------------------
 
-SHARD_CASES = [(64, 19, 0), (150, 15, 10), (300, 17, 0)]
+# The last case gives each of two workers a shard that straddles a
+# block boundary, with blocks laid out differently than in the array
+# kernel's single pass.
+SHARD_CASES = [(64, 19, 0), (150, 15, 10), (300, 17, 0), BLOCK_CASE]
 SHARD_IDS = [f"n{n}-s{s}-c{c}" for n, s, c in SHARD_CASES]
 
 
@@ -340,7 +360,9 @@ def sharded_layout(case, theta=0.7, workers=2, edges=False):
 class TestQuadTreeSubsetForces:
     """forces(bodies=...) — the shard primitive — equals full rows."""
 
-    @pytest.mark.parametrize("case", CASES[8:14], ids=CASE_IDS[8:14])
+    @pytest.mark.parametrize(
+        "case", CASES[8:14] + [BLOCK_CASE], ids=CASE_IDS[8:14] + BLOCK_IDS[1:]
+    )
     def test_subset_rows_bitwise_equal_full_rows(self, case):
         pts, masses = random_bodies(case)
         n = len(pts)
@@ -358,6 +380,25 @@ class TestQuadTreeSubsetForces:
         # Rows outside the subset stay exactly zero.
         assert not lo_f[mid:].any() and not hi_f[:mid].any()
         assert lo_p + hi_p == full_pairs
+
+    def test_scattered_subsets_across_blocks_bitwise_equal_full_rows(self):
+        """Unsorted and offset subsets regroup bodies into different
+        blocks than the full pass; their rows must not change."""
+        pts, masses = random_bodies(BLOCK_CASE)
+        n = len(pts)
+        tree = ArrayQuadTree(pts, masses)
+        full, _ = tree.forces(pts, masses, 100.0, 0.7)
+        rng = np.random.default_rng(7)
+        subsets = [
+            np.arange(BLOCK_BODIES // 2, BLOCK_BODIES + 300),
+            rng.permutation(n)[: BLOCK_BODIES + 200],
+            np.arange(n)[::-1],
+        ]
+        for subset in subsets:
+            got, _ = tree.forces(pts, masses, 100.0, 0.7, bodies=subset)
+            assert np.array_equal(got[subset], full[subset])
+            rest = np.setdiff1d(np.arange(n), subset)
+            assert not got[rest].any()
 
     def test_bad_subsets_rejected(self):
         pts, masses = random_bodies((8, 4, 2))
@@ -477,5 +518,57 @@ class TestBulkInsert:
             layout.add_nodes(["a", "b"], weights=[1.0, -1.0])
         with pytest.raises(LayoutError):
             layout.add_nodes(["a"], positions=[(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(LayoutError):
+            layout.add_nodes(["a", "b"], positions=[None, (0.0, 1.0, 2.0)])
         # Nothing was partially inserted by the failed batches.
         assert layout.names() == ["dup"]
+
+    def test_add_nodes_mixed_positions_match_per_node_inserts(self):
+        """None entries draw the same random-disc spots, in the same
+        order, as per-node inserts interleaved with explicit spots."""
+        bulk = make_layout("barneshut", seed=9)
+        slow = make_layout("barneshut", seed=9)
+        for layout in (bulk, slow):
+            layout.add_node("first")
+        names = [f"n{i}" for i in range(30)]
+        spots = [None if i % 3 else (float(i), -float(i)) for i in range(30)]
+        weights = [1.0 + i for i in range(30)]
+        bulk.add_nodes(names, weights, spots)
+        for name, weight, spot in zip(names, weights, spots):
+            slow.add_node(name, weight, spot)
+        assert bulk.names() == slow.names()
+        assert bulk._pos.tobytes() == slow._pos.tobytes()
+        assert bulk._weight.tobytes() == slow._weight.tobytes()
+
+    def test_remove_nodes_replays_swap_removals(self):
+        layout = make_layout("barneshut", seed=9)
+        names = [f"n{i}" for i in range(12)]
+        layout.add_nodes(names)
+        for a, b in zip(names, names[1:]):
+            layout.add_edge(a, b)
+        layout.pin("n5")
+        before = {name: layout.position(name) for name in names}
+        doomed = ["n3", "n11", "n0", "n7"]
+        model = list(names)
+        for name in doomed:  # each removal moves the last body into its slot
+            slot = model.index(name)
+            model[slot] = model[-1]
+            model.pop()
+        layout.remove_nodes(doomed)
+        assert layout.names() == model
+        assert [layout.position(name) for name in model] == [
+            before[name] for name in model
+        ]
+        assert layout.is_pinned("n5") and not layout.is_pinned("n1")
+        assert all(a not in doomed and b not in doomed
+                   for a, b in layout.edges())
+        assert len(layout.edges()) == 11 - 6
+
+    def test_remove_nodes_rejects_bad_batches(self):
+        layout = make_layout("barneshut", seed=9)
+        layout.add_nodes(["a", "b", "c"])
+        with pytest.raises(LayoutError):
+            layout.remove_nodes(["a", "missing"])
+        with pytest.raises(LayoutError):
+            layout.remove_nodes(["b", "b"])
+        assert layout.names() == ["a", "b", "c"]

@@ -261,6 +261,31 @@ class TestTextRoundTrip:
         assert back.entity("h").signal("u")(0.0) == 1.5
         assert back.entity("h").signal("u")(6.0) == 3.0
 
+    def test_initial_values_land_on_their_own_entity_and_metric(self):
+        """Many entities with INITs on several metrics: each value is
+        re-threaded onto exactly its (entity, metric) signal."""
+        metrics = ("a", "b", "c")
+        entities = [
+            Entity(
+                f"h{i}", "host",
+                metrics={
+                    m: Signal([5.0 + i], [i + 0.5], initial=100.0 * i + k + 1)
+                    for k, m in enumerate(metrics)
+                },
+            )
+            for i in range(60)
+        ]
+        # One signal per entity without an INIT (initial 0).
+        entities.append(Entity("plain", "host",
+                               metrics={"a": Signal([1.0], [2.0])}))
+        back = self.roundtrip(Trace(entities))
+        for i in range(60):
+            entity = back.entity(f"h{i}")
+            for k, m in enumerate(metrics):
+                assert entity.signal(m).initial == 100.0 * i + k + 1
+                assert entity.signal(m)(6.0 + i) == i + 0.5
+        assert back.entity("plain").signal("a").initial == 0.0
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "trace.txt"
         write_trace(figure1_trace(), path)
