@@ -804,8 +804,7 @@ def _cmd_serve(args) -> int:
     import contextlib
     import signal
 
-    from repro.server import ReproServer, ServerConfig, format_report, run_load
-    from repro.trace.writer import write_trace
+    from repro.server import ReproServer, ServerConfig
 
     trace = _read(args)
     config = ServerConfig(
@@ -822,6 +821,8 @@ def _cmd_serve(args) -> int:
         metrics=args.metrics,
     )
     if args.selfcheck:
+        from repro.server import format_report, run_load
+
         report = run_load(
             trace=trace,
             sessions=4,
@@ -879,6 +880,8 @@ def _cmd_serve(args) -> int:
         if server is not None:
             server.state.telemetry.close()
             if args.self_trace is not None:
+                from repro.trace.writer import write_trace
+
                 write_trace(
                     server.state.telemetry.recorder.build_trace(),
                     args.self_trace,

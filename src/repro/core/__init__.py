@@ -5,48 +5,36 @@ dynamic, interactive force-directed graph layout (Sections 3.3/4.2),
 driven through :class:`AnalysisSession`.
 """
 
-from repro.core.aggengine import (
-    AggregationEngine,
-    SharedTraceData,
-    SliceCache,
-    make_aggregator,
-)
-from repro.core.aggregation import (
-    AggregatedEdge,
-    AggregatedUnit,
-    AggregatedView,
-    aggregate_view,
-)
-from repro.core.hierarchy import GroupingState, Hierarchy
-from repro.core.layout import (
-    LAYOUT_KERNELS,
-    ArrayQuadTree,
-    BarnesHutLayout,
-    DynamicLayout,
-    ForceLayout,
-    LayoutParams,
-    NaiveLayout,
-    QuadTree,
-    ShardedBarnesHutLayout,
-    make_layout,
-    multilevel_seeds,
-)
-from repro.core.matrix import CommMatrix
-from repro.core.mapping import SHAPES, NodeStyle, ShapeRule, VisualMapping
-from repro.core.render import (
-    AsciiRenderer,
-    SvgRenderer,
-    export_animation_html,
-    render_ascii,
-    render_svg,
-)
-from repro.core.scaling import ScaleSet
-from repro.core.session import SEEDING_MODES, AnalysisSession
-from repro.core.timeline import CommArrow, CommBand, StateSpan, Timeline
-from repro.core.timeslice import TimeSlice, animation_frames
-from repro.core.treemap import Treemap, TreemapCell, squarify
-from repro.core.view import TopologyView
-from repro.core.visgraph import VisEdge, VisGraph, VisNode, build_visgraph
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".aggengine": (
+        "AggregationEngine", "SharedTraceData", "SliceCache",
+        "make_aggregator",
+    ),
+    ".aggregation": (
+        "AggregatedEdge", "AggregatedUnit", "AggregatedView", "aggregate_view",
+    ),
+    ".hierarchy": ("GroupingState", "Hierarchy"),
+    ".layout": (
+        "LAYOUT_KERNELS", "ArrayQuadTree", "BarnesHutLayout", "DynamicLayout",
+        "ForceLayout", "LayoutParams", "NaiveLayout", "QuadTree",
+        "ShardedBarnesHutLayout", "make_layout", "multilevel_seeds",
+    ),
+    ".matrix": ("CommMatrix",),
+    ".mapping": ("SHAPES", "NodeStyle", "ShapeRule", "VisualMapping"),
+    ".render": (
+        "AsciiRenderer", "SvgRenderer", "export_animation_html",
+        "render_ascii", "render_svg",
+    ),
+    ".scaling": ("ScaleSet",),
+    ".session": ("SEEDING_MODES", "AnalysisSession"),
+    ".timeline": ("CommArrow", "CommBand", "StateSpan", "Timeline"),
+    ".timeslice": ("TimeSlice", "animation_frames"),
+    ".treemap": ("Treemap", "TreemapCell", "squarify"),
+    ".view": ("TopologyView",),
+    ".visgraph": ("VisEdge", "VisGraph", "VisNode", "build_visgraph"),
+})
 
 __all__ = [
     "SEEDING_MODES",

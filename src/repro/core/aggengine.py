@@ -18,10 +18,11 @@ function is kept as the differential-testing oracle, selected with
   GroupingState.revision)``: unit memberships, labels and the merged
   edge multiplicities are rebuilt only when the analyst actually
   collapses or expands something — never on a slice move;
-* a **spatial memo** per metric: combined unit values are reused
-  wholesale when nothing changed, and when only the grouping changed
-  (same slice) units whose membership is untouched keep their combined
-  value — only the affected units are recombined.
+* a **spatial memo** per metric: combined unit values — one
+  read-only float64 array in the structure's per-metric unit order —
+  are reused wholesale when nothing changed, and when only the
+  grouping changed (same slice) units whose membership is untouched
+  keep their combined value — only the affected units are recombined.
 
 Every decision is counted in :attr:`AggregationEngine.stats` (mirroring
 ``ForceLayout.stats``), so benchmarks and the differential suite can
@@ -45,15 +46,17 @@ layers are split along a sharing boundary:
 A single-user :class:`~repro.core.session.AnalysisSession` builds a
 private :class:`SharedTraceData` and no result cache — behavior is
 unchanged.  Everything handed across the sharing boundary is genuinely
-immutable: cached mean arrays are marked read-only and the structure
-tuples are frozen, so one session can never observe another session's
-in-flight mutation (``tests/test_session_isolation.py``).
+immutable: cached mean and unit-value arrays are marked read-only and
+the structure tables are tuples, so one session can never observe
+another session's in-flight mutation
+(``tests/test_session_isolation.py``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Mapping
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,15 +166,22 @@ class _Structure:
     after construction (apart from the idempotent lazy metric-layout
     memo) and shared freely across concurrent sessions whose collapsed
     sets coincide.
+
+    Per-unit tables (``members``, ``groups``, ``kinds``, ``labels``)
+    are tuples aligned with ``unit_order``; ``index`` maps a unit key
+    to its position.  Every table is a pure function of the trace and
+    ``key``, so two structures built for the same token — say, one
+    evicted and rebuilt — agree position by position.
     """
 
     __slots__ = (
         "key",
         "unit_order",
+        "index",
         "members",
-        "meta",
+        "groups",
+        "kinds",
         "labels",
-        "entity_unit",
         "edges",
         "_metric_layouts",
     )
@@ -180,23 +190,22 @@ class _Structure:
         self.key = grouping.state_key
         members: dict[str, list[str]] = {}
         meta: dict[str, tuple[Path | None, str]] = {}
+        entity_unit: dict[str, str] = {}
         for entity in trace:
             group = grouping.unit_of(entity.name)
             key = unit_key(group, entity.kind, entity.name)
             members.setdefault(key, []).append(entity.name)
             meta[key] = (group, entity.kind)
+            entity_unit[entity.name] = key
         self.unit_order = tuple(members)
-        self.members = {key: tuple(names) for key, names in members.items()}
-        self.meta = meta
-        self.labels = {
-            key: "/".join(meta[key][0])
-            if meta[key][0] is not None
-            else members[key][0]
-            for key in self.unit_order
-        }
-        self.entity_unit = {
-            name: key for key, names in members.items() for name in names
-        }
+        self.index = {key: i for i, key in enumerate(self.unit_order)}
+        self.members = tuple(tuple(names) for names in members.values())
+        self.groups = tuple(group for group, _ in meta.values())
+        self.kinds = tuple(kind for _, kind in meta.values())
+        self.labels = tuple(
+            "/".join(group) if group is not None else names[0]
+            for group, names in zip(self.groups, self.members)
+        )
         multiplicity: dict[tuple[str, str], int] = {}
         for edge in trace.edges:
             if edge.via:
@@ -204,7 +213,7 @@ class _Structure:
             else:
                 pairs = ((edge.a, edge.b),)
             for x, y in pairs:
-                ux, uy = self.entity_unit[x], self.entity_unit[y]
+                ux, uy = entity_unit[x], entity_unit[y]
                 if ux == uy:
                     continue  # internal to an aggregate
                 pair = (ux, uy) if ux <= uy else (uy, ux)
@@ -214,35 +223,37 @@ class _Structure:
             for (a, b), count in sorted(multiplicity.items())
         )
         self._metric_layouts: dict[
-            str, tuple[list[str], np.ndarray, np.ndarray]
+            str, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
 
     def metric_layout(
-        self, metric: str, row_of: dict[str, int]
-    ) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """``(keys, rows, offsets)`` for vectorized per-unit combination.
+        self, metric: str, row_of: Mapping[str, int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, offsets, slots)`` for vectorized per-unit combination.
 
-        *keys* are the units with at least one member carrying *metric*
-        (view order); ``rows[offsets[i]:offsets[i+1]]`` are bank rows of
-        ``keys[i]``'s members, in member order.
+        The *metric's unit order* lists the units with at least one
+        member carrying *metric*, in view order.  Its ``i``-th unit
+        owns the bank rows ``rows[offsets[i]:offsets[i+1]]`` (its
+        members', in member order); ``slots`` is an int32 array over
+        ``unit_order`` holding each unit's position in the metric's
+        unit order, or -1 when no member carries *metric*.
         """
         cached = self._metric_layouts.get(metric)
         if cached is None:
-            keys: list[str] = []
+            slots = np.full(len(self.unit_order), -1, dtype=np.int32)
             rows: list[int] = []
             offsets = [0]
-            for key in self.unit_order:
-                unit_rows = [
-                    row_of[name] for name in self.members[key] if name in row_of
-                ]
+            for unit, names in enumerate(self.members):
+                unit_rows = [row_of[name] for name in names if name in row_of]
                 if unit_rows:
-                    keys.append(key)
+                    slots[unit] = len(offsets) - 1
                     rows.extend(unit_rows)
                     offsets.append(len(rows))
+            slots.setflags(write=False)
             cached = (
-                keys,
                 np.asarray(rows, dtype=np.intp),
                 np.asarray(offsets, dtype=np.intp),
+                slots,
             )
             self._metric_layouts[metric] = cached
         return cached
@@ -272,10 +283,11 @@ class SharedTraceData:
     instance — sharing is strictly opt-in.
     """
 
-    #: Distinct grouping structures kept before the oldest is dropped;
-    #: a bound on pathological sessions cycling through thousands of
-    #: grouping states (engines keep the structures they actively use
-    #: alive through their own references).
+    #: Distinct grouping structures, and distinct layout-seed entries,
+    #: kept before the oldest is dropped; a bound on pathological
+    #: sessions cycling through thousands of grouping states (engines
+    #: keep the structures they actively use alive through their own
+    #: references).
     MAX_STRUCTURES = 256
 
     def __init__(
@@ -287,7 +299,7 @@ class SharedTraceData:
         self.space_op = space_op
         self._lock = threading.Lock()
         self._hierarchy: Hierarchy | None = None
-        self._banks: dict[str, tuple[SignalBank, dict[str, int]]] = {}
+        self._banks: dict[str, tuple[SignalBank, Mapping[str, int]]] = {}
         self._structures: dict[tuple, _Structure] = {}
         self._seeds: dict[tuple, tuple[frozenset, dict]] = {}
         #: build/reuse counters, a :class:`repro.obs.StatGroup`
@@ -299,6 +311,7 @@ class SharedTraceData:
             "structure_evictions": 0,
             "seed_builds": 0,
             "seed_shared_hits": 0,
+            "seed_evictions": 0,
         })
 
     @property
@@ -309,20 +322,20 @@ class SharedTraceData:
                 self._hierarchy = Hierarchy.from_trace(self.trace)
             return self._hierarchy
 
-    def bank(self, metric: str) -> tuple[SignalBank, dict[str, int]]:
+    def bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
         """The shared ``(SignalBank, row_of)`` pair for *metric*.
 
         Built on first demand; for a duck-typed bank provider (a
         ``StoredTrace``) the bank is served straight off the columnar
-        file, so no ``Signal`` objects are ever materialized.
+        file, so no ``Signal`` objects are ever materialized, and the
+        provider's read-only row map is shared rather than copied.
         """
         with self._lock:
             entry = self._banks.get(metric)
             if entry is None:
                 provider = getattr(self.trace, "signal_bank", None)
                 if provider is not None:
-                    bank, row_of = provider(metric)
-                    entry = (bank, dict(row_of))
+                    entry = provider(metric)
                 else:
                     names = [
                         e.name for e in self.trace if metric in e.metrics
@@ -382,7 +395,9 @@ class SharedTraceData:
         ``(grouping token, spring length, mode, seed)``; the stored
         node-key set is checked so a different visual mapping (a
         different node subset) recomputes instead of serving stale
-        seeds.  Returns a fresh dict — callers own their copy.
+        seeds.  At most :attr:`MAX_STRUCTURES` entries are kept, oldest
+        dropped first (``seed_evictions``).  Returns a fresh dict —
+        callers own their copy.
         """
         from repro.core.layout.seeding import radial_seeds
 
@@ -405,6 +420,9 @@ class SharedTraceData:
             )
         with self._lock:
             self._seeds[memo_key] = (node_keys, seeds)
+            while len(self._seeds) > self.MAX_STRUCTURES:
+                self._seeds.pop(next(iter(self._seeds)))
+                self.stats["seed_evictions"] += 1
         self.stats["seed_builds"] += 1
         return dict(seeds)
 
@@ -447,8 +465,10 @@ class AggregationEngine:
         ``put(key, value, owner=...)``, e.g.
         :class:`repro.server.cache.SharedResultCache`).  Keys are
         ``(slice.as_tuple(), grouping.state_key, metric)``; values are
-        the combined per-unit value dicts, treated as immutable by
-        every engine.
+        read-only float64 arrays in the structure's per-metric unit
+        order, read back through the unit structure of the same
+        ``state_key`` — a private format only this class reads and
+        writes.
     cache_owner:
         Identity reported to the result cache so cross-session hits
         (one session consuming work another session paid for) are
@@ -486,7 +506,7 @@ class AggregationEngine:
             cache_owner if cache_owner is not None else f"engine-{id(self):x}"
         )
         self._slice_caches: dict[str, SliceCache] = {}
-        self._row_maps: dict[str, dict[str, int]] = {}
+        self._row_maps: dict[str, Mapping[str, int]] = {}
         self._structure: tuple[GroupingState, int, _Structure] | None = None
         #: per-metric spatial memo: {"slice", "struct", "values"}
         self._combined: dict[str, dict] = {}
@@ -516,7 +536,7 @@ class AggregationEngine:
     # ------------------------------------------------------------------
     # Cache layers
     # ------------------------------------------------------------------
-    def _bank(self, metric: str) -> tuple[SignalBank, dict[str, int]]:
+    def _bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
         cache = self._slice_caches.get(metric)
         if cache is None:
             bank, row_of = self.shared.bank(metric)
@@ -547,8 +567,13 @@ class AggregationEngine:
 
     def _unit_values(
         self, metric: str, structure: _Structure, tslice: TimeSlice
-    ) -> dict[str, float]:
-        """Combined value per unit for one metric (the spatial memo)."""
+    ) -> np.ndarray:
+        """Combined value per unit for one metric (the spatial memo).
+
+        A read-only float64 array in *structure*'s per-metric unit
+        order (see :meth:`_Structure.metric_layout`).  The same array
+        is memoized here and put into the shared result cache.
+        """
         bank, row_of = self._bank(metric)
         slice_key = tslice.as_tuple()
         memo = self._combined.get(metric)
@@ -566,7 +591,9 @@ class AggregationEngine:
             if shared_values is not None:
                 # Another session already combined this exact
                 # (slice, grouping, metric) triple — adopt its result
-                # wholesale (values are immutable by contract).
+                # wholesale.  It is aligned with any structure built
+                # for the same grouping token, not just the one it was
+                # computed against.
                 self.stats["shared_hits"] += 1
                 self._combined[metric] = {
                     "slice": slice_key,
@@ -576,58 +603,62 @@ class AggregationEngine:
                 return shared_values
         means = self._slice_caches[metric].means(tslice)
         with span("agg.spatial"):
-            keys, rows, offsets = structure.metric_layout(metric, row_of)
+            rows, offsets, slots = structure.metric_layout(metric, row_of)
+            bounds = offsets.tolist()
+            n_units = len(bounds) - 1
             began = time.perf_counter_ns()
-            values: dict[str, float]
             if memo is not None and memo["slice"] == slice_key:
                 # Same slice, new grouping: only units whose membership
                 # changed need their space_op re-evaluated.
-                old_members = memo["struct"].members
-                old_values = memo["values"]
-                values = {}
-                for i, key in enumerate(keys):
+                old = memo["struct"]
+                old_slots = old.metric_layout(metric, row_of)[2].tolist()
+                old_values = memo["values"].tolist()
+                values = np.empty(n_units)
+                units = np.flatnonzero(slots >= 0).tolist()
+                for i, unit in enumerate(units):
+                    at = old.index.get(structure.unit_order[unit])
                     if (
-                        key in old_values
-                        and old_members.get(key) == structure.members[key]
+                        at is not None
+                        and old_slots[at] >= 0
+                        and old.members[at] == structure.members[unit]
                     ):
-                        values[key] = old_values[key]
+                        values[i] = old_values[old_slots[at]]
                         self.stats["units_reused"] += 1
                     else:
-                        values[key] = self._combine_segment(
-                            means[rows[offsets[i] : offsets[i + 1]]]
+                        values[i] = self._combine_segment(
+                            means[rows[bounds[i]:bounds[i + 1]]]
                         )
                         self.stats["units_recombined"] += 1
                 self.stats["combine_partial"] += 1
             else:
-                if self.space_op is sum and keys:
+                if self.space_op is sum and n_units:
                     gathered = means[rows]
-                    if len(rows) == len(keys):
+                    if len(rows) == n_units:
                         # Fully expanded view: every unit is a single
                         # entity, its value is its own slice mean.
-                        values = dict(zip(keys, gathered.tolist()))
+                        values = gathered
                     else:
                         # np.add.reduce is a strict left-to-right
                         # reduction, so each unit's sum is bit-identical
                         # to the scalar oracle's python sum over the
                         # same member order (np.add.reduceat's blocked
                         # inner loop is not — last-bit divergence).
-                        values = {
-                            key: float(
-                                np.add.reduce(
-                                    gathered[offsets[i]: offsets[i + 1]]
-                                )
+                        values = np.empty(n_units)
+                        for i in range(n_units):
+                            values[i] = np.add.reduce(
+                                gathered[bounds[i]:bounds[i + 1]]
                             )
-                            for i, key in enumerate(keys)
-                        }
                 else:
-                    values = {
-                        key: self._combine_segment(
-                            means[rows[offsets[i] : offsets[i + 1]]]
+                    values = np.empty(n_units)
+                    for i in range(n_units):
+                        values[i] = self._combine_segment(
+                            means[rows[bounds[i]:bounds[i + 1]]]
                         )
-                        for i, key in enumerate(keys)
-                    }
                 self.stats["combine_full"] += 1
-                self.stats["units_recombined"] += len(keys)
+                self.stats["units_recombined"] += n_units
+            # Handed out by reference (memo, result cache, other
+            # sessions): frozen like the slice means.
+            values.setflags(write=False)
             self.stats["combine_ns"] += time.perf_counter_ns() - began
         self._combined[metric] = {
             "slice": slice_key,
@@ -658,24 +689,24 @@ class AggregationEngine:
         metric_names = (
             list(metrics) if metrics is not None else self.trace.metric_names()
         )
-        per_metric = [
-            (metric, self._unit_values(metric, structure, tslice))
-            for metric in metric_names
-        ]
+        per_metric = []
+        for metric in metric_names:
+            combined = self._unit_values(metric, structure, tslice)
+            slots = structure.metric_layout(metric, self._row_maps[metric])[2]
+            per_metric.append((metric, combined.tolist(), slots.tolist()))
         units: dict[str, AggregatedUnit] = {}
-        for key in structure.unit_order:
+        for i, key in enumerate(structure.unit_order):
             values: dict[str, float] = {}
-            for metric, unit_values in per_metric:
-                value = unit_values.get(key)
-                if value is not None:
-                    values[metric] = value
-            group, kind = structure.meta[key]
+            for metric, unit_values, slots in per_metric:
+                slot = slots[i]
+                if slot >= 0:
+                    values[metric] = unit_values[slot]
             units[key] = AggregatedUnit(
                 key=key,
-                label=structure.labels[key],
-                kind=kind,
-                members=structure.members[key],
-                group=group,
+                label=structure.labels[i],
+                kind=structure.kinds[i],
+                members=structure.members[i],
+                group=structure.groups[i],
                 values=values,
             )
         view = AggregatedView(

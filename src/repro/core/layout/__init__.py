@@ -1,19 +1,20 @@
 """Dynamic force-directed graph layout (Sections 3.3 and 4.2)."""
 
-from repro.core.layout.barneshut import KERNELS, BarnesHutLayout
-from repro.core.layout.base import ForceLayout
-from repro.core.layout.engine import (
-    ALGORITHMS,
-    LAYOUT_KERNELS,
-    DynamicLayout,
-    make_layout,
-)
-from repro.core.layout.forces import LayoutParams
-from repro.core.layout.multilevel import multilevel_seeds
-from repro.core.layout.naive import NaiveLayout
-from repro.core.layout.quadtree import ArrayQuadTree, QuadTree
-from repro.core.layout.seeding import radial_seeds
-from repro.core.layout.sharded import ShardedBarnesHutLayout, validate_workers
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".barneshut": ("KERNELS", "BarnesHutLayout"),
+    ".base": ("ForceLayout",),
+    ".engine": (
+        "ALGORITHMS", "LAYOUT_KERNELS", "DynamicLayout", "make_layout",
+    ),
+    ".forces": ("LayoutParams",),
+    ".multilevel": ("multilevel_seeds",),
+    ".naive": ("NaiveLayout",),
+    ".quadtree": ("ArrayQuadTree", "QuadTree"),
+    ".seeding": ("radial_seeds",),
+    ".sharded": ("ShardedBarnesHutLayout", "validate_workers"),
+})
 
 __all__ = [
     "ALGORITHMS",

@@ -12,7 +12,7 @@ Two implementations live here:
 * :class:`ArrayQuadTree` — the production kernel.  The tree is a flat
   structure of parallel NumPy arrays (``cx/cy/half/mass/com_x/com_y/
   children``) built level-by-level with vectorized group-bys, and
-  forces are evaluated with a frontier traversal over fixed blocks of
+  forces are evaluated with a frontier traversal over blocks of about
   :data:`BLOCK_BODIES` bodies (each round expands every (body, cell)
   pair of the block whose cell fails the opening criterion into its
   children), so the traversal's memory does not grow with n.
@@ -40,8 +40,11 @@ __all__ = ["QuadTree", "ArrayQuadTree", "MAX_DEPTH", "BLOCK_BODIES"]
 MAX_DEPTH = 32
 
 #: Bodies per block of :meth:`ArrayQuadTree.forces`: the traversal's
-#: transient memory scales with this, not with the body count.
-BLOCK_BODIES = 1024
+#: transient memory scales with this, not with the body count.  The
+#: bodies split into equal blocks of at least this many (fewer than
+#: twice as many), because every block pays each traversal round's
+#: fixed NumPy overhead, however few bodies it holds.
+BLOCK_BODIES = 256
 
 #: Squared distance under which two bodies count as co-located and get
 #: the deterministic separation kick instead of a diverging force.
@@ -49,6 +52,12 @@ _EPS2 = 1e-12
 
 #: The deterministic kick: direction (x, y) and squared distance.
 _KICK = (0.31, 0.17, 0.125)
+
+
+def _block_size(n: int) -> int:
+    """Bodies per block when :meth:`ArrayQuadTree.forces` walks *n*."""
+    blocks = max(1, n // BLOCK_BODIES)
+    return -(-n // blocks)  # ceil: the last block is not the small one
 
 
 class ArrayQuadTree:
@@ -262,10 +271,11 @@ class ArrayQuadTree:
         no cell is ever accepted, so the result is exact pairwise
         regardless of tree staleness.
 
-        The bodies are walked in blocks of :data:`BLOCK_BODIES`; each
-        block runs its own frontier traversal and writes its rows before
-        the next block starts, so the transient memory is bounded by the
-        block rather than growing with n log n.
+        The bodies are walked in equal blocks of :data:`BLOCK_BODIES`
+        to ``2 * BLOCK_BODIES - 1`` bodies; each block runs its own
+        frontier traversal and writes its rows before the next block
+        starts, so the transient memory is bounded by the block rather
+        than growing with n log n.
 
         ``bodies`` restricts the evaluation to a subset of body indices
         — the primitive behind the sharded kernel, where each worker
@@ -308,8 +318,9 @@ class ArrayQuadTree:
         # slot[body]: the body's row within its block's accumulators.
         slot = np.zeros(n, dtype=np.int64)
         p2p = 0
-        for lo in range(0, b.size, BLOCK_BODIES):
-            block = b[lo:lo + BLOCK_BODIES]
+        step = _block_size(b.size)
+        for lo in range(0, b.size, step):
+            block = b[lo:lo + step]
             slot[block] = np.arange(block.size, dtype=np.int64)
             p2p += self._block_forces(
                 x, y, m, block, slot, charge, theta2, forces
@@ -343,6 +354,8 @@ class ArrayQuadTree:
         leaf_cell: list[np.ndarray] = []
         com_x, com_y = self.com_x, self.com_y
         size2, cell_mass, is_leaf = self._size2, self.mass, self.is_leaf
+        child_count, child_start = self._child_count, self._child_start
+        child_list = self._child_list
         # Frontier of (body, cell) pairs: the block's bodies vs root.
         b = block
         c = np.zeros(k, dtype=np.int64)
@@ -352,7 +365,7 @@ class ArrayQuadTree:
             d2 = dx * dx + dy * dy
             leaf = is_leaf[c]
             accept = (d2 > _EPS2) & (size2[c] < theta2 * d2) & ~leaf
-            ai = np.flatnonzero(accept)
+            ai = accept.nonzero()[0]
             if ai.size:
                 ab = b[ai]
                 ad2 = d2[ai]
@@ -360,21 +373,20 @@ class ArrayQuadTree:
                 far_body.append(ab)
                 far_fx.append(scale * dx[ai])
                 far_fy.append(scale * dy[ai])
-            li = np.flatnonzero(leaf)
+            li = leaf.nonzero()[0]
             if li.size:
                 leaf_body.append(b[li])
                 leaf_cell.append(c[li])
-            di = np.flatnonzero(~(accept | leaf))
+            di = (~(accept | leaf)).nonzero()[0]
             if not di.size:
                 break
             dc = c[di]
-            counts = self._child_count[dc]
+            counts = child_count[dc]
             # CSR expansion: child j of cell dc[i] sits at
-            # _child_start[dc[i]] + j in the child list.
-            first = self._child_start[dc] - (counts.cumsum() - counts)
-            c = self._child_list[
-                np.repeat(first, counts) + np.arange(int(counts.sum()))
-            ]
+            # child_start[dc[i]] + j in the child list.
+            ends = counts.cumsum()
+            first = child_start[dc] - (ends - counts)
+            c = child_list[np.repeat(first, counts) + np.arange(ends[-1])]
             b = np.repeat(b[di], counts)
         fx = np.zeros(k)
         fy = np.zeros(k)

@@ -1,17 +1,16 @@
 """Headless renderers: SVG files and terminal output."""
 
-from repro.core.render.ascii import AsciiRenderer, render_ascii
-from repro.core.render.html_export import export_animation_html
-from repro.core.render.colors import (
-    category_palette,
-    darken,
-    lighten,
-    mix,
-    parse_hex,
-    to_hex,
-    utilization_color,
-)
-from repro.core.render.svg import SvgRenderer, render_svg
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".ascii": ("AsciiRenderer", "render_ascii"),
+    ".html_export": ("export_animation_html",),
+    ".colors": (
+        "category_palette", "darken", "lighten", "mix", "parse_hex", "to_hex",
+        "utilization_color",
+    ),
+    ".svg": ("SvgRenderer", "render_svg"),
+})
 
 __all__ = [
     "AsciiRenderer",

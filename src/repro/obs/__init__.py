@@ -39,6 +39,9 @@ behind ``repro latency``).
 ['demo.stage']
 """
 
+# Eager, unlike the names below: importing the ``repro.obs.registry``
+# submodule binds it as ``obs.registry`` unless the registry object
+# has already taken that name.
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -60,21 +63,18 @@ from repro.obs.spans import (
     enabled,
     span,
 )
-from repro.obs.profiler import PIPELINE_STAGES, Profiler, StageStat
-from repro.obs.export import (
-    JsonlSpanSink,
-    JsonlWriter,
-    chrome_trace_events,
-    format_snapshot,
-    read_jsonl_spans,
-    write_chrome_trace,
-    write_snapshot,
-)
-from repro.obs.expo import (
-    PROM_CONTENT_TYPE,
-    parse_exposition,
-    render_prometheus,
-)
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".profiler": ("PIPELINE_STAGES", "Profiler", "StageStat"),
+    ".export": (
+        "JsonlSpanSink", "JsonlWriter", "chrome_trace_events",
+        "format_snapshot", "read_jsonl_spans", "write_chrome_trace",
+        "write_snapshot",
+    ),
+    ".expo": ("PROM_CONTENT_TYPE", "parse_exposition", "render_prometheus"),
+})
 
 __all__ = [
     "Counter",

@@ -28,28 +28,22 @@ Layers (one module each):
   concurrent load harness and the differential oracle replay.
 """
 
-from repro.server.app import ReproServer
-from repro.server.cache import SharedResultCache
-from repro.server.client import WsClient, http_get
-from repro.server.load import (
-    format_report,
-    make_storm,
-    replay_storm_local,
-    run_load,
-)
-from repro.server.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    canonical_json,
-    push_envelope,
-    view_payload,
-)
-from repro.server.state import ServerConfig, SessionState, SharedServerState
-from repro.server.telemetry import (
-    RequestRecord,
-    ServerRecorder,
-    ServerTelemetry,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".app": ("ReproServer",),
+    ".cache": ("SharedResultCache",),
+    ".client": ("WsClient", "http_get"),
+    ".load": (
+        "format_report", "make_storm", "replay_storm_local", "run_load",
+    ),
+    ".protocol": (
+        "PROTOCOL_VERSION", "ProtocolError", "canonical_json", "push_envelope",
+        "view_payload",
+    ),
+    ".state": ("ServerConfig", "SessionState", "SharedServerState"),
+    ".telemetry": ("RequestRecord", "ServerRecorder", "ServerTelemetry"),
+})
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -5,9 +5,10 @@ One :class:`SharedResultCache` instance is shared by every session's
 Keys are ``(slice.as_tuple(), grouping.state_key, metric)`` — built
 entirely from *canonical* tokens, so two different sessions scrubbing
 to the same slice under the same collapsed groups produce the **same**
-key and hit each other's combined per-unit values.  Values are treated
-as immutable by every engine (enforced for the underlying mean arrays
-by ``tests/test_session_isolation.py``).
+key and hit each other's combined per-unit values: read-only float64
+arrays in the structure's per-metric unit order, a format private to
+:class:`~repro.core.aggengine.AggregationEngine`.  Writing into one
+raises (``tests/test_session_isolation.py``).
 
 Invalidation is *structural*, not imperative: a grouping change bumps
 ``GroupingState.revision``, which recomputes ``state_key``, which
@@ -35,6 +36,9 @@ __all__ = ["SharedResultCache"]
 
 class SharedResultCache:
     """A thread-safe LRU cache of combined per-unit aggregation values.
+
+    The cache stores values opaquely; the aggregation engine puts
+    read-only float64 arrays in the structure's per-metric unit order.
 
     Parameters
     ----------

@@ -54,7 +54,7 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: TCP port; 0 picks a free one (reported by :attr:`ReproServer.port`).
     port: int = 0
-    #: Concurrent session ceiling; pastit new sessions get
+    #: Concurrent session ceiling; past it new sessions get
     #: ``session_limit`` errors.
     max_sessions: int = 64
     #: Layout relaxation steps per returned view.  Small values keep

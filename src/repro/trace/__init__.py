@@ -8,34 +8,28 @@ objects.  They are produced either by the simulation monitors
 store (:mod:`repro.trace.store`).
 """
 
-from repro.trace.builder import TraceBuilder
-from repro.trace.events import PointEvent, VariableEvent
-from repro.trace.connect import (
-    communication_matrix,
-    edges_from_messages,
-    with_communication_edges,
-)
-from repro.trace.filter import filter_trace
-from repro.trace.reader import loads, read_trace
-from repro.trace.signal import Signal, SignalBuilder, combine, constant
-from repro.trace.signalbank import SignalBank
-from repro.trace.store import (
-    StoredTrace,
-    TraceStore,
-    convert,
-    is_store_file,
-    open_store,
-    write_store,
-)
-from repro.trace.trace import (
-    CAPACITY,
-    USAGE,
-    Entity,
-    MetricInfo,
-    Trace,
-    TraceEdge,
-)
-from repro.trace.writer import dumps, write_trace
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".builder": ("TraceBuilder",),
+    ".events": ("PointEvent", "VariableEvent"),
+    ".connect": (
+        "communication_matrix", "edges_from_messages",
+        "with_communication_edges",
+    ),
+    ".filter": ("filter_trace",),
+    ".reader": ("loads", "read_trace"),
+    ".signal": ("Signal", "SignalBuilder", "combine", "constant"),
+    ".signalbank": ("SignalBank",),
+    ".store": (
+        "StoredTrace", "TraceStore", "convert", "is_store_file", "open_store",
+        "write_store",
+    ),
+    ".trace": (
+        "CAPACITY", "USAGE", "Entity", "MetricInfo", "Trace", "TraceEdge",
+    ),
+    ".writer": ("dumps", "write_trace"),
+})
 
 __all__ = [
     "CAPACITY",

@@ -37,8 +37,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Iterator
 
 import numpy as np
@@ -319,6 +321,20 @@ class TraceStore:
         else:  # pragma: no cover - read_header already rejected this
             raise TraceStoreError(f"{what}: empty file")
         h = self.header
+        directory = self._read_directory()
+        self._data = self._raw[h.data_offset : h.data_offset + h.data_length]
+        self._columns: dict[str, _MetricColumns] = {}
+        self._banks: dict[str, tuple[SignalBank, Mapping[str, int]]] = {}
+        self._decode_directory(directory, what)
+        #: the directory's trace-level sections, held only until the
+        #: first :class:`StoredTrace` consumes them
+        self._sections: dict | None = directory
+
+    # -- directory decoding -------------------------------------------
+    def _read_directory(self) -> dict:
+        """The checksum-verified, parsed JSON directory."""
+        what = f"trace store {self.path.name!r}"
+        h = self.header
         payload = bytes(
             self._raw[h.directory_offset : h.directory_offset + h.directory_length]
         )
@@ -326,18 +342,27 @@ class TraceStore:
             raise TraceStoreError(
                 f"{what}: directory checksum mismatch (file corrupted)"
             )
-        self.directory = load_directory(payload, what=what)
-        self._data = self._raw[h.data_offset : h.data_offset + h.data_length]
-        self._columns: dict[str, _MetricColumns] = {}
-        self._banks: dict[str, tuple[SignalBank, dict[str, int]]] = {}
-        self._decode_directory(what)
+        return load_directory(payload, what=what)
 
-    # -- directory decoding -------------------------------------------
-    def _decode_directory(self, what: str) -> None:
-        d = self.directory
+    def _take_sections(self) -> dict:
+        """The directory for a new :class:`StoredTrace` to consume.
+
+        The first caller takes the copy parsed at open, so the store no
+        longer holds it; later callers parse the mapped bytes again.
+        """
+        sections, self._sections = self._sections, None
+        return sections if sections is not None else self._read_directory()
+
+    def _decode_directory(self, d: dict, what: str) -> None:
+        """Decode the entity and column sections of directory *d*.
+
+        Every name is stored as one object shared by the entity table
+        and each metric's row list; path parts are interned.  The
+        entity and column sections are popped from *d*.
+        """
         try:
-            raw_entities = d["entities"]
-            raw_columns = d["columns"]
+            raw_entities = d.pop("entities")
+            raw_columns = d.pop("columns")
         except KeyError as error:
             raise TraceStoreError(
                 f"{what}: directory misses section {error}"
@@ -355,8 +380,12 @@ class TraceStore:
             check_name(kind, what=f"{what}: entity kind")
             if name in self.entity_kinds:
                 raise TraceStoreError(f"{what}: duplicate entity {name!r}")
-            self.entity_kinds[name] = kind
-            self.entity_paths[name] = tuple(str(p) for p in path)
+            self.entity_kinds[name] = sys.intern(kind)
+            self.entity_paths[name] = tuple(
+                name if part == name else sys.intern(str(part))
+                for part in path
+            )
+        names = self._names()
         if not isinstance(raw_columns, dict):
             raise TraceStoreError(f"{what}: 'columns' is not an object")
         for metric, refs in raw_columns.items():
@@ -365,14 +394,17 @@ class TraceStore:
             if not isinstance(refs, dict):
                 raise TraceStoreError(f"{where}: column entry is not an object")
             try:
-                rows = list(refs["rows"])
+                raw_rows = list(refs["rows"])
             except (KeyError, TypeError):
                 raise TraceStoreError(f"{where}: missing row list") from None
-            for name in rows:
-                if name not in self.entity_kinds:
+            rows = []
+            for name in raw_rows:
+                try:
+                    rows.append(names[name])
+                except (KeyError, TypeError):
                     raise TraceStoreError(
                         f"{where}: row entity {name!r} is not declared"
-                    )
+                    ) from None
             arrays = {}
             for column in ("offsets", "initials", "times", "values", "prefix"):
                 try:
@@ -405,6 +437,23 @@ class TraceStore:
             self.span_hint = (lo, hi)
 
     # -- introspection ------------------------------------------------
+    def _names(self) -> dict[str, str]:
+        """Each entity name mapped to the one object the store keeps."""
+        return {name: name for name in self.entity_kinds}
+
+    def _metric_sets(self) -> dict[str, tuple[str, ...]]:
+        """Each entity's sorted metric names; equal sets share a tuple."""
+        per_entity: dict[str, list[str]] = {}
+        for metric in self.metric_names():
+            for name in self._columns[metric].rows:
+                per_entity.setdefault(name, []).append(metric)
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+        sets: dict[str, tuple[str, ...]] = {}
+        for name, metrics in per_entity.items():
+            key = tuple(metrics)
+            sets[name] = shared.setdefault(key, key)
+        return sets
+
     def metric_names(self) -> list[str]:
         """Metric names stored in the file, sorted."""
         return sorted(self._columns)
@@ -434,13 +483,14 @@ class TraceStore:
         )
 
     # -- query surfaces ------------------------------------------------
-    def signal_bank(self, metric: str) -> tuple[SignalBank, dict[str, int]]:
+    def signal_bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
         """``(bank, row_of)`` for *metric*, mmap-backed, cached.
 
         The bank's flat columns are zero-copy views into the mapped
-        file; ``row_of`` maps entity name to bank row.  This is the
-        provider surface :class:`~repro.core.aggengine.AggregationEngine`
-        consumes via the ``signal_bank`` hook on :class:`StoredTrace`.
+        file; ``row_of`` is a read-only mapping from entity name to bank
+        row.  This is the provider surface
+        :class:`~repro.core.aggengine.AggregationEngine` consumes via
+        the ``signal_bank`` hook on :class:`StoredTrace`.
         """
         entry = self._banks.get(metric)
         if entry is None:
@@ -459,7 +509,7 @@ class TraceStore:
                     f"trace store {self.path.name!r}: metric {metric!r}: "
                     f"{error}"
                 ) from None
-            entry = (bank, dict(cols.row_of))
+            entry = (bank, MappingProxyType(cols.row_of))
             self._banks[metric] = entry
         return entry
 
@@ -518,14 +568,16 @@ class _LazyMetrics(Mapping):
 
     __slots__ = ("_store", "_entity", "_names", "_cache")
 
-    def __init__(self, store: TraceStore, entity: str) -> None:
+    def __init__(
+        self, store: TraceStore, entity: str, names: tuple[str, ...]
+    ) -> None:
         self._store = store
         self._entity = entity
-        self._names = store.metrics_of(entity)
-        self._cache: dict[str, Signal] = {}
+        self._names = names
+        self._cache: dict[str, Signal] | None = None
 
     def __contains__(self, metric: object) -> bool:
-        return metric in self._cache or metric in self._names
+        return metric in self._names
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._names)
@@ -534,6 +586,8 @@ class _LazyMetrics(Mapping):
         return len(self._names)
 
     def __getitem__(self, metric: str) -> Signal:
+        if self._cache is None:
+            self._cache = {}
         signal = self._cache.get(metric)
         if signal is None:
             if metric not in self._names:
@@ -556,26 +610,37 @@ class StoredTrace(Trace):
 
     def __init__(self, store: TraceStore) -> None:
         self.store = store
-        d = store.directory
+        d = store._take_sections()
+        names = store._names()
+        metric_sets = store._metric_sets()
+
+        # Edge and event endpoints reuse the store's entity-name objects.
+        def name(raw) -> str:
+            text = str(raw)
+            return names.get(text, text)
+
         try:
             entities = [
                 Entity(
-                    name,
-                    store.entity_kinds[name],
-                    store.entity_paths[name],
-                    _LazyMetrics(store, name),
+                    entity,
+                    kind,
+                    store.entity_paths[entity],
+                    _LazyMetrics(store, entity, metric_sets.get(entity, ())),
                 )
-                for name in store.entity_names()
+                for entity, kind in store.entity_kinds.items()
             ]
             super().__init__(
                 entities=entities,
                 edges=[
-                    TraceEdge(str(a), str(b), str(via), str(source))
+                    TraceEdge(
+                        name(a), name(b), name(via), sys.intern(str(source))
+                    )
                     for a, b, via, source in d.get("edges", [])
                 ],
                 events=[
                     PointEvent(
-                        float(time), str(kind), str(src), str(dst), dict(payload)
+                        float(time), str(kind), name(src), name(dst),
+                        dict(payload),
                     )
                     for time, kind, src, dst, payload in d.get("events", [])
                 ],
@@ -592,7 +657,7 @@ class StoredTrace(Trace):
                 f"trace store {store.path.name!r}: corrupt directory: {error}"
             ) from None
 
-    def signal_bank(self, metric: str) -> tuple[SignalBank, dict[str, int]]:
+    def signal_bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
         """The engine's bank provider hook — mmap-backed, from the store."""
         return self.store.signal_bank(metric)
 

@@ -35,7 +35,7 @@ from repro.core.layout import (
     make_layout,
     validate_workers,
 )
-from repro.core.layout.quadtree import BLOCK_BODIES, MAX_DEPTH
+from repro.core.layout.quadtree import BLOCK_BODIES, MAX_DEPTH, _block_size
 from repro.errors import LayoutError
 
 # (n, seed, co-located pairs): 20 scenarios spanning tiny graphs,
@@ -67,7 +67,7 @@ CASE_IDS = [f"n{n}-s{seed}-c{coloc}" for n, seed, coloc in CASES]
 
 # Scenarios larger than one force-evaluation block (BLOCK_BODIES).
 # theta=0 visits every leaf for every body, so the exact case stays
-# just past one block; the approximate nets use a larger one.
+# small (four blocks); the approximate nets use a larger one.
 EXACT_BLOCK_CASE = (1100, 25, 60)
 BLOCK_CASE = (2600, 26, 100)
 BLOCK_IDS = [f"n{n}-s{seed}-c{coloc}" for n, seed, coloc in
@@ -87,8 +87,9 @@ def random_bodies(case):
     masses = rng.uniform(0.5, 5.0, size=n)
     for k in range(coloc):
         pts[2 * k + 1] = pts[2 * k]
-    if n > BLOCK_BODIES:
-        pts[BLOCK_BODIES] = pts[BLOCK_BODIES - 1]
+    edge = _block_size(n)
+    if edge < n:
+        pts[edge] = pts[edge - 1]
     return pts, masses
 
 

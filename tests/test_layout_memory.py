@@ -13,9 +13,9 @@ import numpy as np
 
 from repro.core.layout import ArrayQuadTree
 
-#: Allowed transient of one forces call; the blocked traversal needs
-#: about 5 MB at 20 000 bodies.
-TRANSIENT_BOUND_MB = 16
+#: Allowed transient of one forces call; blocks of 256 bodies need
+#: about 2 MB at 20 000 bodies (blocks of 1024 needed about 5 MB).
+TRANSIENT_BOUND_MB = 4
 
 
 def test_forces_transient_is_bounded_at_20k_bodies():

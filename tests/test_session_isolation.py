@@ -26,6 +26,7 @@ from repro.core.aggengine import AggregationEngine, SharedTraceData
 from repro.core.session import AnalysisSession
 from repro.server.cache import SharedResultCache
 from repro.server.protocol import canonical_json, view_payload
+from repro.server.state import ServerConfig, SessionState, SharedServerState
 from repro.trace.synthetic import random_hierarchical_trace
 
 
@@ -73,6 +74,54 @@ class TestFrozenSliceMeans:
         )
         with pytest.raises(ValueError, match="read-only"):
             means[:] = 0.0
+
+    def test_cached_unit_values_are_read_only(self, trace):
+        """A value the result cache serves — here to the session that
+        did not compute it — is a frozen float64 array."""
+        a, b, cache = shared_pair(trace)
+        a.view(settle_steps=0)
+        b.view(settle_steps=0)
+        assert cache.stats["cross_hits"] > 0
+        for metric in trace.metric_names():
+            key = (b.time_slice.as_tuple(), b.grouping.state_key, metric)
+            values = cache.get(key, requester="b")
+            assert isinstance(values, np.ndarray)
+            assert values.dtype == np.float64 and values.size > 0
+            assert values.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1e9
+
+
+class TestEvictionRebuild:
+    def test_hit_computed_on_an_evicted_structure_reads_by_key(self, trace):
+        """Cached values are aligned by the grouping token's unit order,
+        not by structure identity.  A computes under a structure that is
+        then evicted; B rebuilds it under the same ``state_key`` and is
+        served A's values: B's reply bytes equal an isolated replay."""
+        state = SharedServerState(trace, ServerConfig(settle_steps=1))
+        state.shared.MAX_STRUCTURES = 1
+        a, b = state.create_session(), state.create_session()
+        start, end = trace.span()
+        ops = [
+            {"op": "depth", "depth": 2},
+            {"op": "depth", "depth": 1},
+            {"op": "scrub", "start": start, "end": (start + end) / 3},
+        ]
+        for msg in ops:
+            a.apply(msg)
+        hits = state.cache.stats["cross_hits"]
+        oracle = SessionState.local(trace, settle_steps=1)
+        for msg in ops:
+            assert canonical_json(b.apply(msg)) == canonical_json(
+                oracle.apply(msg)
+            )
+        # B's depth-1 and scrub replies were A's cached values ...
+        assert state.cache.stats["cross_hits"] - hits >= 2
+        # ... read through a rebuilt structure, not the one A used.
+        old = a.session._aggregator._structure_for(a.session.grouping)
+        new = b.session._aggregator._structure_for(b.session.grouping)
+        assert new is not old and new.key == old.key
+        assert state.shared.stats["structure_evictions"] >= 2
 
 
 class TestViewMutationDoesNotLeak:
@@ -148,7 +197,10 @@ class TestSharedStructureImmutability:
         structure = session._aggregator._structure_for(session.grouping)
         assert isinstance(structure.unit_order, tuple)
         assert isinstance(structure.edges, tuple)
-        assert all(
-            isinstance(members, tuple)
-            for members in structure.members.values()
-        )
+        for table in (
+            structure.members, structure.groups, structure.kinds,
+            structure.labels,
+        ):
+            assert isinstance(table, tuple)
+            assert len(table) == len(structure.unit_order)
+        assert all(isinstance(members, tuple) for members in structure.members)

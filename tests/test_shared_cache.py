@@ -191,6 +191,35 @@ class TestPoisonedEntries:
 
 
 # ----------------------------------------------------------------------
+# The SharedTraceData memos are bounded too
+# ----------------------------------------------------------------------
+class TestSharedMemoBounds:
+    """``SharedTraceData`` keeps at most ``MAX_STRUCTURES`` unit
+    structures and as many layout-seed entries, dropping the oldest
+    first, however many distinct groupings the sessions visit."""
+
+    def test_structures_and_seeds_evict_oldest_first(self):
+        trace = random_hierarchical_trace(
+            n_sites=3, clusters_per_site=2, hosts_per_cluster=2, seed=5
+        )
+        shared = SharedTraceData(trace)
+        shared.MAX_STRUCTURES = 3
+        session = AnalysisSession(trace, shared=shared)
+        visited = []
+        for path in shared.hierarchy.groups()[1:7]:
+            session.disaggregate_all()
+            session.aggregate(path)
+            session.view(settle_steps=0)
+            visited.append(session.grouping.state_key)
+        assert len(set(visited)) == 6
+        assert list(shared._structures) == visited[-3:]
+        assert shared.stats["structure_evictions"] == 3
+        assert [key[0] for key in shared._seeds] == visited[-3:]
+        assert shared.stats["seed_builds"] == 6
+        assert shared.stats["seed_evictions"] == 3
+
+
+# ----------------------------------------------------------------------
 # Threaded interleaving: the books always balance
 # ----------------------------------------------------------------------
 class TestInterleaving:
