@@ -83,8 +83,8 @@ from repro.constants import AUTO_BAND_THRESHOLD, LAYOUT_KERNELS, SEEDING_MODES
 from repro.errors import ReproError
 
 # Each command imports the library code it needs, so a command loads
-# only its own part of the pipeline (``convert`` never loads the
-# aggregation, layout or analysis code).
+# only its own part of the pipeline (``convert`` never loads the trace
+# model or the aggregation, layout or analysis code).
 
 __all__ = ["main", "build_parser"]
 
@@ -420,15 +420,15 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from repro.core import render_ascii, render_svg
+    from repro.core import SvgRenderer, render_ascii
 
     session = _session(args)
     if args.slice:
         session.set_time_slice(args.slice[0], args.slice[1])
     view = session.view(settle_steps=args.steps)
     if args.out:
-        render_svg(view, args.out, title=str(session.time_slice),
-                   show_labels=args.labels, heat_fill=args.heat)
+        renderer = SvgRenderer(show_labels=args.labels, heat_fill=args.heat)
+        renderer.render_to_file(view, args.out, title=str(session.time_slice))
         print(f"wrote {args.out} ({len(view)} nodes)")
     else:
         print(render_ascii(view))
@@ -440,7 +440,7 @@ def _cmd_animate(args) -> int:
     if (args.out_dir is None) == (args.html is None):
         print("error: pass exactly one of --out-dir or --html", file=sys.stderr)
         return 2
-    from repro.core import SvgRenderer, export_animation_html, render_svg
+    from repro.core import SvgRenderer, export_animation_html
 
     session = _session(args)
     trace = session.trace
@@ -455,9 +455,10 @@ def _cmd_animate(args) -> int:
         session.close()
         return 0
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    renderer = SvgRenderer(heat_fill=args.heat)
     for index, frame in enumerate(session.animate(width=width)):
         path = args.out_dir / f"frame_{index:03d}.svg"
-        render_svg(frame, path, title=str(frame.tslice), heat_fill=args.heat)
+        renderer.render_to_file(frame, path, title=str(frame.tslice))
         print(f"wrote {path}")
     session.close()
     return 0
@@ -704,10 +705,9 @@ def _cmd_latency(args) -> int:
         if args.depth:
             session.aggregate_depth(args.depth)
         view = session.view(settle_steps=120)
-        markup = SvgRenderer(heat_fill=True, show_labels=True).render(
-            view, title=f"caused latency — {args.app}"
+        SvgRenderer(heat_fill=True, show_labels=True).render_to_file(
+            view, args.svg, title=f"caused latency — {args.app}"
         )
-        args.svg.write_text(markup, encoding="utf-8")
         lo, hi = view.metric_range("caused_latency")
         print(f"wrote {args.svg} ({len(view)} nodes, caused-latency "
               f"rate range [{lo:.4g}, {hi:.4g}] s/s)")
@@ -722,13 +722,13 @@ def _cmd_latency(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from repro.trace.store import convert, open_store
+    from repro.trace.store import convert
 
     input_format = "paje" if args.paje else args.input_format
-    trace = convert(args.trace, args.out, input_format=input_format)
-    store = open_store(args.out)
+    store = convert(args.trace, args.out, input_format=input_format)
     size = args.out.stat().st_size
-    print(f"wrote {args.out} ({size} bytes, {len(trace)} entities, "
+    print(f"wrote {args.out} ({size} bytes, "
+          f"{len(store.entity_names())} entities, "
           f"{store.total_breakpoints} breakpoints)")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import html
 from pathlib import Path
+from typing import IO, Iterator
 
 from repro.core.render.colors import (
     category_palette,
@@ -61,12 +62,27 @@ class SvgRenderer:
         self.legend = legend
 
     # ------------------------------------------------------------------
-    def render(self, view: TopologyView, title: str = "") -> str:
-        """The SVG document for *view*."""
-        with span("render.svg"):
-            return self._render(view, title)
+    def render(
+        self, view: TopologyView, title: str = "", out: IO[str] | None = None
+    ) -> str:
+        """The SVG document for *view*.
 
-    def _render(self, view: TopologyView, title: str) -> str:
+        With *out*, the document is written to that text stream part by
+        part as it is generated, never held whole in memory, and the
+        empty string is returned.
+        """
+        with span("render.svg"):
+            parts = self._parts(view, title)
+            if out is None:
+                return "\n".join(parts)
+            out.write(next(parts))
+            for part in parts:
+                out.write("\n")
+                out.write(part)
+            return ""
+
+    def _parts(self, view: TopologyView, title: str) -> Iterator[str]:
+        """The document's parts, to be joined by newlines."""
         min_x, min_y, max_x, max_y = view.bounds()
         span_x = max(max_x - min_x, 1e-9)
         span_y = max(max_y - min_y, 1e-9)
@@ -77,14 +93,14 @@ class SvgRenderer:
             py = (y - min_y) * scale + (self.height - span_y * scale) / 2.0
             return px, py
 
-        parts = [
+        yield (
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="100%" height="100%" fill="{self.background}"/>',
-        ]
+            f'viewBox="0 0 {self.width} {self.height}">'
+        )
+        yield f'<rect width="100%" height="100%" fill="{self.background}"/>'
         if title:
-            parts.append(
+            yield (
                 f'<text x="{self.width / 2:.1f}" y="18" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="14">'
                 f"{html.escape(title)}</text>"
@@ -93,25 +109,24 @@ class SvgRenderer:
             xa, ya = project(*view.position(edge.a))
             xb, yb = project(*view.position(edge.b))
             stroke = min(1.0 + 0.4 * (edge.multiplicity - 1), 4.0)
-            parts.append(
+            yield (
                 f'<line x1="{xa:.1f}" y1="{ya:.1f}" x2="{xb:.1f}" '
                 f'y2="{yb:.1f}" stroke="#b0b0b0" '
                 f'stroke-width="{stroke:.1f}"/>'
             )
         for node in view.nodes():
             x, y = project(*view.position(node.key))
-            parts.append(self._shape(node, x, y))
+            yield self._shape(node, x, y)
             if self.show_labels:
-                parts.append(
+                yield (
                     f'<text x="{x:.1f}" y="{y + node.size_px / 2 + 12:.1f}" '
                     f'text-anchor="middle" font-family="sans-serif" '
                     f'font-size="9" fill="#444">'
                     f"{html.escape(node.label)}</text>"
                 )
         if self.legend:
-            parts.append(self._legend(view))
-        parts.append("</svg>")
-        return "\n".join(parts)
+            yield self._legend(view)
+        yield "</svg>"
 
     def _legend(self, view: TopologyView) -> str:
         """A per-kind key: shape glyph, kind name, biggest value.
@@ -156,9 +171,11 @@ class SvgRenderer:
     def render_to_file(
         self, view: TopologyView, path: str | Path, title: str = ""
     ) -> Path:
-        """Render and write to *path*; returns the path."""
+        """Render to *path*, streaming the parts as they are generated;
+        returns the path."""
         path = Path(path)
-        path.write_text(self.render(view, title), encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as stream:
+            self.render(view, title, out=stream)
         return path
 
     # ------------------------------------------------------------------

@@ -82,6 +82,8 @@ class ReproServer:
         self.config = config or ServerConfig()
         self.state = SharedServerState(trace, self.config)
         self._server: asyncio.AbstractServer | None = None
+        #: live WebSocket sessions: connection -> the task serving it
+        self._live: dict[WebSocketConnection, asyncio.Task] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -112,9 +114,24 @@ class ReproServer:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting, close the socket, flush the access log."""
+        """Stop accepting, end live sessions, close the socket, flush
+        the access log.
+
+        Every live WebSocket session gets a close frame (1001, going
+        away), and its handler finishes — closing the session — before
+        this returns, so a stopping event loop never has to cancel a
+        handler blocked on a read.
+        """
         if self._server is not None:
             self._server.close()
+        while self._live:  # a handshake may finish while we await
+            live = list(self._live.items())
+            for ws, _ in live:
+                await ws.close(1001)
+            await asyncio.gather(
+                *(task for _, task in live), return_exceptions=True
+            )
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         self.state.telemetry.close()
@@ -298,6 +315,7 @@ class ReproServer:
         )
         await writer.drain()
         ws = WebSocketConnection(reader, writer, is_server=True)
+        self._live[ws] = asyncio.current_task()
         telemetry = self.state.telemetry
         try:
             while True:
@@ -330,6 +348,7 @@ class ReproServer:
                     break
         finally:
             self.state.close_session(session.session_id)
+            del self._live[ws]
             await ws.close()
 
     async def _stream_stats(self, ws: WebSocketConnection, params: dict) -> None:

@@ -22,9 +22,9 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".signal": ("Signal", "SignalBuilder", "combine", "constant"),
     ".signalbank": ("SignalBank",),
     ".store": (
-        "StoredTrace", "TraceStore", "convert", "is_store_file", "open_store",
-        "write_store",
+        "TraceStore", "convert", "is_store_file", "open_store", "write_store",
     ),
+    ".stored": ("StoredTrace",),
     ".trace": (
         "CAPACITY", "USAGE", "Entity", "MetricInfo", "Trace", "TraceEdge",
     ),

@@ -52,7 +52,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Any, Iterable, NamedTuple
 
 import numpy as np
 
@@ -62,6 +62,8 @@ __all__ = [
     "ALIGNMENT",
     "ArrayRef",
     "ColumnWriter",
+    "MetricColumns",
+    "TraceColumns",
     "check_name",
     "load_directory",
     "DIRECTORY_SCHEMA",
@@ -285,15 +287,59 @@ def resolve_array(
     return data[ref.offset : end].view(dtype)
 
 
+class MetricColumns(NamedTuple):
+    """One metric of a trace in the store layout.
+
+    ``rows`` names the entities carrying the metric, in entity order;
+    row *i* spans ``[offsets[i], offsets[i+1])`` of the flat float64
+    ``times``/``values``/``prefix`` columns (``prefix`` is the running
+    integral ``Signal.arrays()`` computes) and takes ``initials[i]``
+    before its first breakpoint.  A row without breakpoints is a
+    constant.
+    """
+
+    rows: list[str]
+    offsets: np.ndarray
+    initials: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
+    prefix: np.ndarray
+
+
+class TraceColumns(NamedTuple):
+    """A whole trace in the store layout, ready for the store writer.
+
+    The text parser (:func:`repro.trace.reader.parse_columns`) produces
+    one from a ``repro`` text trace and
+    :func:`repro.trace.store.write_store` one from a
+    :class:`~repro.trace.trace.Trace`.  Sections hold plain tuples in
+    their directory order: ``entities`` as ``(name, kind, path)``,
+    ``metrics_info`` as ``(name, unit, description)``, ``edges`` as
+    ``(a, b, via, source)`` and ``events`` as ``(time, kind, source,
+    target, payload)`` sorted by time.  ``span`` is what
+    ``Trace.span()`` returns, or ``None`` when the trace has no
+    timestamped data; ``metrics`` yields ``(metric, MetricColumns)``
+    pairs in metric-name order and may be a one-shot iterator.
+    """
+
+    entities: list[tuple[str, str, tuple[str, ...]]]
+    metrics_info: list[tuple[str, str, str]]
+    edges: list[tuple[str, str, str, str]]
+    events: list[tuple[float, str, str, str, dict]]
+    meta: dict[str, Any]
+    span: tuple[float, float] | None
+    metrics: Iterable[tuple[str, MetricColumns]]
+
+
 class ColumnWriter:
     """Sequential, aligned writer of the data section.
 
     Wraps the (binary) output stream positioned at the start of the
     data section; :meth:`put` appends one array — converted to the
     format's little-endian dtype, padded to :data:`ALIGNMENT` — and
-    returns its :class:`ArrayRef`.  Arrays are written column by
-    column, so converting a trace streams one metric's worth of data
-    at a time instead of assembling the whole file in memory.
+    returns its :class:`ArrayRef`.  The store writer puts one metric's
+    columns at a time, so peak memory stays near one metric's worth of
+    breakpoints.
     """
 
     def __init__(self, stream: IO[bytes]) -> None:
@@ -307,38 +353,26 @@ class ColumnWriter:
 
     def put(self, array: np.ndarray, dtype: str) -> ArrayRef:
         """Append *array* as *dtype*; return its directory reference."""
-        return self.put_stream((array,), dtype)
-
-    def put_stream(self, chunks, dtype: str) -> ArrayRef:
-        """Append the concatenation of *chunks* as one logical array.
-
-        Lets a converter stream a long flat column (e.g. every signal's
-        breakpoints for one metric) without materializing the
-        concatenation.  Both format dtypes are 8 bytes wide, so chunk
-        boundaries always land on :data:`ALIGNMENT` and only the final
-        array gets tail padding.
-        """
-        target = _DTYPES[dtype]
+        data = np.ascontiguousarray(array, dtype=_DTYPES[dtype])
         offset = self._written
-        count = 0
-        for chunk in chunks:
-            data = np.ascontiguousarray(chunk, dtype=target)
-            payload = data.tobytes()
-            self._stream.write(payload)
-            self._written += len(payload)
-            count += int(data.size)
+        self._stream.write(data.data)
+        self._written += data.nbytes
         pad = (-self._written) % ALIGNMENT
         if pad:  # pragma: no cover - 8-byte dtypes never need padding
             self._stream.write(b"\x00" * pad)
             self._written += pad
-        return ArrayRef(offset, count, dtype)
+        return ArrayRef(offset, int(data.size), dtype)
 
 
 def check_name(name: str, *, what: str) -> str:
     """Reject absent or overlong names (used on both write and read)."""
     if not isinstance(name, str) or not name:
         raise TraceStoreError(f"{what}: name must be a non-empty string")
-    if len(name.encode("utf-8", "surrogatepass")) > MAX_NAME_BYTES:
+    # A character takes at most 4 bytes, so only long names need encoding.
+    if (
+        len(name) > MAX_NAME_BYTES // 4
+        and len(name.encode("utf-8", "surrogatepass")) > MAX_NAME_BYTES
+    ):
         raise TraceStoreError(
             f"{what}: name of {len(name)} characters exceeds the "
             f"{MAX_NAME_BYTES}-byte format cap"

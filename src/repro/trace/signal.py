@@ -77,22 +77,27 @@ class Signal:
     ) -> "Signal":
         """Materialize a signal from pre-built float64 column arrays.
 
-        Fast path for :class:`repro.trace.store.TraceStore`: the store
-        already holds the ``arrays()`` representation, so this seeds the
-        cache directly and re-checks only monotonicity (vectorized)
-        instead of re-validating element by element.
+        Fast path for :class:`repro.trace.store.TraceStore` and the
+        text parser: both already hold the ``arrays()`` representation,
+        so this seeds the cache directly and re-checks only monotonicity
+        (vectorized) instead of re-validating element by element.
         """
         times = np.ascontiguousarray(times, dtype=float)
         values = np.ascontiguousarray(values, dtype=float)
         prefix = np.ascontiguousarray(prefix, dtype=float)
-        if len(times) and not (
-            np.isfinite(times).all() and (np.diff(times) > 0).all()
+        listed = times.tolist()
+        # Strictly increasing times are all finite when both ends are (a
+        # NaN anywhere fails its comparison).
+        if listed and not (
+            math.isfinite(listed[0])
+            and math.isfinite(listed[-1])
+            and (times[1:] > times[:-1]).all()
         ):
             raise SignalError(
                 "stored breakpoints are not strictly increasing finite times"
             )
         signal = cls.__new__(cls)
-        signal._times = times.tolist()
+        signal._times = listed
         signal._values = values.tolist()
         signal._initial = float(initial)
         signal._np = (times, values, prefix)

@@ -9,14 +9,17 @@ structure-of-arrays representation
 (breakpoints, values, prefix sums, row offsets, initial values) — and
 reads it back through :func:`numpy.memmap` with zero-copy slices:
 
-* :func:`write_store` / :func:`convert` — stream a trace to a
-  ``.rtrace`` file.  Output bytes are deterministic (no timestamps, a
+* :func:`write_store` / :func:`convert` — write a ``.rtrace`` file
+  through the one store writer.  ``convert`` parses ``repro`` text
+  straight into the store columns; ``write_store`` takes them from a
+  trace's signals.  Output bytes are deterministic (no timestamps, a
   canonical JSON directory), so golden fixtures can assert byte
-  stability.
+  stability, and a file replaces its destination only once complete.
 * :func:`open_store` — validate and map a stored file into a
   :class:`TraceStore` without reading the column data (cold-open cost
   is the 64-byte header plus the JSON directory).
-* :meth:`TraceStore.open_trace` — a :class:`StoredTrace` (a
+* :meth:`TraceStore.open_trace` — a
+  :class:`~repro.trace.stored.StoredTrace` (a
   :class:`~repro.trace.trace.Trace` subclass) whose entity metrics are
   materialized lazily and which hands the aggregation engine
   mmap-backed signal banks, so :class:`~repro.core.session.AnalysisSession`
@@ -38,22 +41,25 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Mapping
+import threading
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import TraceError, TraceStoreError
-from repro.obs.spans import span
 from repro.trace.columnar import (
+    VERSION,
     ArrayRef,
     ColumnWriter,
     DIRECTORY_SCHEMA,
     HEADER,
     MAGIC,
+    MAX_NAME_BYTES,
     Header,
+    MetricColumns,
+    TraceColumns,
     check_name,
     directory_crc,
     load_directory,
@@ -62,13 +68,18 @@ from repro.trace.columnar import (
     resolve_array,
     sniff_magic,
 )
-from repro.trace.events import PointEvent
-from repro.trace.signal import Signal
-from repro.trace.signalbank import SignalBank
-from repro.trace.trace import Entity, MetricInfo, Trace, TraceEdge
+
+# The trace model, the signal classes and the span hook are imported
+# where they are used: ``repro convert`` then loads only the parser, the
+# writer and the reopen check, and ``repro serve`` never loads the text
+# parser.
+if TYPE_CHECKING:
+    from repro.trace.signal import Signal
+    from repro.trace.signalbank import SignalBank
+    from repro.trace.stored import StoredTrace
+    from repro.trace.trace import Trace
 
 __all__ = [
-    "StoredTrace",
     "TraceStore",
     "convert",
     "is_store_file",
@@ -92,6 +103,12 @@ def is_store_file(path: str | Path) -> bool:
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
+def _plain_name(name: object) -> bool:
+    """Whether *name* passes :func:`check_name` without encoding it
+    (the common case, checked without building an error message)."""
+    return isinstance(name, str) and 0 < len(name) <= MAX_NAME_BYTES // 4
+
+
 def _json_safe(value: Any, *, what: str) -> Any:
     """Check *value* can live in the directory; raise a typed error."""
     try:
@@ -106,116 +123,156 @@ def _json_safe(value: Any, *, what: str) -> Any:
 def write_store(trace: Trace, destination: str | Path) -> None:
     """Serialize *trace* to the binary columnar format at *destination*.
 
-    Streams one metric column at a time (the per-signal float64 arrays
-    are written row after row), so peak memory stays near one metric's
-    worth of breakpoints.  The produced bytes are a pure function of the
-    trace content — no timestamps, canonical JSON — so re-converting an
-    identical trace yields an identical file.
+    Feeds the store writer one metric at a time, each signal's columns
+    taken from ``Signal.arrays()``, so peak memory stays near one
+    metric's worth of breakpoints.  The produced bytes are a pure
+    function of the trace content — no timestamps, canonical JSON — so
+    re-converting an identical trace yields an identical file, and a
+    failed write leaves any file already at *destination* untouched.
     """
     try:
-        span_lo, span_hi = trace.span()
-        stored_span: list[float] | None = [span_lo, span_hi]
+        stored_span = trace.span()
     except TraceError:
         stored_span = None
-
     entities = list(trace)
-    for entity in entities:
-        check_name(entity.name, what=f"entity {entity.name!r}")
-        check_name(entity.kind, what=f"kind of entity {entity.name!r}")
-        for part in entity.path:
-            check_name(part, what=f"path of entity {entity.name!r}")
-    metric_names = trace.metric_names()
-    for metric in metric_names:
-        check_name(metric, what=f"metric {metric!r}")
 
-    destination = Path(destination)
-    with open(destination, "wb") as stream:
-        stream.write(b"\0" * HEADER.size)
-        writer = ColumnWriter(stream)
-        columns: dict[str, dict[str, Any]] = {}
-        for metric in metric_names:
+    def metrics() -> Iterator[tuple[str, MetricColumns]]:
+        for metric in trace.metric_names():
             rows = [e for e in entities if metric in e.metrics]
             signals = [e.metrics[metric] for e in rows]
-            offsets = np.zeros(len(signals) + 1, dtype=np.int64)
-            np.cumsum([len(s.arrays()[0]) for s in signals], out=offsets[1:])
-            initials = np.asarray([s.initial for s in signals], dtype=float)
-            columns[metric] = {
-                "rows": [e.name for e in rows],
-                "offsets": writer.put(offsets, "<i8").to_json(),
-                "initials": writer.put(initials, "<f8").to_json(),
-                "times": writer.put_stream(
-                    (s.arrays()[0] for s in signals), "<f8"
-                ).to_json(),
-                "values": writer.put_stream(
-                    (s.arrays()[1] for s in signals), "<f8"
-                ).to_json(),
-                "prefix": writer.put_stream(
-                    (s.arrays()[2] for s in signals), "<f8"
-                ).to_json(),
-            }
-        data_length = writer.written
+            arrays = [s.arrays() for s in signals]
+            offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum([len(a[0]) for a in arrays], out=offsets[1:])
+            # The empty leading chunk keeps a metric without rows valid.
+            times, values, prefix = (
+                np.concatenate([np.empty(0)] + [a[k] for a in arrays])
+                for k in range(3)
+            )
+            yield metric, MetricColumns(
+                rows=[e.name for e in rows],
+                offsets=offsets,
+                initials=np.array([s.initial for s in signals], dtype=float),
+                times=times,
+                values=values,
+                prefix=prefix,
+            )
 
-        directory = {
-            "schema": DIRECTORY_SCHEMA,
-            "meta": _json_safe(dict(trace.meta), what="trace meta"),
-            "span": stored_span,
-            "entities": [
-                [e.name, e.kind, list(e.path)] for e in entities
+    _write_columns(
+        TraceColumns(
+            entities=[(e.name, e.kind, e.path) for e in entities],
+            metrics_info=[
+                (m.name, m.unit, m.description) for m in trace.metrics_info
             ],
-            "metrics_info": [
-                [m.name, m.unit, m.description] for m in trace.metrics_info
-            ],
-            "edges": [
-                [e.a, e.b, e.via, e.source] for e in trace.edges
-            ],
-            "events": [
-                [
-                    ev.time,
-                    ev.kind,
-                    ev.source,
-                    ev.target,
-                    _json_safe(
-                        dict(ev.payload), what=f"payload of event at t={ev.time}"
-                    ),
-                ]
+            edges=[(e.a, e.b, e.via, e.source) for e in trace.edges],
+            events=[
+                (ev.time, ev.kind, ev.source, ev.target, dict(ev.payload))
                 for ev in trace.events
             ],
-            "columns": columns,
+            meta=dict(trace.meta),
+            span=stored_span,
+            metrics=metrics(),
+        ),
+        destination,
+    )
+
+
+def _write_columns(columns: TraceColumns, destination: str | Path) -> None:
+    """Write *columns* as a store file at *destination*, atomically.
+
+    The one store writer, behind :func:`write_store` and
+    :func:`convert`.  The bytes go to a partial file beside
+    *destination* that replaces it only once complete; on any error the
+    partial file is removed and a file already at *destination* keeps
+    its bytes.
+    """
+    for name, kind, path in columns.entities:
+        if not all(map(_plain_name, (name, kind, *path))):
+            check_name(name, what=f"entity {name!r}")
+            check_name(kind, what=f"kind of entity {name!r}")
+            for part in path:
+                check_name(part, what=f"path of entity {name!r}")
+    # Process and thread ids keep concurrent writers' partial files apart.
+    folder, name = os.path.split(os.fspath(destination))
+    partial = os.path.join(
+        folder, f".{name}.{os.getpid()}-{threading.get_ident()}.partial"
+    )
+    try:
+        with open(partial, "wb") as stream:
+            _write_file(stream, columns)
+        os.replace(partial, destination)
+    except BaseException:
+        try:
+            os.unlink(partial)
+        except OSError:
+            pass
+        raise
+
+
+def _write_file(stream, columns: TraceColumns) -> None:
+    """The store bytes of *columns*: header, data section, directory."""
+    stream.write(b"\0" * HEADER.size)
+    writer = ColumnWriter(stream)
+    refs: dict[str, dict[str, Any]] = {}
+    for metric, col in columns.metrics:
+        check_name(metric, what=f"metric {metric!r}")
+        refs[metric] = {
+            "rows": col.rows,
+            "offsets": writer.put(col.offsets, "<i8").to_json(),
+            "initials": writer.put(col.initials, "<f8").to_json(),
+            "times": writer.put(col.times, "<f8").to_json(),
+            "values": writer.put(col.values, "<f8").to_json(),
+            "prefix": writer.put(col.prefix, "<f8").to_json(),
         }
-        payload = json.dumps(
-            directory, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        directory_offset = HEADER.size + data_length
-        stream.write(payload)
-        file_length = directory_offset + len(payload)
-        stream.seek(0)
-        stream.write(
-            pack_header(
-                Header(
-                    version=1,
-                    directory_offset=directory_offset,
-                    directory_length=len(payload),
-                    data_offset=HEADER.size,
-                    data_length=data_length,
-                    file_length=file_length,
-                    directory_crc=directory_crc(payload),
-                )
+    directory = {
+        "schema": DIRECTORY_SCHEMA,
+        "meta": _json_safe(columns.meta, what="trace meta"),
+        "span": columns.span,
+        "entities": columns.entities,
+        "metrics_info": columns.metrics_info,
+        "edges": columns.edges,
+        "events": [
+            (
+                time, kind, source, target,
+                _json_safe(payload, what=f"payload of event at t={time}"),
+            )
+            for time, kind, source, target, payload in columns.events
+        ],
+        "columns": refs,
+    }
+    payload = json.dumps(
+        directory, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    directory_offset = HEADER.size + writer.written
+    stream.write(payload)
+    stream.seek(0)
+    stream.write(
+        pack_header(
+            Header(
+                version=VERSION,
+                directory_offset=directory_offset,
+                directory_length=len(payload),
+                data_offset=HEADER.size,
+                data_length=writer.written,
+                file_length=directory_offset + len(payload),
+                directory_crc=directory_crc(payload),
             )
         )
+    )
 
 
 def convert(
     source: str | Path, destination: str | Path, input_format: str = "auto"
-) -> Trace:
-    """Read a text trace at *source* and store it at *destination*.
+) -> TraceStore:
+    """Convert the text trace at *source* into a store at *destination*.
 
     *input_format* is ``"repro"``, ``"paje"`` or ``"auto"`` (sniff: a
     ``.paje`` suffix or a Paje ``%EventDef`` preamble selects the Paje
-    parser).  Returns the parsed trace so callers can report on it.
+    parser).  ``repro`` text is parsed straight into the store columns
+    (:func:`repro.trace.reader.parse_columns`), with no
+    :class:`~repro.trace.trace.Trace` in between; Paje input goes
+    through its trace.  Returns the written file reopened as a
+    :class:`TraceStore`, which validates it.
     """
-    from repro.trace.paje import read_paje
-    from repro.trace.reader import read_trace
-
     source = Path(source)
     if input_format == "auto":
         if source.suffix == ".paje":
@@ -225,16 +282,19 @@ def convert(
                 head = fh.read(4096)
             input_format = "paje" if "%EventDef" in head else "repro"
     if input_format == "paje":
-        trace = read_paje(source)
+        from repro.trace.paje import read_paje
+
+        write_store(read_paje(source), destination)
     elif input_format == "repro":
-        trace = read_trace(source)
+        from repro.trace.reader import parse_columns
+
+        _write_columns(parse_columns(source), destination)
     else:
         raise TraceStoreError(
             f"unknown input format {input_format!r} "
             f"(pick 'auto', 'repro' or 'paje')"
         )
-    write_store(trace, destination)
-    return trace
+    return TraceStore(destination)
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +429,8 @@ class TraceStore:
             ) from None
         self.entity_kinds: dict[str, str] = {}
         self.entity_paths: dict[str, tuple[str, ...]] = {}
+        name_what, kind_what = f"{what}: entity name", f"{what}: entity kind"
+        intern = sys.intern
         for row in raw_entities:
             try:
                 name, kind, path = row
@@ -376,15 +438,14 @@ class TraceStore:
                 raise TraceStoreError(
                     f"{what}: malformed entity row {row!r}"
                 ) from None
-            check_name(name, what=f"{what}: entity name")
-            check_name(kind, what=f"{what}: entity kind")
+            check_name(name, what=name_what)
+            check_name(kind, what=kind_what)
             if name in self.entity_kinds:
                 raise TraceStoreError(f"{what}: duplicate entity {name!r}")
-            self.entity_kinds[name] = sys.intern(kind)
-            self.entity_paths[name] = tuple(
-                name if part == name else sys.intern(str(part))
-                for part in path
-            )
+            self.entity_kinds[name] = intern(kind)
+            self.entity_paths[name] = tuple([
+                name if part == name else intern(str(part)) for part in path
+            ])
         names = self._names()
         if not isinstance(raw_columns, dict):
             raise TraceStoreError(f"{what}: 'columns' is not an object")
@@ -494,6 +555,8 @@ class TraceStore:
         """
         entry = self._banks.get(metric)
         if entry is None:
+            from repro.trace.signalbank import SignalBank
+
             cols = self._column(metric)
             try:
                 bank = SignalBank.from_arrays(
@@ -532,6 +595,8 @@ class TraceStore:
                 f"trace store {self.path.name!r}: entity {entity!r} has "
                 f"no stored metric {metric!r}"
             ) from None
+        from repro.trace.signal import Signal
+
         lo, hi = int(cols.offsets[row]), int(cols.offsets[row + 1])
         return Signal._from_columns(
             cols.times[lo:hi],
@@ -540,8 +605,10 @@ class TraceStore:
             float(cols.initials[row]),
         )
 
-    def open_trace(self) -> "StoredTrace":
+    def open_trace(self) -> StoredTrace:
         """A lazy :class:`~repro.trace.trace.Trace` over this store."""
+        from repro.trace.stored import StoredTrace
+
         return StoredTrace(self)
 
 
@@ -551,122 +618,7 @@ def open_store(path: str | Path) -> TraceStore:
     Runs under the same ``trace.read`` observability span as the text
     parsers, so profiles of stored and text workloads line up.
     """
+    from repro.obs.spans import span
+
     with span("trace.read"):
         return TraceStore(path)
-
-
-# ----------------------------------------------------------------------
-# Trace facade
-# ----------------------------------------------------------------------
-class _LazyMetrics(Mapping):
-    """Per-entity metric mapping that materializes signals on demand.
-
-    Membership and iteration read only the store directory; indexing
-    builds (and caches) a :class:`~repro.trace.signal.Signal` whose
-    arrays are zero-copy views into the mapped file.
-    """
-
-    __slots__ = ("_store", "_entity", "_names", "_cache")
-
-    def __init__(
-        self, store: TraceStore, entity: str, names: tuple[str, ...]
-    ) -> None:
-        self._store = store
-        self._entity = entity
-        self._names = names
-        self._cache: dict[str, Signal] | None = None
-
-    def __contains__(self, metric: object) -> bool:
-        return metric in self._names
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __getitem__(self, metric: str) -> Signal:
-        if self._cache is None:
-            self._cache = {}
-        signal = self._cache.get(metric)
-        if signal is None:
-            if metric not in self._names:
-                raise KeyError(metric)
-            signal = self._store.signal(self._entity, metric)
-            self._cache[metric] = signal
-        return signal
-
-
-class StoredTrace(Trace):
-    """A :class:`~repro.trace.trace.Trace` backed by a :class:`TraceStore`.
-
-    Entities, edges, events and metadata come from the store directory
-    (cheap); per-entity signals materialize lazily on first access, and
-    the aggregation engine bypasses them entirely through
-    :meth:`signal_bank`, which serves mmap-backed banks.  Everything
-    downstream — :class:`~repro.core.session.AnalysisSession`, the
-    hierarchy, renderers — sees an ordinary trace.
-    """
-
-    def __init__(self, store: TraceStore) -> None:
-        self.store = store
-        d = store._take_sections()
-        names = store._names()
-        metric_sets = store._metric_sets()
-
-        # Edge and event endpoints reuse the store's entity-name objects.
-        def name(raw) -> str:
-            text = str(raw)
-            return names.get(text, text)
-
-        try:
-            entities = [
-                Entity(
-                    entity,
-                    kind,
-                    store.entity_paths[entity],
-                    _LazyMetrics(store, entity, metric_sets.get(entity, ())),
-                )
-                for entity, kind in store.entity_kinds.items()
-            ]
-            super().__init__(
-                entities=entities,
-                edges=[
-                    TraceEdge(
-                        name(a), name(b), name(via), sys.intern(str(source))
-                    )
-                    for a, b, via, source in d.get("edges", [])
-                ],
-                events=[
-                    PointEvent(
-                        float(time), str(kind), name(src), name(dst),
-                        dict(payload),
-                    )
-                    for time, kind, src, dst, payload in d.get("events", [])
-                ],
-                metrics_info=[
-                    MetricInfo(str(n), str(u), str(desc))
-                    for n, u, desc in d.get("metrics_info", [])
-                ],
-                meta=d.get("meta", {}),
-            )
-        except TraceStoreError:
-            raise
-        except (TypeError, ValueError, TraceError) as error:
-            raise TraceStoreError(
-                f"trace store {store.path.name!r}: corrupt directory: {error}"
-            ) from None
-
-    def signal_bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
-        """The engine's bank provider hook — mmap-backed, from the store."""
-        return self.store.signal_bank(metric)
-
-    def metric_names(self) -> list[str]:
-        """Stored metric names (directory lookup, no signal access)."""
-        return self.store.metric_names()
-
-    def span(self) -> tuple[float, float]:
-        """The stored time span — no column data is touched."""
-        if self.store.span_hint is not None:
-            return self.store.span_hint
-        return super().span()

@@ -17,11 +17,14 @@ A :class:`Trace` is the input of the visualization pipeline.  It holds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.errors import TraceError
 from repro.trace.events import PointEvent
 from repro.trace.signal import Signal, constant
+
+if TYPE_CHECKING:
+    from repro.trace.columnar import TraceColumns
 
 __all__ = ["Entity", "TraceEdge", "MetricInfo", "Trace"]
 
@@ -145,6 +148,46 @@ class Trace:
         self._events = sorted(events)
         self._metrics_info = {m.name: m for m in metrics_info}
         self.meta: dict[str, Any] = dict(meta or {})
+
+    @classmethod
+    def from_columns(cls, columns: TraceColumns) -> "Trace":
+        """The trace held by *columns*, the store layout the text parser
+        produces (:func:`repro.trace.reader.parse_columns`).
+
+        Each stored row becomes a :class:`Signal` over slices of its
+        metric's columns, or a :func:`constant` when it has no
+        breakpoints; an entity's metrics come in name order, as a
+        stored trace lists them.
+        """
+        metrics: dict[str, dict[str, Signal]] = {
+            name: {} for name, _, _ in columns.entities
+        }
+        for metric, col in columns.metrics:
+            bounds = col.offsets.tolist()
+            for row, (name, initial) in enumerate(
+                zip(col.rows, col.initials.tolist())
+            ):
+                lo, hi = bounds[row], bounds[row + 1]
+                metrics[name][metric] = (
+                    Signal._from_columns(
+                        col.times[lo:hi],
+                        col.values[lo:hi],
+                        col.prefix[lo:hi],
+                        initial,
+                    )
+                    if hi > lo
+                    else constant(initial)
+                )
+        return cls(
+            entities=[
+                Entity(name, kind, path, metrics[name])
+                for name, kind, path in columns.entities
+            ],
+            edges=[TraceEdge(*edge) for edge in columns.edges],
+            events=[PointEvent(*event) for event in columns.events],
+            metrics_info=[MetricInfo(*info) for info in columns.metrics_info],
+            meta=columns.meta,
+        )
 
     def _check_edge(self, edge: TraceEdge) -> None:
         for end in edge.endpoints():

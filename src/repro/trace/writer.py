@@ -26,12 +26,11 @@ import io
 from pathlib import Path
 from typing import IO
 
+from repro.constants import FORMAT_HEADER
 from repro.errors import TraceError
 from repro.trace.trace import Trace
 
 __all__ = ["write_trace", "dumps"]
-
-FORMAT_HEADER = "#repro-trace 1"
 
 
 def _check_token(token: str, what: str) -> str:

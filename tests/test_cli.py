@@ -551,6 +551,56 @@ class TestServe:
         assert trace.meta["generator"] == "repro.server.telemetry"
         assert any(e.kind == "session" for e in trace)
 
+    def test_sigterm_with_an_open_session_exits_cleanly(
+        self, trace_file, tmp_path
+    ):
+        """SIGTERM while a WebSocket session is open: the server sends
+        the client a close frame, closes the session, exits 0 without a
+        traceback and still writes its self-trace."""
+        import asyncio
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        from repro.server import WsClient
+
+        self_trace = tmp_path / "self.trace"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(trace_file),
+             "--port", "0", "--settle-steps", "0",
+             "--self-trace", str(self_trace)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+
+        async def hold_a_session(port: int) -> str | None:
+            client = await WsClient.connect("127.0.0.1", port)
+            try:
+                await client.request("hello")
+                proc.send_signal(signal.SIGTERM)
+                return await client.ws.recv_text()  # None: closed by peer
+            finally:
+                await client.close()
+
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"http://[\d.]+:(\d+)", line)
+            assert match is not None, line
+            assert asyncio.run(hold_a_session(int(match.group(1)))) is None
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+        assert proc.returncode == 0
+        assert "Traceback" not in err, err
+        assert any(e.kind == "session" for e in read_trace(self_trace))
+
 
 class TestTop:
     def test_parser_defaults(self):

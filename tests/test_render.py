@@ -1,5 +1,7 @@
 """Tests for the SVG/ASCII renderers and color utilities."""
 
+import io
+
 import pytest
 
 from repro.core import AnalysisSession, AsciiRenderer, SvgRenderer, render_ascii, render_svg
@@ -96,6 +98,14 @@ class TestSvgRenderer:
     def test_render_to_file(self, view, tmp_path):
         path = SvgRenderer().render_to_file(view, tmp_path / "out.svg")
         assert path.read_text().startswith("<svg")
+
+    def test_streamed_file_is_the_rendered_string(self, view, tmp_path):
+        """render_to_file writes the parts as they are generated; the
+        file holds exactly the string render() returns."""
+        renderer = SvgRenderer(show_labels=True, legend=True)
+        path = renderer.render_to_file(view, tmp_path / "out.svg", title="t")
+        assert path.read_bytes() == renderer.render(view, "t").encode("utf-8")
+        assert renderer.render(view, "t", out=io.StringIO()) == ""
 
     def test_render_svg_shortcut(self, view, tmp_path):
         target = tmp_path / "x.svg"

@@ -29,7 +29,7 @@ from repro.trace.events import PointEvent
 from repro.trace.paje import dumps_paje, loads_paje
 from repro.trace.reader import loads
 from repro.trace.signal import Signal, constant
-from repro.trace.store import open_store, write_store
+from repro.trace.store import convert, open_store, write_store
 from repro.trace.trace import Entity, MetricInfo, Trace, TraceEdge
 from repro.trace.writer import dumps
 
@@ -233,6 +233,14 @@ class TestGoldenStoreFixture:
     def test_fixture_opens_and_matches(self):
         """The committed binary decodes back to the golden trace."""
         assert_traces_equal(open_store(GOLDEN).open_trace(), golden_trace())
+
+    def test_convert_of_the_text_form_reproduces_the_bytes(self, tmp_path):
+        """The text parser's columns, written by the same writer, give
+        the committed bytes too."""
+        text = tmp_path / "golden.trace"
+        text.write_text(dumps(golden_trace()), encoding="utf-8")
+        convert(text, tmp_path / "golden.rtrace")
+        assert (tmp_path / "golden.rtrace").read_bytes() == GOLDEN.read_bytes()
 
 
 @pytest.mark.skipif(
