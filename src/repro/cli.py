@@ -850,6 +850,10 @@ def _cmd_serve(args) -> int:
 
     async def _serve() -> None:
         server = ReproServer(trace, config)
+        if args.self_trace is not None:
+            from repro.server.telemetry import ServerRecorder
+
+            server.state.telemetry.recorder = ServerRecorder()
         holder["server"] = server
         await server.start()
         print(f"serving {args.trace} on {server.url} "

@@ -3,59 +3,59 @@
 :func:`~repro.core.aggregation.aggregate_view` recomputes both halves
 of Equation 1 from scratch — per entity, in Python — every time it is
 called.  That is the same hot-path shape the vectorized Barnes-Hut
-kernel removed from the layout (PR 1), and it dominates the view loop
-when the analyst scrubs the time slice or toggles a group.
+kernel removed from the layout, and it dominates the view loop when
+the analyst scrubs the time slice or toggles a group.
 :class:`AggregationEngine` produces *identical* views (the legacy
 function is kept as the differential-testing oracle, selected with
-``AnalysisSession(engine="scalar")``) from three cooperating caches:
+``AnalysisSession(engine="scalar")``) from one cache per concept:
 
-* a **temporal cache** (:class:`SliceCache`) per metric: one
+* **slice means** — a :class:`SliceCache` per metric: one
   :class:`~repro.trace.signalbank.SignalBank` holds every entity's
   breakpoints and prefix sums; when the slice moves, per-entity cursors
   advance only over the breakpoints actually crossed (the delta
   windows) instead of re-bisecting the whole trace;
-* a **structure cache** keyed on ``(grouping identity,
-  GroupingState.revision)``: unit memberships, labels and the merged
-  edge multiplicities are rebuilt only when the analyst actually
-  collapses or expands something — never on a slice move;
-* a **spatial memo** per metric: combined unit values — one
-  read-only float64 array in the structure's per-metric unit order —
-  are reused wholesale when nothing changed, and when only the
-  grouping changed (same slice) units whose membership is untouched
-  keep their combined value — only the affected units are recombined.
+* **unit structures** — :class:`SharedTraceData` builds unit
+  memberships, labels and the merged edge multiplicities once per
+  canonical grouping token
+  (:attr:`~repro.core.hierarchy.GroupingState.state_key`); every view
+  looks its structure up there, so a slice move never rebuilds one;
+* **combined unit values** — the optional result cache, keyed on
+  ``(slice.as_tuple(), grouping.state_key, metric)``: one read-only
+  float64 array per key in the structure's per-metric unit order.
+
+A single-user session has no result cache: a repeated view re-runs
+only the spatial combine, because its :class:`SliceCache` already
+holds that slice's means.
 
 Every decision is counted in :attr:`AggregationEngine.stats` (mirroring
 ``ForceLayout.stats``), so benchmarks and the differential suite can
-assert that deltas were actually taken.
+assert that deltas were actually taken.  The ``agg.slice`` and
+``agg.spatial`` spans time the two halves.
 
-Since the multi-session analysis server (:mod:`repro.server`) these
-layers are split along a sharing boundary:
+The layers are split along a sharing boundary, so N sessions of the
+multi-session analysis server (:mod:`repro.server`) do the trace-derived
+work once:
 
 * :class:`SharedTraceData` owns everything derived *only from the
   trace* — the resource hierarchy, the per-metric signal banks and the
-  unit structures keyed on the **canonical grouping token**
-  (:attr:`~repro.core.hierarchy.GroupingState.state_key`) — all
-  immutable once built, so N concurrent sessions read them without
-  copies or locks on the hot path;
+  unit structures — all immutable once built, so concurrent sessions
+  read them without copies or locks on the hot path;
 * :class:`AggregationEngine` is the thin **per-session** layer: slice
-  cursors, the private spatial memo and (optionally) a handle on a
-  process-wide result cache shared with other sessions, keyed on
-  ``(slice.as_tuple(), grouping.state_key, metric)`` so sessions
-  scrubbing the same region hit each other's work.
+  cursors and (optionally) a handle on the process-wide result cache
+  shared with other sessions, so sessions scrubbing the same region hit
+  each other's work.
 
 A single-user :class:`~repro.core.session.AnalysisSession` builds a
-private :class:`SharedTraceData` and no result cache — behavior is
-unchanged.  Everything handed across the sharing boundary is genuinely
-immutable: cached mean and unit-value arrays are marked read-only and
-the structure tables are tuples, so one session can never observe
-another session's in-flight mutation
+private :class:`SharedTraceData`.  Everything handed across the sharing
+boundary is genuinely immutable: cached mean and unit-value arrays are
+marked read-only and the structure tables are tuples, so one session
+can never observe another session's in-flight mutation
 (``tests/test_session_isolation.py``).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Mapping
 from typing import Callable, Sequence
 
@@ -83,6 +83,11 @@ __all__ = [
 ]
 
 
+#: Vectorized cursor-advance rounds a slice move may take before
+#: :class:`SliceCache` falls back to a full re-bisection.
+ADVANCE_CAP = 64
+
+
 class SliceCache:
     """Incremental temporal aggregation of one metric's signal bank.
 
@@ -90,17 +95,14 @@ class SliceCache:
     endpoints plus the resulting slice means.  Moving to a new slice
     costs one :meth:`SignalBank.advance` per endpoint — proportional to
     the breakpoints crossed, not to the trace size.  A move larger than
-    *advance_cap* vectorized rounds falls back to a full re-bisection
-    (:meth:`SignalBank.locate`), which is still a handful of NumPy
-    calls.
+    :data:`ADVANCE_CAP` vectorized rounds falls back to a full
+    re-bisection (:meth:`SignalBank.locate`), which is still a handful
+    of NumPy calls.
     """
 
-    def __init__(
-        self, bank: SignalBank, stats: dict, advance_cap: int = 64
-    ) -> None:
+    def __init__(self, bank: SignalBank, stats: dict) -> None:
         self.bank = bank
         self.stats = stats
-        self.advance_cap = advance_cap
         self._slice: tuple[float, float] | None = None
         self._idx_start: np.ndarray | None = None
         self._idx_end: np.ndarray | None = None
@@ -118,7 +120,6 @@ class SliceCache:
             self.stats["slice_hits"] += 1
             return self._means
         with span("agg.slice"):
-            began = time.perf_counter_ns()
             start, end = key
             bank = self.bank
             if self._slice is None:
@@ -127,9 +128,9 @@ class SliceCache:
                 self.stats["slice_full"] += 1
             else:
                 rounds_start = bank.advance(
-                    self._idx_start, start, self.advance_cap
+                    self._idx_start, start, ADVANCE_CAP
                 )
-                rounds_end = bank.advance(self._idx_end, end, self.advance_cap)
+                rounds_end = bank.advance(self._idx_end, end, ADVANCE_CAP)
                 if rounds_start is None or rounds_end is None:
                     if rounds_start is None:
                         self._idx_start = bank.locate(start)
@@ -152,7 +153,6 @@ class SliceCache:
             means.setflags(write=False)
             self._slice = key
             self._means = means
-            self.stats["temporal_ns"] += time.perf_counter_ns() - began
         return means
 
 
@@ -285,9 +285,9 @@ class SharedTraceData:
 
     #: Distinct grouping structures, and distinct layout-seed entries,
     #: kept before the oldest is dropped; a bound on pathological
-    #: sessions cycling through thousands of grouping states (engines
-    #: keep the structures they actively use alive through their own
-    #: references).
+    #: sessions cycling through thousands of grouping states.  An
+    #: evicted structure is rebuilt on its next view, position for
+    #: position the same.
     MAX_STRUCTURES = 256
 
     def __init__(
@@ -426,13 +426,6 @@ class SharedTraceData:
         self.stats["seed_builds"] += 1
         return dict(seeds)
 
-    def radial_seeds(
-        self, grouping_key: tuple, graph, spring_length: float
-    ) -> dict[str, tuple[float, float]]:
-        """Back-compat wrapper: :meth:`layout_seeds` with
-        ``mode="radial"``."""
-        return self.layout_seeds(grouping_key, graph, spring_length)
-
 
 class AggregationEngine:
     """Cached, vectorized production of :class:`AggregatedView`\\ s.
@@ -442,16 +435,17 @@ class AggregationEngine:
     views it returns match the oracle to roundoff (enforced by
     ``tests/test_aggregation_differential.py``).
 
-    Cache invalidation rules:
+    What each interaction costs:
 
-    * slice unchanged, grouping unchanged → everything is a cache hit;
     * slice moved → temporal delta update (cursor advance over crossed
-      breakpoints) + vectorized recombination of all units;
-    * grouping changed (``GroupingState.revision`` bumped) → structure
-      rebuild; with an unchanged slice only the units whose membership
-      changed are recombined;
-    * a different grouping *object* or trace mutation → build a fresh
-      engine (signals are immutable, so banks never go stale).
+      breakpoints) + vectorized combination of all units;
+    * grouping changed → the structure of the new ``state_key`` (built
+      once per token, then shared) + combination of all units over the
+      cached slice means;
+    * nothing changed → a result-cache hit, or without a result cache a
+      slice-cache hit plus the spatial combine;
+    * trace mutation → build a fresh engine (signals are immutable, so
+      banks never go stale).
 
     Parameters
     ----------
@@ -479,7 +473,6 @@ class AggregationEngine:
         self,
         trace: Trace,
         space_op: Callable[[Sequence[float]], float] = sum,
-        advance_cap: int = 64,
         shared: SharedTraceData | None = None,
         result_cache=None,
         cache_owner: str | None = None,
@@ -500,179 +493,92 @@ class AggregationEngine:
         self.shared = shared
         self.trace = shared.trace
         self.space_op = shared.space_op
-        self.advance_cap = advance_cap
         self.result_cache = result_cache
         self.cache_owner = (
             cache_owner if cache_owner is not None else f"engine-{id(self):x}"
         )
         self._slice_caches: dict[str, SliceCache] = {}
         self._row_maps: dict[str, Mapping[str, int]] = {}
-        self._structure: tuple[GroupingState, int, _Structure] | None = None
-        #: per-metric spatial memo: {"slice", "struct", "values"}
-        self._combined: dict[str, dict] = {}
-        #: decision and timing counters, mirroring ``ForceLayout.stats``;
-        #: a :class:`repro.obs.StatGroup` registered process-wide under
-        #: the ``agg`` namespace (same dict semantics as before)
+        #: decision counters, mirroring ``ForceLayout.stats``; a
+        #: :class:`repro.obs.StatGroup` registered process-wide under
+        #: the ``agg`` namespace
         self.stats: dict[str, int] = registry.group("agg", {
             "views": 0,
             "slice_hits": 0,
             "slice_delta": 0,
             "slice_full": 0,
             "advance_rounds": 0,
-            "struct_hits": 0,
-            "struct_rebuilds": 0,
-            "combine_hits": 0,
             "combine_full": 0,
-            "combine_partial": 0,
-            "units_reused": 0,
-            "units_recombined": 0,
             "shared_hits": 0,
             "shared_puts": 0,
-            "temporal_ns": 0,
-            "combine_ns": 0,
-            "view_ns": 0,
         })
 
-    # ------------------------------------------------------------------
-    # Cache layers
-    # ------------------------------------------------------------------
     def _bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
         cache = self._slice_caches.get(metric)
         if cache is None:
             bank, row_of = self.shared.bank(metric)
-            self._slice_caches[metric] = cache = SliceCache(
-                bank, self.stats, self.advance_cap
-            )
+            self._slice_caches[metric] = cache = SliceCache(bank, self.stats)
             self._row_maps[metric] = row_of
         return cache.bank, self._row_maps[metric]
-
-    def _structure_for(self, grouping: GroupingState) -> _Structure:
-        memo = self._structure
-        if (
-            memo is not None
-            and memo[0] is grouping
-            and memo[1] == grouping.revision
-        ):
-            self.stats["struct_hits"] += 1
-            return memo[2]
-        structure = self.shared.structure(grouping)
-        self._structure = (grouping, grouping.revision, structure)
-        self.stats["struct_rebuilds"] += 1
-        return structure
-
-    def _combine_segment(self, segment: np.ndarray) -> float:
-        if self.space_op is sum:
-            return float(np.add.reduce(segment))
-        return self.space_op(segment.tolist())
 
     def _unit_values(
         self, metric: str, structure: _Structure, tslice: TimeSlice
     ) -> np.ndarray:
-        """Combined value per unit for one metric (the spatial memo).
+        """Combined value per unit for one metric.
 
         A read-only float64 array in *structure*'s per-metric unit
-        order (see :meth:`_Structure.metric_layout`).  The same array
-        is memoized here and put into the shared result cache.
+        order (see :meth:`_Structure.metric_layout`), served from the
+        result cache when it holds the key and put into it otherwise.
         """
-        bank, row_of = self._bank(metric)
-        slice_key = tslice.as_tuple()
-        memo = self._combined.get(metric)
-        if (
-            memo is not None
-            and memo["slice"] == slice_key
-            and memo["struct"] is structure
-        ):
-            self.stats["combine_hits"] += 1
-            return memo["values"]
+        _, row_of = self._bank(metric)
         cache = self.result_cache
-        cache_key = (slice_key, structure.key, metric)
+        cache_key = (tslice.as_tuple(), structure.key, metric)
         if cache is not None:
-            shared_values = cache.get(cache_key, requester=self.cache_owner)
-            if shared_values is not None:
-                # Another session already combined this exact
-                # (slice, grouping, metric) triple — adopt its result
-                # wholesale.  It is aligned with any structure built
-                # for the same grouping token, not just the one it was
-                # computed against.
+            cached = cache.get(cache_key, requester=self.cache_owner)
+            if cached is not None:
+                # Some session — maybe this one — already combined this
+                # exact (slice, grouping, metric) triple.  It is aligned
+                # with any structure built for the same grouping token,
+                # not just the one it was computed against.
                 self.stats["shared_hits"] += 1
-                self._combined[metric] = {
-                    "slice": slice_key,
-                    "struct": structure,
-                    "values": shared_values,
-                }
-                return shared_values
+                return cached
         means = self._slice_caches[metric].means(tslice)
         with span("agg.spatial"):
-            rows, offsets, slots = structure.metric_layout(metric, row_of)
+            rows, offsets, _ = structure.metric_layout(metric, row_of)
             bounds = offsets.tolist()
             n_units = len(bounds) - 1
-            began = time.perf_counter_ns()
-            if memo is not None and memo["slice"] == slice_key:
-                # Same slice, new grouping: only units whose membership
-                # changed need their space_op re-evaluated.
-                old = memo["struct"]
-                old_slots = old.metric_layout(metric, row_of)[2].tolist()
-                old_values = memo["values"].tolist()
-                values = np.empty(n_units)
-                units = np.flatnonzero(slots >= 0).tolist()
-                for i, unit in enumerate(units):
-                    at = old.index.get(structure.unit_order[unit])
-                    if (
-                        at is not None
-                        and old_slots[at] >= 0
-                        and old.members[at] == structure.members[unit]
-                    ):
-                        values[i] = old_values[old_slots[at]]
-                        self.stats["units_reused"] += 1
-                    else:
-                        values[i] = self._combine_segment(
-                            means[rows[bounds[i]:bounds[i + 1]]]
-                        )
-                        self.stats["units_recombined"] += 1
-                self.stats["combine_partial"] += 1
-            else:
-                if self.space_op is sum and n_units:
-                    gathered = means[rows]
-                    if len(rows) == n_units:
-                        # Fully expanded view: every unit is a single
-                        # entity, its value is its own slice mean.
-                        values = gathered
-                    else:
-                        # np.add.reduce is a strict left-to-right
-                        # reduction, so each unit's sum is bit-identical
-                        # to the scalar oracle's python sum over the
-                        # same member order (np.add.reduceat's blocked
-                        # inner loop is not — last-bit divergence).
-                        values = np.empty(n_units)
-                        for i in range(n_units):
-                            values[i] = np.add.reduce(
-                                gathered[bounds[i]:bounds[i + 1]]
-                            )
+            if self.space_op is sum and n_units:
+                gathered = means[rows]
+                if len(rows) == n_units:
+                    # Fully expanded view: every unit is a single
+                    # entity, its value is its own slice mean.
+                    values = gathered
                 else:
+                    # One np.add.reduce per unit over its members in
+                    # member order (np.add.reduceat's blocked inner
+                    # loop sums in another order).  From eight members
+                    # on numpy sums pairwise, so the scalar oracle's
+                    # left-to-right sum agrees to roundoff only.
                     values = np.empty(n_units)
                     for i in range(n_units):
-                        values[i] = self._combine_segment(
-                            means[rows[bounds[i]:bounds[i + 1]]]
+                        values[i] = np.add.reduce(
+                            gathered[bounds[i]:bounds[i + 1]]
                         )
-                self.stats["combine_full"] += 1
-                self.stats["units_recombined"] += n_units
-            # Handed out by reference (memo, result cache, other
-            # sessions): frozen like the slice means.
+            else:
+                values = np.empty(n_units)
+                for i in range(n_units):
+                    values[i] = self.space_op(
+                        means[rows[bounds[i]:bounds[i + 1]]].tolist()
+                    )
+            # Handed out by reference (result cache, other sessions):
+            # frozen like the slice means.
             values.setflags(write=False)
-            self.stats["combine_ns"] += time.perf_counter_ns() - began
-        self._combined[metric] = {
-            "slice": slice_key,
-            "struct": structure,
-            "values": values,
-        }
+        self.stats["combine_full"] += 1
         if cache is not None:
             cache.put(cache_key, values, owner=self.cache_owner)
             self.stats["shared_puts"] += 1
         return values
 
-    # ------------------------------------------------------------------
-    # View production
-    # ------------------------------------------------------------------
     def view(
         self,
         grouping: GroupingState,
@@ -684,8 +590,7 @@ class AggregationEngine:
         Semantically identical to
         ``aggregate_view(trace, grouping, tslice, metrics, space_op)``.
         """
-        began = time.perf_counter_ns()
-        structure = self._structure_for(grouping)
+        structure = self.shared.structure(grouping)
         metric_names = (
             list(metrics) if metrics is not None else self.trace.metric_names()
         )
@@ -713,7 +618,6 @@ class AggregationEngine:
             units=units, edges=list(structure.edges), tslice=tslice
         )
         self.stats["views"] += 1
-        self.stats["view_ns"] += time.perf_counter_ns() - began
         view.stats = dict(self.stats)
         return view
 

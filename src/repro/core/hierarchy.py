@@ -150,7 +150,7 @@ class GroupingState:
     def revision(self) -> int:
         """Monotone counter bumped on every *effective* grouping change.
 
-        The fast aggregation engine keys its spatial memo on this: an
+        :attr:`state_key` is recomputed only when it moves, and an
         unchanged revision guarantees the unit structure (memberships,
         edges) of the previous view is still valid.  No-op calls
         (collapsing an already-collapsed group, expanding a detailed

@@ -24,8 +24,6 @@ from repro.constants import LAYOUT_KERNELS
 from repro.core.layout.barneshut import BarnesHutLayout
 from repro.core.layout.base import ForceLayout
 from repro.core.layout.forces import LayoutParams
-from repro.core.layout.naive import NaiveLayout
-from repro.core.layout.sharded import ShardedBarnesHutLayout, validate_workers
 from repro.core.visgraph import VisGraph
 from repro.errors import LayoutError
 
@@ -66,6 +64,8 @@ def make_layout(
             f"unknown layout kernel {kernel!r}; pick one of {LAYOUT_KERNELS}"
         )
     if workers is not None:
+        from repro.core.layout.sharded import validate_workers
+
         validate_workers(workers)
         if kernel != "sharded" and workers != 1:
             raise LayoutError(
@@ -74,11 +74,15 @@ def make_layout(
             )
     if algorithm == "barneshut":
         if kernel == "sharded":
+            from repro.core.layout.sharded import ShardedBarnesHutLayout
+
             return ShardedBarnesHutLayout(
                 params, seed, workers=2 if workers is None else workers
             )
         return BarnesHutLayout(params, seed, kernel=kernel)
     if algorithm == "naive":
+        from repro.core.layout.naive import NaiveLayout
+
         return NaiveLayout(params, seed)
     raise LayoutError(
         f"unknown layout algorithm {algorithm!r}; pick one of {ALGORITHMS}"

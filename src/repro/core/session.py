@@ -32,7 +32,6 @@ from repro.core.aggregation import aggregate_view
 from repro.core.hierarchy import GroupingState, Hierarchy, Path
 from repro.core.layout.engine import DynamicLayout
 from repro.core.layout.forces import LayoutParams
-from repro.core.layout.multilevel import multilevel_seeds
 from repro.core.layout.seeding import radial_seeds
 from repro.core.mapping import VisualMapping
 from repro.core.scaling import ScaleSet
@@ -262,7 +261,7 @@ class AnalysisSession:
     @property
     def aggregation_stats(self) -> dict:
         """Counters of the fast aggregation engine (cache hits, delta
-        vs full integrations, ns timings) — the aggregation analogue of
+        vs full integrations) — the aggregation analogue of
         :attr:`DynamicLayout.stats`.  Empty for ``engine="scalar"``."""
         return dict(self._aggregator.stats) if self._aggregator else {}
 
@@ -364,6 +363,8 @@ class AnalysisSession:
                 seed=self._seed,
             )
         elif self.seeding == "multilevel":
+            from repro.core.layout.multilevel import multilevel_seeds
+
             seeds, _levels = multilevel_seeds(
                 self.hierarchy,
                 graph,

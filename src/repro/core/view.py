@@ -49,8 +49,8 @@ class TopologyView:
     def agg_stats(self) -> dict:
         """Aggregation-engine counter snapshot taken when this frame's
         :class:`AggregatedView` was produced (cache hits, delta vs full
-        integrations, ns timings).  Empty when the frame came from the
-        scalar oracle path."""
+        integrations).  Empty when the frame came from the scalar
+        oracle path."""
         return self.aggregated.stats
 
     def position(self, key: str) -> tuple[float, float]:

@@ -35,9 +35,7 @@ import json
 import math
 import urllib.parse
 
-from repro.core.render.svg import SvgRenderer
 from repro.errors import ReproError
-from repro.obs.expo import PROM_CONTENT_TYPE, render_prometheus
 from repro.obs.registry import registry
 from repro.obs.spans import span
 from repro.server.protocol import (
@@ -205,6 +203,8 @@ class ReproServer:
                     writer, 200, self.state.stats_payload()
                 )
             elif parts.path == "/metrics" and self.config.metrics:
+                from repro.obs.expo import PROM_CONTENT_TYPE, render_prometheus
+
                 bytes_out = await _respond_raw(
                     writer,
                     200,
@@ -272,6 +272,8 @@ class ReproServer:
                     ) from None
                 session.apply({"op": "depth", "depth": depth})
             session.apply(msg)
+            from repro.core.render.svg import SvgRenderer
+
             view = session.session.view(settle_steps=self.config.settle_steps)
             markup = SvgRenderer().render(view)
         except ProtocolError as err:

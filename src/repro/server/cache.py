@@ -21,6 +21,12 @@ All counters live in a ``rescache`` :class:`repro.obs.StatGroup`;
 updates both under one lock.  ``cross_hits`` counts hits where the
 requester differs from the session that populated the entry — the
 acceptance-criterion proof that sharing actually happened.
+
+The cache also remembers, per requester, the most shared answer it gave
+since the requester's last :meth:`SharedResultCache.take_tier` — a hit
+on another session's entry (``shared``), on the requester's own
+(``local``) or a miss (``fresh``).  That is the cache tier the server
+attributes each request to.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ from typing import Any, Callable, Hashable
 from repro.obs.registry import registry
 
 __all__ = ["SharedResultCache"]
+
+#: Lookup answers, most shared first: the precedence
+#: :meth:`SharedResultCache.take_tier` reports a request's lookups by.
+_ANSWERS = ("shared", "local", "fresh")
 
 
 class SharedResultCache:
@@ -58,6 +68,8 @@ class SharedResultCache:
         self._entries: "OrderedDict[Hashable, tuple[Any, str | None]]" = (
             OrderedDict()
         )
+        #: requester -> its most shared answer since its last take_tier
+        self._answers: dict[str, str] = {}
         #: traffic counters, a :class:`repro.obs.StatGroup` registered
         #: under the ``rescache`` namespace
         self.stats: dict[str, int] = registry.group("rescache", {
@@ -84,6 +96,7 @@ class SharedResultCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.stats["misses"] += 1
+                self._answer(requester, "fresh")
                 return None
             self._entries.move_to_end(key)
             self.stats["hits"] += 1
@@ -94,7 +107,24 @@ class SharedResultCache:
                 and owner != requester
             ):
                 self.stats["cross_hits"] += 1
+                self._answer(requester, "shared")
+            else:
+                self._answer(requester, "local")
             return value
+
+    def _answer(self, requester: str | None, answer: str) -> None:
+        if requester is None:
+            return
+        held = self._answers.get(requester)
+        if held is None or _ANSWERS.index(answer) < _ANSWERS.index(held):
+            self._answers[requester] = answer
+
+    def take_tier(self, requester: str) -> str | None:
+        """The most shared answer given to *requester* since its last
+        call — ``"shared"``, ``"local"`` or ``"fresh"`` — or ``None``
+        when it looked nothing up."""
+        with self._lock:
+            return self._answers.pop(requester, None)
 
     def put(self, key: Hashable, value: Any, owner: str | None = None) -> None:
         """Store *value* under *key*, attributed to session *owner*.

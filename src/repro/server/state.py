@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 
 from repro.core.aggengine import SharedTraceData
-from repro.core.render.svg import SvgRenderer
 from repro.core.session import AnalysisSession
 from repro.errors import HierarchyError, ReproError
 from repro.obs.registry import registry
@@ -41,7 +40,7 @@ from repro.server.protocol import (
     require_path,
     view_payload,
 )
-from repro.server.telemetry import CACHE_TIERS, ServerTelemetry
+from repro.server.telemetry import ServerTelemetry
 
 __all__ = ["ServerConfig", "SessionState", "SharedServerState"]
 
@@ -104,7 +103,7 @@ class SessionState:
         self.session = session
         self.settle_steps = settle_steps
         self.moves = 0
-        self._renderer = SvgRenderer()
+        self._renderer = None  # built by the first ``svg`` op
 
     @classmethod
     def local(
@@ -229,6 +228,10 @@ class SessionState:
     def _op_svg(self, msg: dict) -> dict:
         """The current view rendered as an SVG document string."""
         view = self.session.view(settle_steps=self.settle_steps)
+        if self._renderer is None:
+            from repro.core.render.svg import SvgRenderer
+
+            self._renderer = SvgRenderer()
         markup = self._renderer.render(view)
         return {"svg": markup, "nodes": len(view)}
 
@@ -418,9 +421,10 @@ class SharedServerState:
         the reply: ``op`` (``"invalid"`` for undecodable frames),
         ``ok``, the error ``code`` (or ``""``), and the cache ``tier``
         that served it — one of
-        :data:`~repro.server.telemetry.CACHE_TIERS`, attributed by
-        diffing the session's aggregation-engine counters around the
-        dispatch.  Never raises for request-level failures.
+        :data:`~repro.server.telemetry.CACHE_TIERS`, as the result
+        cache answered the session's lookups during the dispatch
+        (``none`` when it made none).  Never raises for request-level
+        failures.
         """
         meta = {"op": "invalid", "ok": False, "code": "", "tier": "none"}
         try:
@@ -433,19 +437,11 @@ class SharedServerState:
         op = msg.get("op")
         if isinstance(op, str) and op in SessionState._OPS:
             meta["op"] = op
-        before = state.session.aggregation_stats  # a point-in-time copy
         envelope = self.dispatch(state, msg)
-        after = state.session.aggregation_stats
         meta["ok"] = bool(envelope.get("ok"))
         if not meta["ok"]:
             meta["code"] = envelope.get("error", {}).get("code", "")
-        if after.get("views", 0) > before.get("views", 0):
-            if after.get("shared_hits", 0) > before.get("shared_hits", 0):
-                meta["tier"] = CACHE_TIERS[0]  # shared
-            elif after.get("combine_hits", 0) > before.get("combine_hits", 0):
-                meta["tier"] = CACHE_TIERS[1]  # local
-            else:
-                meta["tier"] = CACHE_TIERS[2]  # fresh
+        meta["tier"] = self.cache.take_tier(state.session_id) or "none"
         return envelope, meta
 
     def info(self) -> dict:

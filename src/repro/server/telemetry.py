@@ -15,11 +15,12 @@ stream the module derives every view the observability tentpole needs:
   through :class:`~repro.obs.export.JsonlWriter` (the same
   one-line-flushed discipline as the span JSONL sink), tailable while
   the server runs;
-* the **self-trace** — :class:`ServerRecorder` freezes a serving
-  interval into a repro-format trace (one entity per session, one per
-  cache tier, request spans as states, cache hits as events) so
-  ``repro render`` can draw the server's own topology: the tool
-  watching itself serve.
+* the **self-trace** — when a :class:`ServerRecorder` is attached as
+  :attr:`ServerTelemetry.recorder` (``repro serve --self-trace``), it
+  keeps the latest requests and freezes them into a repro-format trace
+  (one entity per session, one per cache tier, request spans as
+  states, cache hits as events) so ``repro render`` can draw the
+  server's own topology: the tool watching itself serve.
 
 The always-on accounting costs about a microsecond per request —
 gated under the 5% bound in ``benchmarks/test_obs_overhead.py`` —
@@ -30,14 +31,13 @@ switch.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import IO, Mapping, MutableMapping
 
-from repro.obs.export import JsonlWriter, jsonable_attrs
 from repro.obs.registry import Histogram, bucket_quantile, registry
-from repro.trace.builder import TraceBuilder
 from repro.trace.trace import CAPACITY, Trace, USAGE
 
 __all__ = [
@@ -53,10 +53,13 @@ __all__ = [
 #: Bumped on any incompatible change to the access-log line schema.
 ACCESS_LOG_VERSION = 1
 
-#: Where a request's answer came from, most to least shared:
-#: ``shared`` — the cross-session result cache; ``local`` — the
-#: session's own memo tables; ``fresh`` — recomputed from signals;
-#: ``none`` — the op produced no aggregated view (hello, stats, bye).
+#: Where a request's answer came from, most to least shared, as the
+#: result cache answered the request's lookups
+#: (:meth:`~repro.server.cache.SharedResultCache.take_tier`):
+#: ``shared`` — an entry another session computed; ``local`` — an
+#: entry the session computed itself; ``fresh`` — a miss, recomputed
+#: from the slice means; ``none`` — the op looked nothing up (hello,
+#: stats, bye, errors).
 CACHE_TIERS = ("shared", "local", "fresh", "none")
 
 #: Registry name of the per-op request-latency histograms (one
@@ -97,21 +100,24 @@ class ServerTelemetry:
     access_log:
         Optional path (or open text stream) for the JSONL access log;
         ``None`` disables it.
-    max_records:
-        Bound on the :class:`ServerRecorder` ring so a long-lived
-        server cannot grow without limit.
     """
 
     def __init__(
         self,
         stats: MutableMapping[str, float],
         access_log: "str | Path | IO[str] | None" = None,
-        max_records: int = 20000,
     ) -> None:
         self.t0 = perf_counter()
         self.stats = stats
-        self.recorder = ServerRecorder(max_records=max_records)
-        self._log = JsonlWriter(access_log) if access_log is not None else None
+        #: The self-trace recorder; ``None`` (nothing kept) unless a
+        #: caller that builds a self-trace attaches one, as ``repro
+        #: serve --self-trace`` does.
+        self.recorder: ServerRecorder | None = None
+        self._log = None
+        if access_log is not None:
+            from repro.obs.export import JsonlWriter
+
+            self._log = JsonlWriter(access_log)
         self._histograms: dict[str, Histogram] = {}
         # Snapshot pre-existing per-op histograms (registry metrics are
         # process-global and get-or-create) so per-run breakdowns can
@@ -144,8 +150,8 @@ class ServerTelemetry:
 
         Feeds the per-op histogram, the byte totals and per-op counters
         of the ``"server"`` stat group, the access log (when enabled)
-        and the self-trace recorder.  Small and allocation-light by
-        design: this runs on every request, always.
+        and the self-trace recorder (when attached).  Small and
+        allocation-light by design: this runs on every request, always.
         """
         self._histogram(record.op).observe(record.wall_s)
         stats = self.stats
@@ -153,8 +159,11 @@ class ServerTelemetry:
         stats["bytes_out"] = stats.get("bytes_out", 0) + record.bytes_out
         key = f"ops.{record.op}"
         stats[key] = stats.get(key, 0) + 1
-        self.recorder.record(record)
+        if self.recorder is not None:
+            self.recorder.record(record)
         if self._log is not None:
+            from repro.obs.export import jsonable_attrs
+
             self._log.write(
                 jsonable_attrs(
                     {
@@ -237,7 +246,7 @@ def format_breakdown(breakdown: Mapping[str, Mapping[str, float]]) -> str:
 
 
 class ServerRecorder:
-    """A bounded ring of request records, frozen into a self-trace.
+    """The latest request records, frozen into a self-trace.
 
     The serving analogue of :meth:`repro.obs.profiler.Profiler.build_trace`:
     where the profiler draws the *pipeline's* stages, the recorder
@@ -248,16 +257,15 @@ class ServerRecorder:
     """
 
     def __init__(self, max_records: int = 20000) -> None:
-        self.records: list[RequestRecord] = []
+        self.records: deque[RequestRecord] = deque(maxlen=max_records)
         self.max_records = max_records
         self.dropped = 0
 
     def record(self, record: RequestRecord) -> None:
-        """Keep *record* unless the ring is full (then count the drop)."""
-        if len(self.records) < self.max_records:
-            self.records.append(record)
-        else:
+        """Keep *record*; when full, drop the oldest and count it."""
+        if len(self.records) == self.max_records:
             self.dropped += 1
+        self.records.append(record)
 
     def build_trace(self, max_points: int = 4000) -> Trace:
         """Freeze the recorded interval into a repro-format self-trace.
@@ -277,6 +285,8 @@ class ServerRecorder:
           entity (capped by *max_points*, drops recorded in meta);
         * sessions connect to the tiers they were served from.
         """
+        from repro.trace.builder import TraceBuilder
+
         builder = TraceBuilder()
         builder.set_meta("generator", "repro.server.telemetry")
         builder.declare_metric(CAPACITY, "req", "concurrency/request budget")

@@ -9,6 +9,18 @@ imported yet.
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
+
+#: Modules only some requests need: the renderer (``svg`` op and
+#: ``/render``), the Prometheus exposition (``/metrics``), the JSONL
+#: writer and the trace builder (access log and self-trace), and the
+#: non-default layout kernels and seeding.
+ON_REQUEST = (
+    "repro.core.render", "repro.core.render.svg", "repro.core.render.colors",
+    "repro.obs.expo", "repro.obs.export", "repro.trace.builder",
+    "repro.core.layout.sharded", "repro.core.layout.naive",
+    "repro.core.layout.multilevel",
+)
 
 
 def _run(code: str) -> str:
@@ -76,5 +88,58 @@ def test_serving_a_store_skips_the_text_parser(tmp_path):
         ReproServer(open_store({str(tmp_path / "t.rtrace")!r}).open_trace())
         print([name for name in ("repro.trace.reader", "repro.trace.paje")
                if name in sys.modules])
+    """)
+    assert out == "[]"
+
+
+def test_serving_loads_no_module_a_request_has_not_asked_for(tmp_path):
+    """Scrubs, grouping and stats through a started server leave the
+    on-request modules unloaded; the first ``svg`` op loads the
+    renderer."""
+    from repro.trace.store import write_store
+    from repro.trace.synthetic import figure3_trace
+
+    write_store(figure3_trace(), tmp_path / "t.rtrace")
+    out = _run(f"""
+        import asyncio, sys
+        import repro.cli
+        from repro.server import ReproServer
+        from repro.trace.store import open_store
+
+        async def serve():
+            server = ReproServer(
+                open_store({str(tmp_path / "t.rtrace")!r}).open_trace())
+            await server.start()
+            state = server.state
+            session = state.create_session()
+            group = list(state.shared.hierarchy.groups()[0])
+            for msg in ({{"op": "hello"}},
+                        {{"op": "scrub", "start": 0.25, "end": 0.75}},
+                        {{"op": "group", "path": group}},
+                        {{"op": "ungroup", "path": group}},
+                        {{"op": "depth", "depth": 1}},
+                        {{"op": "view"}}, {{"op": "stats"}}):
+                assert state.dispatch(session, msg)["ok"], msg
+            print([name for name in {ON_REQUEST!r} if name in sys.modules])
+            assert state.dispatch(session, {{"op": "svg"}})["ok"]
+            print("repro.core.render.svg" in sys.modules)
+            await server.aclose()
+
+        asyncio.run(serve())
+    """)
+    assert out.splitlines() == ["[]", "True"]
+
+
+def test_every_benchmark_wrap_target_resolves():
+    """The end-to-end benchmark's tracer wraps each pipeline layer by
+    module and attribute name; moving an import must not hide one."""
+    e2e = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+    out = _run(f"""
+        import sys
+        sys.path.insert(0, {str(e2e)!r})
+        import traced
+        recorder = traced.Recorder()
+        recorder.install(traced.TARGETS)
+        print(recorder.missing)
     """)
     assert out == "[]"

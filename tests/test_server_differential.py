@@ -14,9 +14,12 @@ from sessions other than the one that populated the entry
 """
 
 import asyncio
+import json
 
 import pytest
 
+from repro.core.hierarchy import Hierarchy
+from repro.core.session import AnalysisSession
 from repro.server.app import ReproServer
 from repro.server.client import WsClient
 from repro.server.load import (
@@ -26,7 +29,7 @@ from repro.server.load import (
     run_load,
 )
 from repro.server.protocol import canonical_json
-from repro.server.state import ServerConfig
+from repro.server.state import ServerConfig, SessionState, SharedServerState
 from repro.trace.synthetic import random_hierarchical_trace
 
 
@@ -112,6 +115,73 @@ class TestConcurrentDifferential:
         assert report["differential"]["ok"]
         assert len(report["per_session_p95_s"]) == 4
         assert report["requests"] == 4 * 30
+
+
+def regroup_storm(trace, start: float, end: float) -> list[dict]:
+    """One slice, then every depth-2 group expanded and collapsed again,
+    then depth flips 1 -> 2 -> 3 -> 2 -> 1."""
+    storm = [
+        {"op": "scrub", "start": start, "end": end},
+        {"op": "depth", "depth": 2},
+    ]
+    for path in Hierarchy.from_trace(trace).groups_at_depth(2):
+        storm.append({"op": "ungroup", "path": list(path)})
+        storm.append({"op": "group", "path": list(path)})
+    storm += [{"op": "depth", "depth": depth} for depth in (1, 2, 3, 2, 1)]
+    return storm
+
+
+def replay_shared(trace, storm: list[dict]) -> tuple[list[str], list[str]]:
+    """*storm* through a server session that shares its result cache
+    with a second session replaying the same storm; the two take turns
+    going first.  Returns the first session's payloads and cache tiers."""
+    state = SharedServerState(trace, ServerConfig(settle_steps=1))
+    first, second = state.create_session(), state.create_session()
+    payloads, tiers = [], []
+    for i, move in enumerate(storm):
+        if i % 2:
+            second.apply(dict(move))
+        envelope, meta = state.handle_frame(
+            first, json.dumps(dict(move, id=i))
+        )
+        assert envelope["ok"], envelope
+        payloads.append(canonical_json(envelope["result"]))
+        tiers.append(meta["tier"])
+        if not i % 2:
+            second.apply(dict(move))
+    return payloads, tiers
+
+
+class TestFixedSliceRegrouping:
+    """Regrouping under an unchanged slice combines every unit afresh
+    over the slice cache's means, or reads the result cache."""
+
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.25, 0.75)])
+    def test_matches_the_isolated_session_and_the_scalar_oracle(
+        self, trace, window
+    ):
+        """Byte-identical to an isolated session.  Against the scalar
+        oracle every byte but the unit values is equal, and those agree
+        to roundoff: ``np.add.reduce`` sums eight or more members
+        pairwise, the oracle's built-in ``sum`` left to right."""
+        start, end = trace.span()
+        width = end - start
+        storm = regroup_storm(
+            trace, start + window[0] * width, start + window[1] * width
+        )
+        payloads, tiers = replay_shared(trace, storm)
+        assert payloads == replay_storm_local(trace, storm, settle_steps=1)
+        assert {"fresh", "local", "shared"} <= set(tiers)
+        scalar = SessionState(
+            "scalar", AnalysisSession(trace, engine="scalar"), settle_steps=1
+        )
+        for payload, move in zip(payloads, storm):
+            got, want = json.loads(payload), scalar.apply(dict(move))
+            for unit, oracle_unit in zip(got["units"], want["units"]):
+                assert unit.pop("values") == pytest.approx(
+                    oracle_unit.pop("values"), rel=1e-9
+                )
+            assert canonical_json(got) == canonical_json(want)
 
 
 class TestStormDeterminism:

@@ -52,7 +52,7 @@ def test_full_result_cache_stays_under_bound(grid_trace):  # noqa: F811
     finally:
         tracemalloc.stop()
     n_metrics = len(grid_trace.metric_names())
+    assert cache.stats["hits"] == 0
     assert len(session.view(settle=False).aggregated.units) == 41
     assert len(cache) == CACHE_ENTRIES < (SCRUBS + 1) * n_metrics
-    assert cache.stats["hits"] == 0
     assert (after - before) / 2**20 < RETAINED_BOUND_MB

@@ -129,6 +129,7 @@ class TestServerTelemetry:
     def test_observe_feeds_histogram_stats_and_recorder(self):
         stats = {"bytes_in": 0, "bytes_out": 0}
         telemetry = ServerTelemetry(stats)
+        telemetry.recorder = ServerRecorder()
         telemetry.observe(_record(op="scrub", wall=0.003))
         telemetry.observe(_record(op="hello", wall=0.0005, bytes_out=120))
         assert stats["bytes_in"] == 80
@@ -137,6 +138,23 @@ class TestServerTelemetry:
         h = registry.histogram(REQUEST_HISTOGRAM, op="scrub")
         assert h.count == 1 and h.sum == pytest.approx(0.003)
         assert len(telemetry.recorder.records) == 2
+
+    def test_no_records_are_kept_without_a_recorder(self):
+        """Without a self-trace to build, a storm leaves no records."""
+        async def scenario(server, config):
+            client = await WsClient.connect(config.host, server.port)
+            try:
+                await client.request("hello")
+                for i in range(20):
+                    await client.request(
+                        "scrub", start=i / 40, end=0.5 + i / 40
+                    )
+            finally:
+                await client.close()
+            assert server.state.stats["ops.scrub"] == 20
+            assert server.state.telemetry.recorder is None
+
+        _run_live(scenario)
 
     def test_access_log_lines_follow_the_schema(self, tmp_path):
         path = tmp_path / "access.jsonl"
@@ -195,6 +213,23 @@ class TestTierAttribution:
         second = state.create_session()
         _, meta = state.handle_frame(second, scrub)
         assert meta["tier"] == "shared"  # cross-session cache hit
+
+    def test_revisiting_an_own_earlier_window_is_local(self):
+        """A hit on the session's own result-cache entry is ``local``,
+        even when the window is not the session's latest one."""
+        state = _shared_state()
+        session = state.create_session()
+        frames = [
+            '{"id": 1, "op": "scrub", "start": 0.25, "end": 0.75}',
+            '{"id": 2, "op": "scrub", "start": 0.5, "end": 1.0}',
+        ]
+        for frame in frames:
+            _, meta = state.handle_frame(session, frame)
+            assert meta["tier"] == "fresh"
+        _, meta = state.handle_frame(
+            session, '{"id": 3, "op": "scrub", "start": 0.25, "end": 0.75}'
+        )
+        assert meta["tier"] == "local"
 
     def test_viewless_ops_attribute_none(self):
         state = _shared_state()
@@ -415,6 +450,13 @@ class TestServerRecorder:
         timeline = Timeline.from_trace(trace)
         assert {"s1", "s2"} <= set(timeline.rows)
         assert timeline.time_in_state("s1", "scrub") > 0
+
+    def test_full_recorder_keeps_the_latest_records(self):
+        recorder = ServerRecorder(max_records=3)
+        for i in range(7):
+            recorder.record(_record(began_s=float(i)))
+        assert [r.began_s for r in recorder.records] == [4.0, 5.0, 6.0]
+        assert recorder.dropped == 4
 
     def test_ring_bound_drops_oldest_but_keeps_counting(self):
         recorder = ServerRecorder(max_records=3)

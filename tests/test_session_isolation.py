@@ -109,6 +109,7 @@ class TestEvictionRebuild:
         ]
         for msg in ops:
             a.apply(msg)
+        old = state.shared.structure(a.session.grouping)
         hits = state.cache.stats["cross_hits"]
         oracle = SessionState.local(trace, settle_steps=1)
         for msg in ops:
@@ -118,8 +119,7 @@ class TestEvictionRebuild:
         # B's depth-1 and scrub replies were A's cached values ...
         assert state.cache.stats["cross_hits"] - hits >= 2
         # ... read through a rebuilt structure, not the one A used.
-        old = a.session._aggregator._structure_for(a.session.grouping)
-        new = b.session._aggregator._structure_for(b.session.grouping)
+        new = state.shared.structure(b.session.grouping)
         assert new is not old and new.key == old.key
         assert state.shared.stats["structure_evictions"] >= 2
 
@@ -194,7 +194,7 @@ class TestSharedStructureImmutability:
         shared = SharedTraceData(trace)
         session = AnalysisSession(trace, shared=shared, session_id="s")
         session.view(settle_steps=0)
-        structure = session._aggregator._structure_for(session.grouping)
+        structure = shared.structure(session.grouping)
         assert isinstance(structure.unit_order, tuple)
         assert isinstance(structure.edges, tuple)
         for table in (

@@ -31,19 +31,10 @@ AGG_KEYS = {
     "slice_delta",
     "slice_full",
     "advance_rounds",
-    "struct_hits",
-    "struct_rebuilds",
-    "combine_hits",
     "combine_full",
-    "combine_partial",
-    "units_reused",
-    "units_recombined",
     # Multi-session sharing (PR 7): cross-session result-cache traffic.
     "shared_hits",
     "shared_puts",
-    "temporal_ns",
-    "combine_ns",
-    "view_ns",
 }
 
 SIM_KEYS = {"events", "turns", "settles", "resumes", "spawns", "messages"}

@@ -88,7 +88,7 @@ class TestScrubStorm:
         for engine in (resident, mapped):
             assert engine.stats["slice_delta"] > engine.stats["slice_full"]
             assert engine.stats["advance_rounds"] > 0
-            assert engine.stats["combine_hits"] > 0
+            assert engine.stats["slice_hits"] > 0
 
     def test_grouping_storm_is_bit_identical(self, grid_trace, stored_trace):
         resident = AggregationEngine(grid_trace)
