@@ -4,22 +4,24 @@ DESIGN.md's layout section exposes ``theta`` as the accuracy/cost knob:
 ``theta = 0`` reproduces the exact O(n^2) forces, larger values
 approximate more aggressively.  This bench quantifies the trade-off on
 a clustered 1024-node graph: per-node interaction count (cost) and
-relative force error versus exact (quality).
+relative force error versus exact (quality), both read off the
+production traversal (:meth:`ArrayQuadTree.forces` over a sample of
+bodies).
 """
 
-import math
 import random
 
+import numpy as np
 import pytest
 
-from repro.core import QuadTree
+from repro.core import ArrayQuadTree
 
 N = 1024
 THETAS = (0.0, 0.3, 0.5, 0.7, 1.0, 1.5)
 
 
 @pytest.fixture(scope="module")
-def tree():
+def bodies():
     rng = random.Random(3)
     # Clustered points: what aggregated platform views look like.
     points = []
@@ -27,38 +29,33 @@ def tree():
         cx, cy = rng.uniform(-500, 500), rng.uniform(-500, 500)
         for __ in range(N // 32):
             points.append((cx + rng.gauss(0, 20), cy + rng.gauss(0, 20)))
-    return QuadTree(points)
+    pos = np.array(points)
+    return ArrayQuadTree(pos), pos, np.ones(N)
 
 
-def measurements(tree, theta, sample):
-    errors = []
-    interactions = []
-    for i in sample:
-        exact = tree.force_on(i, charge=100.0, theta=0.0)
-        approx = tree.force_on(i, charge=100.0, theta=theta)
-        norm = math.hypot(*exact)
-        if norm > 0:
-            errors.append(
-                math.hypot(approx[0] - exact[0], approx[1] - exact[1]) / norm
-            )
-        interactions.append(tree.interactions(i, theta))
-    return (
-        sum(errors) / len(errors),
-        sum(interactions) / len(interactions),
-    )
+def measurements(bodies, theta, sample):
+    """Mean relative force error and interactions per sampled body."""
+    tree, pos, masses = bodies
+    exact, _ = tree.forces(pos, masses, 100.0, 0.0, bodies=sample)
+    approx, p2p = tree.forces(pos, masses, 100.0, theta, bodies=sample)
+    work = (tree.far_cells + p2p) / len(sample)
+    norm = np.hypot(*exact[sample].T)
+    error = np.hypot(*(approx[sample] - exact[sample]).T)
+    return float((error[norm > 0] / norm[norm > 0]).mean()), work
 
 
-def test_theta_tradeoff(tree, report):
-    sample = range(0, N, 16)
+def test_theta_tradeoff(bodies, report):
+    sample = np.arange(0, N, 16)
     rows = ["theta   mean force error   interactions/node"]
     series = {}
     for theta in THETAS:
-        error, work = measurements(tree, theta, sample)
+        error, work = measurements(bodies, theta, sample)
         series[theta] = (error, work)
         rows.append(f"{theta:5.1f}   {error:16.4%}   {work:17.1f}")
     report("ablation_theta", rows)
-    # theta = 0 is exact.
+    # theta = 0 is exact: every body interacts with the n - 1 others.
     assert series[0.0][0] == pytest.approx(0.0, abs=1e-12)
+    assert series[0.0][1] == N - 1
     # Cost decreases monotonically with theta...
     works = [series[t][1] for t in THETAS]
     assert works == sorted(works, reverse=True)
@@ -69,11 +66,14 @@ def test_theta_tradeoff(tree, report):
     assert series[0.7][1] < series[0.0][1] / 5
 
 
-def test_theta_speed(benchmark, tree):
-    """Bench: one full force pass at the default theta."""
+def test_theta_speed(benchmark, bodies):
+    """Bench: one force pass over a quarter of the bodies at the
+    default theta."""
+    tree, pos, masses = bodies
+    sample = np.arange(0, N, 4)
 
     def sweep():
-        return [tree.force_on(i, 100.0, 0.7) for i in range(0, N, 4)]
+        return tree.forces(pos, masses, 100.0, 0.7, bodies=sample)[0]
 
     forces = benchmark(sweep)
-    assert len(forces) == N // 4
+    assert np.count_nonzero(forces.any(axis=1)) == N // 4

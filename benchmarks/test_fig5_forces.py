@@ -98,15 +98,13 @@ def test_fig5_step_stats_attribution(report):
     )
 
 
-def test_fig5_charge_series_matches_scalar_oracle():
-    """The Fig. 5 monotonicity holds on the legacy scalar kernel too —
-    the kernel swap did not change the physics."""
+def test_fig5_charge_series_matches_naive_oracle():
+    """The Fig. 5 monotonicity holds on the exact O(n^2) layout too —
+    the Barnes-Hut approximation did not change the physics."""
     charges = (100.0, 6400.0)
     dispersions = []
     for charge in charges:
-        layout = make_layout(
-            "barneshut", LayoutParams(charge=charge), seed=3, kernel="scalar"
-        )
+        layout = make_layout("naive", LayoutParams(charge=charge), seed=3)
         two_cluster_graph(layout)
         layout.run(max_steps=500, tolerance=0.05)
         dispersions.append(layout.dispersion())

@@ -2,18 +2,19 @@
 
 "The basic force-directed algorithm has severe performance problems on
 scale — O(n^2) ... we adopt the scalable Barnes-hut algorithm —
-O(n log n)."  Reproduced three ways:
+O(n log n)."  Reproduced two ways:
 
 * **interaction counts** — the naive pass evaluates exactly ``n - 1``
   pairwise interactions per node; Barnes-Hut evaluates one per accepted
-  cell, growing ~logarithmically with *n*;
+  cell or leaf body (``far_cells + p2p_pairs`` of the production
+  traversal), growing ~logarithmically with *n*;
 * **wall time per step** — both layouts benchmarked on the same
   clustered random graphs.  (The numpy-vectorized naive baseline has a
   much smaller constant, so the asymptotic win shows in counts at any
   size and in wall time at large sizes.)
-* **kernel speedup** — the vectorized array kernel vs the legacy
-  scalar quadtree walk on the same 2000-node graph; the measured
-  per-step times land in ``results/layout_kernel_speedup.json``.
+
+The sharded kernel's per-step speedup over the in-process one lands in
+``results/layout_sharded_speedup.json``.
 
 Set ``REPRO_BENCH_QUICK=1`` to shrink sizes/repetitions for CI smoke
 runs.
@@ -25,9 +26,10 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core import LayoutParams, QuadTree, make_layout
+from repro.core import ArrayQuadTree, LayoutParams, make_layout
 from repro.obs import bench
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -72,11 +74,11 @@ def test_interaction_counts_scale_n_log_n(report):
     per_node = {}
     for n in SIZES:
         points = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(n)]
-        tree = QuadTree(points)
-        sample = range(0, n, max(1, n // 64))
-        bh = sum(tree.interactions(i, theta=0.7) for i in sample) / len(
-            list(sample)
-        )
+        pos = np.array(points)
+        tree = ArrayQuadTree(pos)
+        sample = np.arange(0, n, max(1, n // 64))
+        _, p2p = tree.forces(pos, np.ones(n), 1.0, 0.7, bodies=sample)
+        bh = (tree.far_cells + p2p) / sample.size
         naive = n - 1
         per_node[n] = bh
         lines.append(
@@ -117,70 +119,6 @@ def test_barneshut_handles_grid_scale():
     assert stats["cells"] > n
     assert stats["p2p_pairs"] > 0
     assert stats["build_s"] + stats["traverse_s"] > 0.0
-
-
-#: The acceptance bar for the vectorized kernel, per relaxation step.
-SPEEDUP_N = 500 if QUICK else 2000
-SPEEDUP_FLOOR = 2.5 if QUICK else 5.0
-
-
-def test_vectorized_kernel_speedup(report):
-    """Array kernel vs the legacy scalar walk on the same graph.
-
-    Both layouts are built identically (same seed, same clustered
-    topology) and timed over whole relaxation steps — tree build (or
-    reuse), traversal, springs and integration included — through the
-    calibrated :func:`repro.obs.bench.measure` harness, so the numbers
-    in ``results/layout_kernel_speedup.json`` carry the same robust
-    statistics (median/IQR/MAD) as every ``BENCH_<suite>.json``.
-    """
-    measured = {}
-    for kernel, reps in (("scalar", 3 if QUICK else 5), ("array", 10 if QUICK else 30)):
-        layout = make_layout("barneshut", LayoutParams(), seed=2, kernel=kernel)
-        clustered_graph(layout, SPEEDUP_N)
-        timing = bench.measure(
-            layout.step, quick=QUICK, warmup=1, repeats=reps, min_sample_s=0.0
-        )
-        stats = layout.stats
-        measured[kernel] = {
-            "step_s": timing["median_s"],
-            "reps": timing["repeats"],
-            "timing": {k: timing[k] for k in
-                       ("median_s", "iqr_s", "mad_s", "mean_s",
-                        "min_s", "max_s")},
-            "cells": int(stats["cells"]),
-            "p2p_pairs": int(stats["p2p_pairs"]),
-            "total_build_s": stats["total_build_s"],
-            "total_traverse_s": stats["total_traverse_s"],
-        }
-    speedup = measured["scalar"]["step_s"] / measured["array"]["step_s"]
-    payload = {
-        "schema": bench.SCHEMA,
-        "machine": bench.machine_fingerprint(),
-        "n": SPEEDUP_N,
-        "quick": QUICK,
-        "speedup": speedup,
-        "floor": SPEEDUP_FLOOR,
-        "kernels": measured,
-    }
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "layout_kernel_speedup.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
-    report(
-        "layout_kernel_speedup",
-        [
-            f"n={SPEEDUP_N}  kernel   ms/step   cells   p2p_pairs",
-            *(
-                f"{'':8}{kernel:<8} {data['step_s'] * 1000:8.2f}  "
-                f"{data['cells']:6d}  {data['p2p_pairs']:9d}"
-                for kernel, data in measured.items()
-            ),
-            f"speedup: {speedup:.1f}x (floor {SPEEDUP_FLOOR}x)",
-        ],
-    )
-    assert speedup >= SPEEDUP_FLOOR
 
 
 #: The sharded-kernel acceptance bar: >= 2x per-step speedup over the

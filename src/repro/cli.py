@@ -109,8 +109,9 @@ def _add_layout_flags(p: argparse.ArgumentParser) -> None:
     """The layout-scaling flags shared by view-producing subcommands."""
     p.add_argument(
         "--layout-kernel", choices=LAYOUT_KERNELS, default="array",
-        help="Barnes-Hut execution strategy (default: array; 'sharded' "
-             "splits repulsion across worker processes)")
+        help="Barnes-Hut execution strategy (default: array, in one "
+             "process; 'sharded' splits repulsion across worker "
+             "processes and gives the same positions bit for bit)")
     p.add_argument(
         "--layout-workers", type=int, default=None, metavar="N",
         help="worker processes for --layout-kernel sharded "

@@ -6,8 +6,9 @@ loading the aggregation, layout, analysis or trace-model code.  The
 library modules that use each name re-export it from here.
 """
 
-#: Every Barnes-Hut execution strategy ``make_layout`` accepts.
-LAYOUT_KERNELS = ("array", "scalar", "sharded")
+#: Every Barnes-Hut execution strategy ``make_layout`` accepts: one
+#: process, or the repulsion cut into per-process shards.
+LAYOUT_KERNELS = ("array", "sharded")
 
 #: Every first-position strategy ``AnalysisSession`` accepts.
 SEEDING_MODES = ("radial", "multilevel")

@@ -18,7 +18,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".hierarchy": ("GroupingState", "Hierarchy"),
     ".layout": (
         "LAYOUT_KERNELS", "ArrayQuadTree", "BarnesHutLayout", "DynamicLayout",
-        "ForceLayout", "LayoutParams", "NaiveLayout", "QuadTree",
+        "ForceLayout", "LayoutParams", "NaiveLayout",
         "ShardedBarnesHutLayout", "make_layout", "multilevel_seeds",
     ),
     ".matrix": ("CommMatrix",),
@@ -55,7 +55,6 @@ __all__ = [
     "LayoutParams",
     "NaiveLayout",
     "NodeStyle",
-    "QuadTree",
     "ScaleSet",
     "ShapeRule",
     "SliceCache",

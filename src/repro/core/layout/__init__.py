@@ -3,7 +3,7 @@
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    ".barneshut": ("KERNELS", "BarnesHutLayout"),
+    ".barneshut": ("BarnesHutLayout",),
     ".base": ("ForceLayout",),
     ".engine": (
         "ALGORITHMS", "LAYOUT_KERNELS", "DynamicLayout", "make_layout",
@@ -11,7 +11,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".forces": ("LayoutParams",),
     ".multilevel": ("multilevel_seeds",),
     ".naive": ("NaiveLayout",),
-    ".quadtree": ("ArrayQuadTree", "QuadTree"),
+    ".quadtree": ("ArrayQuadTree",),
     ".seeding": ("radial_seeds",),
     ".sharded": ("ShardedBarnesHutLayout", "validate_workers"),
 })
@@ -22,11 +22,9 @@ __all__ = [
     "BarnesHutLayout",
     "DynamicLayout",
     "ForceLayout",
-    "KERNELS",
     "LAYOUT_KERNELS",
     "LayoutParams",
     "NaiveLayout",
-    "QuadTree",
     "ShardedBarnesHutLayout",
     "make_layout",
     "multilevel_seeds",

@@ -6,19 +6,15 @@ thousands of nodes.  With ``theta == 0`` the computation degenerates to
 the exact pairwise one (useful to validate against
 :class:`~repro.core.layout.naive.NaiveLayout`).
 
-Two kernels are available behind the ``kernel`` flag:
-
-* ``"array"`` (default) — the vectorized :class:`ArrayQuadTree` path:
-  the layout's ``(n, 2)`` position ndarray feeds the flat
-  structure-of-arrays tree directly and forces are evaluated by a
-  batched frontier traversal over fixed blocks of bodies, so its
-  memory stays flat as the graph grows.  The tree is reused
-  across relaxation steps until some body drifts further than
-  ``params.rebuild_drift`` of the root half-size (leaf interactions
-  always read current positions, so ``theta == 0`` stays exact even on
-  a stale tree).
-* ``"scalar"`` — the legacy pointer-based per-body walk, kept as the
-  differential-testing oracle and for benchmarks of the speedup.
+The layout's ``(n, 2)`` position ndarray feeds the flat
+:class:`ArrayQuadTree` directly and forces are evaluated by a batched
+frontier traversal over fixed blocks of bodies, so its memory stays
+flat as the graph grows.  The tree is reused across relaxation steps
+until some body drifts further than ``params.rebuild_drift`` of the
+root half-size (leaf interactions always read current positions, so
+``theta == 0`` stays exact even on a stale tree).  The sharded kernel
+(:class:`~repro.core.layout.sharded.ShardedBarnesHutLayout`) is this
+class with the traversal cut into per-process shards.
 
 Every evaluation records ``build_s`` / ``traverse_s`` / ``cells`` /
 ``p2p_pairs`` into :attr:`ForceLayout.stats`.
@@ -32,31 +28,23 @@ import numpy as np
 
 from repro.core.layout.base import ForceLayout
 from repro.core.layout.forces import LayoutParams
-from repro.core.layout.quadtree import ArrayQuadTree, QuadTree
-from repro.errors import LayoutError
+from repro.core.layout.quadtree import ArrayQuadTree
 from repro.obs.spans import span
 
-__all__ = ["BarnesHutLayout", "KERNELS"]
-
-KERNELS = ("array", "scalar")
+__all__ = ["BarnesHutLayout"]
 
 
 class BarnesHutLayout(ForceLayout):
     """Force layout with quadtree-approximated repulsion."""
 
     def __init__(
-        self,
-        params: LayoutParams | None = None,
-        seed: int = 0,
-        kernel: str = "array",
+        self, params: LayoutParams | None = None, seed: int = 0
     ) -> None:
-        if kernel not in KERNELS:
-            raise LayoutError(
-                f"unknown Barnes-Hut kernel {kernel!r}; pick one of {KERNELS}"
-            )
-        self.kernel = kernel
         self._tree: ArrayQuadTree | None = None
+        #: positions and root half-size at the last tree build: the
+        #: reference of the drift check
         self._tree_pos: np.ndarray | None = None
+        self._tree_half = 0.0
         super().__init__(params, seed)
 
     def _on_bodies_changed(self) -> None:
@@ -66,12 +54,17 @@ class BarnesHutLayout(ForceLayout):
         self._tree_pos = None
 
     def _needs_rebuild(self) -> bool:
-        if self._tree is None or self._tree.n_bodies != len(self._names):
+        if self._tree_pos is None or len(self._tree_pos) != len(self._names):
             return True
-        limit = self.params.rebuild_drift * float(self._tree.half[0])
+        limit = self.params.rebuild_drift * self._tree_half
         if limit <= 0.0:
             return True
         return bool(np.abs(self._pos - self._tree_pos).max() > limit)
+
+    def _mark_built(self, half: float) -> None:
+        """Make the current positions the drift check's reference."""
+        self._tree_pos = self._pos.copy()
+        self._tree_half = half
 
     def _repulsion_forces(self) -> np.ndarray:
         n = len(self._names)
@@ -80,14 +73,12 @@ class BarnesHutLayout(ForceLayout):
                 build_s=0.0, traverse_s=0.0, cells=0, p2p_pairs=0
             )
             return np.zeros((n, 2), dtype=float)
-        if self.kernel == "scalar":
-            return self._scalar_forces(n)
         build_s = 0.0
-        if self._needs_rebuild():
+        if self._tree is None or self._needs_rebuild():
             with span("layout.build"):
                 start = perf_counter()
                 self._tree = ArrayQuadTree(self._pos, self._weight)
-                self._tree_pos = self._pos.copy()
+                self._mark_built(float(self._tree.half[0]))
                 build_s = perf_counter() - start
         with span("layout.traverse"):
             start = perf_counter()
@@ -99,31 +90,5 @@ class BarnesHutLayout(ForceLayout):
             traverse_s=perf_counter() - start,
             cells=self._tree.n_cells,
             p2p_pairs=p2p,
-        )
-        return forces
-
-    def _scalar_forces(self, n: int) -> np.ndarray:
-        """The legacy oracle: scalar tree, per-body Python walk."""
-        with span("layout.build"):
-            start = perf_counter()
-            tree = QuadTree(
-                [(self._pos[i, 0], self._pos[i, 1]) for i in range(n)],
-                list(self._weight),
-            )
-            build_s = perf_counter() - start
-        charge = self.params.charge
-        theta = self.params.theta
-        forces = np.zeros((n, 2), dtype=float)
-        with span("layout.traverse"):
-            start = perf_counter()
-            for i in range(n):
-                fx, fy = tree.force_on(i, charge, theta)
-                forces[i, 0] = fx
-                forces[i, 1] = fy
-        self._record_stats(
-            build_s=build_s,
-            traverse_s=perf_counter() - start,
-            cells=tree.n_cells,
-            p2p_pairs=tree.p2p_pairs,
         )
         return forces

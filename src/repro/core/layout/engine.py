@@ -41,13 +41,14 @@ def make_layout(
 ) -> ForceLayout:
     """Instantiate a force layout by name.
 
-    ``kernel`` selects the Barnes-Hut implementation: ``"array"`` (the
-    vectorized production path), ``"scalar"`` (the legacy walk kept as
-    differential-testing oracle) or ``"sharded"`` (the array kernel's
-    repulsion partitioned across ``workers`` processes); it is ignored
-    by ``"naive"``.  ``workers`` is only meaningful with
-    ``kernel="sharded"`` (default 2) and must be a power of two —
-    any other value raises a typed :class:`~repro.errors.LayoutError`.
+    ``algorithm`` is ``"barneshut"`` (the production layout) or
+    ``"naive"`` (the exact O(n^2) oracle tests and benchmarks compare
+    against).  ``kernel`` selects how Barnes-Hut runs: ``"array"`` (in
+    one process) or ``"sharded"`` (its repulsion partitioned across
+    ``workers`` processes); it is ignored by ``"naive"``.  ``workers``
+    is only meaningful with ``kernel="sharded"`` (default 2) and must
+    be a power of two — any other value raises a typed
+    :class:`~repro.errors.LayoutError`.
     """
     if params is not None:
         # LayoutParams validates at construction, but a tampered or
@@ -79,7 +80,7 @@ def make_layout(
             return ShardedBarnesHutLayout(
                 params, seed, workers=2 if workers is None else workers
             )
-        return BarnesHutLayout(params, seed, kernel=kernel)
+        return BarnesHutLayout(params, seed)
     if algorithm == "naive":
         from repro.core.layout.naive import NaiveLayout
 
@@ -94,7 +95,6 @@ class DynamicLayout:
 
     def __init__(
         self,
-        algorithm: str = "barneshut",
         params: LayoutParams | None = None,
         seed: int = 0,
         max_steps: int = 300,
@@ -103,9 +103,8 @@ class DynamicLayout:
         workers: int | None = None,
     ) -> None:
         self.layout = make_layout(
-            algorithm, params, seed, kernel=kernel, workers=workers
+            "barneshut", params, seed, kernel=kernel, workers=workers
         )
-        self.algorithm = algorithm
         self.max_steps = max_steps
         self.tolerance = tolerance
         self._rng = random.Random(seed ^ 0x5EED)

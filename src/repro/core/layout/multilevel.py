@@ -112,7 +112,7 @@ def multilevel_seeds(
         from repro.core.layout.barneshut import BarnesHutLayout
 
         def make_level_layout(level_params, level_seed):
-            return BarnesHutLayout(level_params, level_seed, kernel="array")
+            return BarnesHutLayout(level_params, level_seed)
 
     # The target partition: graph node -> its full hierarchy prefix.
     prefix: dict[str, tuple] = {

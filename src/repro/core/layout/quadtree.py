@@ -7,34 +7,26 @@ center of mass; the force on a body is then computed by walking the
 tree and approximating any cell that looks small enough from the body
 (``size / distance < theta``) by a single point mass.
 
-Two implementations live here:
-
-* :class:`ArrayQuadTree` — the production kernel.  The tree is a flat
-  structure of parallel NumPy arrays (``cx/cy/half/mass/com_x/com_y/
-  children``) built level-by-level with vectorized group-bys, and
-  forces are evaluated with a frontier traversal over blocks of about
-  :data:`BLOCK_BODIES` bodies (each round expands every (body, cell)
-  pair of the block whose cell fails the opening criterion into its
-  children), so the traversal's memory does not grow with n.
-* :class:`QuadTree` — the legacy pointer-based scalar walk, kept as
-  the differential-testing oracle (``BarnesHutLayout(kernel="scalar")``)
-  and for per-body interaction counting.
-
-Both build geometrically identical trees: same root square, same
-``x >= cx`` quadrant rule, same ``MAX_DEPTH`` cutoff — so their force
-fields agree to floating-point roundoff for any ``theta``.
+:class:`ArrayQuadTree` is the one implementation.  The tree is a flat
+structure of parallel NumPy arrays (``cx/cy/half/mass/com_x/com_y/
+children``) built level-by-level with vectorized group-bys, and forces
+are evaluated with a frontier traversal over blocks of about
+:data:`BLOCK_BODIES` bodies (each round expands every (body, cell) pair
+of the block whose cell fails the opening criterion into its
+children), so the traversal's memory does not grow with n.  Its exact
+oracle is the O(n^2) :class:`~repro.core.layout.naive.NaiveLayout`,
+which ``theta == 0`` reproduces.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import LayoutError
 
-__all__ = ["QuadTree", "ArrayQuadTree", "MAX_DEPTH", "BLOCK_BODIES"]
+__all__ = ["ArrayQuadTree", "MAX_DEPTH", "BLOCK_BODIES", "root_cell"]
 
 #: Stop subdividing past this depth; co-located bodies share a leaf.
 MAX_DEPTH = 32
@@ -54,6 +46,19 @@ _EPS2 = 1e-12
 _KICK = (0.31, 0.17, 0.125)
 
 
+def root_cell(pos: np.ndarray) -> tuple[float, float, float]:
+    """Centre x, centre y and half-size of the root cell over *pos*.
+
+    The smallest square around the ``(n, 2)`` positions, widened by a
+    hair so the bodies on its far edges still fall inside.  The
+    sharded kernel derives its drift limit from this without building
+    a tree of its own.
+    """
+    lo, hi = pos.min(axis=0), pos.max(axis=0)
+    half = float(max(hi[0] - lo[0], hi[1] - lo[1])) / 2.0 + 1e-9
+    return float(lo[0] + hi[0]) / 2.0, float(lo[1] + hi[1]) / 2.0, half
+
+
 def _block_size(n: int) -> int:
     """Bodies per block when :meth:`ArrayQuadTree.forces` walks *n*."""
     blocks = max(1, n // BLOCK_BODIES)
@@ -64,9 +69,10 @@ class ArrayQuadTree:
     """Structure-of-arrays quadtree with batched force evaluation.
 
     ``positions`` is an ``(n, 2)`` float array (any nested sequence is
-    accepted and converted); ``masses`` defaults to all ones.  The tree
-    is immutable after construction; reuse across relaxation steps is
-    the layout's job (it rebuilds when positions drift too far).
+    accepted and converted); ``masses`` defaults to all ones.  The cells
+    are immutable after construction (only :attr:`far_cells`, the last
+    evaluation's count, changes); reuse across relaxation steps is the
+    layout's job (it rebuilds when positions drift too far).
     """
 
     __slots__ = (
@@ -88,6 +94,7 @@ class ArrayQuadTree:
         "_child_start",
         "_child_count",
         "_child_list",
+        "far_cells",
     )
 
     def __init__(
@@ -110,6 +117,7 @@ class ArrayQuadTree:
             if m.shape != (n,):
                 raise LayoutError(f"{n} positions but {m.size} masses")
         self.n_bodies = n
+        self.far_cells = 0
         if n == 0:
             self.n_cells = 0
             empty_f = np.zeros(0, dtype=float)
@@ -131,11 +139,10 @@ class ArrayQuadTree:
     def _build(self, pos: np.ndarray, m: np.ndarray) -> None:
         n = len(pos)
         x, y = pos[:, 0], pos[:, 1]
-        lo, hi = pos.min(axis=0), pos.max(axis=0)
-        half0 = float(max(hi[0] - lo[0], hi[1] - lo[1])) / 2.0 + 1e-9
+        cx0, cy0, half0 = root_cell(pos)
         total = float(m.sum())
-        cx = np.array([float(lo[0] + hi[0]) / 2.0])
-        cy = np.array([float(lo[1] + hi[1]) / 2.0])
+        cx = np.array([cx0])
+        cy = np.array([cy0])
         half = np.array([half0])
         mass = np.array([total])
         com_x = np.array([float(x @ m) / total])
@@ -263,7 +270,12 @@ class ArrayQuadTree:
 
         Returns ``(forces, p2p_pairs)`` where ``forces`` is ``(n, 2)``
         and ``p2p_pairs`` counts the exact body-body interactions
-        evaluated in leaves.  ``positions``/``masses`` are the *current*
+        evaluated in leaves; :attr:`far_cells` then holds the cells the
+        call accepted as point masses.  ``far_cells + p2p_pairs`` is the
+        interaction count behind the O(n log n) claim: a naive pass
+        evaluates ``n - 1`` interactions per body.
+
+        ``positions``/``masses`` are the *current*
         body state: when the tree is reused across steps they may
         differ slightly from the build-time state — leaf interactions
         stay exact (they read current positions), only the cell
@@ -288,6 +300,7 @@ class ArrayQuadTree:
         """
         n = self.n_bodies
         forces = np.zeros((n, 2), dtype=float)
+        self.far_cells = 0
         if n < 2 or self.n_cells == 0:
             return forces, 0
         pos = np.asarray(positions, dtype=float)
@@ -317,14 +330,17 @@ class ArrayQuadTree:
         theta2 = theta * theta
         # slot[body]: the body's row within its block's accumulators.
         slot = np.zeros(n, dtype=np.int64)
-        p2p = 0
+        p2p = far = 0
         step = _block_size(b.size)
         for lo in range(0, b.size, step):
             block = b[lo:lo + step]
             slot[block] = np.arange(block.size, dtype=np.int64)
-            p2p += self._block_forces(
+            pairs, cells = self._block_forces(
                 x, y, m, block, slot, charge, theta2, forces
             )
+            p2p += pairs
+            far += cells
+        self.far_cells = far
         return forces, p2p
 
     def _block_forces(
@@ -337,14 +353,14 @@ class ArrayQuadTree:
         charge: float,
         theta2: float,
         out: np.ndarray,
-    ) -> int:
+    ) -> tuple[int, int]:
         """Write the repulsion on *block*'s bodies into their rows of *out*.
 
         Far-cell terms and leaf cells are *collected* during the
         frontier sweep and summed in one bincount per block, so
         per-round work stays pure masking/arithmetic and each body's
         terms are added in traversal order, whatever shares its block.
-        Returns the number of exact leaf pairs evaluated.
+        Returns the exact leaf pairs and the accepted far cells.
         """
         k = block.size
         far_body: list[np.ndarray] = []
@@ -424,225 +440,4 @@ class ArrayQuadTree:
                 fy += np.bincount(ms, weights=scale * oy, minlength=k)
         out[block, 0] = fx
         out[block, 1] = fy
-        return p2p
-
-
-class _Cell:
-    """One quadtree cell (internal or leaf)."""
-
-    __slots__ = ("cx", "cy", "half", "mass", "com_x", "com_y", "children", "bodies")
-
-    def __init__(self, cx: float, cy: float, half: float) -> None:
-        self.cx = cx
-        self.cy = cy
-        self.half = half
-        self.mass = 0.0
-        self.com_x = 0.0
-        self.com_y = 0.0
-        self.children: list["_Cell | None"] | None = None  # None = leaf
-        self.bodies: list[int] = []
-
-    def quadrant(self, x: float, y: float) -> int:
-        return (1 if x >= self.cx else 0) | (2 if y >= self.cy else 0)
-
-    def child_center(self, quadrant: int) -> tuple[float, float]:
-        q = self.half / 2.0
-        return (
-            self.cx + (q if quadrant & 1 else -q),
-            self.cy + (q if quadrant & 2 else -q),
-        )
-
-
-class QuadTree:
-    """A quadtree over 2D bodies with masses, for O(n log n) repulsion.
-
-    The scalar pointer-based implementation; the production layout path
-    uses :class:`ArrayQuadTree` and keeps this one as the
-    differential-testing oracle.  ``n_cells`` counts allocated cells
-    and ``p2p_pairs`` accumulates the exact leaf interactions evaluated
-    by :meth:`force_on`, mirroring the array kernel's counters.
-    """
-
-    def __init__(
-        self,
-        positions: Sequence[tuple[float, float]],
-        masses: Sequence[float] | None = None,
-    ) -> None:
-        n = len(positions)
-        if masses is None:
-            masses = [1.0] * n
-        if len(masses) != n:
-            raise LayoutError(
-                f"{n} positions but {len(masses)} masses"
-            )
-        self._x = [float(p[0]) for p in positions]
-        self._y = [float(p[1]) for p in positions]
-        self._m = [float(m) for m in masses]
-        self.root: _Cell | None = None
-        self.n_cells = 0
-        self.p2p_pairs = 0
-        if n:
-            self._build()
-
-    def _new_cell(self, cx: float, cy: float, half: float) -> _Cell:
-        self.n_cells += 1
-        return _Cell(cx, cy, half)
-
-    def _build(self) -> None:
-        min_x, max_x = min(self._x), max(self._x)
-        min_y, max_y = min(self._y), max(self._y)
-        half = max(max_x - min_x, max_y - min_y) / 2.0 + 1e-9
-        self.root = self._new_cell(
-            (min_x + max_x) / 2.0, (min_y + max_y) / 2.0, half
-        )
-        for body in range(len(self._x)):
-            self._insert(self.root, body, 0)
-
-    def _insert(self, cell: _Cell, body: int, depth: int) -> None:
-        x, y, m = self._x[body], self._y[body], self._m[body]
-        while True:
-            # Update the aggregate on the way down.
-            total = cell.mass + m
-            cell.com_x = (cell.com_x * cell.mass + x * m) / total
-            cell.com_y = (cell.com_y * cell.mass + y * m) / total
-            cell.mass = total
-            if cell.children is None:
-                if not cell.bodies or depth >= MAX_DEPTH:
-                    cell.bodies.append(body)
-                    return
-                # Leaf splits: push the resident body down, then loop to
-                # place the new body in the subdivided cell.
-                residents = cell.bodies
-                cell.bodies = []
-                cell.children = [None, None, None, None]
-                for resident in residents:
-                    self._sink(cell, resident, depth)
-            quadrant = cell.quadrant(x, y)
-            child = cell.children[quadrant]
-            if child is None:
-                ccx, ccy = cell.child_center(quadrant)
-                child = cell.children[quadrant] = self._new_cell(
-                    ccx, ccy, cell.half / 2.0
-                )
-            cell = child
-            depth += 1
-
-    def _sink(self, parent: _Cell, body: int, depth: int) -> None:
-        """Place an already-counted body one level below *parent*."""
-        x, y = self._x[body], self._y[body]
-        quadrant = parent.quadrant(x, y)
-        child = parent.children[quadrant]
-        if child is None:
-            ccx, ccy = parent.child_center(quadrant)
-            child = parent.children[quadrant] = self._new_cell(
-                ccx, ccy, parent.half / 2.0
-            )
-        # Recount mass down this sub-path.
-        m = self._m[body]
-        cell = child
-        d = depth + 1
-        while True:
-            total = cell.mass + m
-            cell.com_x = (cell.com_x * cell.mass + x * m) / total
-            cell.com_y = (cell.com_y * cell.mass + y * m) / total
-            cell.mass = total
-            if cell.children is None:
-                if not cell.bodies or d >= MAX_DEPTH:
-                    cell.bodies.append(body)
-                    return
-                residents = cell.bodies
-                cell.bodies = []
-                cell.children = [None, None, None, None]
-                for resident in residents:
-                    self._sink(cell, resident, d)
-            quadrant = cell.quadrant(x, y)
-            nxt = cell.children[quadrant]
-            if nxt is None:
-                ccx, ccy = cell.child_center(quadrant)
-                nxt = cell.children[quadrant] = self._new_cell(
-                    ccx, ccy, cell.half / 2.0
-                )
-            cell = nxt
-            d += 1
-
-    def interactions(self, body: int, theta: float) -> int:
-        """Count the force interactions evaluated for *body*.
-
-        The complexity measure behind the paper's O(n^2) vs O(n log n)
-        claim: a naive pass always evaluates ``n - 1`` interactions,
-        Barnes-Hut evaluates one per approximated cell or leaf body.
-        """
-        if self.root is None:
-            return 0
-        x, y = self._x[body], self._y[body]
-        count = 0
-        stack = [self.root]
-        while stack:
-            cell = stack.pop()
-            if cell.mass <= 0:
-                continue
-            if cell.children is None:
-                count += sum(1 for other in cell.bodies if other != body)
-                continue
-            dx = x - cell.com_x
-            dy = y - cell.com_y
-            dist2 = dx * dx + dy * dy
-            size = cell.half * 2.0
-            if dist2 > _EPS2 and size * size < theta * theta * dist2:
-                count += 1
-            else:
-                for child in cell.children:
-                    if child is not None:
-                        stack.append(child)
-        return count
-
-    def force_on(
-        self, body: int, charge: float, theta: float
-    ) -> tuple[float, float]:
-        """Coulomb repulsion on *body* from every other body.
-
-        ``F = charge * m_i * m_j / d^2``, directed away from the other
-        mass.  Cells satisfying the opening criterion are approximated
-        by their center of mass; with ``theta == 0`` the computation is
-        exact (pairwise).
-        """
-        if self.root is None:
-            return (0.0, 0.0)
-        x, y, m = self._x[body], self._y[body], self._m[body]
-        fx = fy = 0.0
-        stack = [self.root]
-        while stack:
-            cell = stack.pop()
-            if cell.mass <= 0:
-                continue
-            dx = x - cell.com_x
-            dy = y - cell.com_y
-            dist2 = dx * dx + dy * dy
-            if cell.children is None:
-                # Leaf: exact interaction with each resident body.
-                for other in cell.bodies:
-                    if other == body:
-                        continue
-                    ox = x - self._x[other]
-                    oy = y - self._y[other]
-                    d2 = ox * ox + oy * oy
-                    if d2 < _EPS2:
-                        # Co-located bodies: deterministic tiny kick.
-                        ox, oy, d2 = _KICK
-                    f = charge * m * self._m[other] / d2
-                    d = math.sqrt(d2)
-                    fx += f * ox / d
-                    fy += f * oy / d
-                    self.p2p_pairs += 1
-                continue
-            size = cell.half * 2.0
-            if dist2 > _EPS2 and size * size < theta * theta * dist2:
-                f = charge * m * cell.mass / dist2
-                d = math.sqrt(dist2)
-                fx += f * dx / d
-                fy += f * dy / d
-            else:
-                for child in cell.children:
-                    if child is not None:
-                        stack.append(child)
-        return (fx, fy)
+        return p2p, sum(part.size for part in far_body)

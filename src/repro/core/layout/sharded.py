@@ -31,9 +31,11 @@ not worth a superstep.
 
 Workers are forked lazily on the first evaluation after a structural
 change, so graph construction (thousands of ``add_node`` calls) costs
-nothing extra.  On platforms without ``fork`` (or for tiny graphs,
-where a superstep costs more than it saves) the kernel transparently
-evaluates in-process with the same math.
+nothing extra.  The kernel is a :class:`BarnesHutLayout`: on platforms
+without ``fork`` (or for tiny graphs, where a superstep costs more than
+it saves) it evaluates through its parent class, in-process, and the
+drift check that decides when the workers rebuild their replicas is
+the parent's too.
 
 Every superstep records into the ``layout.shard`` stats namespace:
 ``supersteps``, ``rebuilds``, ``inproc_evals``, ``halo_bytes`` (pos
@@ -49,9 +51,9 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.layout.base import ForceLayout
+from repro.core.layout.barneshut import BarnesHutLayout
 from repro.core.layout.forces import LayoutParams
-from repro.core.layout.quadtree import ArrayQuadTree
+from repro.core.layout.quadtree import ArrayQuadTree, root_cell
 from repro.errors import LayoutError
 from repro.obs.registry import registry
 from repro.obs.spans import span
@@ -218,13 +220,14 @@ class _ShardPool:
                 pass
 
 
-class ShardedBarnesHutLayout(ForceLayout):
+class ShardedBarnesHutLayout(BarnesHutLayout):
     """Barnes-Hut layout whose repulsion runs on a worker-process pool.
 
     Selected via ``make_layout(..., kernel="sharded", workers=N)``.
     ``workers`` must be a power of two (see :func:`validate_workers`).
-    Agrees with ``kernel="array"`` to roundoff — same tree, same
-    per-body accumulation order — which the differential net enforces.
+    Bitwise equal to :class:`BarnesHutLayout` — same tree, same
+    per-body accumulation order, same rebuild schedule — which the
+    differential net enforces.
     """
 
     def __init__(
@@ -237,10 +240,6 @@ class ShardedBarnesHutLayout(ForceLayout):
         self.workers = validate_workers(workers)
         self.min_shard_bodies = min_shard_bodies
         self._pool: _ShardPool | None = None
-        self._force_rebuild = True
-        self._tree: ArrayQuadTree | None = None  # in-process fallback
-        self._tree_pos: np.ndarray | None = None
-        self._root_half = 0.0
         super().__init__(params, seed)
         #: per-superstep counters, folded into ``registry.snapshot()``
         #: under ``layout.shard.*``
@@ -259,64 +258,32 @@ class ShardedBarnesHutLayout(ForceLayout):
         )
 
     # ------------------------------------------------------------------
-    def _on_bodies_changed(self) -> None:
-        self._force_rebuild = True
-        self._tree = None
-        self._tree_pos = None
-
     def _use_pool(self, n: int) -> bool:
-        if self.workers < 2 or n < self.min_shard_bodies:
+        if self.workers < 2 or n < 2 or n < self.min_shard_bodies:
             return False
         return "fork" in multiprocessing.get_all_start_methods()
 
-    def _needs_rebuild(self) -> bool:
-        if self._force_rebuild or self._tree_pos is None:
-            return True
-        if len(self._tree_pos) != len(self._names):
-            return True
-        limit = self.params.rebuild_drift * self._root_half
-        if limit <= 0.0:
-            return True
-        return bool(np.abs(self._pos - self._tree_pos).max() > limit)
-
-    def _mark_built(self) -> None:
-        """Record the build-time positions for the drift check.
-
-        Mirrors :meth:`BarnesHutLayout._needs_rebuild`'s use of the
-        root half-size, computed here directly from the positions (the
-        same formula the tree constructor applies), so the coordinator
-        never needs its own tree replica.
-        """
-        self._tree_pos = self._pos.copy()
-        lo = self._pos.min(axis=0)
-        hi = self._pos.max(axis=0)
-        self._root_half = float(max(hi[0] - lo[0], hi[1] - lo[1])) / 2.0 + 1e-9
-        self._force_rebuild = False
-
     def _repulsion_forces(self) -> np.ndarray:
         n = len(self._names)
-        if n < 2:
-            self._record_stats(
-                build_s=0.0, traverse_s=0.0, cells=0, p2p_pairs=0
-            )
-            return np.zeros((n, 2), dtype=float)
         if not self._use_pool(n):
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
-            return self._inprocess_forces(n)
+            self.close()
+            if n >= 2:  # fewer bodies evaluate nothing
+                self.shard_stats["inproc_evals"] += 1
+            return super()._repulsion_forces()
         if self._pool is not None and self._pool.n != n:
-            self._pool.close()
-            self._pool = None
+            self.close()
         if self._pool is None:
             self._pool = _ShardPool(n, self.workers)
-            self._force_rebuild = True
+            self._tree_pos = None  # fresh workers hold no replica yet
         pool = self._pool
         rebuild = self._needs_rebuild()
         pool.pos[:] = self._pos  # the halo broadcast
         if rebuild:
             pool.weight[:] = self._weight
-            self._mark_built()
+            # The replicas supersede any in-process tree; the drift
+            # limit comes from the root the replicas will build.
+            self._tree = None
+            self._mark_built(root_cell(self._pos)[2])
         with span("layout.superstep", workers=self.workers, n=n):
             build_s, traverse_s, cells, p2p = pool.superstep(
                 rebuild, self.params.charge, self.params.theta
@@ -333,29 +300,6 @@ class ShardedBarnesHutLayout(ForceLayout):
             cells=cells, p2p_pairs=p2p,
         )
         return pool.force.copy()
-
-    def _inprocess_forces(self, n: int) -> np.ndarray:
-        """Small-n / no-fork path: same math, no pool."""
-        build_s = 0.0
-        if self._tree is None or self._needs_rebuild():
-            with span("layout.build"):
-                start = perf_counter()
-                self._tree = ArrayQuadTree(self._pos, self._weight)
-                self._mark_built()
-                build_s = perf_counter() - start
-        with span("layout.traverse"):
-            start = perf_counter()
-            forces, p2p = self._tree.forces(
-                self._pos, self._weight, self.params.charge, self.params.theta
-            )
-        self.shard_stats["inproc_evals"] += 1
-        self._record_stats(
-            build_s=build_s,
-            traverse_s=perf_counter() - start,
-            cells=self._tree.n_cells,
-            p2p_pairs=p2p,
-        )
-        return forces
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""

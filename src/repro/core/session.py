@@ -54,14 +54,12 @@ class AnalysisSession:
     mapping:
         Metric-to-shape mapping; defaults to the paper's (squares for
         hosts, diamonds for links).
-    layout_algorithm:
-        ``"barneshut"`` (default, scalable) or ``"naive"`` (exact).
     layout_params:
         Initial charge/spring/damping values.
     layout_kernel:
-        Barnes-Hut execution strategy: ``"array"`` (default),
-        ``"scalar"`` (the differential oracle) or ``"sharded"``
-        (repulsion partitioned across worker processes — see
+        Barnes-Hut execution strategy: ``"array"`` (default, one
+        process) or ``"sharded"`` (repulsion partitioned across worker
+        processes — see
         :class:`~repro.core.layout.ShardedBarnesHutLayout`).
     layout_workers:
         Worker-process count for ``layout_kernel="sharded"``; must be
@@ -81,8 +79,7 @@ class AnalysisSession:
         :class:`~repro.core.aggengine.AggregationEngine`) or
         ``"scalar"`` (the legacy from-scratch
         :func:`~repro.core.aggregation.aggregate_view`, kept as the
-        differential-testing oracle — exactly like the layout's
-        ``kernel="scalar"``).
+        differential-testing oracle).
     shared:
         A :class:`~repro.core.aggengine.SharedTraceData` holding the
         trace's immutable structures (hierarchy, signal banks, unit
@@ -103,7 +100,6 @@ class AnalysisSession:
         self,
         trace: Trace,
         mapping: VisualMapping | None = None,
-        layout_algorithm: str = "barneshut",
         layout_params: LayoutParams | None = None,
         space_op: Callable[[Sequence[float]], float] = sum,
         seed: int = 0,
@@ -146,7 +142,6 @@ class AnalysisSession:
             cache_owner=session_id,
         )
         self.dynamic = DynamicLayout(
-            layout_algorithm,
             layout_params,
             seed,
             kernel=layout_kernel,

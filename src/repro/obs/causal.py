@@ -316,17 +316,15 @@ class CausalTrace:
                 process, "process", ("causal", root.host, process)
             )
             builder.set_constant(process, CAPACITY, 1.0)
-            steps: list[tuple[float, int]] = []
-            for span in self._leaves.get(process, []):
-                if span.kind in ("compute", "send"):
-                    steps.append((span.start, 1))
-                    steps.append((span.end, -1))
-            steps.sort()
-            depth = 0
-            builder.record(process, USAGE, root.start, 0.0)
-            for time, step in steps:
-                depth += step
-                builder.record(process, USAGE, time, float(depth))
+            builder.record_busy(
+                process,
+                USAGE,
+                (
+                    (span.start, span.end)
+                    for span in self._leaves.get(process, [])
+                    if span.kind in ("compute", "send")
+                ),
+            )
             for span in self._leaves.get(process, []):
                 builder.point(
                     span.start,

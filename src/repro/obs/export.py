@@ -84,6 +84,67 @@ def jsonable_attrs(attrs: Mapping) -> dict:
     return out
 
 
+class _ChromeEvents:
+    """A Chrome trace-event list for one synthetic process.
+
+    Opens with the ``process_name`` metadata event; :meth:`lane` hands
+    out one ``tid`` per lane name, announcing each with a
+    ``thread_name`` metadata event on first use; :meth:`complete`
+    appends a ``ph: "X"`` event (``ts``/``dur`` in microseconds).
+    """
+
+    def __init__(self, pid: int, process_name: str) -> None:
+        self.pid = pid
+        self.lanes: dict[str, int] = {}
+        self.events: list[dict] = []
+        self._metadata("process_name", 0, process_name)
+
+    def _metadata(self, kind: str, tid: int, name: str) -> None:
+        self.events.append(
+            {"name": kind, "ph": "M", "pid": self.pid, "tid": tid,
+             "args": {"name": name}}
+        )
+
+    def lane(self, name: str) -> int:
+        """The ``tid`` of lane *name*, named by metadata on first use."""
+        tid = self.lanes.get(name)
+        if tid is None:
+            tid = self.lanes[name] = len(self.lanes) + 1
+            self._metadata("thread_name", tid, name)
+        return tid
+
+    def complete(
+        self, name: str, cat: str, lane: str, ts_s: float, dur_s: float,
+        attrs: Mapping,
+    ) -> None:
+        """Append one complete event on *lane* (times in seconds)."""
+        tid = self.lane(lane)
+        self.events.append(
+            {
+                "name": name,
+                "cat": cat,
+                "ph": "X",
+                "ts": ts_s * 1e6,
+                "dur": max(dur_s, 0.0) * 1e6,
+                "pid": self.pid,
+                "tid": tid,
+                "args": jsonable_attrs(attrs),
+            }
+        )
+
+
+def _write_chrome(path: str | Path, events: list[dict], other: dict) -> Path:
+    """Write *events* as the JSON-object flavor of the format."""
+    path = Path(path)
+    payload = {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": other,
+    }
+    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    return path
+
+
 def chrome_trace_events(profiler) -> list[dict]:
     """*profiler*'s spans as a Chrome trace-event list.
 
@@ -95,16 +156,7 @@ def chrome_trace_events(profiler) -> list[dict]:
     ``agg.*``, ``layout.*``, ``render.*`` ... as parallel tracks.
     """
     t0 = profiler.t0
-    families: dict[str, int] = {}
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": CHROME_PID,
-            "tid": 0,
-            "args": {"name": "repro pipeline"},
-        }
-    ]
+    out = _ChromeEvents(CHROME_PID, "repro pipeline")
     spans: list[tuple[float, str, float, dict]] = []
     for name, intervals in profiler.intervals.items():
         for began, ended, attrs in intervals:
@@ -112,31 +164,10 @@ def chrome_trace_events(profiler) -> list[dict]:
     spans.sort(key=lambda item: item[0])
     for began, name, ended, attrs in spans:
         family = _family(name)
-        tid = families.get(family)
-        if tid is None:
-            tid = families[family] = len(families) + 1
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": CHROME_PID,
-                    "tid": tid,
-                    "args": {"name": family},
-                }
-            )
-        events.append(
-            {
-                "name": name,
-                "cat": family,
-                "ph": "X",
-                "ts": max(began - t0, 0.0) * 1e6,
-                "dur": max(ended - began, 0.0) * 1e6,
-                "pid": CHROME_PID,
-                "tid": tid,
-                "args": jsonable_attrs(attrs),
-            }
+        out.complete(
+            name, family, family, max(began - t0, 0.0), ended - began, attrs
         )
-    return events
+    return out.events
 
 
 def write_chrome_trace(profiler, path: str | Path) -> Path:
@@ -146,17 +177,11 @@ def write_chrome_trace(profiler, path: str | Path) -> Path:
     plus ``displayTimeUnit``/``otherData``), loadable in Perfetto or
     ``chrome://tracing`` as-is.  Returns the written path.
     """
-    path = Path(path)
-    payload = {
-        "traceEvents": chrome_trace_events(profiler),
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro.obs.export",
-            "wall_s": profiler.wall_s(),
-        },
-    }
-    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    return path
+    return _write_chrome(
+        path,
+        chrome_trace_events(profiler),
+        {"generator": "repro.obs.export", "wall_s": profiler.wall_s()},
+    )
 
 
 def causal_chrome_events(causal) -> list[dict]:
@@ -175,45 +200,15 @@ def causal_chrome_events(causal) -> list[dict]:
     ``max(delivered_at, recv_span.start)`` so it always lands inside
     the receiving slice.
     """
-    lanes: dict[str, int] = {}
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": CAUSAL_PID,
-            "tid": 0,
-            "args": {"name": "simulated platform (causal)"},
-        }
-    ]
+    out = _ChromeEvents(CAUSAL_PID, "simulated platform (causal)")
     for process in causal.processes():
-        tid = lanes[process] = len(lanes) + 1
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": CAUSAL_PID,
-                "tid": tid,
-                "args": {"name": process},
-            }
-        )
+        out.lane(process)
     for span in sorted(causal.spans, key=lambda s: (s.start, s.span_id)):
-        tid = lanes.get(span.process)
-        if tid is None:  # a process with no root span (defensive)
-            tid = lanes[span.process] = len(lanes) + 1
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.kind,
-                "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": max(span.duration, 0.0) * 1e6,
-                "pid": CAUSAL_PID,
-                "tid": tid,
-                "args": jsonable_attrs(
-                    dict(span.attrs, span_id=span.span_id, host=span.host)
-                ),
-            }
+        out.complete(
+            span.name, span.kind, span.process, span.start, span.duration,
+            dict(span.attrs, span_id=span.span_id, host=span.host),
         )
+    events = out.events
     for index, edge in enumerate(causal.edges):
         flow = {
             "name": edge.mailbox or "message",
@@ -234,7 +229,7 @@ def causal_chrome_events(causal) -> list[dict]:
                 flow,
                 ph="s",
                 ts=edge.sent_at * 1e6,
-                tid=lanes[edge.src_process],
+                tid=out.lanes[edge.src_process],
             )
         )
         events.append(
@@ -243,7 +238,7 @@ def causal_chrome_events(causal) -> list[dict]:
                 ph="f",
                 bp="e",
                 ts=max(edge.delivered_at, recv.start) * 1e6,
-                tid=lanes[edge.dst_process],
+                tid=out.lanes[edge.dst_process],
             )
         )
     return events
@@ -256,17 +251,11 @@ def write_causal_chrome_trace(causal, path: str | Path) -> Path:
     flavor of the format, with the simulated ``end_time`` recorded
     under ``otherData``.  Returns the written path.
     """
-    path = Path(path)
-    payload = {
-        "traceEvents": causal_chrome_events(causal),
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro.obs.causal",
-            "end_time": causal.end_time,
-        },
-    }
-    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    return path
+    return _write_chrome(
+        path,
+        causal_chrome_events(causal),
+        {"generator": "repro.obs.causal", "end_time": causal.end_time},
+    )
 
 
 class JsonlWriter:

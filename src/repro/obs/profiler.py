@@ -195,20 +195,13 @@ class Profiler:
             builder.set_constant(
                 stage, "busy_s", sum(e - b for b, e, _ in intervals)
             )
-            # The busy signal: +1 at every span start, -1 at every end,
-            # replayed in time order (ties collapse via SignalBuilder).
-            edges: list[tuple[float, int]] = []
-            for began, ended, _ in intervals:
-                edges.append((began - self.t0, 1))
-                edges.append((ended - self.t0, -1))
-                end_time = max(end_time, ended - self.t0)
-            edges.sort()
-            depth = 0
-            builder.record(stage, USAGE, 0.0, 0.0)
-            for time, step in edges:
-                depth += step
-                builder.record(stage, USAGE, max(time, 0.0), float(depth))
+            builder.record_busy(
+                stage,
+                USAGE,
+                ((b - self.t0, e - self.t0) for b, e, _ in intervals),
+            )
             for began, ended, attrs in intervals:
+                end_time = max(end_time, ended - self.t0)
                 if points >= self.max_points:
                     dropped += 1
                     continue

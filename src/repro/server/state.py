@@ -64,8 +64,8 @@ class ServerConfig:
     seed: int = 0
     #: Capacity of the shared result cache.
     cache_entries: int = 4096
-    #: Barnes-Hut kernel every session runs (``"array"``, ``"scalar"``
-    #: or ``"sharded"`` — see :func:`repro.core.layout.make_layout`).
+    #: Barnes-Hut kernel every session runs (``"array"`` or
+    #: ``"sharded"`` — see :func:`repro.core.layout.make_layout`).
     layout_kernel: str = "array"
     #: Worker processes per session for ``layout_kernel="sharded"``;
     #: ``None`` keeps the kernel default.  Power of two.

@@ -321,16 +321,11 @@ class ServerRecorder:
             builder.set_constant(
                 session, "bytes_out", float(sum(r.bytes_out for r in rows))
             )
-            steps: list[tuple[float, int]] = []
-            for row in rows:
-                steps.append((row.began_s, 1))
-                steps.append((row.began_s + row.wall_s, -1))
-            steps.sort()
-            depth = 0
-            builder.record(session, USAGE, 0.0, 0.0)
-            for time, step in steps:
-                depth += step
-                builder.record(session, USAGE, max(time, 0.0), float(depth))
+            builder.record_busy(
+                session,
+                USAGE,
+                ((r.began_s, r.began_s + r.wall_s) for r in rows),
+            )
             for row in rows:
                 builder.point(
                     row.began_s, "state", session, "server", state=row.op

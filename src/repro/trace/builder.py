@@ -106,6 +106,31 @@ class TraceBuilder:
         for time, value in zip(times, values):
             builder.set(time, value)
 
+    def record_busy(
+        self,
+        entity: str,
+        metric: str,
+        intervals: Iterable[tuple[float, float]],
+    ) -> None:
+        """Record *metric* of *entity* as the number of open *intervals*.
+
+        The busy-signal replay of every self-trace: the signal starts
+        at 0 and steps +1 at each interval's begin and -1 at its end,
+        in time order (an end sorts before a begin at the same instant,
+        and same-time steps collapse to their net value).  Steps before
+        time 0 land on it.  With no intervals the signal is constant 0.
+        """
+        steps: list[tuple[float, int]] = []
+        for began, ended in intervals:
+            steps.append((began, 1))
+            steps.append((ended, -1))
+        steps.sort()
+        depth = 0
+        self.record(entity, metric, 0.0, 0.0)
+        for time, step in steps:
+            depth += step
+            self.record(entity, metric, max(time, 0.0), float(depth))
+
     def record_event(self, event: VariableEvent) -> None:
         """Record a :class:`VariableEvent` (same as :meth:`record`)."""
         self.record(event.entity, event.metric, event.time, event.value)

@@ -29,9 +29,9 @@ pre-built column arrays — typically :func:`numpy.memmap` views handed
 out by :class:`repro.trace.store.TraceStore` — without copying them.
 Such a bank reports ``backing == "mmap"`` and switches :meth:`locate`
 from the full cumulative-count sweep (which would fault in every page
-of the file) to a per-row binary search that touches only O(log n)
-pages per signal; :meth:`advance` is already incremental, so a scrub
-step reads only the byte ranges its delta windows cross.
+of the file) to a vectorized per-row binary search that touches only
+O(log n) pages per signal; :meth:`advance` is already incremental, so
+a scrub step reads only the byte ranges its delta windows cross.
 """
 
 from __future__ import annotations
@@ -176,21 +176,24 @@ class SignalBank:
         breakpoint array plus a cumulative-count rank per row; exact
         (no float tricks), cost O(total breakpoints).  For an
         ``"mmap"``-backed bank the sweep would fault in every page of
-        the stored file, so each row instead gets its own
-        :func:`numpy.searchsorted` over its slice of the column —
-        identical ``bisect_right`` semantics, O(log n) page touches
-        per row.
+        the stored file, so every row is instead bisected at once: each
+        round halves the ``[lo, hi)`` range of every row still open,
+        so at most ``log2(longest row) + 1`` rounds run and each row
+        touches O(log n) pages — identical ``bisect_right`` semantics.
         """
         t = self._check_time(t)
         if self.backing == "mmap":
-            n = len(self.lengths)
-            out = np.empty(n, dtype=np.intp)
-            times, offsets = self.times, self.offsets
-            for i in range(n):
-                out[i] = np.searchsorted(
-                    times[offsets[i] : offsets[i + 1]], t, side="right"
-                )
-            return out
+            times, starts = self.times, self.offsets[:-1]
+            lo = starts.copy()
+            hi = self.offsets[1:].copy()
+            live = np.flatnonzero(lo < hi)
+            while live.size:
+                mid = (lo[live] + hi[live]) >> 1
+                right = times[mid] <= t
+                lo[live[right]] = mid[right] + 1
+                hi[live[~right]] = mid[~right]
+                live = live[lo[live] < hi[live]]
+            return lo - starts
         counts = np.zeros(len(self.times) + 1, dtype=np.intp)
         np.cumsum(self.times <= t, out=counts[1:])
         return counts[self.offsets[1:]] - counts[self.offsets[:-1]]

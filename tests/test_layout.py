@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.layout import (
+    ArrayQuadTree,
     BarnesHutLayout,
     DynamicLayout,
     LayoutParams,
     NaiveLayout,
-    QuadTree,
+    ShardedBarnesHutLayout,
     make_layout,
 )
 from repro.errors import LayoutError
@@ -51,9 +52,11 @@ class TestQuadTree:
     def test_force_is_pairwise_exact_with_theta_zero(self):
         points = [(0.0, 0.0), (10.0, 0.0), (3.0, 4.0), (-5.0, 2.0)]
         masses = [1.0, 2.0, 3.0, 1.5]
-        tree = QuadTree(points, masses)
+        tree = ArrayQuadTree(points, masses)
+        forces, _ = tree.forces(
+            np.array(points), np.array(masses), charge=100.0, theta=0.0
+        )
         for i in range(len(points)):
-            fx, fy = tree.force_on(i, charge=100.0, theta=0.0)
             ex = ey = 0.0
             for j in range(len(points)):
                 if i == j:
@@ -65,39 +68,40 @@ class TestQuadTree:
                 d = math.sqrt(d2)
                 ex += f * dx / d
                 ey += f * dy / d
-            assert fx == pytest.approx(ex, rel=1e-9)
-            assert fy == pytest.approx(ey, rel=1e-9)
+            assert forces[i, 0] == pytest.approx(ex, rel=1e-9)
+            assert forces[i, 1] == pytest.approx(ey, rel=1e-9)
 
     def test_approximation_close_to_exact(self):
         rng = np.random.default_rng(0)
-        points = [tuple(p) for p in rng.uniform(-100, 100, size=(200, 2))]
-        tree = QuadTree(points)
+        points = rng.uniform(-100, 100, size=(200, 2))
+        masses = np.ones(200)
+        tree = ArrayQuadTree(points)
+        exact, _ = tree.forces(points, masses, 50.0, theta=0.0)
+        approx, _ = tree.forces(points, masses, 50.0, theta=0.7)
         for i in range(0, 200, 17):
-            exact = tree.force_on(i, 50.0, theta=0.0)
-            approx = tree.force_on(i, 50.0, theta=0.7)
-            norm = math.hypot(*exact)
-            err = math.hypot(approx[0] - exact[0], approx[1] - exact[1])
+            norm = math.hypot(*exact[i])
+            err = math.hypot(*(approx[i] - exact[i]))
             assert err <= 0.15 * norm + 1e-9
 
     def test_colocated_points_dont_crash(self):
-        tree = QuadTree([(1.0, 1.0)] * 5)
-        fx, fy = tree.force_on(0, 10.0, 0.7)
-        assert math.isfinite(fx) and math.isfinite(fy)
+        tree = ArrayQuadTree([(1.0, 1.0)] * 5)
+        forces, _ = tree.forces(np.ones((5, 2)), np.ones(5), 10.0, 0.7)
+        assert np.isfinite(forces).all()
 
     def test_mass_mismatch_rejected(self):
         with pytest.raises(LayoutError):
-            QuadTree([(0.0, 0.0)], [1.0, 2.0])
+            ArrayQuadTree([(0.0, 0.0)], [1.0, 2.0])
 
     def test_empty_tree(self):
-        tree = QuadTree([])
-        assert tree.root is None
+        tree = ArrayQuadTree([])
+        assert tree.n_bodies == 0 and tree.n_cells == 0
 
     def test_total_mass_preserved(self):
         rng = np.random.default_rng(1)
-        pts = [tuple(p) for p in rng.uniform(-10, 10, size=(50, 2))]
-        masses = list(rng.uniform(0.5, 3.0, size=50))
-        tree = QuadTree(pts, masses)
-        assert tree.root.mass == pytest.approx(sum(masses))
+        pts = rng.uniform(-10, 10, size=(50, 2))
+        masses = rng.uniform(0.5, 3.0, size=50)
+        tree = ArrayQuadTree(pts, masses)
+        assert tree.mass[0] == pytest.approx(masses.sum())
 
 
 @pytest.mark.parametrize("algorithm", ["naive", "barneshut"])
@@ -397,7 +401,7 @@ class TestDynamicLayout:
 class TestRepulsionStats:
     """The per-step counters every kernel must populate."""
 
-    KINDS = [("naive", "array"), ("barneshut", "array"), ("barneshut", "scalar")]
+    KINDS = [("naive", "array"), ("barneshut", "array"), ("barneshut", "sharded")]
 
     @pytest.mark.parametrize("algorithm,kernel", KINDS)
     @pytest.mark.parametrize("n", [0, 1])
@@ -416,9 +420,12 @@ class TestRepulsionStats:
     @pytest.mark.parametrize("algorithm,kernel", KINDS)
     def test_real_step_populates_counters(self, algorithm, kernel):
         layout = make_layout(algorithm, seed=2, kernel=kernel)
+        if kernel == "sharded":
+            layout.min_shard_bodies = 2  # evaluate on the worker pool
         for i in range(12):
             layout.add_node(f"n{i}")
         layout.step()
+        layout.close()
         stats = layout.stats
         assert stats["evals"] == 1
         assert stats["traverse_s"] > 0.0
@@ -465,10 +472,13 @@ class TestMakeLayoutValidation:
         LayoutParams(rebuild_drift=0.0)
 
     def test_kernel_flag(self):
-        assert make_layout("barneshut").kernel == "array"
-        assert make_layout("barneshut", kernel="scalar").kernel == "scalar"
-        with pytest.raises(LayoutError):
-            make_layout("barneshut", kernel="gpu")
+        assert type(make_layout("barneshut")) is BarnesHutLayout
+        sharded = make_layout("barneshut", kernel="sharded")
+        assert isinstance(sharded, ShardedBarnesHutLayout)
+        sharded.close()
+        for gone in ("scalar", "gpu"):
+            with pytest.raises(LayoutError):
+                make_layout("barneshut", kernel=gone)
 
 
 @given(

@@ -1,14 +1,17 @@
 """Differential-testing net for the layout stack.
 
-The vectorized :class:`ArrayQuadTree` kernel is validated three ways
+:class:`ArrayQuadTree` is the one Barnes-Hut tree.  It is validated
 over a pool of seeded random graphs (varied sizes, masses, co-located
 bodies):
 
 * with ``theta == 0`` its forces must match the exact pairwise
-  :class:`NaiveLayout` computation (different algorithm, same physics);
-* for realistic ``theta`` it must match the legacy scalar quadtree
-  walk (``kernel="scalar"``) — same tree, same opening criterion,
-  different execution strategy;
+  :class:`NaiveLayout` computation (different algorithm, same physics),
+  for one evaluation and along short trajectories;
+* for realistic ``theta`` its batched traversal must match
+  :func:`reference_walk`, a per-body scalar stack walk over the same
+  tree's arrays — same opening criterion, same co-location kick,
+  different execution strategy — down to the exact pair and far-cell
+  counts;
 * rerunning the identical scenario must be *byte-identical*, so layout
   results are reproducible across runs;
 * the **sharded** kernel (repulsion partitioned across worker
@@ -18,8 +21,10 @@ bodies):
   per-body accumulation order does not depend on which other bodies
   are co-evaluated.
 
-Plus the structural quadtree invariants the force computation relies
-on (mass conservation, center-of-mass consistency, MAX_DEPTH leaves).
+The reference walk reads the tree it checks, so the structural
+invariants pin the tree itself: every body in exactly one leaf, the
+quadrant rule on every path, child geometry, MAX_DEPTH leaves, and
+each cell's mass and center of mass against the bodies beneath it.
 """
 
 import math
@@ -30,7 +35,6 @@ import pytest
 from repro.core.layout import (
     ArrayQuadTree,
     LayoutParams,
-    QuadTree,
     ShardedBarnesHutLayout,
     make_layout,
     validate_workers,
@@ -93,12 +97,10 @@ def random_bodies(case):
     return pts, masses
 
 
-def seeded_layout(algorithm, case, theta, kernel="array", edges=False):
+def seeded_layout(algorithm, case, theta, edges=False):
     n, seed, _ = case
     pts, masses = random_bodies(case)
-    layout = make_layout(
-        algorithm, LayoutParams(theta=theta), seed=seed, kernel=kernel
-    )
+    layout = make_layout(algorithm, LayoutParams(theta=theta), seed=seed)
     for i in range(n):
         layout.add_node(
             f"n{i}",
@@ -126,31 +128,72 @@ def test_theta_zero_matches_naive_pairwise(case):
     assert_forces_match(bh._repulsion_forces(), naive._repulsion_forces())
 
 
+def reference_walk(tree, pos, masses, charge, theta):
+    """Barnes-Hut forces by a per-body stack walk over *tree*'s arrays.
+
+    The scalar statement of the algorithm: a leaf interacts exactly
+    with each resident (co-located pairs get the fixed kick), a cell
+    whose opening size ``2 * half`` is under ``theta`` times its
+    distance acts as one point mass, any other cell opens.  Returns
+    ``(forces, p2p_pairs, far_cells)``.
+    """
+    forces = np.zeros((len(pos), 2))
+    p2p = far = 0
+    for i, (x, y) in enumerate(pos):
+        stack = [0]
+        while stack:
+            c = stack.pop()
+            if tree.is_leaf[c]:
+                first = tree.leaf_start[c]
+                others = tree.leaf_bodies[first:first + tree.leaf_count[c]]
+                pairs = [(x - pos[j, 0], y - pos[j, 1], masses[j])
+                         for j in others if j != i]
+                p2p += len(pairs)
+            else:
+                dx, dy = x - tree.com_x[c], y - tree.com_y[c]
+                d2 = dx * dx + dy * dy
+                size = 2.0 * tree.half[c]
+                if not (d2 > 1e-12 and size * size < theta * theta * d2):
+                    stack.extend(k for k in tree.children[c] if k >= 0)
+                    continue
+                pairs = [(dx, dy, tree.mass[c])]
+                far += 1
+            for dx, dy, mass in pairs:
+                d2 = dx * dx + dy * dy
+                if d2 < 1e-12:
+                    dx, dy, d2 = 0.31, 0.17, 0.125
+                f = charge * masses[i] * mass / d2 / math.sqrt(d2)
+                forces[i] += (f * dx, f * dy)
+    return forces, p2p, far
+
+
 @pytest.mark.parametrize("theta", [0.5, 0.9, 1.2])
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_matches_legacy_scalar_walk(case, theta):
-    """(b) Array kernel == scalar oracle for realistic theta."""
+    """(b) Array kernel == the scalar reference walk for realistic theta."""
     arr = seeded_layout("barneshut", case, theta=theta)
-    oracle = seeded_layout("barneshut", case, theta=theta, kernel="scalar")
-    assert_forces_match(arr._repulsion_forces(), oracle._repulsion_forces())
-    # Same tree, too: the cell counts must agree exactly.
-    assert arr.stats["cells"] == oracle.stats["cells"]
-    assert arr.stats["p2p_pairs"] == oracle.stats["p2p_pairs"]
+    got = arr._repulsion_forces()
+    want, p2p, far = reference_walk(
+        arr._tree, arr._pos, arr._weight, arr.params.charge, theta
+    )
+    assert_forces_match(got, want)
+    # Same walk, too: the pair and far-cell counts must agree exactly.
+    assert arr.stats["p2p_pairs"] == p2p
+    assert arr._tree.far_cells == far
 
 
 @pytest.mark.parametrize("case", CASES[:8], ids=CASE_IDS[:8])
 def test_short_trajectories_match_oracle(case):
-    """A few relaxation steps stay within roundoff of the oracle."""
+    """Ten relaxation steps at theta=0 stay within roundoff of the
+    exact pairwise layout, reused trees and co-located bodies included."""
 
-    def run(kernel):
-        layout = seeded_layout(
-            "barneshut", case, theta=0.7, kernel=kernel, edges=True
-        )
+    def run(algorithm):
+        layout = seeded_layout(algorithm, case, theta=0.0, edges=True)
         for _ in range(10):
             layout.step()
         return layout._pos.copy()
 
-    arr, oracle = run("array"), run("scalar")
+    arr, oracle = run("barneshut"), run("naive")
     scale = max(float(np.abs(oracle).max()), 1.0)
     np.testing.assert_allclose(arr, oracle, rtol=1e-6, atol=1e-6 * scale)
 
@@ -176,18 +219,20 @@ INVARIANT_CASES = [(1, 20, 0), (2, 21, 1), (17, 22, 3), (64, 23, 0), (200, 24, 1
 INVARIANT_IDS = [f"n{n}-s{s}-c{c}" for n, s, c in INVARIANT_CASES]
 
 
-def _scalar_cells(tree):
-    """Every (cell, depth) of a scalar QuadTree, root first."""
-    if tree.root is None:
-        return
-    stack = [(tree.root, 0)]
-    while stack:
-        cell, depth = stack.pop()
-        yield cell, depth
-        if cell.children is not None:
-            for child in cell.children:
-                if child is not None:
-                    stack.append((child, depth + 1))
+def cells_above(tree):
+    """``(cell, child)`` links and each body's leaf-to-root cell path."""
+    parent = np.full(tree.n_cells, -1)
+    for cell, row in enumerate(tree.children):
+        parent[row[row >= 0]] = cell
+    paths = {}
+    for leaf in np.flatnonzero(tree.is_leaf):
+        first = tree.leaf_start[leaf]
+        for body in tree.leaf_bodies[first:first + tree.leaf_count[leaf]]:
+            path = [int(leaf)]
+            while parent[path[-1]] >= 0:
+                path.append(int(parent[path[-1]]))
+            paths[int(body)] = path
+    return parent, paths
 
 
 class TestQuadTreeInvariants:
@@ -195,10 +240,8 @@ class TestQuadTreeInvariants:
     def test_root_mass_equals_body_total(self, case):
         pts, masses = random_bodies(case)
         arr = ArrayQuadTree(pts, masses)
-        scalar = QuadTree([tuple(p) for p in pts], list(masses))
         total = float(masses.sum())
         assert arr.mass[0] == pytest.approx(total, rel=1e-12)
-        assert scalar.root.mass == pytest.approx(total, rel=1e-12)
 
     @pytest.mark.parametrize("case", INVARIANT_CASES, ids=INVARIANT_IDS)
     def test_internal_com_is_children_weighted_com(self, case):
@@ -219,19 +262,68 @@ class TestQuadTreeInvariants:
                     axis=1
                 ) / mass_sum
                 np.testing.assert_allclose(weighted, com[internal], rtol=1e-9)
-        scalar = QuadTree([tuple(p) for p in pts], list(masses))
-        for cell, _depth in _scalar_cells(scalar):
-            if cell.children is None:
-                continue
-            kids = [c for c in cell.children if c is not None]
-            mass_sum = sum(k.mass for k in kids)
-            assert mass_sum == pytest.approx(cell.mass, rel=1e-9)
-            assert sum(k.mass * k.com_x for k in kids) / mass_sum == pytest.approx(
-                cell.com_x, rel=1e-9, abs=1e-9
-            )
-            assert sum(k.mass * k.com_y for k in kids) / mass_sum == pytest.approx(
-                cell.com_y, rel=1e-9, abs=1e-9
-            )
+
+    @pytest.mark.parametrize("case", INVARIANT_CASES, ids=INVARIANT_IDS)
+    def test_every_body_in_exactly_one_leaf(self, case):
+        pts, masses = random_bodies(case)
+        tree = ArrayQuadTree(pts, masses)
+        n = len(pts)
+        assert sorted(tree.leaf_bodies.tolist()) == list(range(n))
+        assert int(tree.leaf_count.sum()) == n
+        assert np.array_equal(tree.is_leaf, tree.leaf_count > 0)
+        assert (tree.children[tree.is_leaf] < 0).all()
+        # Every cell is reachable and every non-leaf has a child.
+        parent, paths = cells_above(tree)
+        assert (parent[1:] >= 0).all() and parent[0] == -1
+        assert ((tree.children >= 0).any(axis=1) | tree.is_leaf).all()
+        assert all(path[-1] == 0 for path in paths.values())
+
+    @pytest.mark.parametrize("case", INVARIANT_CASES, ids=INVARIANT_IDS)
+    def test_quadrant_rule_on_every_path(self, case):
+        pts, masses = random_bodies(case)
+        tree = ArrayQuadTree(pts, masses)
+        _, paths = cells_above(tree)
+        for body, path in paths.items():
+            x, y = pts[body]
+            for child, cell in zip(path, path[1:]):
+                quad = int(x >= tree.cx[cell]) | int(y >= tree.cy[cell]) << 1
+                assert tree.children[cell, quad] == child, (body, cell)
+
+    @pytest.mark.parametrize("case", INVARIANT_CASES, ids=INVARIANT_IDS)
+    def test_child_geometry_halves_the_parent(self, case):
+        pts, masses = random_bodies(case)
+        tree = ArrayQuadTree(pts, masses)
+        cells, quads = np.nonzero(tree.children >= 0)
+        kids = tree.children[cells, quads]
+        offset = tree.half[cells] / 2.0
+        sign_x = np.where(quads & 1, 1.0, -1.0)
+        sign_y = np.where(quads & 2, 1.0, -1.0)
+        assert np.array_equal(tree.half[kids], offset)
+        assert np.array_equal(tree.cx[kids], tree.cx[cells] + sign_x * offset)
+        assert np.array_equal(tree.cy[kids], tree.cy[cells] + sign_y * offset)
+        assert np.array_equal(tree.depth[kids], tree.depth[cells] + 1)
+        # The root square covers every body.
+        assert (np.abs(pts - (tree.cx[0], tree.cy[0])) <= tree.half[0]).all()
+
+    @pytest.mark.parametrize("case", INVARIANT_CASES, ids=INVARIANT_IDS)
+    def test_cells_sum_the_bodies_beneath_them(self, case):
+        """Each cell's body count, mass and center of mass come from
+        the bodies on paths through it; only MAX_DEPTH leaves share."""
+        pts, masses = random_bodies(case)
+        tree = ArrayQuadTree(pts, masses)
+        count = np.zeros(tree.n_cells)
+        mass = np.zeros(tree.n_cells)
+        moment = np.zeros((tree.n_cells, 2))
+        for body, path in cells_above(tree)[1].items():
+            count[path] += 1
+            mass[path] += masses[body]
+            moment[path] += masses[body] * pts[body]
+        np.testing.assert_allclose(tree.mass, mass, rtol=1e-12)
+        np.testing.assert_allclose(tree.com_x, moment[:, 0] / mass, rtol=1e-9)
+        np.testing.assert_allclose(tree.com_y, moment[:, 1] / mass, rtol=1e-9)
+        assert (count[~tree.is_leaf] >= 2).all()
+        shared = tree.is_leaf & (tree.leaf_count > 1)
+        assert (tree.depth[shared] == MAX_DEPTH).all()
 
     def test_colocated_bodies_share_a_max_depth_leaf(self):
         pts = [(3.0, 4.0)] * 4
@@ -241,31 +333,18 @@ class TestQuadTreeInvariants:
         shared = np.flatnonzero(arr.leaf_count == 4)
         assert shared.size == 1
         assert arr.depth[shared[0]] == MAX_DEPTH
-        scalar = QuadTree(pts)
-        leaves = [
-            (cell, depth)
-            for cell, depth in _scalar_cells(scalar)
-            if cell.children is None and cell.bodies
-        ]
-        assert len(leaves) == 1
-        cell, depth = leaves[0]
-        assert sorted(cell.bodies) == [0, 1, 2, 3]
-        assert depth == MAX_DEPTH
 
     def test_empty_and_single_body_trees_return_zero_force(self):
         empty = ArrayQuadTree(np.zeros((0, 2)))
         forces, pairs = empty.forces(np.zeros((0, 2)), np.zeros(0), 100.0, 0.7)
         assert forces.shape == (0, 2) and pairs == 0
-        assert QuadTree([]).force_on(0, 100.0, 0.7) == (0.0, 0.0)
+        assert empty.n_cells == 0 and empty.far_cells == 0
         single = ArrayQuadTree([(1.0, 2.0)], [3.0])
         forces, pairs = single.forces(
             np.array([[1.0, 2.0]]), np.array([3.0]), 100.0, 0.7
         )
         assert forces.tolist() == [[0.0, 0.0]] and pairs == 0
-        assert QuadTree([(1.0, 2.0)], [3.0]).force_on(0, 100.0, 0.7) == (
-            0.0,
-            0.0,
-        )
+        assert single.far_cells == 0
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(Exception):

@@ -3,9 +3,10 @@
 :class:`DynamicLayout` survives view changes: an aggregated node must
 appear at its members' centroid and a disaggregated member near its
 former group.  These snapshots pin that seeding behavior for *both*
-Barnes-Hut kernels, so swapping the vectorized kernel in (or any
-future kernel work) provably does not change the transition semantics
-that keep the analyst oriented when changing scale.
+Barnes-Hut kernels — the in-process array kernel and the sharded one
+with its worker pool forced on — so kernel work provably does not
+change the transition semantics that keep the analyst oriented when
+changing scale.
 """
 
 import math
@@ -51,10 +52,32 @@ def collapsed_graph():
     )
 
 
-@pytest.mark.parametrize("kernel", ["array", "scalar"])
+def dynamic(kernel, seed):
+    """A DynamicLayout on *kernel*; the sharded one always uses its pool."""
+    dyn = DynamicLayout(seed=seed, kernel=kernel)
+    if kernel == "sharded":
+        dyn.layout.min_shard_bodies = 2  # these graphs have 2-3 nodes
+    return dyn
+
+
+@pytest.fixture
+def make_dynamic(kernel):
+    """``make_dynamic(seed)`` on the test's kernel, closed afterwards."""
+    made = []
+
+    def make(seed):
+        made.append(dynamic(kernel, seed))
+        return made[-1]
+
+    yield make
+    for dyn in made:
+        dyn.close()
+
+
+@pytest.mark.parametrize("kernel", ["array", "sharded"])
 class TestTransitionSeeding:
-    def test_aggregated_node_starts_at_member_centroid(self, kernel):
-        dyn = DynamicLayout(seed=5, kernel=kernel)
+    def test_aggregated_node_starts_at_member_centroid(self, make_dynamic):
+        dyn = make_dynamic(5)
         dyn.sync(detailed_graph())
         dyn.settle()
         ax, ay = dyn.position("a")
@@ -65,8 +88,8 @@ class TestTransitionSeeding:
         gx, gy = created["g"]
         assert math.hypot(gx - centroid[0], gy - centroid[1]) < SEED_RADIUS
 
-    def test_disaggregated_members_reappear_near_group(self, kernel):
-        dyn = DynamicLayout(seed=6, kernel=kernel)
+    def test_disaggregated_members_reappear_near_group(self, make_dynamic):
+        dyn = make_dynamic(6)
         dyn.sync(collapsed_graph())
         dyn.settle()
         gx, gy = dyn.position("g")
@@ -76,18 +99,18 @@ class TestTransitionSeeding:
             x, y = created[key]
             assert math.hypot(x - gx, y - gy) < SEED_RADIUS
 
-    def test_survivors_keep_their_position_across_sync(self, kernel):
-        dyn = DynamicLayout(seed=7, kernel=kernel)
+    def test_survivors_keep_their_position_across_sync(self, make_dynamic):
+        dyn = make_dynamic(7)
         dyn.sync(detailed_graph())
         dyn.settle()
         before = dyn.position("c")
         dyn.sync(collapsed_graph())
         assert dyn.position("c") == before
 
-    def test_round_trip_returns_members_home(self, kernel):
+    def test_round_trip_returns_members_home(self, make_dynamic):
         """Collapse then expand: members come back near where they
         were, not at a random respawn."""
-        dyn = DynamicLayout(seed=8, kernel=kernel)
+        dyn = make_dynamic(8)
         dyn.sync(detailed_graph())
         dyn.settle()
         home = {k: dyn.position(k) for k in ("a", "b")}
@@ -104,19 +127,20 @@ class TestTransitionSeeding:
 
 
 def test_kernels_agree_on_seeding_decisions():
-    """The array and scalar kernels produce the same created-node set
-    and near-identical seeds for the same transition script."""
+    """The array and sharded kernels produce the same created-node set
+    and the same seeds, bit for bit, for the same transition script."""
 
     def script(kernel):
-        dyn = DynamicLayout(seed=9, kernel=kernel)
-        dyn.sync(detailed_graph())
-        dyn.settle(max_steps=30, tolerance=0.0)
-        created = dyn.sync(collapsed_graph())
-        return created
+        dyn = dynamic(kernel, 9)
+        try:
+            dyn.sync(detailed_graph())
+            dyn.settle(max_steps=30, tolerance=0.0)
+            if kernel == "sharded":
+                assert dyn.layout.shard_stats["supersteps"] == 30
+            return dyn.sync(collapsed_graph())
+        finally:
+            dyn.close()
 
     array = script("array")
-    scalar = script("scalar")
-    assert set(array) == set(scalar) == {"g"}
-    gx_a, gy_a = array["g"]
-    gx_s, gy_s = scalar["g"]
-    assert math.hypot(gx_a - gx_s, gy_a - gy_s) < 1e-3
+    assert set(array) == {"g"}
+    assert script("sharded") == array

@@ -84,9 +84,10 @@ class TestForceLayoutStats:
         assert b.stats["evals"] == 0
         assert a.stats["evals"] > 0
 
-    def test_scalar_kernel_same_keys(self):
-        layout = make_layout(seed=1, kernel="scalar")
+    def test_sharded_kernel_same_keys(self):
+        layout = make_layout(seed=1, kernel="sharded")
         assert set(layout.stats) == LAYOUT_KEYS
+        layout.close()
 
 
 class TestDynamicLayoutStats:
