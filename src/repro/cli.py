@@ -734,7 +734,7 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-async def _selfcheck_observability(trace, config) -> list[str]:
+def _selfcheck_observability(trace, config) -> list[str]:
     """Exercise the observability plane against a live server.
 
     Starts one in-process instance on a free port, drives a couple of
@@ -743,6 +743,7 @@ async def _selfcheck_observability(trace, config) -> list[str]:
     delivers its promised push frames.  Returns failure descriptions
     (empty list = pass) so ``repro serve --selfcheck`` can exit 4.
     """
+    import asyncio
     import dataclasses
 
     from repro.obs.expo import histogram_series, parse_exposition, prom_name
@@ -751,10 +752,9 @@ async def _selfcheck_observability(trace, config) -> list[str]:
 
     failures: list[str] = []
     live = dataclasses.replace(config, port=0, metrics=True)
-    server = ReproServer(trace, live)
-    await server.start()
-    try:
-        client = await WsClient.connect(live.host, server.port)
+
+    async def probe(port: int) -> None:
+        client = await WsClient.connect(live.host, port)
         try:
             start, end = trace.span()
             await client.request("hello")
@@ -776,33 +776,32 @@ async def _selfcheck_observability(trace, config) -> list[str]:
             await client.request("bye")
         finally:
             await client.close()
-        status, body = await http_get(live.host, server.port, "/metrics")
+        status, body = await http_get(live.host, port, "/metrics")
         if status != 200:
             failures.append(f"GET /metrics: HTTP {status}")
-        else:
-            try:
-                samples = parse_exposition(body.decode("utf-8"))
-            except ValueError as err:
-                failures.append(f"GET /metrics: {err}")
-            else:
-                series = histogram_series(
-                    samples, prom_name(REQUEST_HISTOGRAM), by="op"
+            return
+        try:
+            samples = parse_exposition(body.decode("utf-8"))
+        except ValueError as err:
+            failures.append(f"GET /metrics: {err}")
+            return
+        series = histogram_series(
+            samples, prom_name(REQUEST_HISTOGRAM), by="op"
+        )
+        for op in ("hello", "scrub", "stats_stream"):
+            _, counts = series.get(op, ([], []))
+            if sum(counts) < 1:
+                failures.append(
+                    f"GET /metrics: no {op!r} request observations "
+                    f"(ops seen: {sorted(series)})"
                 )
-                for op in ("hello", "scrub", "stats_stream"):
-                    _, counts = series.get(op, ([], []))
-                    if sum(counts) < 1:
-                        failures.append(
-                            f"GET /metrics: no {op!r} request observations "
-                            f"(ops seen: {sorted(series)})"
-                        )
-    finally:
-        await server.aclose()
+
+    with ReproServer(trace, live) as server:
+        asyncio.run(probe(server.port))
     return failures
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
-    import contextlib
     import signal
 
     from repro.server import ReproServer, ServerConfig
@@ -835,7 +834,7 @@ def _cmd_serve(args) -> int:
         )
         print(format_report(report))
         ok = report["differential"]["ok"]
-        failures = asyncio.run(_selfcheck_observability(trace, config))
+        failures = _selfcheck_observability(trace, config)
         for failure in failures:
             print(f"observability selfcheck: {failure}")
         obs_ok = not failures
@@ -847,51 +846,31 @@ def _cmd_serve(args) -> int:
         print(f"selfcheck: {'OK' if ok else 'FAILED'}")
         return 0 if ok else 4
 
-    holder: dict = {}
+    server = ReproServer(trace, config)
+    if args.self_trace is not None:
+        from repro.server.telemetry import ServerRecorder
 
-    async def _serve() -> None:
-        server = ReproServer(trace, config)
-        if args.self_trace is not None:
-            from repro.server.telemetry import ServerRecorder
-
-            server.state.telemetry.recorder = ServerRecorder()
-        holder["server"] = server
-        await server.start()
+        server.state.telemetry.recorder = ServerRecorder()
+    try:
+        server.start()
         print(f"serving {args.trace} on {server.url} "
               f"(WebSocket at {server.url}/ws; Ctrl-C to stop)")
         sys.stdout.flush()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        with contextlib.suppress(NotImplementedError, RuntimeError):
-            loop.add_signal_handler(signal.SIGTERM, stop.set)
-        forever = asyncio.ensure_future(server.serve_forever())
-        stopper = asyncio.ensure_future(stop.wait())
-        try:
-            await asyncio.wait(
-                {forever, stopper}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            forever.cancel()
-            stopper.cancel()
-            await server.aclose()
-
-    try:
-        asyncio.run(_serve())
+        signal.signal(signal.SIGTERM, lambda signum, frame: server.shutdown())
+        server.serve_forever()
         print("stopped")
     except KeyboardInterrupt:
         print("stopped")
     finally:
-        server = holder.get("server")
-        if server is not None:
-            server.state.telemetry.close()
-            if args.self_trace is not None:
-                from repro.trace.writer import write_trace
+        server.state.telemetry.close()
+        if args.self_trace is not None:
+            from repro.trace.writer import write_trace
 
-                write_trace(
-                    server.state.telemetry.recorder.build_trace(),
-                    args.self_trace,
-                )
-                print(f"wrote self-trace {args.self_trace}")
+            write_trace(
+                server.state.telemetry.recorder.build_trace(),
+                args.self_trace,
+            )
+            print(f"wrote self-trace {args.self_trace}")
     return 0
 
 

@@ -242,8 +242,8 @@ class Histogram:
     relative error bounded by the bucket ratio.
 
     All mutation happens under a lock: unlike the single-threaded
-    pipeline timers, request accounting crosses threads (asyncio loop
-    vs. benchmark storms), and a torn ``count``/``sum`` pair would
+    pipeline timers, request accounting crosses threads (the server
+    loop vs. benchmark storms), and a torn ``count``/``sum`` pair would
     corrupt every mean derived from it.
     """
 

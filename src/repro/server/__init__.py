@@ -1,7 +1,7 @@
 """Multi-session analysis server (ROADMAP item 1).
 
-A long-lived asyncio service that loads a trace **once** into the
-shared immutable structures of
+A long-lived service that loads a trace **once** into the shared
+immutable structures of
 :class:`~repro.core.aggengine.SharedTraceData` and serves many
 concurrent analysis sessions over HTTP + WebSocket: slice scrubs,
 group/ungroup, layout frames and rendered SVG tiles.  Aggregation work
@@ -17,13 +17,14 @@ Layers (one module each):
   hit/miss/eviction/cross-hit counters in the obs registry;
 * :mod:`repro.server.state` — shared-vs-per-session state split and
   the op dispatch (:class:`~repro.server.state.SessionState.apply`);
-* :mod:`repro.server.ws` — stdlib RFC 6455 WebSocket codec;
+* :mod:`repro.server.ws` — stdlib RFC 6455 WebSocket codec (no I/O);
 * :mod:`repro.server.telemetry` — per-request accounting: latency
   histograms, the JSONL access log, and the
   :class:`~repro.server.telemetry.ServerRecorder` self-trace;
-* :mod:`repro.server.app` — the asyncio HTTP/WS server (including
-  ``GET /metrics`` Prometheus exposition and ``stats_stream`` pushes);
-* :mod:`repro.server.client` — a minimal WebSocket client;
+* :mod:`repro.server.app` — the HTTP/WS server, one ``selectors`` loop
+  (including ``GET /metrics`` Prometheus exposition and
+  ``stats_stream`` pushes);
+* :mod:`repro.server.client` — a minimal asyncio WebSocket client;
 * :mod:`repro.server.load` — deterministic scrub storms, the
   concurrent load harness and the differential oracle replay.
 """

@@ -1,10 +1,16 @@
-"""A minimal WebSocket / HTTP client for the analysis server.
+"""A minimal asyncio WebSocket / HTTP client for the analysis server.
 
-Used by the load harness, the CLI ``loadtest`` subcommand and every
-server test.  :class:`WsClient` speaks exactly the protocol of
-:mod:`repro.server.protocol`: send one JSON request, await one JSON
-envelope.  :func:`http_get` fetches the plain HTTP endpoints
-(``/healthz``, ``/info``, ``/stats``, ``/render``).
+Used by the load harness, the CLI ``loadtest`` and ``top`` subcommands,
+the end-to-end benchmark and every server test.  :class:`WsClient`
+speaks exactly the protocol of :mod:`repro.server.protocol`: send one
+JSON request, await one JSON envelope.  :func:`http_get` fetches the
+plain HTTP endpoints (``/healthz``, ``/info``, ``/stats``,
+``/render``).
+
+The server itself never imports this module or :mod:`asyncio`: it runs
+a ``selectors`` loop (:mod:`repro.server.app`).  Both sides frame and
+parse through the same codec, :mod:`repro.server.ws`;
+:class:`WebSocketConnection` here is its asyncio stream adapter.
 """
 
 from __future__ import annotations
@@ -14,11 +20,95 @@ import base64
 import itertools
 import json
 import os
+import struct
 
 from repro.server.protocol import canonical_json
-from repro.server.ws import WebSocketConnection, WebSocketError, accept_token
+from repro.server.ws import (
+    OP_CLOSE,
+    OP_PING,
+    OP_PONG,
+    OP_TEXT,
+    FrameDecoder,
+    WebSocketError,
+    accept_token,
+    encode_frame,
+)
 
-__all__ = ["WsClient", "http_get"]
+__all__ = ["WebSocketConnection", "WsClient", "http_get"]
+
+#: Bytes asked of the stream per read.
+_READ_SIZE = 64 * 1024
+
+
+class WebSocketConnection:
+    """Message-level send/receive over an established client WebSocket.
+
+    *reader* and *writer* are the asyncio stream pair after the HTTP
+    upgrade.  Outgoing frames are masked (RFC 6455 §5.1).
+    """
+
+    def __init__(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self.reader = reader
+        self.writer = writer
+        self.closed = False
+        self._decoder = FrameDecoder()
+
+    async def send_text(self, text: str) -> None:
+        """Send one text message."""
+        await self._send(OP_TEXT, text.encode("utf-8"))
+
+    async def _send(self, opcode: int, payload: bytes) -> None:
+        self.writer.write(encode_frame(opcode, payload, mask=True))
+        await self.writer.drain()
+
+    async def recv_text(self) -> str | None:
+        """The next text message, or ``None`` once the peer closed.
+
+        Pings are answered and pongs swallowed transparently;
+        continuation frames are reassembled.
+        """
+        while True:
+            message = self._decoder.next_message()
+            if message is None:
+                try:
+                    data = await self.reader.read(_READ_SIZE)
+                except ConnectionError as err:
+                    raise WebSocketError(
+                        f"connection closed mid-frame: {err}"
+                    ) from None
+                if not data:
+                    raise WebSocketError("connection closed mid-frame")
+                self._decoder.feed(data)
+                continue
+            opcode, payload = message
+            if opcode == OP_PING:
+                await self._send(OP_PONG, payload)
+            elif opcode == OP_CLOSE:
+                if not self.closed:
+                    self.closed = True
+                    try:
+                        await self._send(OP_CLOSE, payload[:2])
+                    except (ConnectionError, WebSocketError):
+                        pass
+                return None
+            elif opcode != OP_PONG:
+                return payload
+
+    async def close(self, code: int = 1000) -> None:
+        """Send a close frame (idempotent) and close the transport."""
+        if not self.closed:
+            self.closed = True
+            try:
+                await self._send(OP_CLOSE, struct.pack(">H", code))
+            except (ConnectionError, WebSocketError):
+                pass
+        self.writer.close()
+        try:
+            await self.writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
 
 class WsClient:
@@ -65,7 +155,7 @@ class WsClient:
         if accept != expected:
             writer.close()
             raise WebSocketError("bad Sec-WebSocket-Accept token")
-        return cls(WebSocketConnection(reader, writer, is_server=False))
+        return cls(WebSocketConnection(reader, writer))
 
     async def request(self, op: str, **params) -> dict:
         """Send one request and await its reply envelope (as a dict)."""

@@ -24,6 +24,9 @@ isolated" is a byte equality over the full storm, not a tolerance.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import json
+import os
 import random
 import time
 import urllib.parse
@@ -44,7 +47,6 @@ __all__ = [
     "percentile",
     "replay_storm_local",
     "run_load",
-    "run_load_async",
     "scrape_breakdown",
 ]
 
@@ -224,119 +226,107 @@ async def _client_storm(
     return latencies, payloads
 
 
-async def run_load_async(
-    trace=None,
-    url: str | None = None,
-    sessions: int = 8,
-    moves: int = 100,
-    seed: int = 7,
-    settle_steps: int = 2,
-    layout_seed: int = 0,
-    differential: bool = False,
-    cache_entries: int = 4096,
-    keep_samples: bool = False,
+async def _drive(
+    host: str,
+    port: int,
+    remote: bool,
+    trace,
+    sessions: int,
+    moves: int,
+    seed: int,
+    settle_steps: int,
+    layout_seed: int,
+    differential: bool,
+    keep_samples: bool,
 ) -> dict:
-    """The async body of :func:`run_load` (same parameters)."""
-    own_server: ReproServer | None = None
-    if url is None:
-        if trace is None:
-            raise ReproError("run_load needs a trace or a --url")
-        config = ServerConfig(
-            port=0,
-            settle_steps=settle_steps,
-            seed=layout_seed,
-            max_sessions=max(sessions + 2, 8),
-            cache_entries=cache_entries,
-        )
-        own_server = ReproServer(trace, config)
-        await own_server.start()
-        host, port = config.host, own_server.port
+    """The client side of :func:`run_load` against ``host:port``; a
+    *remote* server's counters are read over HTTP as well."""
+    if trace is not None:
+        span = trace.span()
+        group_paths = default_group_paths(trace)
     else:
-        parts = urllib.parse.urlsplit(url)
-        if parts.hostname is None or parts.port is None:
-            raise ReproError(f"url must be http://host:port, got {url!r}")
-        host, port = parts.hostname, parts.port
-    if differential and trace is None:
-        raise ReproError("the differential check needs the trace locally")
-    try:
-        if trace is not None:
-            span = trace.span()
-            group_paths = default_group_paths(trace)
-        else:
-            import json as _json
-
-            status, body = await http_get(host, port, "/info")
-            if status != 200:
-                raise ReproError(f"/info returned HTTP {status}")
-            span = tuple(_json.loads(body)["span"])
-            group_paths = []
-        storm = make_storm(
-            span, moves=moves, seed=seed, group_paths=group_paths
+        status, body = await http_get(host, port, "/info")
+        if status != 200:
+            raise ReproError(f"/info returned HTTP {status}")
+        span = tuple(json.loads(body)["span"])
+        group_paths = []
+    storm = make_storm(span, moves=moves, seed=seed, group_paths=group_paths)
+    scrape_before = await scrape_breakdown(host, port) if remote else None
+    began = time.perf_counter()
+    results = await asyncio.gather(
+        *(_client_storm(host, port, storm) for _ in range(sessions))
+    )
+    wall_s = time.perf_counter() - began
+    pooled = [lat for latencies, _ in results for lat in latencies]
+    report = {
+        "sessions": sessions,
+        "moves": len(storm),
+        "requests": len(pooled),
+        "wall_s": wall_s,
+        "throughput_rps": len(pooled) / wall_s if wall_s > 0 else 0.0,
+        "latency": {
+            "p50_s": percentile(pooled, 50),
+            "p95_s": percentile(pooled, 95),
+            "p99_s": percentile(pooled, 99),
+            "max_s": max(pooled),
+            "mean_s": sum(pooled) / len(pooled),
+        },
+        "per_session_p95_s": [
+            percentile(latencies, 95) for latencies, _ in results
+        ],
+    }
+    if keep_samples:
+        report["latency"]["samples_s"] = pooled
+    if differential:
+        oracle = replay_storm_local(
+            trace, storm, seed=layout_seed, settle_steps=settle_steps
         )
-        scrape_before = (
-            await scrape_breakdown(host, port) if own_server is None else None
+        mismatches = sum(
+            1
+            for _, payloads in results
+            for got, want in zip(payloads, oracle)
+            if got != want
         )
-        began = time.perf_counter()
-        results = await asyncio.gather(
-            *(_client_storm(host, port, storm) for _ in range(sessions))
-        )
-        wall_s = time.perf_counter() - began
-        pooled = [lat for latencies, _ in results for lat in latencies]
-        report = {
-            "sessions": sessions,
-            "moves": len(storm),
-            "requests": len(pooled),
-            "wall_s": wall_s,
-            "throughput_rps": len(pooled) / wall_s if wall_s > 0 else 0.0,
-            "latency": {
-                "p50_s": percentile(pooled, 50),
-                "p95_s": percentile(pooled, 95),
-                "p99_s": percentile(pooled, 99),
-                "max_s": max(pooled),
-                "mean_s": sum(pooled) / len(pooled),
-            },
-            "per_session_p95_s": [
-                percentile(latencies, 95) for latencies, _ in results
-            ],
+        report["differential"] = {
+            "checked": len(storm) * sessions,
+            "mismatches": mismatches,
+            "ok": mismatches == 0,
         }
-        if keep_samples:
-            report["latency"]["samples_s"] = pooled
-        if differential:
-            oracle = replay_storm_local(
-                trace, storm, seed=layout_seed, settle_steps=settle_steps
+    if remote:
+        status, body = await http_get(host, port, "/stats")
+        if status == 200:
+            stats = json.loads(body)
+            report["cache"] = stats.get("cache", {})
+            report["server"] = stats.get("server", {})
+        scrape_after = await scrape_breakdown(host, port)
+        if scrape_after is not None:
+            report["server_ops"] = _breakdown_between(
+                scrape_before, scrape_after
             )
-            mismatches = sum(
-                1
-                for _, payloads in results
-                for got, want in zip(payloads, oracle)
-                if got != want
-            )
-            report["differential"] = {
-                "checked": len(storm) * sessions,
-                "mismatches": mismatches,
-                "ok": mismatches == 0,
-            }
-        if own_server is not None:
-            report["cache"] = own_server.state.cache.snapshot()
-            report["server"] = dict(own_server.state.stats)
-            report["server_ops"] = own_server.state.telemetry.breakdown()
-        else:
-            import json as _json
+    return report
 
-            status, body = await http_get(host, port, "/stats")
-            if status == 200:
-                stats = _json.loads(body)
-                report["cache"] = stats.get("cache", {})
-                report["server"] = stats.get("server", {})
-            scrape_after = await scrape_breakdown(host, port)
-            if scrape_after is not None:
-                report["server_ops"] = _breakdown_between(
-                    scrape_before, scrape_after
-                )
-        return report
+
+@contextlib.contextmanager
+def _one_cpu():
+    """Keep the calling thread, and the threads it starts, on one CPU.
+
+    The in-process server loop runs on a second thread.  On several
+    CPUs that thread and the asyncio clients hand the interpreter lock
+    back and forth at every socket call, and 8-session storms measured
+    up to 50% longer than on one CPU, where the two take turns at
+    blocking calls as they did when client and server shared one
+    event loop.  Pinning keeps the harness measuring the server rather
+    than lock handoffs.  A no-op where affinity cannot be set.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
     finally:
-        if own_server is not None:
-            await own_server.aclose()
+        os.sched_setaffinity(0, allowed)
 
 
 def run_load(
@@ -354,29 +344,53 @@ def run_load(
     """Run a concurrent scrub-storm load test; return the report dict.
 
     With *url* ``None`` an in-process server is started on an ephemeral
-    loopback port (the default for tests and benches); otherwise the
-    harness drives a running ``repro serve`` instance.  *sessions*
-    closed-loop WebSocket clients each replay the same deterministic
-    storm of *moves* requests; the report carries pooled and
-    per-session latency percentiles, throughput, shared-cache counters
-    and (with ``differential=True``, trace required) the byte-exact
-    concurrent-vs-isolated comparison.  ``keep_samples=True`` includes
-    the raw pooled round-trip samples (the bench suite's input).
+    loopback port and a background thread (the default for tests and
+    benches), and the caller's thread and that thread share one CPU for
+    the run (:func:`_one_cpu`); otherwise the harness drives a running
+    ``repro serve`` instance.  *sessions* closed-loop WebSocket clients each replay the
+    same deterministic storm of *moves* requests; the report carries
+    pooled and per-session latency percentiles, throughput, shared-cache
+    counters and (with ``differential=True``, trace required) the
+    byte-exact concurrent-vs-isolated comparison.  ``keep_samples=True``
+    includes the raw pooled round-trip samples (the bench suite's
+    input).
     """
-    return asyncio.run(
-        run_load_async(
-            trace=trace,
-            url=url,
-            sessions=sessions,
-            moves=moves,
-            seed=seed,
-            settle_steps=settle_steps,
-            layout_seed=layout_seed,
-            differential=differential,
-            cache_entries=cache_entries,
-            keep_samples=keep_samples,
-        )
+    if differential and trace is None:
+        raise ReproError("the differential check needs the trace locally")
+    drive = dict(
+        trace=trace,
+        sessions=sessions,
+        moves=moves,
+        seed=seed,
+        settle_steps=settle_steps,
+        layout_seed=layout_seed,
+        differential=differential,
+        keep_samples=keep_samples,
     )
+    if url is not None:
+        parts = urllib.parse.urlsplit(url)
+        if parts.hostname is None or parts.port is None:
+            raise ReproError(f"url must be http://host:port, got {url!r}")
+        return asyncio.run(
+            _drive(parts.hostname, parts.port, remote=True, **drive)
+        )
+    if trace is None:
+        raise ReproError("run_load needs a trace or a --url")
+    config = ServerConfig(
+        port=0,
+        settle_steps=settle_steps,
+        seed=layout_seed,
+        max_sessions=max(sessions + 2, 8),
+        cache_entries=cache_entries,
+    )
+    with _one_cpu(), ReproServer(trace, config) as server:
+        report = asyncio.run(
+            _drive(config.host, server.port, remote=False, **drive)
+        )
+    report["cache"] = server.state.cache.snapshot()
+    report["server"] = dict(server.state.stats)
+    report["server_ops"] = server.state.telemetry.breakdown()
+    return report
 
 
 def format_report(report: dict) -> str:

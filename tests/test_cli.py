@@ -614,34 +614,14 @@ class TestTop:
 
     def test_polls_metrics_into_a_per_op_table(self, grid_file, capsys):
         import asyncio
-        import threading
 
         from repro.server import ReproServer, ServerConfig, WsClient
 
         trace = read_trace(grid_file)
         config = ServerConfig(settle_steps=0)
-        started = threading.Event()
-        box = {}
 
-        def run_server():
-            async def serve():
-                server = ReproServer(trace, config)
-                await server.start()
-                box["port"] = server.port
-                box["stop"] = asyncio.Event()
-                box["loop"] = asyncio.get_running_loop()
-                started.set()
-                await box["stop"].wait()
-                await server.aclose()
-
-            asyncio.run(serve())
-
-        thread = threading.Thread(target=run_server, daemon=True)
-        thread.start()
-        assert started.wait(timeout=10)
-
-        async def drive():
-            client = await WsClient.connect(config.host, box["port"])
+        async def drive(port):
+            client = await WsClient.connect(config.host, port)
             try:
                 await client.request("hello")
                 await client.request("scrub", start=0.0, end=1.0)
@@ -649,15 +629,12 @@ class TestTop:
             finally:
                 await client.close()
 
-        asyncio.run(drive())
-        try:
+        with ReproServer(trace, config) as server:
+            asyncio.run(drive(server.port))
             code = main(
-                ["top", f"http://127.0.0.1:{box['port']}",
+                ["top", f"http://127.0.0.1:{server.port}",
                  "--interval", "0.05", "--iterations", "2"]
             )
-        finally:
-            box["loop"].call_soon_threadsafe(box["stop"].set)
-            thread.join(timeout=10)
         assert code == 0
         out = capsys.readouterr().out
         assert "poll 1" in out and "poll 2" in out

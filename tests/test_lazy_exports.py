@@ -101,15 +101,14 @@ def test_serving_loads_no_module_a_request_has_not_asked_for(tmp_path):
 
     write_store(figure3_trace(), tmp_path / "t.rtrace")
     out = _run(f"""
-        import asyncio, sys
+        import sys
         import repro.cli
         from repro.server import ReproServer
         from repro.trace.store import open_store
 
-        async def serve():
-            server = ReproServer(
-                open_store({str(tmp_path / "t.rtrace")!r}).open_trace())
-            await server.start()
+        with ReproServer(
+            open_store({str(tmp_path / "t.rtrace")!r}).open_trace()
+        ) as server:
             state = server.state
             session = state.create_session()
             group = list(state.shared.hierarchy.groups()[0])
@@ -123,11 +122,51 @@ def test_serving_loads_no_module_a_request_has_not_asked_for(tmp_path):
             print([name for name in {ON_REQUEST!r} if name in sys.modules])
             assert state.dispatch(session, {{"op": "svg"}})["ok"]
             print("repro.core.render.svg" in sys.modules)
-            await server.aclose()
-
-        asyncio.run(serve())
     """)
     assert out.splitlines() == ["[]", "True"]
+
+
+def test_serving_loads_neither_asyncio_nor_openssl(tmp_path):
+    """A started server answers hello, scrub and bye without importing
+    asyncio, ssl, hashlib's OpenSSL backend or concurrent.futures: the
+    transport is a ``selectors`` loop and the handshake digest comes
+    from the built-in ``_sha1``."""
+    from repro.trace.store import write_store
+    from repro.trace.synthetic import figure3_trace
+
+    write_store(figure3_trace(), tmp_path / "t.rtrace")
+    out = _run(f"""
+        import socket, sys
+        from repro.server import ReproServer
+        from repro.server.ws import OP_TEXT, FrameDecoder, encode_frame
+        from repro.trace.store import open_store
+
+        trace = open_store({str(tmp_path / "t.rtrace")!r}).open_trace()
+        with ReproServer(trace) as server:
+            sock = socket.create_connection(("127.0.0.1", server.port))
+            sock.sendall(b"GET /ws HTTP/1.1\\r\\nUpgrade: websocket\\r\\n"
+                         b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\\r\\n"
+                         b"\\r\\n")
+            head = b""
+            while b"\\r\\n\\r\\n" not in head:
+                head += sock.recv(4096)
+            head, _, rest = head.partition(b"\\r\\n\\r\\n")
+            decoder = FrameDecoder()
+            decoder.feed(rest)
+            for request in ('{{"id": 1, "op": "hello"}}',
+                            '{{"id": 2, "op": "scrub", "start": 0.25, '
+                            '"end": 0.75}}',
+                            '{{"id": 3, "op": "bye"}}'):
+                sock.sendall(encode_frame(OP_TEXT, request.encode(), True))
+                while (message := decoder.next_message()) is None:
+                    decoder.feed(sock.recv(65536))
+                assert '"ok":true' in message[1], message
+            sock.close()
+        print([name for name in ("asyncio", "ssl", "_ssl", "_hashlib",
+                                 "concurrent.futures")
+               if name in sys.modules])
+    """)
+    assert out == "[]"
 
 
 def test_every_benchmark_wrap_target_resolves():

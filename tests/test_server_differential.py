@@ -78,30 +78,28 @@ class TestConcurrentDifferential:
         )
         oracle = replay_storm_local(trace, storm, seed=0, settle_steps=1)
 
-        async def alternate() -> list[list[str]]:
-            config = ServerConfig(port=0, settle_steps=1)
-            async with ReproServer(trace, config) as server:
-                clients = [
-                    await WsClient.connect(config.host, server.port)
-                    for _ in range(2)
-                ]
-                payloads: list[list[str]] = [[], []]
-                try:
-                    for client in clients:
-                        await client.request("hello")
-                    for move in storm:
-                        for i, client in enumerate(clients):
-                            reply = await client.request(**move)
-                            assert reply["ok"], reply
-                            payloads[i].append(
-                                canonical_json(reply["result"])
-                            )
-                finally:
-                    for client in clients:
-                        await client.close()
-                return payloads
+        async def alternate(port: int) -> list[list[str]]:
+            clients = [
+                await WsClient.connect(config.host, port) for _ in range(2)
+            ]
+            payloads: list[list[str]] = [[], []]
+            try:
+                for client in clients:
+                    await client.request("hello")
+                for move in storm:
+                    for i, client in enumerate(clients):
+                        reply = await client.request(**move)
+                        assert reply["ok"], reply
+                        payloads[i].append(canonical_json(reply["result"]))
+            finally:
+                for client in clients:
+                    await client.close()
+            return payloads
 
-        for session_payloads in asyncio.run(alternate()):
+        config = ServerConfig(port=0, settle_steps=1)
+        with ReproServer(trace, config) as server:
+            per_session = asyncio.run(alternate(server.port))
+        for session_payloads in per_session:
             assert session_payloads == oracle
 
     def test_sessions_agree_with_each_other(self, trace):

@@ -245,22 +245,22 @@ class TestOverTheWire:
         from repro.server.app import ReproServer
         from repro.server.client import WsClient
 
-        async def scenario() -> None:
-            config = ServerConfig(settle_steps=0)
-            async with ReproServer(figure3_trace(), config) as server:
-                client = await WsClient.connect(config.host, server.port)
-                try:
-                    env = await client.send_raw("{not json")
-                    assert env["ok"] is False
-                    assert env["id"] is None  # unparseable -> no id
-                    assert env["error"]["code"] == "bad_json"
-                    reply = await client.request("hello")
-                    assert reply["ok"] is True
-                    assert reply["result"]["protocol"] == PROTOCOL_VERSION
-                finally:
-                    await client.close()
+        async def scenario(port: int) -> None:
+            client = await WsClient.connect(config.host, port)
+            try:
+                env = await client.send_raw("{not json")
+                assert env["ok"] is False
+                assert env["id"] is None  # unparseable -> no id
+                assert env["error"]["code"] == "bad_json"
+                reply = await client.request("hello")
+                assert reply["ok"] is True
+                assert reply["result"]["protocol"] == PROTOCOL_VERSION
+            finally:
+                await client.close()
 
-        asyncio.run(scenario())
+        config = ServerConfig(settle_steps=0)
+        with ReproServer(figure3_trace(), config) as server:
+            asyncio.run(scenario(server.port))
 
     def test_session_limit_refuses_upgrade_with_503(self):
         import asyncio
@@ -269,17 +269,17 @@ class TestOverTheWire:
         from repro.server.client import WsClient
         from repro.server.ws import WebSocketError
 
-        async def scenario() -> None:
-            config = ServerConfig(settle_steps=0, max_sessions=1)
-            async with ReproServer(figure3_trace(), config) as server:
-                first = await WsClient.connect(config.host, server.port)
-                try:
-                    with pytest.raises(WebSocketError, match="503"):
-                        await WsClient.connect(config.host, server.port)
-                finally:
-                    await first.close()
+        async def scenario(port: int) -> None:
+            first = await WsClient.connect(config.host, port)
+            try:
+                with pytest.raises(WebSocketError, match="503"):
+                    await WsClient.connect(config.host, port)
+            finally:
+                await first.close()
 
-        asyncio.run(scenario())
+        config = ServerConfig(settle_steps=0, max_sessions=1)
+        with ReproServer(figure3_trace(), config) as server:
+            asyncio.run(scenario(server.port))
 
 
 @pytest.mark.skipif(

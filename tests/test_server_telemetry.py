@@ -244,12 +244,9 @@ class TestTierAttribution:
 # Live endpoints: /metrics, /healthz, stats_stream
 # ----------------------------------------------------------------------
 def _run_live(scenario):
-    async def wrapper():
-        config = ServerConfig(settle_steps=0)
-        async with ReproServer(figure3_trace(), config) as server:
-            await scenario(server, config)
-
-    asyncio.run(wrapper())
+    config = ServerConfig(settle_steps=0)
+    with ReproServer(figure3_trace(), config) as server:
+        asyncio.run(scenario(server, config))
 
 
 class TestMetricsEndpoint:
@@ -336,15 +333,13 @@ class TestMetricsEndpoint:
         _run_live(scenario)
 
     def test_no_metrics_flag_turns_the_endpoint_off(self):
-        async def wrapper():
-            config = ServerConfig(settle_steps=0, metrics=False)
-            async with ReproServer(figure3_trace(), config) as server:
-                status, _ = await http_get(config.host, server.port,
-                                           "/metrics")
-                assert status == 404
-                assert server.state.stats["errors.bad_request"] >= 1
-
-        asyncio.run(wrapper())
+        config = ServerConfig(settle_steps=0, metrics=False)
+        with ReproServer(figure3_trace(), config) as server:
+            status, _ = asyncio.run(
+                http_get(config.host, server.port, "/metrics")
+            )
+            assert status == 404
+            assert server.state.stats["errors.bad_request"] >= 1
 
 
 class TestHealthz:
