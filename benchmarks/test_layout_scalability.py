@@ -114,11 +114,11 @@ def test_barneshut_handles_grid_scale():
     moved = layout.step()
     assert math.isfinite(moved)
     assert len(layout) == n
-    # The timing counters attribute the step's cost.
+    # The counts attribute the step's work.
     stats = layout.stats
+    assert 1 <= stats["builds"] <= stats["evals"]
     assert stats["cells"] > n
     assert stats["p2p_pairs"] > 0
-    assert stats["build_s"] + stats["traverse_s"] > 0.0
 
 
 #: The sharded-kernel acceptance bar: >= 2x per-step speedup over the

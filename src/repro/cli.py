@@ -69,8 +69,9 @@ Usage (``python -m repro <command> ...``):
 
 Traces are files in the ``repro`` text format (see
 :mod:`repro.trace.writer`), in the binary columnar store format
-(``.rtrace``, recognized by its magic bytes) or, with ``--paje``, in
-the Paje format used by the original tool ecosystem.
+(``.rtrace``, recognized by its magic bytes) or in the Paje format used
+by the original tool ecosystem (a ``.paje`` suffix or a ``%EventDef``
+preamble, :func:`repro.trace.store.is_paje_file`).
 """
 
 from __future__ import annotations
@@ -128,11 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Scalable topology-based visualization of distributed-"
         "system traces (ISPASS 2013 reproduction).",
-    )
-    parser.add_argument(
-        "--paje",
-        action="store_true",
-        help="read the trace in Paje format instead of the repro format",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -293,13 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
         "convert",
         help="convert a text trace to the binary columnar store (.rtrace)",
     )
-    convert.add_argument("trace", type=Path, help="input text trace")
+    convert.add_argument("trace", type=Path,
+                         help="input text trace (repro or Paje format)")
     convert.add_argument("out", type=Path,
                          help="output path (conventionally .rtrace)")
-    convert.add_argument("--input-format", choices=("auto", "repro", "paje"),
-                         default="auto",
-                         help="input parser (default: sniff; --paje also "
-                         "forces the Paje parser)")
 
     serve = sub.add_parser(
         "serve",
@@ -378,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(args):
-    from repro.trace.store import is_store_file, open_store
+    from repro.trace.store import is_paje_file, is_store_file, open_store
 
     if is_store_file(args.trace):
         return open_store(args.trace).open_trace()
-    if args.paje:
+    if is_paje_file(args.trace):
         from repro.trace.paje import read_paje
 
         return read_paje(args.trace)
@@ -725,8 +718,7 @@ def _cmd_latency(args) -> int:
 def _cmd_convert(args) -> int:
     from repro.trace.store import convert
 
-    input_format = "paje" if args.paje else args.input_format
-    store = convert(args.trace, args.out, input_format=input_format)
+    store = convert(args.trace, args.out)
     size = args.out.stat().st_size
     print(f"wrote {args.out} ({size} bytes, "
           f"{len(store.entity_names())} entities, "
@@ -746,9 +738,8 @@ def _selfcheck_observability(trace, config) -> list[str]:
     import asyncio
     import dataclasses
 
-    from repro.obs.expo import histogram_series, parse_exposition, prom_name
-    from repro.server import ReproServer, WsClient, http_get
-    from repro.server.telemetry import REQUEST_HISTOGRAM
+    from repro.server import ReproServer, WsClient
+    from repro.server.client import scrape_breakdown
 
     failures: list[str] = []
     live = dataclasses.replace(config, port=0, metrics=True)
@@ -776,24 +767,20 @@ def _selfcheck_observability(trace, config) -> list[str]:
             await client.request("bye")
         finally:
             await client.close()
-        status, body = await http_get(live.host, port, "/metrics")
-        if status != 200:
-            failures.append(f"GET /metrics: HTTP {status}")
-            return
         try:
-            samples = parse_exposition(body.decode("utf-8"))
+            scraped = await scrape_breakdown(live.host, port)
         except ValueError as err:
             failures.append(f"GET /metrics: {err}")
             return
-        series = histogram_series(
-            samples, prom_name(REQUEST_HISTOGRAM), by="op"
-        )
+        if scraped is None:
+            failures.append("GET /metrics: endpoint unavailable")
+            return
+        counts = {op: state[1] for op, (_, state) in scraped.items()}
         for op in ("hello", "scrub", "stats_stream"):
-            _, counts = series.get(op, ([], []))
-            if sum(counts) < 1:
+            if counts.get(op, 0) < 1:
                 failures.append(
                     f"GET /metrics: no {op!r} request observations "
-                    f"(ops seen: {sorted(series)})"
+                    f"(ops seen: {sorted(scraped)})"
                 )
 
     with ReproServer(trace, live) as server:
@@ -907,54 +894,45 @@ def _cmd_top(args) -> int:
     import time
     from urllib.parse import urlsplit
 
-    from repro.obs.expo import histogram_series, parse_exposition, prom_name
-    from repro.obs.registry import bucket_quantile
-    from repro.server import http_get
-    from repro.server.telemetry import REQUEST_HISTOGRAM
+    from repro.obs.registry import latency_summary
+    from repro.server.client import scrape_breakdown
 
     url = args.url if "//" in args.url else f"//{args.url}"
     parts = urlsplit(url)
     host = parts.hostname or "127.0.0.1"
     port = parts.port or 8722
-    family = prom_name(REQUEST_HISTOGRAM)
-
-    async def _poll() -> list:
-        status, body = await http_get(host, port, "/metrics")
-        if status != 200:
-            raise ReproError(
-                f"GET /metrics on {host}:{port} returned HTTP {status} "
-                "(is the server running with metrics enabled?)"
-            )
-        return parse_exposition(body.decode("utf-8"))
 
     previous: dict[str, float] = {}
     iteration = 0
     try:
         while True:
-            series = histogram_series(asyncio.run(_poll()), family, by="op")
+            scraped = asyncio.run(scrape_breakdown(host, port))
+            if scraped is None:
+                raise ReproError(
+                    f"GET /metrics on {host}:{port} failed "
+                    "(is the server running with metrics enabled?)"
+                )
+            rows = {
+                op: latency_summary(bounds, state)
+                for op, (bounds, state) in scraped.items()
+            }
             iteration += 1
             print(f"--- poll {iteration}  {host}:{port}  "
-                  f"({len(series)} ops)")
+                  f"({len(rows)} ops)")
             print(f"  {'op':<16} {'count':>8} {'req/s':>8} "
                   f"{'p50_ms':>9} {'p95_ms':>9} {'p99_ms':>9}")
-            totals = {
-                op: sum(counts) for op, (_, counts) in series.items()
-            }
-            for op in sorted(
-                series, key=lambda o: totals[o], reverse=True
-            ):
-                bounds, counts = series[op]
+            totals = {op: row["count"] for op, row in rows.items()}
+            for op in sorted(rows, key=lambda o: totals[o], reverse=True):
+                row = rows[op]
                 delta = totals[op] - previous.get(op, 0.0)
                 rate = (
                     f"{delta / args.interval:8.1f}" if op in previous
                     else f"{'-':>8}"
                 )
-                row = [
-                    bucket_quantile(bounds, counts, q) * 1e3
-                    for q in (0.5, 0.95, 0.99)
-                ]
                 print(f"  {op:<16} {int(totals[op]):>8} {rate} "
-                      f"{row[0]:>9.2f} {row[1]:>9.2f} {row[2]:>9.2f}")
+                      f"{row['p50_s'] * 1e3:>9.2f} "
+                      f"{row['p95_s'] * 1e3:>9.2f} "
+                      f"{row['p99_s'] * 1e3:>9.2f}")
             sys.stdout.flush()
             previous = totals
             if args.iterations and iteration >= args.iterations:

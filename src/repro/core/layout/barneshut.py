@@ -16,13 +16,12 @@ root half-size (leaf interactions always read current positions, so
 (:class:`~repro.core.layout.sharded.ShardedBarnesHutLayout`) is this
 class with the traversal cut into per-process shards.
 
-Every evaluation records ``build_s`` / ``traverse_s`` / ``cells`` /
-``p2p_pairs`` into :attr:`ForceLayout.stats`.
+Every evaluation counts ``evals`` / ``builds`` / ``cells`` /
+``p2p_pairs`` into :attr:`ForceLayout.stats`; the ``layout.build`` and
+``layout.traverse`` spans time the two phases.
 """
 
 from __future__ import annotations
-
-from time import perf_counter
 
 import numpy as np
 
@@ -69,26 +68,22 @@ class BarnesHutLayout(ForceLayout):
     def _repulsion_forces(self) -> np.ndarray:
         n = len(self._names)
         if n < 2:
-            self._record_stats(
-                build_s=0.0, traverse_s=0.0, cells=0, p2p_pairs=0
-            )
+            self._record_stats(built=False, cells=0, p2p_pairs=0)
             return np.zeros((n, 2), dtype=float)
-        build_s = 0.0
-        if self._tree is None or self._needs_rebuild():
+        built = self._tree is None or self._needs_rebuild()
+        if built:
             with span("layout.build"):
-                start = perf_counter()
                 self._tree = ArrayQuadTree(self._pos, self._weight)
                 self._mark_built(float(self._tree.half[0]))
-                build_s = perf_counter() - start
+        return self._traverse(built)
+
+    def _traverse(self, built: bool) -> np.ndarray:
+        """Forces on every body from the current tree; counts the eval."""
         with span("layout.traverse"):
-            start = perf_counter()
             forces, p2p = self._tree.forces(
                 self._pos, self._weight, self.params.charge, self.params.theta
             )
         self._record_stats(
-            build_s=build_s,
-            traverse_s=perf_counter() - start,
-            cells=self._tree.n_cells,
-            p2p_pairs=p2p,
+            built=built, cells=self._tree.n_cells, p2p_pairs=p2p
         )
         return forces

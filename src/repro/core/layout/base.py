@@ -39,27 +39,17 @@ class ForceLayout(ABC):
         self._pinned = np.zeros(0, dtype=bool)
         self._edges: dict[tuple[str, str], None] = {}
         self._edge_index: np.ndarray | None = None
-        #: per-step repulsion counters (last evaluation + running
-        #: totals), letting benchmarks attribute time to tree build vs
-        #: traversal: ``build_s``/``traverse_s`` are seconds spent in
-        #: the last evaluation, ``cells`` the quadtree size (0 for the
-        #: naive layout), ``p2p_pairs`` the exact body-body
-        #: interactions evaluated.  The dict is a
+        #: per-step repulsion counts, all ints: ``evals`` and
+        #: ``builds`` (quadtree builds) are running totals, ``cells``
+        #: the last evaluation's quadtree size (0 for the naive layout)
+        #: and ``p2p_pairs`` its exact body-body interactions.  For a
+        #: fixed seed they repeat exactly; the time spent lives in the
+        #: ``layout.build`` / ``layout.traverse`` spans.  The dict is a
         #: :class:`repro.obs.StatGroup` registered process-wide under
         #: the ``layout`` namespace (``repro.obs.registry.snapshot()``
-        #: folds every live layout in); it behaves exactly like the
-        #: plain dict it used to be.
-        self.stats: dict[str, float | int] = registry.group(
-            "layout",
-            {
-                "build_s": 0.0,
-                "traverse_s": 0.0,
-                "cells": 0,
-                "p2p_pairs": 0,
-                "evals": 0,
-                "total_build_s": 0.0,
-                "total_traverse_s": 0.0,
-            },
+        #: folds every live layout in).
+        self.stats: dict[str, int] = registry.group(
+            "layout", {"evals": 0, "builds": 0, "cells": 0, "p2p_pairs": 0}
         )
 
     # ------------------------------------------------------------------
@@ -290,17 +280,14 @@ class ForceLayout(ABC):
         """Hook: the body set or a weight changed; drop caches."""
 
     def _record_stats(
-        self, *, build_s: float, traverse_s: float, cells: int, p2p_pairs: int
+        self, *, built: bool, cells: int, p2p_pairs: int
     ) -> None:
-        """Store one repulsion evaluation's counters in :attr:`stats`."""
+        """Store one repulsion evaluation's counts in :attr:`stats`."""
         stats = self.stats
-        stats["build_s"] = build_s
-        stats["traverse_s"] = traverse_s
+        stats["evals"] += 1
+        stats["builds"] += int(built)
         stats["cells"] = cells
         stats["p2p_pairs"] = p2p_pairs
-        stats["evals"] += 1
-        stats["total_build_s"] += build_s
-        stats["total_traverse_s"] += traverse_s
 
     def _spring_forces(self) -> np.ndarray:
         forces = np.zeros_like(self._pos)

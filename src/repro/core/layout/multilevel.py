@@ -26,16 +26,17 @@ coarse position, which deepens the paper's aggregation-smoothness
 story (Fig. 8) — expanding a group spills its members around the spot
 the analyst was already looking at.
 
-Each call records aggregate counters into the ``layout.level`` stats
-namespace and returns the per-level detail alongside the seeds.
+Each call counts into the ``layout.level`` stats namespace, times each
+level's relaxation in a ``layout.mlevel`` span, and returns the
+per-level detail alongside the seeds.
 """
 
 from __future__ import annotations
 
 import random
-from time import perf_counter
 
 from repro.core.hierarchy import Hierarchy
+from repro.core.layout.barneshut import BarnesHutLayout
 from repro.core.layout.forces import LayoutParams
 from repro.core.layout.seeding import radial_seeds
 from repro.core.visgraph import VisGraph
@@ -51,13 +52,7 @@ __all__ = ["multilevel_seeds"]
 #: references to live groups).
 LEVEL_STATS = registry.group(
     "layout.level",
-    {
-        "runs": 0,
-        "levels": 0,
-        "coarse_steps": 0,
-        "refine_steps": 0,
-        "seconds": 0.0,
-    },
+    {"runs": 0, "levels": 0, "coarse_steps": 0, "refine_steps": 0},
 )
 
 
@@ -88,19 +83,14 @@ def multilevel_seeds(
     coarse_steps: int = 120,
     refine_steps: int = 15,
     tolerance: float = 0.5,
-    make_level_layout=None,
 ) -> tuple[dict[str, tuple[float, float]], list[dict]]:
     """Seed positions for *graph* via hierarchy-coarsened relaxation.
 
     Returns ``(seeds, levels)``: one ``(x, y)`` per graph node key, and
     one stats dict per level (coarsest first) with ``depth``, ``nodes``,
-    ``edges``, ``steps`` and ``seconds``.  The last level *is* the
-    target graph — its refined positions are the seeds.
-
-    ``make_level_layout`` lets the caller inject the per-level layout
-    factory (e.g. to run the finest level on the sharded kernel);
-    it defaults to the single-process array kernel.  The factory is
-    called as ``make_level_layout(params, seed)``.
+    ``edges`` and ``steps``.  The last level *is* the target graph —
+    its refined positions are the seeds.  Every level relaxes on the
+    single-process array kernel.
     """
     params = params or LayoutParams()
     if coarse_steps < 0 or refine_steps < 0:
@@ -108,12 +98,6 @@ def multilevel_seeds(
             f"step counts must be >= 0, got coarse={coarse_steps} "
             f"refine={refine_steps}"
         )
-    if make_level_layout is None:
-        from repro.core.layout.barneshut import BarnesHutLayout
-
-        def make_level_layout(level_params, level_seed):
-            return BarnesHutLayout(level_params, level_seed)
-
     # The target partition: graph node -> its full hierarchy prefix.
     prefix: dict[str, tuple] = {
         node.key: _prefix_of(hierarchy, node.members) for node in graph
@@ -121,7 +105,6 @@ def multilevel_seeds(
     max_depth = max((len(p) for p in prefix.values()), default=0)
     rng = random.Random(seed ^ 0x9E3779B9)
     stats = LEVEL_STATS
-    run_start = perf_counter()
 
     levels: list[dict] = []
     coarse_done = False
@@ -159,7 +142,7 @@ def multilevel_seeds(
                                                         len(prefix[node.key]))]
             for node in graph
         }
-        layout = make_level_layout(params, seed + depth)
+        layout = BarnesHutLayout(params, seed + depth)
         names = sorted(nodes, key=repr)
         if depth == 1:
             # Coarsest level: hierarchical radial arcs, the same
@@ -210,18 +193,14 @@ def multilevel_seeds(
         )
         layout.set_edges(list(edges))
         with span("layout.mlevel", depth=depth, nodes=len(names)):
-            start = perf_counter()
             steps = layout.run(steps_budget, tolerance)
-            seconds = perf_counter() - start
         parent_pos = dict(zip(names, (layout.position(n) for n in names)))
         levels.append({
             "depth": depth,
             "nodes": len(names),
             "edges": len(edges),
             "steps": steps,
-            "seconds": seconds,
         })
-        layout.close()
         stats["coarse_steps" if is_coarse else "refine_steps"] += steps
 
     seeds = {
@@ -230,5 +209,4 @@ def multilevel_seeds(
     }
     stats["runs"] += 1
     stats["levels"] += len(levels)
-    stats["seconds"] += perf_counter() - run_start
     return seeds, levels

@@ -9,8 +9,6 @@ blocks to bound memory.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
 from repro.core.layout.base import ForceLayout
@@ -28,11 +26,8 @@ class NaiveLayout(ForceLayout):
         n = len(self._names)
         forces = np.zeros((n, 2), dtype=float)
         if n < 2:
-            self._record_stats(
-                build_s=0.0, traverse_s=0.0, cells=0, p2p_pairs=0
-            )
+            self._record_stats(built=False, cells=0, p2p_pairs=0)
             return forces
-        began = perf_counter()
         charge = self.params.charge
         pos = self._pos
         weight = self._weight
@@ -49,10 +44,5 @@ class NaiveLayout(ForceLayout):
             magnitude = charge * weight[start:stop, None] * weight[None, :] / dist2
             dist = np.sqrt(dist2)
             forces[start:stop] = (diff * (magnitude / dist)[:, :, None]).sum(axis=1)
-        self._record_stats(
-            build_s=0.0,
-            traverse_s=perf_counter() - began,
-            cells=0,
-            p2p_pairs=n * (n - 1),
-        )
+        self._record_stats(built=False, cells=0, p2p_pairs=n * (n - 1))
         return forces

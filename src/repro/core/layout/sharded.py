@@ -18,7 +18,7 @@ runs one **superstep** per repulsion evaluation:
    resulting force rows into its disjoint slice of the shared force
    buffer;
 3. **boundary exchange / barrier** — workers report their per-superstep
-   counters back over their pipes; the coordinator blocks until all
+   counts back over their pipes; the coordinator blocks until all
    shards arrive, then reads the combined force array.
 
 Because a body's force accumulation order inside the array kernel is
@@ -35,19 +35,20 @@ nothing extra.  The kernel is a :class:`BarnesHutLayout`: on platforms
 without ``fork`` (or for tiny graphs, where a superstep costs more than
 it saves) it evaluates through its parent class, in-process, and the
 drift check that decides when the workers rebuild their replicas is
-the parent's too.
+the parent's too.  A worker that dies (its pipe breaks) makes the
+kernel close the pool and evaluate in-process from then on, over the
+tree the replicas held, so the positions stay the array kernel's.
 
-Every superstep records into the ``layout.shard`` stats namespace:
+Every superstep counts into the ``layout.shard`` stats namespace:
 ``supersteps``, ``rebuilds``, ``inproc_evals``, ``halo_bytes`` (pos
-broadcast), ``force_bytes`` (gathered shard rows), and the slowest
-worker's last build/traverse seconds.
+broadcast) and ``force_bytes`` (gathered shard rows); the
+``layout.superstep`` span times it.
 """
 
 from __future__ import annotations
 
 import mmap
 import multiprocessing
-from time import perf_counter
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def _worker_main(conn, pos_mm, weight_mm, force_mm, n, lo, hi) -> None:
     inputs refreshed by the coordinator before each superstep;
     ``force_mm`` receives this worker's force rows (disjoint slice, no
     locking needed).  Messages: ``("step", rebuild, charge, theta)`` →
-    ``("ok", build_s, traverse_s, cells, p2p)``; ``("stop",)`` exits.
+    ``("ok", cells, p2p)``; ``("stop",)`` exits.
     """
     pos = np.frombuffer(pos_mm, dtype=float, count=n * 2).reshape(n, 2)
     weight = np.frombuffer(weight_mm, dtype=float, count=n)
@@ -117,19 +118,14 @@ def _worker_main(conn, pos_mm, weight_mm, force_mm, n, lo, hi) -> None:
             if msg[0] != "step":
                 break
             _, rebuild, charge, theta = msg
-            build_s = 0.0
             if rebuild or tree is None:
-                start = perf_counter()
                 # Each worker builds its own replica from the same
                 # shared positions — deterministic, so all replicas
                 # are identical and no tree has to cross a pipe.
                 tree = ArrayQuadTree(pos, weight)
-                build_s = perf_counter() - start
-            start = perf_counter()
             forces, p2p = tree.forces(pos, weight, charge, theta, bodies=bodies)
-            traverse_s = perf_counter() - start
             force[lo:hi] = forces[lo:hi]
-            conn.send(("ok", build_s, traverse_s, tree.n_cells, p2p))
+            conn.send(("ok", tree.n_cells, p2p))
     except (EOFError, KeyboardInterrupt):
         pass
     finally:
@@ -174,26 +170,28 @@ class _ShardPool:
 
     def superstep(
         self, rebuild: bool, charge: float, theta: float
-    ) -> tuple[float, float, int, int]:
-        """Run one superstep; returns (build_s, traverse_s, cells, p2p).
+    ) -> tuple[int, int]:
+        """Run one superstep; returns ``(cells, p2p)``.
 
-        ``build_s``/``traverse_s`` are the slowest shard's (the
-        wall-clock critical path), ``p2p`` the sum over shards, and
-        ``cells`` the (identical) replica tree size.
+        ``cells`` is the (identical) replica tree size and ``p2p`` the
+        sum over shards.  A broken worker pipe (a dead worker) raises
+        :class:`~repro.errors.LayoutError`.
         """
-        for conn in self._conns:
-            conn.send(("step", rebuild, charge, theta))
-        build_s = traverse_s = 0.0
         cells = p2p = 0
-        for conn in self._conns:
-            reply = conn.recv()
-            if reply[0] != "ok":  # pragma: no cover - defensive
-                raise LayoutError(f"shard worker failed: {reply!r}")
-            build_s = max(build_s, reply[1])
-            traverse_s = max(traverse_s, reply[2])
-            cells = reply[3]
-            p2p += reply[4]
-        return build_s, traverse_s, cells, p2p
+        try:
+            for conn in self._conns:
+                conn.send(("step", rebuild, charge, theta))
+            for conn in self._conns:
+                reply = conn.recv()
+                if reply[0] != "ok":  # pragma: no cover - defensive
+                    raise LayoutError(f"shard worker failed: {reply!r}")
+                cells = reply[1]
+                p2p += reply[2]
+        except (EOFError, OSError) as error:
+            raise LayoutError(
+                f"shard worker lost: {type(error).__name__}: {error}"
+            ) from error
+        return cells, p2p
 
     def close(self) -> None:
         """Stop the workers and release the shared mappings."""
@@ -240,10 +238,12 @@ class ShardedBarnesHutLayout(BarnesHutLayout):
         self.workers = validate_workers(workers)
         self.min_shard_bodies = min_shard_bodies
         self._pool: _ShardPool | None = None
+        #: set once a worker died; the kernel stays in-process after
+        self._pool_lost = False
         super().__init__(params, seed)
-        #: per-superstep counters, folded into ``registry.snapshot()``
+        #: per-superstep counts, folded into ``registry.snapshot()``
         #: under ``layout.shard.*``
-        self.shard_stats: dict[str, float | int] = registry.group(
+        self.shard_stats: dict[str, int] = registry.group(
             "layout.shard",
             {
                 "workers": self.workers,
@@ -252,13 +252,13 @@ class ShardedBarnesHutLayout(BarnesHutLayout):
                 "inproc_evals": 0,
                 "halo_bytes": 0,
                 "force_bytes": 0,
-                "worker_build_s": 0.0,
-                "worker_traverse_s": 0.0,
             },
         )
 
     # ------------------------------------------------------------------
     def _use_pool(self, n: int) -> bool:
+        if self._pool_lost:
+            return False
         if self.workers < 2 or n < 2 or n < self.min_shard_bodies:
             return False
         return "fork" in multiprocessing.get_all_start_methods()
@@ -284,21 +284,27 @@ class ShardedBarnesHutLayout(BarnesHutLayout):
             # limit comes from the root the replicas will build.
             self._tree = None
             self._mark_built(root_cell(self._pos)[2])
-        with span("layout.superstep", workers=self.workers, n=n):
-            build_s, traverse_s, cells, p2p = pool.superstep(
-                rebuild, self.params.charge, self.params.theta
-            )
+        try:
+            with span("layout.superstep", workers=self.workers, n=n):
+                cells, p2p = pool.superstep(
+                    rebuild, self.params.charge, self.params.theta
+                )
+        except LayoutError:
+            # A worker died.  Evaluate in-process from now on, starting
+            # from the tree the replicas were built from (the drift
+            # reference), so the bits stay the array kernel's.
+            self.close()
+            self._pool_lost = True
+            self.shard_stats["inproc_evals"] += 1
+            with span("layout.build"):
+                self._tree = ArrayQuadTree(self._tree_pos, self._weight)
+            return self._traverse(rebuild)
         stats = self.shard_stats
         stats["supersteps"] += 1
         stats["rebuilds"] += int(rebuild)
         stats["halo_bytes"] += n * 2 * 8
         stats["force_bytes"] += n * 2 * 8
-        stats["worker_build_s"] = build_s
-        stats["worker_traverse_s"] = traverse_s
-        self._record_stats(
-            build_s=build_s, traverse_s=traverse_s,
-            cells=cells, p2p_pairs=p2p,
-        )
+        self._record_stats(built=rebuild, cells=cells, p2p_pairs=p2p)
         return pool.force.copy()
 
     def close(self) -> None:

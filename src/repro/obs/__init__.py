@@ -5,14 +5,17 @@ system's behavior visible; :mod:`repro.obs` applies the same thesis to
 the reproduction itself.  Three layers:
 
 * a process-wide :class:`MetricsRegistry` (:data:`registry`) of named
-  counters/gauges/timers plus the per-component :class:`StatGroup`
-  dicts the layout, aggregation and simulation engines already expose
-  as ``.stats`` — one :meth:`~MetricsRegistry.snapshot` sees them all;
+  counters, timers and histograms plus the per-component
+  :class:`StatGroup` dicts the layout, aggregation and simulation
+  engines expose as ``.stats`` — one :meth:`~MetricsRegistry.snapshot`
+  sees them all.  Stat groups hold counts only, which repeat exactly
+  for a fixed seed;
 * scoped :func:`span` timers bracketing the pipeline stages
   (``trace.read``, ``agg.slice``, ``agg.spatial``, ``layout.build``,
-  ``layout.traverse``, ``render.svg``, ``sim.step``).  Disabled by
-  default at near-zero cost; switch on with ``REPRO_OBS=1`` or
-  :func:`enable`;
+  ``layout.traverse``, ``render.svg``, ``sim.step``): every pipeline
+  duration is a span, and the server's per-op request latency a
+  histogram.  Spans are disabled by default at near-zero cost; switch
+  on with ``REPRO_OBS=1`` or :func:`enable`;
 * the :class:`Profiler`, which turns a run's spans into a repro-format
   **self-trace** that the tool can aggregate, lay out and render like
   any other trace — ``repro profile run.trace`` then
@@ -44,7 +47,6 @@ behind ``repro latency``).
 # has already taken that name.
 from repro.obs.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     StatGroup,
@@ -78,7 +80,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "JsonlSpanSink",
     "JsonlWriter",

@@ -45,6 +45,8 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping
 
+from repro.obs.registry import sample_quantile
+
 __all__ = [
     "SCHEMA",
     "BenchCase",
@@ -99,34 +101,20 @@ def machine_fingerprint() -> dict:
 def robust_stats(samples: list[float]) -> dict:
     """Median / IQR / MAD (plus mean, min, max) of per-call *samples*.
 
-    Median and IQR come from linear-interpolated quantiles; MAD is the
-    raw median absolute deviation (unscaled).  All values are seconds
-    per call.
+    Median, quartiles and MAD come from
+    :func:`~repro.obs.registry.sample_quantile` (linear interpolation);
+    MAD is the raw median absolute deviation (unscaled).  All values are
+    seconds per call.
     """
     if not samples:
         raise ValueError("robust_stats needs at least one sample")
     ordered = sorted(samples)
-
-    def quantile(q: float) -> float:
-        """Linear-interpolated *q*-quantile of the ordered samples."""
-        pos = q * (len(ordered) - 1)
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-    median = quantile(0.5)
-    deviations = sorted(abs(s - median) for s in ordered)
-    mad_pos = 0.5 * (len(deviations) - 1)
-    lo = int(math.floor(mad_pos))
-    hi = min(lo + 1, len(deviations) - 1)
-    mad = deviations[lo] * (1.0 - (mad_pos - lo)) + deviations[hi] * (
-        mad_pos - lo
-    )
+    median = sample_quantile(ordered, 0.5)
+    iqr = sample_quantile(ordered, 0.75) - sample_quantile(ordered, 0.25)
     return {
         "median_s": median,
-        "iqr_s": quantile(0.75) - quantile(0.25),
-        "mad_s": mad,
+        "iqr_s": iqr,
+        "mad_s": sample_quantile([abs(s - median) for s in ordered], 0.5),
         "mean_s": sum(ordered) / len(ordered),
         "min_s": ordered[0],
         "max_s": ordered[-1],
@@ -644,7 +632,7 @@ def _server_suite(quick: bool) -> list[BenchCase]:
     sessions; the ROADMAP target is its p95 staying within 3x the
     ``scrub_solo`` p95 (asserted by ``benchmarks/test_server_load.py``).
     """
-    from repro.server.load import percentile, run_load
+    from repro.server.load import run_load
     from repro.trace.synthetic import random_hierarchical_trace
 
     if quick:
@@ -679,9 +667,9 @@ def _server_suite(quick: bool) -> list[BenchCase]:
                 inner_loops=1,
                 warmup=0,
                 samples_s=samples,
-                p50_s=percentile(samples, 50),
-                p95_s=percentile(samples, 95),
-                p99_s=percentile(samples, 99),
+                p50_s=sample_quantile(samples, 0.5),
+                p95_s=sample_quantile(samples, 0.95),
+                p99_s=sample_quantile(samples, 0.99),
                 throughput_rps=report["throughput_rps"],
                 cache_cross_hits=report["cache"]["cross_hits"],
             )

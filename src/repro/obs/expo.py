@@ -1,26 +1,27 @@
 """Prometheus text exposition of the metrics registry.
 
 The registry already aggregates everything the library knows about
-itself — counters, gauges, timers (optionally histogram-backed),
-standalone histograms, and per-component :class:`StatGroup` dicts.
+itself — counters, timers, histograms, and per-component
+:class:`StatGroup` dicts of counts.
 This module renders that whole surface in the Prometheus *text
 exposition format* (version 0.0.4), the lingua franca every scraper
 speaks, so ``GET /metrics`` on the analysis server plugs straight into
 an existing monitoring stack:
 
 * counters → ``# TYPE repro_x counter`` samples;
-* gauges and stat-group keys → gauges;
+* stat-group keys → gauges;
 * timers → summaries (``_count`` / ``_sum`` with a ``_seconds`` unit
   suffix);
 * histograms → full ``_bucket{le="..."}`` series with cumulative
   counts, a mandatory ``+Inf`` bucket, ``_sum`` and ``_count``.
 
 :func:`parse_exposition` is the inverse for the consuming side
-(``repro top``, ``repro loadtest --url``): it parses an exposition body
-back to samples, and :func:`histogram_series` reassembles per-label
-bucket series so :func:`repro.obs.registry.bucket_quantile` can
-estimate p50/p95/p99 from a scrape — the same estimator the in-process
-snapshot uses, so both sides of the wire agree.
+(:func:`repro.server.client.scrape_breakdown`, behind ``repro top`` and
+``repro loadtest --url``): it parses an exposition body back to
+samples, and :func:`histogram_series` reassembles per-label bucket
+series so :func:`repro.obs.registry.latency_summary` can estimate
+p50/p95/p99 from a scrape — the same function the in-process breakdown
+calls, so both sides of the wire agree.
 """
 
 from __future__ import annotations
@@ -104,52 +105,27 @@ def _bound_text(bound: float) -> str:
     return "+Inf" if math.isinf(bound) else format(bound, ".9g")
 
 
-def _render_histogram_family(
-    lines: list[str],
-    family: str,
-    help_text: str,
-    series: "Iterable[tuple[tuple, tuple[float, ...], tuple[int, ...], int, float]]",
-) -> None:
-    """Append one histogram family (possibly many label sets)."""
-    lines.append(f"# HELP {family} {help_text}")
-    lines.append(f"# TYPE {family} histogram")
-    for labels, bounds, counts, count, total in series:
-        cumulative = 0
-        for bound, bucket in zip(bounds, counts):
-            cumulative += bucket
-            le = _labels_text(list(labels) + [("le", _bound_text(bound))])
-            lines.append(f"{family}_bucket{le} {cumulative}")
-        le = _labels_text(list(labels) + [("le", "+Inf")])
-        lines.append(f"{family}_bucket{le} {count}")
-        lines.append(f"{family}_sum{_labels_text(labels)} {_number(total)}")
-        lines.append(f"{family}_count{_labels_text(labels)} {count}")
-
-
 def render_prometheus(
     reg: MetricsRegistry | None = None, prefix: str = "repro"
 ) -> str:
     """The whole registry as a Prometheus text exposition body.
 
-    Every registered metric appears exactly once: counters and gauges
-    under their sanitized name, timers as ``<name>_seconds`` summaries
-    (plus a ``<name>_seconds`` histogram family when the timer carries
-    one), standalone histograms with their full bucket series, and
-    every live stat-group key as a gauge summed across instances.  The
-    body ends with a newline as the format requires.
+    Every registered metric appears exactly once: counters under their
+    sanitized name, timers as ``<name>_seconds`` summaries, histograms
+    with their full bucket series, and every live stat-group key as a
+    gauge summed across instances.  The body ends with a newline as the
+    format requires.
     """
     reg = default_registry if reg is None else reg
     lines: list[str] = []
 
     counters: dict[str, list] = {}
-    gauges: dict[str, list] = {}
     timers: dict[str, list] = {}
     histograms: dict[str, list] = {}
     for metric in reg:
         kind = type(metric).__name__
         if kind == "Counter":
             counters.setdefault(metric.name, []).append(metric)
-        elif kind == "Gauge":
-            gauges.setdefault(metric.name, []).append(metric)
         elif kind == "Timer":
             timers.setdefault(metric.name, []).append(metric)
         else:
@@ -165,15 +141,6 @@ def render_prometheus(
                 f"{_number(counter.value)}"
             )
 
-    for name in sorted(gauges):
-        family = prom_name(name, prefix)
-        lines.append(f"# HELP {family} Gauge {name} from the repro registry.")
-        lines.append(f"# TYPE {family} gauge")
-        for gauge in gauges[name]:
-            lines.append(
-                f"{family}{_labels_text(gauge.labels)} {_number(gauge.value)}"
-            )
-
     for name in sorted(timers):
         family = prom_name(name, prefix) + "_seconds"
         lines.append(f"# HELP {family} Timer {name} duration summary.")
@@ -182,26 +149,25 @@ def render_prometheus(
             labels = _labels_text(timer.labels)
             lines.append(f"{family}_sum{labels} {_number(timer.total_s)}")
             lines.append(f"{family}_count{labels} {timer.count}")
-        backed = [t.histogram for t in timers[name] if t.histogram is not None]
-        if backed:
-            _render_histogram_family(
-                lines,
-                family + "_hist",
-                f"Timer {name} latency histogram.",
-                [
-                    (h.labels, h.bounds) + h.state()
-                    for h in backed
-                ],
-            )
 
     for name in sorted(histograms):
         family = prom_name(name, prefix)
-        _render_histogram_family(
-            lines,
-            family,
-            f"Histogram {name} from the repro registry.",
-            [(h.labels, h.bounds) + h.state() for h in histograms[name]],
+        lines.append(
+            f"# HELP {family} Histogram {name} from the repro registry."
         )
+        lines.append(f"# TYPE {family} histogram")
+        for histogram in histograms[name]:
+            labels = histogram.labels
+            counts, count, total = histogram.state()
+            cumulative = 0
+            for bound, bucket in zip(histogram.bounds, counts):
+                cumulative += bucket
+                le = _labels_text(list(labels) + [("le", _bound_text(bound))])
+                lines.append(f"{family}_bucket{le} {cumulative}")
+            le = _labels_text(list(labels) + [("le", "+Inf")])
+            lines.append(f"{family}_bucket{le} {count}")
+            lines.append(f"{family}_sum{_labels_text(labels)} {_number(total)}")
+            lines.append(f"{family}_count{_labels_text(labels)} {count}")
 
     group_values: dict[str, dict[tuple, float]] = {}
     for group_name in sorted(reg.group_names()):
@@ -296,8 +262,7 @@ def histogram_series(
     *bounds* are the finite bucket upper bounds in ascending order and
     *per_bucket_counts* are **de-cumulated** counts (overflow last) —
     exactly the shape :func:`repro.obs.registry.bucket_quantile`
-    consumes.  Feeding it a before/after scrape difference is how
-    ``repro top`` computes per-interval quantiles.
+    consumes.
     """
     buckets: dict[str, dict[float, float]] = {}
     for sample in samples:

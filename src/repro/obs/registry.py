@@ -1,23 +1,24 @@
 """The process-wide metrics registry.
 
-One namespace for every counter, gauge, timer histogram and component
-stats group the library maintains about *itself*.  Before this module
-existed each subsystem grew its own ad-hoc ``stats`` dict
-(``ForceLayout.stats``, ``AggregationEngine.stats``); those dicts are
-now :class:`StatGroup` instances registered here, so one
-:meth:`MetricsRegistry.snapshot` call sees the whole pipeline while the
-owning objects keep their exact historical ``stats`` surface (a
-``StatGroup`` *is* a ``dict`` — increments stay native C speed).
+One namespace for every counter, timer, histogram and component stats
+group the library maintains about *itself*.  Each measured quantity has
+one recorder:
 
-Four metric families:
-
+* :class:`StatGroup` — a component's ``stats`` dict of **counts**
+  (``ForceLayout.stats``, ``AggregationEngine.stats``...), registered
+  here so one :meth:`MetricsRegistry.snapshot` call sees the whole
+  pipeline (a ``StatGroup`` *is* a ``dict`` — increments stay native C
+  speed).  For a fixed seed the counts repeat exactly;
 * :class:`Counter` — a monotonically increasing total (``add``);
-* :class:`Gauge` — a last-write-wins level (``set``);
 * :class:`Timer` — a duration summary (``observe``) fed by
-  :func:`repro.obs.spans.span`, optionally carrying a histogram;
+  :func:`repro.obs.spans.span`: every pipeline duration is a span;
 * :class:`Histogram` — fixed log-spaced buckets with exact count/sum
-  and p50/p95/p99 estimation, the backbone of the server's per-op
-  request latency attribution.
+  and p50/p95/p99 estimation, the server's per-op request latency.
+
+:func:`latency_summary` turns two histogram states into the per-op
+count / mean / p50 / p95 / p99 row every report prints, and
+:func:`sample_quantile` is the one linear-interpolated quantile of raw
+samples (load reports, benchmark statistics).
 
 All of them are plain always-on objects; the *enabled* switch of
 :mod:`repro.obs.spans` only gates the span instrumentation, which is
@@ -34,14 +35,15 @@ from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Timer",
     "StatGroup",
     "MetricsRegistry",
     "bucket_quantile",
+    "latency_summary",
     "log_buckets",
     "registry",
+    "sample_quantile",
 ]
 
 
@@ -85,8 +87,9 @@ def bucket_quantile(
     buckets), and ``counts[len(bounds)]`` is the overflow bucket.  The
     estimate interpolates linearly inside the bucket containing the
     target rank, clamped to the observed *lo*/*hi* extremes when given.
-    Shared by :meth:`Histogram.quantile` and the ``/metrics`` scrapers
-    (``repro top``), so both sides of the wire agree on the estimator.
+    Shared by :meth:`Histogram.quantile` and :func:`latency_summary`,
+    which both sides of the wire (in-process breakdowns and ``/metrics``
+    scrapes) call, so they agree on the estimator.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q!r}")
@@ -113,6 +116,55 @@ def bucket_quantile(
             return lower + fraction * (upper - lower)
         cumulative += count
     return hi if hi is not None else bounds[-1]
+
+
+def latency_summary(
+    bounds: Sequence[float],
+    state: tuple[Sequence[float], float, float],
+    since: tuple[Sequence[float], float, float] | None = None,
+) -> dict[str, float]:
+    """Count, mean and p50/p95/p99 of the observations between two states.
+
+    *state* and *since* are ``(bucket_counts, count, sum)`` snapshots of
+    one histogram with upper bounds *bounds* — :meth:`Histogram.state`
+    in-process, or a ``/metrics`` scrape
+    (:func:`repro.server.client.scrape_breakdown`); *since* ``None``
+    counts from empty.  Bucket counts subtract, so the interval is a
+    histogram of its own.  Returns ``{count, mean_s, p50_s, p95_s,
+    p99_s}``; an empty interval has count and mean 0.
+    """
+    counts, count, total = state
+    if since is not None:
+        counts = [now - then for now, then in zip(counts, since[0])]
+        count -= since[1]
+        total -= since[2]
+    return {
+        "count": float(count),
+        "mean_s": total / count if count > 0 else 0.0,
+        "p50_s": bucket_quantile(bounds, counts, 0.5),
+        "p95_s": bucket_quantile(bounds, counts, 0.95),
+        "p99_s": bucket_quantile(bounds, counts, 0.99),
+    }
+
+
+def sample_quantile(samples: Sequence[float], q: float) -> float:
+    """The *q*-quantile (``q`` in [0, 1]) of raw *samples*.
+
+    Interpolates linearly between the two nearest ranks (numpy's default
+    ``linear`` method).  The one estimator over raw samples: the load
+    report's percentiles and :func:`repro.obs.bench.robust_stats` (its
+    median, quartiles and MAD) all call it.
+    """
+    if not samples:
+        raise ValueError("no samples to take a quantile of")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
+    ordered = sorted(samples)
+    rank = (len(ordered) - 1) * q
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    frac = rank - low
+    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 class Counter:
@@ -147,28 +199,6 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Gauge:
-    """A named last-write-wins level (queue depth, cache size...)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: tuple = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current level."""
-        self.value = float(value)
-
-    def reset(self) -> None:
-        """Zero the gauge (testing/benchmark hygiene)."""
-        self.value = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self.value})"
-
-
 class Timer:
     """A duration histogram summary: count / total / min / max seconds.
 
@@ -178,15 +208,7 @@ class Timer:
     stage after the fact.
     """
 
-    __slots__ = (
-        "name",
-        "labels",
-        "count",
-        "total_s",
-        "min_s",
-        "max_s",
-        "histogram",
-    )
+    __slots__ = ("name", "labels", "count", "total_s", "min_s", "max_s")
 
     def __init__(self, name: str, labels: tuple = ()) -> None:
         self.name = name
@@ -195,10 +217,6 @@ class Timer:
         self.total_s = 0.0
         self.min_s = math.inf
         self.max_s = 0.0
-        #: Optional attached :class:`Histogram` fed on every observe,
-        #: upgrading the summary to p50/p95/p99 (see
-        #: :meth:`MetricsRegistry.timer`'s ``histogram=`` flag).
-        self.histogram: Histogram | None = None
 
     def observe(self, seconds: float) -> None:
         """Record one duration in seconds."""
@@ -208,8 +226,6 @@ class Timer:
             self.min_s = seconds
         if seconds > self.max_s:
             self.max_s = seconds
-        if self.histogram is not None:
-            self.histogram.observe(seconds)
 
     @property
     def mean_s(self) -> float:
@@ -222,8 +238,6 @@ class Timer:
         self.total_s = 0.0
         self.min_s = math.inf
         self.max_s = 0.0
-        if self.histogram is not None:
-            self.histogram.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Timer({self.name}: n={self.count}, total={self.total_s:.6f}s)"
@@ -322,10 +336,8 @@ class Histogram:
     def state(self) -> tuple[tuple[int, ...], int, float]:
         """Atomic ``(bucket_counts, count, sum)`` snapshot.
 
-        Interval deltas between two such snapshots are themselves a
-        valid histogram (bucket counts subtract), which is how the
-        loadtest report and ``repro top`` turn a cumulative histogram
-        into per-interval quantiles.
+        :func:`latency_summary` subtracts two such snapshots into the
+        latency summary of the interval between them.
         """
         with self._lock:
             return tuple(self.bucket_counts), self.count, self.sum
@@ -367,9 +379,9 @@ class StatGroup(dict):
 
 
 class MetricsRegistry:
-    """Process-wide registry of named counters, gauges, timers, groups.
+    """Process-wide registry of named counters, timers, histograms, groups.
 
-    ``counter``/``gauge``/``timer`` are get-or-create: the same
+    ``counter``/``timer``/``histogram`` are get-or-create: the same
     ``(name, labels)`` pair always returns the same object, so call
     sites do not need to hold references.  ``group`` creates a fresh
     :class:`StatGroup` per call (components own their instance counters)
@@ -378,7 +390,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[tuple, Counter] = {}
-        self._gauges: dict[tuple, Gauge] = {}
         self._timers: dict[tuple, Timer] = {}
         self._histograms: dict[tuple, Histogram] = {}
         self._groups: dict[str, weakref.WeakSet] = {}
@@ -398,29 +409,12 @@ class MetricsRegistry:
             found = self._counters[key] = Counter(name, key[1])
         return found
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        """Get or create the gauge *name* (+ optional labels)."""
-        key = self._key(name, labels)
-        found = self._gauges.get(key)
-        if found is None:
-            found = self._gauges[key] = Gauge(name, key[1])
-        return found
-
-    def timer(self, name: str, histogram: bool = False, **labels) -> Timer:
-        """Get or create the timer *name* (+ optional labels).
-
-        With ``histogram=True`` the timer carries an attached
-        :class:`Histogram` (created on first request, kept thereafter)
-        so its summary gains p50/p95/p99 estimation; existing call
-        sites that omit the flag keep the plain four-number summary and
-        never upgrade a timer someone else requested plain.
-        """
+    def timer(self, name: str, **labels) -> Timer:
+        """Get or create the timer *name* (+ optional labels)."""
         key = self._key(name, labels)
         found = self._timers.get(key)
         if found is None:
             found = self._timers[key] = Timer(name, key[1])
-        if histogram and found.histogram is None:
-            found.histogram = Histogram(name, key[1])
         return found
 
     def histogram(
@@ -429,7 +423,7 @@ class MetricsRegistry:
         bounds: Sequence[float] | None = None,
         **labels,
     ) -> Histogram:
-        """Get or create the standalone histogram *name* (+ labels).
+        """Get or create the histogram *name* (+ optional labels).
 
         *bounds* only applies on creation; same-name histograms must
         share bucket bounds so snapshots can merge them bucketwise.
@@ -457,14 +451,13 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def __iter__(self) -> Iterator["Counter | Gauge | Timer | Histogram"]:
+    def __iter__(self) -> Iterator["Counter | Timer | Histogram"]:
         yield from self._counters.values()
-        yield from self._gauges.values()
         yield from self._timers.values()
         yield from self._histograms.values()
 
     def histograms(self) -> list[Histogram]:
-        """Every registered standalone histogram (exposition order)."""
+        """Every registered histogram (exposition order)."""
         return list(self._histograms.values())
 
     @staticmethod
@@ -489,7 +482,7 @@ class MetricsRegistry:
     def snapshot(self, prefix: str = "") -> dict[str, float]:
         """One flat ``name -> number`` view of everything registered.
 
-        Counters and gauges appear under their name, timers flatten to
+        Counters appear under their name, timers flatten to
         ``<name>.count`` / ``.total_s`` / ``.mean_s`` / ``.max_s``, and
         live stat groups sum across instances under
         ``<namespace>.<key>``.  *prefix* filters by name prefix.
@@ -497,8 +490,6 @@ class MetricsRegistry:
         out: dict[str, float] = {}
         for counter in self._counters.values():
             out[counter.name] = out.get(counter.name, 0.0) + counter.value
-        for gauge in self._gauges.values():
-            out[gauge.name] = gauge.value
         # Same-name timers (distinct label sets) aggregate: counts and
         # totals sum, the mean derives from those sums, and the max is
         # the max over instances — not last-write-wins.
@@ -520,22 +511,9 @@ class MetricsRegistry:
             out[f"{name}.mean_s"] = (
                 out[f"{name}.total_s"] / count if count else 0.0
             )
-        # Timer-attached histograms add quantile keys next to the
-        # summary; same-name instances merge bucketwise first.
+        # Histograms flatten to count/sum/quantiles; same-name
+        # instances merge bucketwise first.
         by_name: dict[str, list[Histogram]] = {}
-        for timer in self._timers.values():
-            if timer.histogram is not None:
-                by_name.setdefault(timer.name, []).append(timer.histogram)
-        for name, histos in by_name.items():
-            merged, count, _total, lo, hi = self._merge_histograms(histos)
-            for label, q in (("p50_s", 0.5), ("p95_s", 0.95), ("p99_s", 0.99)):
-                out[f"{name}.{label}"] = (
-                    bucket_quantile(histos[0].bounds, merged, q, lo, hi)
-                    if count
-                    else 0.0
-                )
-        # Standalone histograms flatten to count/sum/quantiles.
-        by_name = {}
         for histogram in self._histograms.values():
             by_name.setdefault(histogram.name, []).append(histogram)
         for name, histos in by_name.items():
@@ -562,7 +540,7 @@ class MetricsRegistry:
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Zero every counter/gauge/timer, keeping registrations.
+        """Zero every counter/timer/histogram, keeping registrations.
 
         Stat groups belong to their components and are left untouched.
         """
@@ -572,7 +550,6 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Forget every registration (test isolation)."""
         self._counters.clear()
-        self._gauges.clear()
         self._timers.clear()
         self._histograms.clear()
         self._groups.clear()

@@ -5,7 +5,8 @@ the end-to-end benchmark and every server test.  :class:`WsClient`
 speaks exactly the protocol of :mod:`repro.server.protocol`: send one
 JSON request, await one JSON envelope.  :func:`http_get` fetches the
 plain HTTP endpoints (``/healthz``, ``/info``, ``/stats``,
-``/render``).
+``/render``), and :func:`scrape_breakdown` reads the per-op request
+histograms off ``/metrics``.
 
 The server itself never imports this module or :mod:`asyncio`: it runs
 a ``selectors`` loop (:mod:`repro.server.app`).  Both sides frame and
@@ -34,7 +35,7 @@ from repro.server.ws import (
     encode_frame,
 )
 
-__all__ = ["WebSocketConnection", "WsClient", "http_get"]
+__all__ = ["WebSocketConnection", "WsClient", "http_get", "scrape_breakdown"]
 
 #: Bytes asked of the stream per read.
 _READ_SIZE = 64 * 1024
@@ -230,3 +231,36 @@ async def http_get(
     head, _, body = raw.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
     return status, body
+
+
+async def scrape_breakdown(host: str, port: int) -> dict | None:
+    """Per-op request-histogram states scraped from ``/metrics``.
+
+    Returns ``{op: (bounds, (bucket_counts, count, sum))}``, the
+    arguments :func:`~repro.obs.registry.latency_summary` takes, as
+    :meth:`~repro.server.telemetry.ServerTelemetry.breakdown` passes
+    them in-process; ``None`` when the endpoint is unavailable
+    (``--no-metrics``).  Two scrapes bracketing a run subtract into the
+    run's own latency summary.  A malformed body raises
+    :class:`ValueError`.
+    """
+    from repro.obs.expo import histogram_series, parse_exposition, prom_name
+    from repro.server.telemetry import REQUEST_HISTOGRAM
+
+    status, body = await http_get(host, port, "/metrics")
+    if status != 200:
+        return None
+    family = prom_name(REQUEST_HISTOGRAM)
+    samples = parse_exposition(body.decode("utf-8"))
+    counts: dict[str, float] = {}
+    sums: dict[str, float] = {}
+    for sample in samples:
+        if sample.name == f"{family}_count":
+            counts[sample.label("op")] = sample.value
+        elif sample.name == f"{family}_sum":
+            sums[sample.label("op")] = sample.value
+    series = histogram_series(samples, family, by="op")
+    return {
+        op: (bounds, (buckets, counts.get(op, 0.0), sums.get(op, 0.0)))
+        for op, (bounds, buckets) in series.items()
+    }

@@ -32,92 +32,31 @@ import time
 import urllib.parse
 
 from repro.errors import ReproError
-from repro.obs.expo import histogram_series, parse_exposition, prom_name
-from repro.obs.registry import bucket_quantile
+from repro.obs.registry import latency_summary, sample_quantile
 from repro.server.app import ReproServer
-from repro.server.client import WsClient, http_get
+from repro.server.client import WsClient, http_get, scrape_breakdown
 from repro.server.protocol import canonical_json
 from repro.server.state import ServerConfig, SessionState
-from repro.server.telemetry import REQUEST_HISTOGRAM, format_breakdown
+from repro.server.telemetry import format_breakdown
 
 __all__ = [
     "default_group_paths",
     "format_report",
     "make_storm",
-    "percentile",
     "replay_storm_local",
     "run_load",
-    "scrape_breakdown",
 ]
-
-#: Exposition family name of the per-op request histograms.
-_REQUEST_FAMILY = prom_name(REQUEST_HISTOGRAM)
-
-
-async def scrape_breakdown(host: str, port: int) -> dict | None:
-    """Per-op histogram state scraped from a remote ``/metrics``.
-
-    Returns ``{op: (bounds, bucket_counts, count, sum)}`` — the same
-    shape :meth:`~repro.server.telemetry.ServerTelemetry.breakdown`
-    derives in-process — or ``None`` when the endpoint is unavailable
-    (older server, ``--no-metrics``).  Two scrapes bracketing a load
-    run subtract into the run's own per-op latency distribution.
-    """
-    status, body = await http_get(host, port, "/metrics")
-    if status != 200:
-        return None
-    samples = parse_exposition(body.decode("utf-8"))
-    series = histogram_series(samples, _REQUEST_FAMILY, by="op")
-    counts: dict[str, float] = {}
-    sums: dict[str, float] = {}
-    for sample in samples:
-        if sample.name == f"{_REQUEST_FAMILY}_count":
-            counts[sample.label("op")] = sample.value
-        elif sample.name == f"{_REQUEST_FAMILY}_sum":
-            sums[sample.label("op")] = sample.value
-    return {
-        op: (bounds, buckets, counts.get(op, 0.0), sums.get(op, 0.0))
-        for op, (bounds, buckets) in series.items()
-    }
 
 
 def _breakdown_between(before: dict | None, after: dict) -> dict:
     """The per-op latency summary of the interval between two scrapes."""
     out: dict[str, dict[str, float]] = {}
-    for op in sorted(after):
-        bounds, buckets, count, total = after[op]
-        base = (before or {}).get(op)
-        base_buckets = base[1] if base else [0.0] * len(buckets)
-        base_count = base[2] if base else 0.0
-        base_sum = base[3] if base else 0.0
-        delta = [now - then for now, then in zip(buckets, base_buckets)]
-        n = count - base_count
-        if n <= 0:
-            continue
-        out[op] = {
-            "count": float(n),
-            "mean_s": (total - base_sum) / n,
-            "p50_s": bucket_quantile(bounds, delta, 0.5),
-            "p95_s": bucket_quantile(bounds, delta, 0.95),
-            "p99_s": bucket_quantile(bounds, delta, 0.99),
-        }
+    for op, (bounds, state) in sorted(after.items()):
+        since = (before or {}).get(op)
+        row = latency_summary(bounds, state, since[1] if since else None)
+        if row["count"] > 0:
+            out[op] = row
     return out
-
-
-def percentile(samples: list[float], q: float) -> float:
-    """The *q*-th percentile of *samples* (linear interpolation)."""
-    if not samples:
-        raise ReproError("no samples to take a percentile of")
-    if not 0.0 <= q <= 100.0:
-        raise ReproError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * (q / 100.0)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 def default_group_paths(trace, limit: int = 2) -> list[tuple[str, ...]]:
@@ -265,14 +204,14 @@ async def _drive(
         "wall_s": wall_s,
         "throughput_rps": len(pooled) / wall_s if wall_s > 0 else 0.0,
         "latency": {
-            "p50_s": percentile(pooled, 50),
-            "p95_s": percentile(pooled, 95),
-            "p99_s": percentile(pooled, 99),
+            "p50_s": sample_quantile(pooled, 0.5),
+            "p95_s": sample_quantile(pooled, 0.95),
+            "p99_s": sample_quantile(pooled, 0.99),
             "max_s": max(pooled),
             "mean_s": sum(pooled) / len(pooled),
         },
         "per_session_p95_s": [
-            percentile(latencies, 95) for latencies, _ in results
+            sample_quantile(latencies, 0.95) for latencies, _ in results
         ],
     }
     if keep_samples:

@@ -37,7 +37,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import IO, Mapping, MutableMapping
 
-from repro.obs.registry import Histogram, bucket_quantile, registry
+from repro.obs.registry import Histogram, latency_summary, registry
 from repro.trace.trace import CAPACITY, Trace, USAGE
 
 __all__ = [
@@ -187,27 +187,17 @@ class ServerTelemetry:
         Subtracts the construction-time baseline from each per-op
         histogram, so in-process runs that share the global registry
         (loadtests, tests) report only their own interval.  Returns
-        ``{op: {count, mean_s, p50_s, p95_s, p99_s}}`` for ops with at
+        ``{op: {count, mean_s, p50_s, p95_s, p99_s}}``
+        (:func:`~repro.obs.registry.latency_summary`) for ops with at
         least one request.
         """
         out: dict[str, dict[str, float]] = {}
         for op, histogram in sorted(self._histograms.items()):
-            counts, count, total = histogram.state()
-            base = self._baseline.get(
-                op, ((0,) * len(counts), 0, 0.0)
+            row = latency_summary(
+                histogram.bounds, histogram.state(), self._baseline.get(op)
             )
-            delta = [now - then for now, then in zip(counts, base[0])]
-            n = count - base[1]
-            if n <= 0:
-                continue
-            seconds = total - base[2]
-            out[op] = {
-                "count": float(n),
-                "mean_s": seconds / n,
-                "p50_s": bucket_quantile(histogram.bounds, delta, 0.5),
-                "p95_s": bucket_quantile(histogram.bounds, delta, 0.95),
-                "p99_s": bucket_quantile(histogram.bounds, delta, 0.99),
-            }
+            if row["count"] > 0:
+                out[op] = row
         return out
 
     def close(self) -> None:

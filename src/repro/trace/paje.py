@@ -94,10 +94,17 @@ def _parse(stream: IO[str]) -> Trace:
     skipped = 0
     end_time = 0.0
 
-    def path_of(key: str) -> tuple[str, ...]:
+    def path_of(key: str, lineno: int) -> tuple[str, ...]:
         chain: list[str] = []
+        seen: set[str] = set()
         cursor: str | None = key
         while cursor is not None:
+            if cursor in seen:
+                raise TraceError(
+                    f"paje line {lineno}: container nesting loops at "
+                    f"{cursor!r}"
+                )
+            seen.add(cursor)
             name, __, parent = containers[cursor]
             chain.append(name)
             cursor = parent
@@ -166,7 +173,7 @@ def _parse(stream: IO[str]) -> Trace:
                 )
             kind = container_types.get(values.get("Type", ""), "container")
             builder.declare_entity(
-                container_name, kind.lower(), path_of(alias)
+                container_name, kind.lower(), path_of(alias, lineno)
             )
             end_time = max(end_time, _time(values, lineno))
         elif name == "PajeDestroyContainer":
@@ -183,12 +190,7 @@ def _parse(stream: IO[str]) -> Trace:
                 values.get("Type", ""), values.get("Type", "value")
             )
             time = _time(values, lineno)
-            try:
-                value = float(values.get("Value", "0"))
-            except ValueError:
-                raise TraceError(
-                    f"paje line {lineno}: bad value {values.get('Value')!r}"
-                ) from None
+            value = _number(values.get("Value", "0"), "value", lineno)
             key = (entity, metric)
             if name == "PajeAddVariable":
                 value = variable_values.get(key, 0.0) + value
@@ -206,7 +208,7 @@ def _parse(stream: IO[str]) -> Trace:
                     containers.get(
                         values.get("StartContainer", ""), ("?", "", None)
                     )[0],
-                    float(values.get("Value", 0) or 0),
+                    _number(values.get("Value") or "0", "value", lineno),
                 )
             )
             end_time = max(end_time, time)
@@ -233,13 +235,15 @@ def _parse(stream: IO[str]) -> Trace:
     return builder.build()
 
 
-def _time(values: dict[str, str], lineno: int) -> float:
+def _number(text: str, what: str, lineno: int) -> float:
     try:
-        return float(values.get("Time", "0"))
+        return float(text)
     except ValueError:
-        raise TraceError(
-            f"paje line {lineno}: bad timestamp {values.get('Time')!r}"
-        ) from None
+        raise TraceError(f"paje line {lineno}: bad {what} {text!r}") from None
+
+
+def _time(values: dict[str, str], lineno: int) -> float:
+    return _number(values.get("Time", "0"), "timestamp", lineno)
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,7 @@ if TYPE_CHECKING:
 __all__ = [
     "TraceStore",
     "convert",
+    "is_paje_file",
     "is_store_file",
     "open_store",
     "write_store",
@@ -98,6 +99,20 @@ def is_store_file(path: str | Path) -> bool:
             return sniff_magic(stream.read(len(MAGIC)))
     except OSError:
         return False
+
+
+def is_paje_file(path: str | Path) -> bool:
+    """Whether the text trace at *path* is in the Paje format.
+
+    The one format sniff, called after the store-magic check by every
+    command that reads a trace and by :func:`convert`: a ``.paje``
+    suffix, or a Paje ``%EventDef`` preamble in the first 4 KiB (repro
+    text never has one).
+    """
+    if Path(path).suffix == ".paje":
+        return True
+    with open(path, "r", encoding="utf-8", errors="replace") as stream:
+        return "%EventDef" in stream.read(4096)
 
 
 # ----------------------------------------------------------------------
@@ -265,22 +280,15 @@ def convert(
 ) -> TraceStore:
     """Convert the text trace at *source* into a store at *destination*.
 
-    *input_format* is ``"repro"``, ``"paje"`` or ``"auto"`` (sniff: a
-    ``.paje`` suffix or a Paje ``%EventDef`` preamble selects the Paje
-    parser).  ``repro`` text is parsed straight into the store columns
+    *input_format* is ``"repro"``, ``"paje"`` or ``"auto"``
+    (:func:`is_paje_file` picks).  ``repro`` text is parsed straight into the store columns
     (:func:`repro.trace.reader.parse_columns`), with no
     :class:`~repro.trace.trace.Trace` in between; Paje input goes
     through its trace.  Returns the written file reopened as a
     :class:`TraceStore`, which validates it.
     """
-    source = Path(source)
     if input_format == "auto":
-        if source.suffix == ".paje":
-            input_format = "paje"
-        else:
-            with open(source, "r", encoding="utf-8", errors="replace") as fh:
-                head = fh.read(4096)
-            input_format = "paje" if "%EventDef" in head else "repro"
+        input_format = "paje" if is_paje_file(source) else "repro"
     if input_format == "paje":
         from repro.trace.paje import read_paje
 

@@ -197,8 +197,22 @@ class TestPajeInput:
 
         path = tmp_path / "t.paje"
         write_paje(figure1_trace(), path)
-        assert main(["--paje", "info", str(path)]) == 0
+        assert main(["info", str(path)]) == 0
         out = capsys.readouterr().out
+        assert "host" in out
+
+    def test_paje_preamble_is_sniffed_whatever_the_suffix(
+        self, tmp_path, capsys
+    ):
+        """A Paje file named ``*.trace`` is read by the Paje parser:
+        the ``%EventDef`` preamble decides, as ``convert`` sniffs it."""
+        from repro.trace.paje import write_paje
+
+        path = tmp_path / "t.trace"
+        write_paje(figure1_trace(), path)
+        assert main(["info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"entities : {len(figure1_trace()) + 1}" in out  # + root
         assert "host" in out
 
 
@@ -420,13 +434,6 @@ class TestConvert:
         assert sorted(open_store(out).entity_names()) == sorted(
             e.name for e in figure1_trace()
         ) + ["root"]
-
-    def test_convert_explicit_input_format(self, trace_file, tmp_path):
-        out = tmp_path / "t.rtrace"
-        assert main(
-            ["convert", str(trace_file), str(out), "--input-format", "repro"]
-        ) == 0
-        assert out.stat().st_size > 0
 
     def test_convert_missing_input_is_an_error(self, tmp_path, capsys):
         code = main(

@@ -11,7 +11,10 @@ log-spaced buckets, so these tests pin the accuracy contract down hard:
   checked via hypothesis);
 * bucket counts are non-negative and total to the exact count;
 * eight threads hammering ``observe`` lose nothing (the lock works);
-* :func:`log_buckets` / :func:`bucket_quantile` edge cases hold.
+* :func:`log_buckets` / :func:`bucket_quantile` edge cases hold;
+* :func:`latency_summary` (the one histogram-to-latency-row function)
+  and :func:`sample_quantile` (the one raw-sample quantile) give
+  hand-computed rows.
 """
 
 import math
@@ -23,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Histogram, bucket_quantile, log_buckets
-from repro.obs.registry import registry
+from repro.obs.registry import latency_summary, registry, sample_quantile
 
 
 @pytest.fixture(autouse=True)
@@ -93,6 +96,69 @@ class TestBucketQuantile:
         # "at least the last bound"; with hi the estimate uses it.
         assert bucket_quantile([1.0], [0, 3], 0.5) == 1.0
         assert bucket_quantile([1.0], [0, 3], 0.99, hi=9.0) <= 9.0
+
+
+class TestLatencySummary:
+    """Hand-computed rows over bounds (1, 2, 4] plus the overflow."""
+
+    BOUNDS = (1.0, 2.0, 4.0)
+    STATE = ((2, 4, 2, 0), 8, 17.0)
+
+    def test_from_empty(self):
+        # Median rank 4 of 8: two in (0, 1], then 2/4 into (1, 2].
+        assert latency_summary(self.BOUNDS, self.STATE) == {
+            "count": 8.0,
+            "mean_s": 17.0 / 8,
+            "p50_s": 1.5,
+            "p95_s": pytest.approx(2.0 + (7.6 - 6.0) / 2 * 2.0),
+            "p99_s": pytest.approx(2.0 + (7.92 - 6.0) / 2 * 2.0),
+        }
+
+    def test_between_two_states(self):
+        since = ((1, 1, 0, 0), 2, 2.5)
+        # Interval: buckets (1, 3, 2, 0), 6 observations summing 14.5.
+        assert latency_summary(self.BOUNDS, self.STATE, since) == {
+            "count": 6.0,
+            "mean_s": 14.5 / 6,
+            "p50_s": pytest.approx(1.0 + 2.0 / 3.0),
+            "p95_s": pytest.approx(2.0 + (5.7 - 4.0) / 2 * 2.0),
+            "p99_s": pytest.approx(2.0 + (5.94 - 4.0) / 2 * 2.0),
+        }
+
+    def test_empty_interval_is_all_zero(self):
+        assert latency_summary(self.BOUNDS, self.STATE, self.STATE) == {
+            "count": 0.0, "mean_s": 0.0, "p50_s": 0.0, "p95_s": 0.0,
+            "p99_s": 0.0,
+        }
+
+    def test_overflow_reads_the_last_bound(self):
+        row = latency_summary(self.BOUNDS, ((0, 0, 0, 3), 3, 30.0))
+        assert row["mean_s"] == 10.0
+        assert row["p50_s"] == row["p99_s"] == 4.0
+
+
+class TestSampleQuantile:
+    def test_hand_computed(self):
+        samples = [3.0, 1.0, 4.0, 2.0]
+        assert sample_quantile(samples, 0.0) == 1.0
+        assert sample_quantile(samples, 0.5) == 2.5
+        assert sample_quantile(samples, 0.95) == pytest.approx(3.85)
+        assert sample_quantile(samples, 1.0) == 4.0
+        assert sample_quantile([2.5], 0.99) == 2.5
+
+    def test_matches_numpy_linear(self):
+        rng = np.random.default_rng(5)
+        values = rng.lognormal(-5.0, 1.0, size=101).tolist()
+        for q in (0.25, 0.5, 0.75, 0.95, 0.99):
+            assert sample_quantile(values, q) == pytest.approx(
+                np.percentile(values, q * 100.0), rel=1e-12
+            )
+
+    def test_rejects_empty_and_out_of_range(self):
+        with pytest.raises(ValueError):
+            sample_quantile([], 0.5)
+        with pytest.raises(ValueError):
+            sample_quantile([1.0], 95)
 
 
 class TestHistogramExactness:
@@ -217,24 +283,15 @@ class TestRegistryIntegration:
         c = registry.histogram("t.reg", op="y")
         assert a is b and a is not c
 
-    def test_timer_histogram_upgrade(self):
-        t = registry.timer("t.hist_timer", histogram=True)
-        assert t.histogram is not None
-        t.observe(0.25)
-        assert t.histogram.count == 1
-        # Re-fetching without the flag must not downgrade.
-        again = registry.timer("t.hist_timer")
-        assert again.histogram is t.histogram
-
     def test_snapshot_exposes_quantiles(self):
-        t = registry.timer("t.snapq", histogram=True)
-        for v in (0.01, 0.02, 0.03):
-            t.observe(v)
         h = registry.histogram("t.standalone")
-        h.observe(0.5)
+        for v in (0.01, 0.02, 0.03, 0.5):
+            h.observe(v)
+        registry.timer("t.snapq").observe(0.25)
         snap = registry.snapshot()
-        assert "t.snapq.p50_s" in snap
-        assert "t.snapq.p95_s" in snap
-        assert "t.snapq.p99_s" in snap
-        assert snap["t.standalone.count"] == 1
-        assert snap["t.standalone.p50"] > 0
+        assert snap["t.standalone.count"] == 4
+        assert 0.01 <= snap["t.standalone.p50"] <= 0.5
+        assert snap["t.standalone.p95"] <= snap["t.standalone.p99"] <= 0.5
+        # Timers keep their four-number summary and no quantile keys.
+        assert snap["t.snapq.count"] == 1
+        assert not any(key.startswith("t.snapq.p") for key in snap)

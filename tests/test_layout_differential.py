@@ -28,6 +28,8 @@ each cell's mass and center of mass against the bodies beneath it.
 """
 
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -365,10 +367,10 @@ class TestTreeReuse:
         for i in range(30):
             layout.add_node(f"n{i}", position=(float(i % 6) * 10, float(i // 6) * 10))
         layout.step()
-        assert layout.stats["build_s"] > 0.0
+        assert layout.stats["builds"] == 1
         layout.step()
         # Tiny drift: the tree from step 1 is still in use.
-        assert layout.stats["build_s"] == 0.0
+        assert layout.stats["builds"] == 1
 
     def test_drift_zero_rebuilds_every_step(self):
         params = LayoutParams(rebuild_drift=0.0)
@@ -377,7 +379,7 @@ class TestTreeReuse:
             layout.add_node(f"n{i}", position=(float(i % 6) * 10, float(i // 6) * 10))
         layout.step()
         layout.step()
-        assert layout.stats["build_s"] > 0.0
+        assert layout.stats["builds"] == 2
 
     def test_structural_changes_invalidate_tree(self):
         layout = make_layout("barneshut", LayoutParams(rebuild_drift=0.9), seed=1)
@@ -387,7 +389,7 @@ class TestTreeReuse:
         layout.set_weight("n0", 50.0)
         layout.step()
         # The weight change forced a rebuild despite zero drift.
-        assert layout.stats["build_s"] > 0.0
+        assert layout.stats["builds"] == 2
 
     def test_reused_tree_is_still_exact_at_theta_zero(self):
         """theta=0 visits every leaf, so stale trees stay exact."""
@@ -550,6 +552,40 @@ class TestShardedKernel:
         layout.close()
         assert layout._pool is None
         assert all(not p.is_alive() for p in procs)
+
+
+def test_dead_shard_worker_falls_back_in_process():
+    """A killed worker breaks its pipe; the next superstep turns that
+    into a LayoutError, closes the pool and evaluates in-process from
+    then on, over the tree the replicas held: positions and counts stay
+    the array kernel's bit for bit."""
+    case = (400, 23, 0)
+    arr = seeded_layout("barneshut", case, theta=0.7, edges=True)
+    sharded = sharded_layout(case, edges=True)
+    try:
+        # Step until the next evaluation reuses the replicas' tree, so
+        # the fallback has to rebuild that tree, not a fresh one.
+        for _ in range(40):
+            arr.step()
+            sharded.step()
+            if not sharded._needs_rebuild():
+                break
+        assert not sharded._needs_rebuild()
+        supersteps = sharded.shard_stats["supersteps"]
+        victim = sharded._pool._procs[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        for _ in range(15):
+            arr.step()
+            sharded.step()
+            assert np.array_equal(sharded._pos, arr._pos)
+        assert sharded._pool is None
+        assert sharded.shard_stats["supersteps"] == supersteps
+        assert sharded.shard_stats["inproc_evals"] == 15
+        assert sharded.stats == arr.stats
+    finally:
+        sharded.close()
 
 
 class TestWorkerValidation:

@@ -70,7 +70,10 @@ class TestMultilevelSeeds:
         assert sizes == sorted(sizes)
         # The last level *is* the target graph.
         assert sizes[-1] == sum(1 for _ in graph)
-        assert all(lv["steps"] >= 0 and lv["seconds"] >= 0.0 for lv in levels)
+        assert all(
+            set(lv) == {"depth", "nodes", "edges", "steps"} and lv["steps"] >= 0
+            for lv in levels
+        )
 
     def test_coarse_budget_goes_to_first_nontrivial_level(self, scenario):
         _, hierarchy, graph = scenario
@@ -138,10 +141,16 @@ class TestMultilevelSeeds:
         _, hierarchy, graph = scenario
         runs = LEVEL_STATS["runs"]
         levels = LEVEL_STATS["levels"]
+        steps = LEVEL_STATS["coarse_steps"] + LEVEL_STATS["refine_steps"]
         multilevel_seeds(hierarchy, graph, seed=11)
         assert LEVEL_STATS["runs"] == runs + 1
         assert LEVEL_STATS["levels"] >= levels + 2
-        assert LEVEL_STATS["seconds"] > 0.0
+        assert (
+            LEVEL_STATS["coarse_steps"] + LEVEL_STATS["refine_steps"] > steps
+        )
+        assert set(LEVEL_STATS) == {
+            "runs", "levels", "coarse_steps", "refine_steps"
+        }
 
 
 class TestSessionIntegration:

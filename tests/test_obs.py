@@ -70,13 +70,6 @@ class TestRegistry:
         a.add()
         assert b.value == 0.0
 
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("depth")
-        g.set(3)
-        g.set(7)
-        assert g.value == 7.0
-
     def test_timer_summary(self):
         reg = MetricsRegistry()
         t = reg.timer("stage")
@@ -110,13 +103,11 @@ class TestRegistry:
     def test_snapshot_flattens_everything(self):
         reg = MetricsRegistry()
         reg.counter("reads").add(2)
-        reg.gauge("depth").set(4)
         reg.timer("stage").observe(0.5)
         g1 = reg.group("agg", {"views": 1, "label": "not-a-number"})
         g2 = reg.group("agg", {"views": 2})
         snap = reg.snapshot()
         assert snap["reads"] == 2.0
-        assert snap["depth"] == 4.0
         assert snap["stage.count"] == 1
         assert snap["stage.total_s"] == pytest.approx(0.5)
         # Groups sum across live instances; non-numeric values skipped.

@@ -19,7 +19,8 @@ from repro.core.timeline import Timeline
 from repro.obs import parse_exposition, registry
 from repro.obs.expo import histogram_series, prom_name
 from repro.server.app import ReproServer
-from repro.server.client import WsClient, http_get
+from repro.server.client import WsClient, http_get, scrape_breakdown
+from repro.server.load import _breakdown_between
 from repro.server.protocol import ERROR_CODES
 from repro.server.state import ServerConfig, SharedServerState
 from repro.server.telemetry import (
@@ -279,7 +280,7 @@ class TestMetricsEndpoint:
                     expected = f"{family}_seconds_count"
                 elif kind == "Histogram":
                     expected = f"{family}_bucket"
-                else:  # Counter / Gauge
+                else:  # Counter
                     expected = family
                 assert expected in names, (
                     f"{kind} {metric.name!r} missing from /metrics"
@@ -329,6 +330,33 @@ class TestMetricsEndpoint:
             bounds, counts = series["scrub"]
             assert sum(counts) == 3
             assert len(counts) == len(bounds) + 1
+
+        _run_live(scenario)
+
+    def test_scrape_agrees_with_the_in_process_breakdown(self):
+        """One latency summary on both sides of the wire: the per-op
+        rows between two /metrics scrapes equal breakdown()'s.  Counts
+        and means agree exactly; quantiles to the nine significant
+        digits the exposition prints bucket bounds with."""
+
+        async def scenario(server, config):
+            before = await scrape_breakdown(config.host, server.port)
+            client = await WsClient.connect(config.host, server.port)
+            try:
+                await client.request("hello")
+                for i in range(5):
+                    await client.request("scrub", start=0.1 * i, end=1.0)
+                await client.request("bye")
+            finally:
+                await client.close()
+            after = await scrape_breakdown(config.host, server.port)
+            scraped = _breakdown_between(before, after)
+            local = server.state.telemetry.breakdown()
+            for op in ("hello", "scrub", "bye"):
+                assert scraped[op] == pytest.approx(local[op], rel=1e-8), op
+                for key in ("count", "mean_s"):
+                    assert scraped[op][key] == local[op][key], (op, key)
+            assert local["scrub"]["count"] == 5
 
         _run_live(scenario)
 

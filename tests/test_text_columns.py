@@ -351,8 +351,10 @@ TOKENS = (
 
 
 @st.composite
-def mutated_texts(draw):
-    lines = list(BASE_LINES)
+def mutated_texts(draw, bases=(BASE_LINES,), characters=CHARACTERS,
+                  tokens=TOKENS):
+    """One of *bases* with one to three line edits, perhaps truncated."""
+    lines = list(draw(st.sampled_from(bases)))
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(lines) - 1))
         line = lines[at]
@@ -363,19 +365,19 @@ def mutated_texts(draw):
         if how == "delete":
             line = line[:pos] + line[pos + 1:]
         elif how == "insert":
-            line = line[:pos] + draw(st.sampled_from(CHARACTERS)) + line[pos:]
+            line = line[:pos] + draw(st.sampled_from(characters)) + line[pos:]
         elif how == "replace":
             line = (
-                line[:pos] + draw(st.sampled_from(CHARACTERS)) + line[pos + 1:]
+                line[:pos] + draw(st.sampled_from(characters)) + line[pos + 1:]
             )
         elif how == "cut":
             line = line[:pos]
         elif how == "token":
-            tokens = line.split() or [""]
-            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
-                st.sampled_from(TOKENS)
+            words = line.split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(
+                st.sampled_from(tokens)
             )
-            line = " ".join(tokens)
+            line = " ".join(words)
         elif how == "copy":
             lines.insert(at, line)
         if how == "drop":
