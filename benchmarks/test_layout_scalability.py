@@ -142,9 +142,9 @@ def test_sharded_kernel_speedup(report):
     ``docs/ARCHITECTURE.md``.
     """
     measured = {}
-    for kernel, workers in (("array", None), ("sharded", SHARDED_WORKERS)):
+    for kernel, workers in (("array", 1), ("sharded", SHARDED_WORKERS)):
         layout = make_layout(
-            "barneshut", LayoutParams(), seed=2, kernel=kernel, workers=workers
+            "barneshut", LayoutParams(), seed=2, workers=workers
         )
         clustered_graph(layout, SHARDED_N, settle=2)
         layout.step()  # warm: fork the pool, build tree replicas

@@ -80,7 +80,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.constants import AUTO_BAND_THRESHOLD, LAYOUT_KERNELS, SEEDING_MODES
+from repro.constants import AUTO_BAND_THRESHOLD
 from repro.errors import ReproError
 
 # Each command imports the library code it needs, so a command loads
@@ -106,21 +106,13 @@ def _add_app_flags(p: argparse.ArgumentParser) -> None:
                    help="stencil: number of halo-exchange iterations")
 
 
-def _add_layout_flags(p: argparse.ArgumentParser) -> None:
-    """The layout-scaling flags shared by view-producing subcommands."""
+def _add_layout_workers(p: argparse.ArgumentParser) -> None:
+    """``--layout-workers``, shared by the single-user view commands."""
     p.add_argument(
-        "--layout-kernel", choices=LAYOUT_KERNELS, default="array",
-        help="Barnes-Hut execution strategy (default: array, in one "
-             "process; 'sharded' splits repulsion across worker "
-             "processes and gives the same positions bit for bit)")
-    p.add_argument(
-        "--layout-workers", type=int, default=None, metavar="N",
-        help="worker processes for --layout-kernel sharded "
-             "(power of two, default 2)")
-    p.add_argument(
-        "--seeding", choices=SEEDING_MODES, default="radial",
-        help="first-position strategy for new nodes (default: radial; "
-             "'multilevel' coarsens over the resource hierarchy)")
+        "--layout-workers", type=int, default=1, metavar="N",
+        help="Barnes-Hut processes (default 1, this process; a power of "
+             "two above 1 splits repulsion across worker processes and "
+             "gives the same positions bit for bit)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--seed", type=int, default=0)
     render.add_argument("--steps", type=int, default=300,
                         help="max layout settle steps")
-    _add_layout_flags(render)
+    _add_layout_workers(render)
 
     animate = sub.add_parser("animate", help="render sliding-slice frames")
     animate.add_argument("trace", type=Path)
@@ -161,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     animate.add_argument("--depth", type=int, default=0)
     animate.add_argument("--heat", action="store_true")
     animate.add_argument("--seed", type=int, default=0)
-    _add_layout_flags(animate)
+    _add_layout_workers(animate)
 
     timeline = sub.add_parser(
         "timeline", help="behavioral Gantt view (needs state events)"
@@ -213,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stream spans to a JSONL file as they complete")
     profile.add_argument("--snapshot", type=Path, default=None, metavar="OUT.txt",
                          help="dump the flat metrics snapshot after the run")
-    _add_layout_flags(profile)
+    _add_layout_workers(profile)
 
     bench = sub.add_parser(
         "bench",
@@ -329,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="on shutdown, write the server's own request "
                        "activity as a repro trace (sessions and cache "
                        "tiers as entities) that `repro render` can draw")
-    _add_layout_flags(serve)
 
     loadtest = sub.add_parser(
         "loadtest",
@@ -389,12 +380,10 @@ def _session(args):
 
     session = AnalysisSession(
         _read(args),
-        seed=getattr(args, "seed", 0),
-        layout_kernel=getattr(args, "layout_kernel", "array"),
-        layout_workers=getattr(args, "layout_workers", None),
-        seeding=getattr(args, "seeding", "radial"),
+        seed=args.seed,
+        layout_workers=args.layout_workers,
     )
-    if getattr(args, "depth", 0):
+    if args.depth:
         session.aggregate_depth(args.depth)
     return session
 
@@ -516,11 +505,7 @@ def _cmd_profile(args) -> int:
             sink.t0 = profiler.t0  # one clock for every export format
         trace = _read(args)
         session = AnalysisSession(
-            trace,
-            seed=args.seed,
-            layout_kernel=args.layout_kernel,
-            layout_workers=args.layout_workers,
-            seeding=args.seeding,
+            trace, seed=args.seed, layout_workers=args.layout_workers
         )
         if args.depth:
             session.aggregate_depth(args.depth)
@@ -801,9 +786,6 @@ def _cmd_serve(args) -> int:
         settle_steps=args.settle_steps,
         seed=args.seed,
         cache_entries=args.cache_entries,
-        layout_kernel=args.layout_kernel,
-        layout_workers=args.layout_workers,
-        seeding=args.seeding,
         access_log=str(args.access_log) if args.access_log else None,
         metrics=args.metrics,
     )

@@ -6,13 +6,6 @@ loading the aggregation, layout, analysis or trace-model code.  The
 library modules that use each name re-export it from here.
 """
 
-#: Every Barnes-Hut execution strategy ``make_layout`` accepts: one
-#: process, or the repulsion cut into per-process shards.
-LAYOUT_KERNELS = ("array", "sharded")
-
-#: Every first-position strategy ``AnalysisSession`` accepts.
-SEEDING_MODES = ("radial", "multilevel")
-
 #: ``Timeline.render_svg(mode="auto")`` switches from per-message arrows
 #: to aggregated bands above this many arrows.
 AUTO_BAND_THRESHOLD = 2000

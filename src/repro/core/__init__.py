@@ -17,9 +17,8 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ),
     ".hierarchy": ("GroupingState", "Hierarchy"),
     ".layout": (
-        "LAYOUT_KERNELS", "ArrayQuadTree", "BarnesHutLayout", "DynamicLayout",
-        "ForceLayout", "LayoutParams", "NaiveLayout",
-        "ShardedBarnesHutLayout", "make_layout", "multilevel_seeds",
+        "ArrayQuadTree", "BarnesHutLayout", "DynamicLayout", "ForceLayout",
+        "LayoutParams", "NaiveLayout", "ShardedBarnesHutLayout", "make_layout",
     ),
     ".matrix": ("CommMatrix",),
     ".mapping": ("SHAPES", "NodeStyle", "ShapeRule", "VisualMapping"),
@@ -28,7 +27,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "render_ascii", "render_svg",
     ),
     ".scaling": ("ScaleSet",),
-    ".session": ("SEEDING_MODES", "AnalysisSession"),
+    ".session": ("AnalysisSession",),
     ".timeline": ("CommArrow", "CommBand", "StateSpan", "Timeline"),
     ".timeslice": ("TimeSlice", "animation_frames"),
     ".treemap": ("Treemap", "TreemapCell", "squarify"),
@@ -37,7 +36,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 })
 
 __all__ = [
-    "SEEDING_MODES",
     "SHAPES",
     "AggregatedEdge",
     "AggregatedUnit",
@@ -77,10 +75,8 @@ __all__ = [
     "build_visgraph",
     "export_animation_html",
     "make_aggregator",
-    "LAYOUT_KERNELS",
     "ShardedBarnesHutLayout",
     "make_layout",
-    "multilevel_seeds",
     "render_ascii",
     "render_svg",
     "squarify",

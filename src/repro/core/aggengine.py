@@ -381,43 +381,30 @@ class SharedTraceData:
         grouping_key: tuple,
         graph,
         spring_length: float,
-        mode: str = "radial",
-        params=None,
-        seed: int = 0,
     ) -> dict[str, tuple[float, float]]:
-        """Shared seed positions for one grouping's graph.
+        """Shared radial seed positions for one grouping's graph.
 
-        ``mode`` selects the seeding strategy: ``"radial"`` (the
-        hierarchical arcs of Section 3.3) or ``"multilevel"`` (the
-        coarsen→relax→interpolate pipeline of
-        :func:`~repro.core.layout.multilevel.multilevel_seeds`, which
-        needs the full *params* and the layout *seed*).  Memoized per
-        ``(grouping token, spring length, mode, seed)``; the stored
-        node-key set is checked so a different visual mapping (a
-        different node subset) recomputes instead of serving stale
-        seeds.  At most :attr:`MAX_STRUCTURES` entries are kept, oldest
-        dropped first (``seed_evictions``).  Returns a fresh dict —
-        callers own their copy.
+        The hierarchical arcs of Section 3.3
+        (:func:`~repro.core.layout.seeding.radial_seeds`), memoized per
+        ``(grouping token, spring length)``; the stored node-key set is
+        checked so a different visual mapping (a different node subset)
+        recomputes instead of serving stale seeds.  At most
+        :attr:`MAX_STRUCTURES` entries are kept, oldest dropped first
+        (``seed_evictions``).  Returns a fresh dict — callers own their
+        copy.
         """
         from repro.core.layout.seeding import radial_seeds
 
         node_keys = frozenset(node.key for node in graph)
-        memo_key = (grouping_key, float(spring_length), mode, int(seed))
+        memo_key = (grouping_key, float(spring_length))
         with self._lock:
             entry = self._seeds.get(memo_key)
         if entry is not None and entry[0] == node_keys:
             self.stats["seed_shared_hits"] += 1
             return dict(entry[1])
-        if mode == "multilevel":
-            from repro.core.layout.multilevel import multilevel_seeds
-
-            seeds, _levels = multilevel_seeds(
-                self.hierarchy, graph, params=params, seed=seed
-            )
-        else:
-            seeds = radial_seeds(
-                self.hierarchy, graph, spring_length=spring_length
-            )
+        seeds = radial_seeds(
+            self.hierarchy, graph, spring_length=spring_length
+        )
         with self._lock:
             self._seeds[memo_key] = (node_keys, seeds)
             while len(self._seeds) > self.MAX_STRUCTURES:

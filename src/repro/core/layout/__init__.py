@@ -5,11 +5,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".barneshut": ("BarnesHutLayout",),
     ".base": ("ForceLayout",),
-    ".engine": (
-        "ALGORITHMS", "LAYOUT_KERNELS", "DynamicLayout", "make_layout",
-    ),
+    ".engine": ("ALGORITHMS", "DynamicLayout", "make_layout"),
     ".forces": ("LayoutParams",),
-    ".multilevel": ("multilevel_seeds",),
     ".naive": ("NaiveLayout",),
     ".quadtree": ("ArrayQuadTree",),
     ".seeding": ("radial_seeds",),
@@ -22,12 +19,10 @@ __all__ = [
     "BarnesHutLayout",
     "DynamicLayout",
     "ForceLayout",
-    "LAYOUT_KERNELS",
     "LayoutParams",
     "NaiveLayout",
     "ShardedBarnesHutLayout",
     "make_layout",
-    "multilevel_seeds",
     "radial_seeds",
     "validate_workers",
 ]

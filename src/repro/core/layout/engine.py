@@ -20,14 +20,13 @@ from __future__ import annotations
 import math
 import random
 
-from repro.constants import LAYOUT_KERNELS
 from repro.core.layout.barneshut import BarnesHutLayout
 from repro.core.layout.base import ForceLayout
 from repro.core.layout.forces import LayoutParams
 from repro.core.visgraph import VisGraph
 from repro.errors import LayoutError
 
-__all__ = ["DynamicLayout", "make_layout", "ALGORITHMS", "LAYOUT_KERNELS"]
+__all__ = ["DynamicLayout", "make_layout", "ALGORITHMS"]
 
 ALGORITHMS = ("barneshut", "naive")
 
@@ -36,19 +35,19 @@ def make_layout(
     algorithm: str = "barneshut",
     params: LayoutParams | None = None,
     seed: int = 0,
-    kernel: str = "array",
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ForceLayout:
     """Instantiate a force layout by name.
 
     ``algorithm`` is ``"barneshut"`` (the production layout) or
     ``"naive"`` (the exact O(n^2) oracle tests and benchmarks compare
-    against).  ``kernel`` selects how Barnes-Hut runs: ``"array"`` (in
-    one process) or ``"sharded"`` (its repulsion partitioned across
-    ``workers`` processes); it is ignored by ``"naive"``.  ``workers``
-    is only meaningful with ``kernel="sharded"`` (default 2) and must
-    be a power of two — any other value raises a typed
-    :class:`~repro.errors.LayoutError`.
+    against).  ``workers`` is the Barnes-Hut process count: 1 (the
+    default) runs in this process, a power of two above 1 cuts the
+    repulsion into that many worker shards
+    (:class:`~repro.core.layout.sharded.ShardedBarnesHutLayout`, the
+    same positions bit for bit).  Any other count raises a typed
+    :class:`~repro.errors.LayoutError`; the naive oracle always runs
+    in this process.
     """
     if params is not None:
         # LayoutParams validates at construction, but a tampered or
@@ -60,27 +59,18 @@ def make_layout(
                 raise LayoutError(
                     f"LayoutParams.{name} must be finite, got {value!r}"
                 )
-    if kernel not in LAYOUT_KERNELS:
-        raise LayoutError(
-            f"unknown layout kernel {kernel!r}; pick one of {LAYOUT_KERNELS}"
-        )
-    if workers is not None:
+    # The default count needs no check, and checking it would load the
+    # sharded kernel into processes that never fork a worker.
+    if type(workers) is not int or workers != 1:
         from repro.core.layout.sharded import validate_workers
 
         validate_workers(workers)
-        if kernel != "sharded" and workers != 1:
-            raise LayoutError(
-                f"workers={workers} requires kernel='sharded' "
-                f"(got kernel={kernel!r})"
-            )
     if algorithm == "barneshut":
-        if kernel == "sharded":
-            from repro.core.layout.sharded import ShardedBarnesHutLayout
+        if workers == 1:
+            return BarnesHutLayout(params, seed)
+        from repro.core.layout.sharded import ShardedBarnesHutLayout
 
-            return ShardedBarnesHutLayout(
-                params, seed, workers=2 if workers is None else workers
-            )
-        return BarnesHutLayout(params, seed)
+        return ShardedBarnesHutLayout(params, seed, workers=workers)
     if algorithm == "naive":
         from repro.core.layout.naive import NaiveLayout
 
@@ -99,12 +89,9 @@ class DynamicLayout:
         seed: int = 0,
         max_steps: int = 300,
         tolerance: float = 0.5,
-        kernel: str = "array",
-        workers: int | None = None,
+        workers: int = 1,
     ) -> None:
-        self.layout = make_layout(
-            "barneshut", params, seed, kernel=kernel, workers=workers
-        )
+        self.layout = make_layout("barneshut", params, seed, workers=workers)
         self.max_steps = max_steps
         self.tolerance = tolerance
         self._rng = random.Random(seed ^ 0x5EED)
@@ -224,8 +211,8 @@ class DynamicLayout:
 
     @property
     def stats(self) -> dict:
-        """The underlying layout's repulsion counters (build/traverse
-        seconds, quadtree cells, exact pairs) — see
+        """The underlying layout's repulsion counters (evaluations, tree
+        builds, quadtree cells, exact pairs) — see
         :attr:`ForceLayout.stats`."""
         return self.layout.stats
 

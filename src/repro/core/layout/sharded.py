@@ -35,9 +35,10 @@ nothing extra.  The kernel is a :class:`BarnesHutLayout`: on platforms
 without ``fork`` (or for tiny graphs, where a superstep costs more than
 it saves) it evaluates through its parent class, in-process, and the
 drift check that decides when the workers rebuild their replicas is
-the parent's too.  A worker that dies (its pipe breaks) makes the
-kernel close the pool and evaluate in-process from then on, over the
-tree the replicas held, so the positions stay the array kernel's.
+the parent's too.  A worker that dies (its pipe breaks) or hangs (no
+reply within :data:`SUPERSTEP_TIMEOUT_S`) makes the kernel kill the
+pool and evaluate in-process from then on, over the tree the replicas
+held, so the positions stay the array kernel's.
 
 Every superstep counts into the ``layout.shard`` stats namespace:
 ``supersteps``, ``rebuilds``, ``inproc_evals``, ``halo_bytes`` (pos
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing
+import time
 
 import numpy as np
 
@@ -64,6 +66,12 @@ __all__ = ["ShardedBarnesHutLayout", "validate_workers", "MIN_SHARD_BODIES"]
 #: Below this body count a superstep costs more than it saves; the
 #: kernel evaluates in-process (identical math, same tree).
 MIN_SHARD_BODIES = 256
+
+#: Seconds one superstep may wait for all of its shard replies; a
+#: worker that has not answered by then counts as lost.  A rebuilding
+#: superstep at 100k bodies on 4 workers took 1.4 s on a 2-vCPU host,
+#: so only a hung worker should reach this.
+SUPERSTEP_TIMEOUT_S = 30.0
 
 
 def validate_workers(workers: int) -> int:
@@ -174,27 +182,40 @@ class _ShardPool:
         """Run one superstep; returns ``(cells, p2p)``.
 
         ``cells`` is the (identical) replica tree size and ``p2p`` the
-        sum over shards.  A broken worker pipe (a dead worker) raises
-        :class:`~repro.errors.LayoutError`.
+        sum over shards.  A broken worker pipe (a dead worker) or a
+        reply missing at :data:`SUPERSTEP_TIMEOUT_S` (a hung one) kills
+        every worker and raises :class:`~repro.errors.LayoutError`.
         """
+        deadline = time.monotonic() + SUPERSTEP_TIMEOUT_S
         cells = p2p = 0
         try:
             for conn in self._conns:
                 conn.send(("step", rebuild, charge, theta))
             for conn in self._conns:
+                if not conn.poll(max(deadline - time.monotonic(), 0.0)):
+                    raise TimeoutError(
+                        f"no reply within {SUPERSTEP_TIMEOUT_S} s"
+                    )
                 reply = conn.recv()
                 if reply[0] != "ok":  # pragma: no cover - defensive
                     raise LayoutError(f"shard worker failed: {reply!r}")
                 cells = reply[1]
                 p2p += reply[2]
-        except (EOFError, OSError) as error:
+        except (EOFError, OSError) as error:  # TimeoutError included
+            for proc in self._procs:
+                proc.kill()  # a pool that missed a superstep is spent
             raise LayoutError(
                 f"shard worker lost: {type(error).__name__}: {error}"
             ) from error
         return cells, p2p
 
     def close(self) -> None:
-        """Stop the workers and release the shared mappings."""
+        """Stop the workers and release the shared mappings.
+
+        A worker still alive after its join is killed: a stopped
+        process does not act on SIGTERM, and the interpreter would wait
+        for it at exit.
+        """
         for conn in self._conns:
             try:
                 conn.send(("stop",))
@@ -202,9 +223,9 @@ class _ShardPool:
                 pass
         for proc in self._procs:
             proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=1.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
         for conn in self._conns:
             conn.close()
         self._conns = []
@@ -221,7 +242,7 @@ class _ShardPool:
 class ShardedBarnesHutLayout(BarnesHutLayout):
     """Barnes-Hut layout whose repulsion runs on a worker-process pool.
 
-    Selected via ``make_layout(..., kernel="sharded", workers=N)``.
+    Selected via ``make_layout(..., workers=N)`` with N above 1.
     ``workers`` must be a power of two (see :func:`validate_workers`).
     Bitwise equal to :class:`BarnesHutLayout` — same tree, same
     per-body accumulation order, same rebuild schedule — which the
@@ -290,9 +311,9 @@ class ShardedBarnesHutLayout(BarnesHutLayout):
                     rebuild, self.params.charge, self.params.theta
                 )
         except LayoutError:
-            # A worker died.  Evaluate in-process from now on, starting
-            # from the tree the replicas were built from (the drift
-            # reference), so the bits stay the array kernel's.
+            # A worker died or hung.  Evaluate in-process from now on,
+            # starting from the tree the replicas were built from (the
+            # drift reference), so the bits stay the array kernel's.
             self.close()
             self._pool_lost = True
             self.shard_stats["inproc_evals"] += 1

@@ -22,7 +22,6 @@ import json
 import pathlib
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.constants import SEEDING_MODES
 from repro.core.aggengine import (
     AggregationEngine,
     SharedTraceData,
@@ -38,10 +37,10 @@ from repro.core.scaling import ScaleSet
 from repro.core.timeslice import TimeSlice, animation_frames
 from repro.core.view import TopologyView
 from repro.core.visgraph import build_visgraph
-from repro.errors import AggregationError, LayoutError
+from repro.errors import AggregationError
 from repro.trace.trace import Trace
 
-__all__ = ["AnalysisSession", "SEEDING_MODES"]
+__all__ = ["AnalysisSession"]
 
 
 class AnalysisSession:
@@ -56,20 +55,13 @@ class AnalysisSession:
         hosts, diamonds for links).
     layout_params:
         Initial charge/spring/damping values.
-    layout_kernel:
-        Barnes-Hut execution strategy: ``"array"`` (default, one
-        process) or ``"sharded"`` (repulsion partitioned across worker
-        processes — see
-        :class:`~repro.core.layout.ShardedBarnesHutLayout`).
     layout_workers:
-        Worker-process count for ``layout_kernel="sharded"``; must be
-        a power of two.  ``None`` keeps the kernel's default.
-    seeding:
-        How brand-new nodes get their first position: ``"radial"``
-        (default, the hierarchical arcs of Section 3.3) or
-        ``"multilevel"`` (coarsen→relax→interpolate over the resource
-        hierarchy, :func:`~repro.core.layout.multilevel_seeds` —
-        recommended for very large expanded topologies).
+        Barnes-Hut process count: 1 (default) lays out in this
+        process, a power of two above 1 splits the repulsion across
+        that many worker processes
+        (:class:`~repro.core.layout.ShardedBarnesHutLayout`, the same
+        positions bit for bit).  See
+        :func:`~repro.core.layout.make_layout`.
     space_op:
         Spatial combination of member values (default: sum).
     seed:
@@ -108,15 +100,8 @@ class AnalysisSession:
         shared: SharedTraceData | None = None,
         result_cache=None,
         session_id: str | None = None,
-        layout_kernel: str = "array",
-        layout_workers: int | None = None,
-        seeding: str = "radial",
+        layout_workers: int = 1,
     ) -> None:
-        if seeding not in SEEDING_MODES:
-            raise LayoutError(
-                f"unknown seeding mode {seeding!r}; "
-                f"pick one of {SEEDING_MODES}"
-            )
         if shared is not None and shared.trace is not trace:
             raise AggregationError(
                 "shared trace data was built for a different trace"
@@ -142,13 +127,8 @@ class AnalysisSession:
             cache_owner=session_id,
         )
         self.dynamic = DynamicLayout(
-            layout_params,
-            seed,
-            kernel=layout_kernel,
-            workers=layout_workers,
+            layout_params, seed, workers=layout_workers
         )
-        self.seeding = seeding
-        self._seed = seed
         start, end = trace.span()
         self._tslice = TimeSlice(start, end)
 
@@ -353,18 +333,6 @@ class AnalysisSession:
                 self.grouping.state_key,
                 graph,
                 self.dynamic.params.spring_length,
-                mode=self.seeding,
-                params=self.dynamic.params,
-                seed=self._seed,
-            )
-        elif self.seeding == "multilevel":
-            from repro.core.layout.multilevel import multilevel_seeds
-
-            seeds, _levels = multilevel_seeds(
-                self.hierarchy,
-                graph,
-                params=self.dynamic.params,
-                seed=self._seed,
             )
         else:
             seeds = radial_seeds(
@@ -386,8 +354,9 @@ class AnalysisSession:
     def close(self) -> None:
         """Release layout kernel resources (the sharded worker pool).
 
-        Idempotent; only the ``layout_kernel="sharded"`` path holds
-        anything worth releasing, so plain sessions need not bother.
+        Idempotent; only a session with ``layout_workers`` above 1
+        holds anything worth releasing, so plain sessions need not
+        bother.
         """
         self.dynamic.close()
 

@@ -243,8 +243,7 @@ def available_suites() -> list[str]:
 def _clustered_layout(
     n: int,
     seed: int = 2,
-    kernel: str = "array",
-    workers: int | None = None,
+    workers: int = 1,
     settle_steps: int = 5,
 ):
     """A settled Barnes-Hut layout over the benches' clustered topology
@@ -252,7 +251,7 @@ def _clustered_layout(
     from repro.core import LayoutParams, make_layout
 
     layout = make_layout(
-        "barneshut", LayoutParams(), seed=seed, kernel=kernel, workers=workers
+        "barneshut", LayoutParams(), seed=seed, workers=workers
     )
     n_clusters = max(1, int(math.sqrt(n)))
     hubs = []
@@ -307,7 +306,7 @@ def _layout_suite(quick: bool) -> list[BenchCase]:
 
     def sharded_stepper():
         layout = _clustered_layout(
-            shard_n, kernel="sharded", workers=shard_workers, settle_steps=2
+            shard_n, workers=shard_workers, settle_steps=2
         )
         layout.step()  # fork the pool + build replicas outside timing
         return layout.step

@@ -100,11 +100,6 @@ def _number(value: float) -> str:
     return repr(float(value)) if value != int(value) else str(int(value))
 
 
-def _bound_text(bound: float) -> str:
-    """A bucket upper bound as its canonical ``le`` label value."""
-    return "+Inf" if math.isinf(bound) else format(bound, ".9g")
-
-
 def render_prometheus(
     reg: MetricsRegistry | None = None, prefix: str = "repro"
 ) -> str:
@@ -162,7 +157,9 @@ def render_prometheus(
             cumulative = 0
             for bound, bucket in zip(histogram.bounds, counts):
                 cumulative += bucket
-                le = _labels_text(list(labels) + [("le", _bound_text(bound))])
+                # The shortest text that parses back to the same bound,
+                # so quantiles from a scrape equal the in-process ones.
+                le = _labels_text(list(labels) + [("le", _number(bound))])
                 lines.append(f"{family}_bucket{le} {cumulative}")
             le = _labels_text(list(labels) + [("le", "+Inf")])
             lines.append(f"{family}_bucket{le} {count}")

@@ -64,14 +64,6 @@ class ServerConfig:
     seed: int = 0
     #: Capacity of the shared result cache.
     cache_entries: int = 4096
-    #: Barnes-Hut kernel every session runs (``"array"`` or
-    #: ``"sharded"`` — see :func:`repro.core.layout.make_layout`).
-    layout_kernel: str = "array"
-    #: Worker processes per session for ``layout_kernel="sharded"``;
-    #: ``None`` keeps the kernel default.  Power of two.
-    layout_workers: int | None = None
-    #: First-position strategy (``"radial"`` or ``"multilevel"``).
-    seeding: str = "radial"
     #: Path of the JSONL access log (one object per request); ``None``
     #: disables it.  CLI flag ``--access-log``.
     access_log: str | None = None
@@ -362,9 +354,6 @@ class SharedServerState:
                 shared=self.shared,
                 result_cache=self.cache,
                 session_id=session_id,
-                layout_kernel=self.config.layout_kernel,
-                layout_workers=self.config.layout_workers,
-                seeding=self.config.seeding,
             ),
             settle_steps=self.config.settle_steps,
         )

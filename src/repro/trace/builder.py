@@ -37,7 +37,16 @@ class TraceBuilder:
     def declare_entity(
         self, name: str, kind: str, path: Iterable[str] = ()
     ) -> None:
-        """Register an entity before samples may be recorded for it."""
+        """Register an entity before samples may be recorded for it.
+
+        The name and kind are checked here, as :class:`Entity` checks
+        them, so a bad declaration fails where it is made rather than
+        at :meth:`build`.
+        """
+        if not name:
+            raise TraceError("entity name must be non-empty")
+        if not kind:
+            raise TraceError(f"entity {name!r} must have a kind")
         if name in self._kinds:
             if self._kinds[name] != kind:
                 raise TraceError(

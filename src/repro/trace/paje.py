@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import io
 import shlex
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO
 
@@ -69,6 +70,15 @@ def read_paje(source: str | Path | IO[str]) -> Trace:
 def loads_paje(text: str) -> Trace:
     """Parse a Paje trace from a string."""
     return _parse(io.StringIO(text))
+
+
+@contextmanager
+def _at_line(lineno: int):
+    """Prefix a :class:`TraceBuilder` error with the record's line."""
+    try:
+        yield
+    except TraceError as error:
+        raise type(error)(f"paje line {lineno}: {error}") from None
 
 
 def _tokenize(line: str, lineno: int) -> list[str]:
@@ -172,9 +182,9 @@ def _parse(stream: IO[str]) -> Trace:
                     container_name, containers[alias]
                 )
             kind = container_types.get(values.get("Type", ""), "container")
-            builder.declare_entity(
-                container_name, kind.lower(), path_of(alias, lineno)
-            )
+            path = path_of(alias, lineno)
+            with _at_line(lineno):
+                builder.declare_entity(container_name, kind.lower(), path)
             end_time = max(end_time, _time(values, lineno))
         elif name == "PajeDestroyContainer":
             end_time = max(end_time, _time(values, lineno))
@@ -197,7 +207,8 @@ def _parse(stream: IO[str]) -> Trace:
             elif name == "PajeSubVariable":
                 value = variable_values.get(key, 0.0) - value
             variable_values[key] = value
-            builder.record(entity, metric, time, value)
+            with _at_line(lineno):
+                builder.record(entity, metric, time, value)
             end_time = max(end_time, time)
         elif name == "PajeStartLink":
             time = _time(values, lineno)

@@ -76,6 +76,33 @@ class TestRender:
         ) == 0
         assert out_path.exists()
 
+    def test_layout_workers_draw_the_same_svg(self, tmp_path, monkeypatch):
+        """Two layout workers shard the repulsion of this 339-body view
+        (above MIN_SHARD_BODIES) and draw the bytes one worker draws."""
+        from repro.core.layout import sharded
+
+        trace = tmp_path / "big.txt"
+        write_trace(random_hierarchical_trace(
+            clusters_per_site=4, hosts_per_cluster=20, seed=3), trace)
+        supersteps = []
+        superstep = sharded._ShardPool.superstep
+
+        def counted(pool, *args):
+            supersteps.append(pool.workers)
+            return superstep(pool, *args)
+
+        monkeypatch.setattr(sharded._ShardPool, "superstep", counted)
+        svgs = []
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"workers{workers}.svg"
+            assert main(
+                ["render", str(trace), "--steps", "10", "--out",
+                 str(out_path), "--layout-workers", workers]
+            ) == 0
+            svgs.append(out_path.read_bytes())
+        assert supersteps and set(supersteps) == {2}  # the pool ran
+        assert svgs[0] == svgs[1]
+
 
 class TestAnimate:
     def test_frames_written(self, trace_file, tmp_path, capsys):

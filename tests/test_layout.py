@@ -401,12 +401,14 @@ class TestDynamicLayout:
 class TestRepulsionStats:
     """The per-step counters every kernel must populate."""
 
-    KINDS = [("naive", "array"), ("barneshut", "array"), ("barneshut", "sharded")]
+    #: (algorithm, workers), named by the kernel each pair runs
+    KINDS = [("naive", 1), ("barneshut", 1), ("barneshut", 2)]
+    IDS = ["naive-array", "barneshut-array", "barneshut-sharded"]
 
-    @pytest.mark.parametrize("algorithm,kernel", KINDS)
+    @pytest.mark.parametrize("algorithm,workers", KINDS, ids=IDS)
     @pytest.mark.parametrize("n", [0, 1])
-    def test_early_return_populates_counters(self, algorithm, kernel, n):
-        layout = make_layout(algorithm, seed=1, kernel=kernel)
+    def test_early_return_populates_counters(self, algorithm, workers, n):
+        layout = make_layout(algorithm, seed=1, workers=workers)
         for i in range(n):
             layout.add_node(f"n{i}")
         layout.step()
@@ -416,10 +418,10 @@ class TestRepulsionStats:
         assert stats["cells"] == 0
         assert stats["p2p_pairs"] == 0
 
-    @pytest.mark.parametrize("algorithm,kernel", KINDS)
-    def test_real_step_populates_counters(self, algorithm, kernel):
-        layout = make_layout(algorithm, seed=2, kernel=kernel)
-        if kernel == "sharded":
+    @pytest.mark.parametrize("algorithm,workers", KINDS, ids=IDS)
+    def test_real_step_populates_counters(self, algorithm, workers):
+        layout = make_layout(algorithm, seed=2, workers=workers)
+        if workers > 1:
             layout.min_shard_bodies = 2  # evaluate on the worker pool
         for i in range(12):
             layout.add_node(f"n{i}")
@@ -436,14 +438,14 @@ class TestRepulsionStats:
             assert stats["cells"] == 0
             assert stats["p2p_pairs"] == 12 * 11
 
-    @pytest.mark.parametrize("algorithm,kernel", KINDS)
-    def test_counts_repeat_for_a_seed(self, algorithm, kernel):
+    @pytest.mark.parametrize("algorithm,workers", KINDS, ids=IDS)
+    def test_counts_repeat_for_a_seed(self, algorithm, workers):
         """Stat groups hold counts only: two identically seeded layouts
         end 20 steps with equal stats, and every value is an int."""
         runs = []
         for _ in range(2):
-            layout = make_layout(algorithm, seed=3, kernel=kernel)
-            if kernel == "sharded":
+            layout = make_layout(algorithm, seed=3, workers=workers)
+            if workers > 1:
                 layout.min_shard_bodies = 2  # evaluate on the worker pool
             for i in range(40):
                 layout.add_node(f"n{i}")
@@ -457,7 +459,7 @@ class TestRepulsionStats:
             )
         assert runs[0] == runs[1]
         assert runs[0]["evals"] == 20
-        if kernel == "sharded":
+        if workers > 1:
             assert runs[0]["supersteps"] == 20  # the pool really ran
         assert all(type(value) is int for value in runs[0].values())
 
@@ -496,13 +498,16 @@ class TestMakeLayoutValidation:
         LayoutParams(rebuild_drift=0.0)
 
     def test_kernel_flag(self):
+        """The worker count is the one kernel setting."""
         assert type(make_layout("barneshut")) is BarnesHutLayout
-        sharded = make_layout("barneshut", kernel="sharded")
+        assert type(make_layout("barneshut", workers=1)) is BarnesHutLayout
+        sharded = make_layout("barneshut", workers=2)
         assert isinstance(sharded, ShardedBarnesHutLayout)
+        assert sharded.workers == 2
         sharded.close()
-        for gone in ("scalar", "gpu"):
+        for bad in (0, 3):
             with pytest.raises(LayoutError):
-                make_layout("barneshut", kernel=gone)
+                make_layout("barneshut", workers=bad)
 
 
 @given(

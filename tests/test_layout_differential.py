@@ -30,12 +30,18 @@ each cell's mass and center of mass against the bodies beneath it.
 import math
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.core.layout.sharded as sharded_module
 from repro.core.layout import (
     ArrayQuadTree,
+    BarnesHutLayout,
     LayoutParams,
     ShardedBarnesHutLayout,
     make_layout,
@@ -588,6 +594,77 @@ def test_dead_shard_worker_falls_back_in_process():
         sharded.close()
 
 
+#: Seconds the hung-worker scenario may take for the step that meets
+#: the stopped worker: the shortened superstep deadline plus an
+#: in-process evaluation, far below ``_ShardPool.close``'s 5 s join.
+HUNG_STEP_BOUND_S = 3.0
+
+
+def hung_worker_scenario():
+    """SIGSTOP one worker of a 400-body, 2-worker layout.  The next
+    superstep misses its (shortened) deadline, kills the pool and
+    evaluates in-process; positions and counts stay the array
+    kernel's bit for bit.  Prints ``ok``."""
+    sharded_module.SUPERSTEP_TIMEOUT_S = 0.25
+    case = (400, 23, 0)
+    arr = seeded_layout("barneshut", case, theta=0.7, edges=True)
+    sharded = sharded_layout(case, edges=True)
+    try:
+        for _ in range(40):
+            arr.step()
+            sharded.step()
+            if not sharded._needs_rebuild():
+                break
+        assert not sharded._needs_rebuild()
+        supersteps = sharded.shard_stats["supersteps"]
+        victim = sharded._pool._procs[0]
+        os.kill(victim.pid, signal.SIGSTOP)
+        arr.step()
+        began = time.monotonic()
+        sharded.step()
+        assert time.monotonic() - began < HUNG_STEP_BOUND_S
+        assert np.array_equal(sharded._pos, arr._pos)
+        for _ in range(14):
+            arr.step()
+            sharded.step()
+            assert np.array_equal(sharded._pos, arr._pos)
+        assert not victim.is_alive()
+        assert sharded._pool is None
+        assert sharded.shard_stats["supersteps"] == supersteps
+        assert sharded.shard_stats["inproc_evals"] == 15
+        assert sharded.stats == arr.stats
+    finally:
+        sharded.close()
+    print("ok")
+
+
+def test_hung_shard_worker_falls_back_in_process():
+    """A stopped worker neither hangs the layout nor outlives it.  The
+    scenario runs in a child process with a timeout, so a hang fails
+    this test instead of stalling the suite; the child leads its own
+    process group, so a timeout kills its workers too."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c",
+         "from tests.test_layout_differential import hung_worker_scenario\n"
+         "hung_worker_scenario()"],
+        cwd=root, env=env, text=True, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("a step hung on a stopped shard worker")
+    assert child.returncode == 0, err
+    assert out.strip() == "ok"
+
+
 class TestWorkerValidation:
     @pytest.mark.parametrize("bad", [0, -1, 3, 6, 2.0, "2", True, None])
     def test_validate_workers_rejects_non_power_of_two(self, bad):
@@ -598,12 +675,12 @@ class TestWorkerValidation:
     def test_validate_workers_accepts_powers_of_two(self, good):
         validate_workers(good)
 
-    def test_make_layout_rejects_workers_without_sharded_kernel(self):
-        with pytest.raises(LayoutError):
-            make_layout("barneshut", kernel="array", workers=2)
+    def test_one_worker_is_a_barneshut_layout(self):
+        layout = make_layout("barneshut", workers=1)
+        assert type(layout) is BarnesHutLayout
 
     def test_make_layout_sharded_wires_worker_count(self):
-        layout = make_layout("barneshut", kernel="sharded", workers=4)
+        layout = make_layout("barneshut", workers=4)
         try:
             assert isinstance(layout, ShardedBarnesHutLayout)
             assert layout.workers == 4

@@ -52,21 +52,23 @@ def collapsed_graph():
     )
 
 
-def dynamic(kernel, seed):
-    """A DynamicLayout on *kernel*; the sharded one always uses its pool."""
-    dyn = DynamicLayout(seed=seed, kernel=kernel)
-    if kernel == "sharded":
+def dynamic(workers, seed):
+    """A DynamicLayout on *workers* processes; above 1 the sharded
+    kernel always uses its pool."""
+    dyn = DynamicLayout(seed=seed, workers=workers)
+    if workers > 1:
         dyn.layout.min_shard_bodies = 2  # these graphs have 2-3 nodes
     return dyn
 
 
 @pytest.fixture
-def make_dynamic(kernel):
-    """``make_dynamic(seed)`` on the test's kernel, closed afterwards."""
+def make_dynamic(workers):
+    """``make_dynamic(seed)`` on the test's worker count, closed
+    afterwards."""
     made = []
 
     def make(seed):
-        made.append(dynamic(kernel, seed))
+        made.append(dynamic(workers, seed))
         return made[-1]
 
     yield make
@@ -74,7 +76,7 @@ def make_dynamic(kernel):
         dyn.close()
 
 
-@pytest.mark.parametrize("kernel", ["array", "sharded"])
+@pytest.mark.parametrize("workers", [1, 2], ids=["array", "sharded"])
 class TestTransitionSeeding:
     def test_aggregated_node_starts_at_member_centroid(self, make_dynamic):
         dyn = make_dynamic(5)
@@ -130,17 +132,17 @@ def test_kernels_agree_on_seeding_decisions():
     """The array and sharded kernels produce the same created-node set
     and the same seeds, bit for bit, for the same transition script."""
 
-    def script(kernel):
-        dyn = dynamic(kernel, 9)
+    def script(workers):
+        dyn = dynamic(workers, 9)
         try:
             dyn.sync(detailed_graph())
             dyn.settle(max_steps=30, tolerance=0.0)
-            if kernel == "sharded":
+            if workers > 1:
                 assert dyn.layout.shard_stats["supersteps"] == 30
             return dyn.sync(collapsed_graph())
         finally:
             dyn.close()
 
-    array = script("array")
+    array = script(1)
     assert set(array) == {"g"}
-    assert script("sharded") == array
+    assert script(2) == array

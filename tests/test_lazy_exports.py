@@ -14,12 +14,11 @@ from pathlib import Path
 #: Modules only some requests need: the renderer (``svg`` op and
 #: ``/render``), the Prometheus exposition (``/metrics``), the JSONL
 #: writer and the trace builder (access log and self-trace), and the
-#: non-default layout kernels and seeding.
+#: sharded and naive layout kernels.
 ON_REQUEST = (
     "repro.core.render", "repro.core.render.svg", "repro.core.render.colors",
     "repro.obs.expo", "repro.obs.export", "repro.trace.builder",
     "repro.core.layout.sharded", "repro.core.layout.naive",
-    "repro.core.layout.multilevel",
 )
 
 

@@ -6,9 +6,9 @@ within a time bound: never another exception, never a hang.  The fuzz
 net mutates and truncates the lines of two valid traces (a
 ``dumps_paje`` export and the hand-written sample with links and
 variable arithmetic) with the text reader's line mutator; the explicit
-rows pin the two inputs random mutation does not reach, a link value
-that is not a number and a container re-created under its own
-descendant.
+rows pin inputs random mutation does not reliably reach (a link value
+that is not a number, a container re-created under its own descendant)
+and the trace builder's own errors, which must name the line too.
 """
 
 import threading
@@ -79,6 +79,28 @@ HOSTILE = {
          "2 0.0 C H A C"],
         4,
         "container nesting loops at 'A'",
+    ),
+    "sample-out-of-order": (
+        ['0 H 0 "Host"', '1 P H "power"', '2 0.0 h1 H 0 "hostA"',
+         "3 5.0 P h1 1", "3 1.0 P h1 2"],
+        5,
+        "out-of-order sample: t=1.0 after t=5.0",
+    ),
+    "entity-redeclared-with-another-kind": (
+        ['0 H 0 "Host"', '0 L 0 "Link"', '2 0.0 a H 0 "x"',
+         '2 0.0 b L 0 "x"'],
+        4,
+        "entity 'x' redeclared with kind 'link', was 'host'",
+    ),
+    "container-name-empty": (
+        ['0 H 0 "Host"', '2 0.0 h1 H 0 ""'],
+        2,
+        "entity name must be non-empty",
+    ),
+    "container-type-name-empty": (
+        ['0 H 0 ""', '2 0.0 h1 H 0 "hostA"'],
+        2,
+        "entity 'hostA' must have a kind",
     ),
 }
 

@@ -335,9 +335,8 @@ class TestMetricsEndpoint:
 
     def test_scrape_agrees_with_the_in_process_breakdown(self):
         """One latency summary on both sides of the wire: the per-op
-        rows between two /metrics scrapes equal breakdown()'s.  Counts
-        and means agree exactly; quantiles to the nine significant
-        digits the exposition prints bucket bounds with."""
+        rows between two /metrics scrapes equal breakdown()'s exactly,
+        because the exposition prints bucket bounds that round-trip."""
 
         async def scenario(server, config):
             before = await scrape_breakdown(config.host, server.port)
@@ -353,9 +352,7 @@ class TestMetricsEndpoint:
             scraped = _breakdown_between(before, after)
             local = server.state.telemetry.breakdown()
             for op in ("hello", "scrub", "bye"):
-                assert scraped[op] == pytest.approx(local[op], rel=1e-8), op
-                for key in ("count", "mean_s"):
-                    assert scraped[op][key] == local[op][key], (op, key)
+                assert scraped[op] == local[op], op
             assert local["scrub"]["count"] == 5
 
         _run_live(scenario)

@@ -218,6 +218,18 @@ class TestSharedMemoBounds:
         assert shared.stats["seed_builds"] == 6
         assert shared.stats["seed_evictions"] == 3
 
+    def test_shared_memo_serves_second_session(self):
+        """A second session on the same grouping takes the first
+        session's radial seeds from the memo instead of building them."""
+        trace = random_hierarchical_trace(seed=3)
+        shared = SharedTraceData(trace)
+        for _ in range(2):
+            session = AnalysisSession(trace, shared=shared)
+            session.disaggregate_all()
+            session.view(settle_steps=1)
+        assert shared.stats["seed_builds"] == 1
+        assert shared.stats["seed_shared_hits"] == 1
+
 
 # ----------------------------------------------------------------------
 # Threaded interleaving: the books always balance

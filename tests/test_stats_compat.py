@@ -86,7 +86,7 @@ class TestForceLayoutStats:
         assert a.stats["evals"] > 0
 
     def test_sharded_kernel_same_keys(self):
-        layout = make_layout(seed=1, kernel="sharded")
+        layout = make_layout(seed=1, workers=2)
         assert set(layout.stats) == LAYOUT_KEYS
         assert set(layout.shard_stats) == SHARD_KEYS
         layout.close()
