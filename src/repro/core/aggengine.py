@@ -56,7 +56,6 @@ can never observe another session's in-flight mutation
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,6 +71,7 @@ from repro.core.timeslice import TimeSlice
 from repro.errors import AggregationError
 from repro.obs.registry import registry
 from repro.obs.spans import span
+from repro.trace.entities import EntityTable
 from repro.trace.signalbank import SignalBank
 from repro.trace.trace import Trace
 
@@ -168,17 +168,22 @@ class _Structure:
     sets coincide.
 
     Per-unit tables (``members``, ``groups``, ``kinds``, ``labels``)
-    are tuples aligned with ``unit_order``; ``index`` maps a unit key
-    to its position.  Every table is a pure function of the trace and
-    ``key``, so two structures built for the same token — say, one
-    evicted and rebuilt — agree position by position.
+    are tuples aligned with ``unit_order``.  The members are also kept
+    as entity indices of the trace's
+    :class:`~repro.trace.entities.EntityTable`: unit ``i`` owns
+    ``member_rows[member_offsets[i]:member_offsets[i + 1]]``, in member
+    order.  Every table is a pure function of the trace and ``key``,
+    so two structures built for the same token — say, one evicted and
+    rebuilt — agree position by position.
     """
 
     __slots__ = (
         "key",
+        "table",
         "unit_order",
-        "index",
         "members",
+        "member_rows",
+        "member_offsets",
         "groups",
         "kinds",
         "labels",
@@ -186,48 +191,100 @@ class _Structure:
         "_metric_layouts",
     )
 
-    def __init__(self, trace: Trace, grouping: GroupingState) -> None:
+    def __init__(
+        self,
+        table: EntityTable,
+        grouping: GroupingState,
+        edge_pairs: np.ndarray,
+    ) -> None:
         self.key = grouping.state_key
-        members: dict[str, list[str]] = {}
-        meta: dict[str, tuple[Path | None, str]] = {}
-        entity_unit: dict[str, str] = {}
-        for entity in trace:
-            group = grouping.unit_of(entity.name)
-            key = unit_key(group, entity.kind, entity.name)
-            members.setdefault(key, []).append(entity.name)
-            meta[key] = (group, entity.kind)
-            entity_unit[entity.name] = key
-        self.unit_order = tuple(members)
-        self.index = {key: i for i, key in enumerate(self.unit_order)}
-        self.members = tuple(tuple(names) for names in members.values())
-        self.groups = tuple(group for group, _ in meta.values())
-        self.kinds = tuple(kind for _, kind in meta.values())
+        self.table = table
+        n = len(table)
+        # The unit of each entity follows from its innermost group: the
+        # outermost collapsed group on that group's path, if any.
+        collapsed = grouping.collapsed
+        visible: dict[Path, int] = {}
+        owner = []
+        for path in table.group_paths:
+            hit = -1
+            for depth in range(1, len(path) + 1):
+                if path[:depth] in collapsed:
+                    hit = visible.setdefault(path[:depth], len(visible))
+                    break
+            owner.append(hit)
+        entity_owner = np.asarray(owner, dtype=np.int64)[table.groups]
+        kinds = table.kinds.astype(np.int64)
+        # One id per unit: a plain entity is its own unit, an aggregate
+        # is one (collapsed group, kind) pair.
+        unit_id = np.where(
+            entity_owner >= 0,
+            n + entity_owner * len(table.kind_names) + kinds,
+            np.arange(n),
+        )
+        _, first, inverse = np.unique(
+            unit_id, return_index=True, return_inverse=True
+        )
+        # Units in the order of their first member, members in trace
+        # order: the order a walk over the entities would meet them.
+        order = np.argsort(first, kind="stable")
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        unit_of = position[inverse.reshape(-1)]
+        rows = np.argsort(unit_of, kind="stable").astype(np.int32)
+        offsets = np.zeros(len(order) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(unit_of, minlength=len(order)), out=offsets[1:])
+        rows.setflags(write=False)
+        offsets.setflags(write=False)
+        self.member_rows = rows
+        self.member_offsets = offsets
+        names = table.names
+        bounds = offsets.tolist()
+        member_names = list(map(names.__getitem__, rows.tolist()))
+        self.members = tuple(
+            tuple(member_names[bounds[u]:bounds[u + 1]])
+            for u in range(len(order))
+        )
+        groups_of = list(visible)
+        heads = first[order].tolist()
+        owners = entity_owner[heads].tolist()
+        self.groups = tuple(
+            groups_of[o] if o >= 0 else None for o in owners
+        )
+        self.kinds = tuple(table.kind(head) for head in heads)
+        self.unit_order = tuple(
+            unit_key(group, kind, names[head])
+            for group, kind, head in zip(self.groups, self.kinds, heads)
+        )
         self.labels = tuple(
-            "/".join(group) if group is not None else names[0]
-            for group, names in zip(self.groups, self.members)
+            "/".join(group) if group is not None else names[head]
+            for group, head in zip(self.groups, heads)
         )
-        multiplicity: dict[tuple[str, str], int] = {}
-        for edge in trace.edges:
-            if edge.via:
-                pairs = ((edge.a, edge.via), (edge.via, edge.b))
-            else:
-                pairs = ((edge.a, edge.b),)
-            for x, y in pairs:
-                ux, uy = entity_unit[x], entity_unit[y]
-                if ux == uy:
-                    continue  # internal to an aggregate
-                pair = (ux, uy) if ux <= uy else (uy, ux)
-                multiplicity[pair] = multiplicity.get(pair, 0) + 1
-        self.edges = tuple(
-            AggregatedEdge(a, b, count)
-            for (a, b), count in sorted(multiplicity.items())
-        )
+        self.edges = self._edges(unit_of, edge_pairs)
         self._metric_layouts: dict[
             str, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
 
+    def _edges(
+        self, unit_of: np.ndarray, edge_pairs: np.ndarray
+    ) -> tuple[AggregatedEdge, ...]:
+        """Merged unit edges, sorted by endpoint keys: every trace edge
+        segment between two different units counts once towards the
+        pair's multiplicity; segments inside one unit vanish."""
+        keys = self.unit_order
+        unit_of = unit_of.tolist()
+        multiplicity: dict[tuple[str, str], int] = {}
+        for x, y in edge_pairs.tolist():
+            ux, uy = keys[unit_of[x]], keys[unit_of[y]]
+            if ux != uy:
+                pair = (ux, uy) if ux <= uy else (uy, ux)
+                multiplicity[pair] = multiplicity.get(pair, 0) + 1
+        return tuple(
+            AggregatedEdge(a, b, count)
+            for (a, b), count in sorted(multiplicity.items())
+        )
+
     def metric_layout(
-        self, metric: str, row_of: Mapping[str, int]
+        self, metric: str
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, offsets, slots)`` for vectorized per-unit combination.
 
@@ -240,21 +297,22 @@ class _Structure:
         """
         cached = self._metric_layouts.get(metric)
         if cached is None:
-            slots = np.full(len(self.unit_order), -1, dtype=np.int32)
-            rows: list[int] = []
-            offsets = [0]
-            for unit, names in enumerate(self.members):
-                unit_rows = [row_of[name] for name in names if name in row_of]
-                if unit_rows:
-                    slots[unit] = len(offsets) - 1
-                    rows.extend(unit_rows)
-                    offsets.append(len(rows))
-            slots.setflags(write=False)
-            cached = (
-                np.asarray(rows, dtype=np.intp),
-                np.asarray(offsets, dtype=np.intp),
-                slots,
-            )
+            bank_rows = self.table.row_index(metric)[self.member_rows]
+            carried = bank_rows >= 0
+            # Members carrying the metric per unit, from a running count.
+            running = np.concatenate(([0], np.cumsum(carried)))
+            per_unit = np.diff(running[self.member_offsets])
+            present = per_unit > 0
+            slots = np.where(
+                present, np.cumsum(present) - 1, -1
+            ).astype(np.int32)
+            offsets = np.concatenate(
+                ([0], np.cumsum(per_unit[present]))
+            ).astype(np.int32)
+            rows = bank_rows[carried]
+            for array in (rows, offsets, slots):
+                array.setflags(write=False)
+            cached = (rows, offsets, slots)
             self._metric_layouts[metric] = cached
         return cached
 
@@ -266,16 +324,17 @@ class SharedTraceData:
     trace is loaded **once** and every concurrent session attaches to
     the same instance, reusing
 
-    * the resource :class:`~repro.core.hierarchy.Hierarchy`;
-    * one :class:`~repro.trace.signalbank.SignalBank` (plus its
-      entity-to-row map) per metric — for a ``.rtrace`` store these are
+    * the resource :class:`~repro.core.hierarchy.Hierarchy`, over the
+      trace's one :class:`~repro.trace.entities.EntityTable`;
+    * one :class:`~repro.trace.signalbank.SignalBank` (plus its rows as
+      entity indices) per metric — for a ``.rtrace`` store these are
       zero-copy views over the memory-mapped columns;
     * the unit :class:`_Structure` of every grouping the analysts have
       visited, keyed on the canonical
       :attr:`~repro.core.hierarchy.GroupingState.state_key` token (two
       sessions with the same collapsed groups share one structure);
     * the hierarchical radial layout seeds per grouping token (the
-      quadtree seeding of Section 3.3).
+      quadtree seeding of Section 3.3), one float64 array each.
 
     Everything stored here is immutable once built, so readers take no
     lock; the lock only serializes construction.  A plain single-user
@@ -299,9 +358,10 @@ class SharedTraceData:
         self.space_op = space_op
         self._lock = threading.Lock()
         self._hierarchy: Hierarchy | None = None
-        self._banks: dict[str, tuple[SignalBank, Mapping[str, int]]] = {}
+        self._banks: dict[str, tuple[SignalBank, np.ndarray]] = {}
+        self._pairs: np.ndarray | None = None
         self._structures: dict[tuple, _Structure] = {}
-        self._seeds: dict[tuple, tuple[frozenset, dict]] = {}
+        self._seeds: dict[tuple, np.ndarray] = {}
         #: build/reuse counters, a :class:`repro.obs.StatGroup`
         #: registered under the ``aggshared`` namespace
         self.stats: dict[str, int] = registry.group("aggshared", {
@@ -322,37 +382,52 @@ class SharedTraceData:
                 self._hierarchy = Hierarchy.from_trace(self.trace)
             return self._hierarchy
 
-    def bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
-        """The shared ``(SignalBank, row_of)`` pair for *metric*.
+    def bank(self, metric: str) -> tuple[SignalBank, np.ndarray]:
+        """The shared ``(SignalBank, rows)`` pair for *metric*.
 
-        Built on first demand; for a duck-typed bank provider (a
+        ``rows`` is the metric's int32 array of entity indices into the
+        trace's :class:`~repro.trace.entities.EntityTable`, one per bank
+        row.  Built on first demand; for a duck-typed bank provider (a
         ``StoredTrace``) the bank is served straight off the columnar
-        file, so no ``Signal`` objects are ever materialized, and the
-        provider's read-only row map is shared rather than copied.
+        file, so no ``Signal`` objects are ever materialized.
         """
         with self._lock:
             entry = self._banks.get(metric)
             if entry is None:
+                table = self.trace.table
                 provider = getattr(self.trace, "signal_bank", None)
+                rows = table.rows.get(metric, np.empty(0, dtype=np.int32))
                 if provider is not None:
-                    entry = provider(metric)
+                    bank = provider(metric)[0]
                 else:
-                    names = [
-                        e.name for e in self.trace if metric in e.metrics
-                    ]
-                    bank = SignalBank(
-                        [
-                            self.trace.entity(name).metrics[metric]
-                            for name in names
-                        ]
-                    )
-                    entry = (
-                        bank,
-                        {name: row for row, name in enumerate(names)},
-                    )
-                self._banks[metric] = entry
+                    names = table.names
+                    bank = SignalBank([
+                        self.trace.entity(names[i]).metrics[metric]
+                        for i in rows.tolist()
+                    ])
+                entry = self._banks[metric] = (bank, rows)
                 self.stats["bank_builds"] += 1
             return entry
+
+    def _edge_pairs(self) -> np.ndarray:
+        """Every trace edge segment as an ``(m, 2)`` int32 array of
+        entity indices: ``a - via - b`` gives ``(a, via)`` and
+        ``(via, b)``, an edge without a link ``(a, b)``.  Built once."""
+        with self._lock:
+            if self._pairs is None:
+                index = self.trace.table.index
+                pairs: list[int] = []
+                for edge in self.trace.edges:
+                    if edge.via:
+                        pairs += (
+                            index[edge.a], index[edge.via],
+                            index[edge.via], index[edge.b],
+                        )
+                    else:
+                        pairs += (index[edge.a], index[edge.b])
+                self._pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+                self._pairs.setflags(write=False)
+            return self._pairs
 
     def structure(self, grouping: GroupingState) -> _Structure:
         """The shared unit structure for *grouping*'s collapsed set.
@@ -367,7 +442,7 @@ class SharedTraceData:
         if structure is not None:
             self.stats["structure_shared_hits"] += 1
             return structure
-        built = _Structure(self.trace, grouping)
+        built = _Structure(self.trace.table, grouping, self._edge_pairs())
         with self._lock:
             structure = self._structures.setdefault(key, built)
             while len(self._structures) > self.MAX_STRUCTURES:
@@ -381,37 +456,38 @@ class SharedTraceData:
         grouping_key: tuple,
         graph,
         spring_length: float,
-    ) -> dict[str, tuple[float, float]]:
+    ) -> np.ndarray:
         """Shared radial seed positions for one grouping's graph.
 
         The hierarchical arcs of Section 3.3
-        (:func:`~repro.core.layout.seeding.radial_seeds`), memoized per
-        ``(grouping token, spring length)``; the stored node-key set is
-        checked so a different visual mapping (a different node subset)
-        recomputes instead of serving stale seeds.  At most
+        (:func:`~repro.core.layout.seeding.radial_seed_array`): a
+        read-only float64 ``(len(graph), 2)`` array in graph node
+        order, NaN rows for unseeded nodes.  Memoized per ``(grouping
+        token, spring length)``; a grouping's graph always lists the
+        units of its structure in the structure's order, and an entry
+        whose row count differs from the graph is rebuilt.  At most
         :attr:`MAX_STRUCTURES` entries are kept, oldest dropped first
-        (``seed_evictions``).  Returns a fresh dict — callers own their
-        copy.
+        (``seed_evictions``).
         """
-        from repro.core.layout.seeding import radial_seeds
+        from repro.core.layout.seeding import radial_seed_array
 
-        node_keys = frozenset(node.key for node in graph)
         memo_key = (grouping_key, float(spring_length))
         with self._lock:
             entry = self._seeds.get(memo_key)
-        if entry is not None and entry[0] == node_keys:
+        if entry is not None and len(entry) == len(graph):
             self.stats["seed_shared_hits"] += 1
-            return dict(entry[1])
-        seeds = radial_seeds(
+            return entry
+        seeds = radial_seed_array(
             self.hierarchy, graph, spring_length=spring_length
         )
+        seeds.setflags(write=False)
         with self._lock:
-            self._seeds[memo_key] = (node_keys, seeds)
+            self._seeds[memo_key] = seeds
             while len(self._seeds) > self.MAX_STRUCTURES:
                 self._seeds.pop(next(iter(self._seeds)))
                 self.stats["seed_evictions"] += 1
         self.stats["seed_builds"] += 1
-        return dict(seeds)
+        return seeds
 
 
 class AggregationEngine:
@@ -485,7 +561,6 @@ class AggregationEngine:
             cache_owner if cache_owner is not None else f"engine-{id(self):x}"
         )
         self._slice_caches: dict[str, SliceCache] = {}
-        self._row_maps: dict[str, Mapping[str, int]] = {}
         #: decision counters, mirroring ``ForceLayout.stats``; a
         #: :class:`repro.obs.StatGroup` registered process-wide under
         #: the ``agg`` namespace
@@ -500,13 +575,17 @@ class AggregationEngine:
             "shared_puts": 0,
         })
 
-    def _bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
+    def _slice_cache(self, metric: str) -> SliceCache:
         cache = self._slice_caches.get(metric)
         if cache is None:
-            bank, row_of = self.shared.bank(metric)
+            bank, _ = self.shared.bank(metric)
             self._slice_caches[metric] = cache = SliceCache(bank, self.stats)
-            self._row_maps[metric] = row_of
-        return cache.bank, self._row_maps[metric]
+        return cache
+
+    def _bank(self, metric: str) -> tuple[SignalBank, np.ndarray]:
+        """The ``(bank, rows)`` pair of *metric* this engine scrubs."""
+        self._slice_cache(metric)
+        return self.shared.bank(metric)
 
     def _unit_values(
         self, metric: str, structure: _Structure, tslice: TimeSlice
@@ -517,7 +596,7 @@ class AggregationEngine:
         order (see :meth:`_Structure.metric_layout`), served from the
         result cache when it holds the key and put into it otherwise.
         """
-        _, row_of = self._bank(metric)
+        slices = self._slice_cache(metric)
         cache = self.result_cache
         cache_key = (tslice.as_tuple(), structure.key, metric)
         if cache is not None:
@@ -529,9 +608,9 @@ class AggregationEngine:
                 # not just the one it was computed against.
                 self.stats["shared_hits"] += 1
                 return cached
-        means = self._slice_caches[metric].means(tslice)
+        means = slices.means(tslice)
         with span("agg.spatial"):
-            rows, offsets, _ = structure.metric_layout(metric, row_of)
+            rows, offsets, _ = structure.metric_layout(metric)
             bounds = offsets.tolist()
             n_units = len(bounds) - 1
             if self.space_op is sum and n_units:
@@ -584,7 +663,7 @@ class AggregationEngine:
         per_metric = []
         for metric in metric_names:
             combined = self._unit_values(metric, structure, tslice)
-            slots = structure.metric_layout(metric, self._row_maps[metric])[2]
+            slots = structure.metric_layout(metric)[2]
             per_metric.append((metric, combined.tolist(), slots.tolist()))
         units: dict[str, AggregatedUnit] = {}
         for i, key in enumerate(structure.unit_order):
@@ -602,7 +681,10 @@ class AggregationEngine:
                 values=values,
             )
         view = AggregatedView(
-            units=units, edges=list(structure.edges), tslice=tslice
+            units=units,
+            edges=list(structure.edges),
+            tslice=tslice,
+            entities=structure.table,
         )
         self.stats["views"] += 1
         view.stats = dict(self.stats)

@@ -16,13 +16,17 @@ parallel edges merge with a multiplicity count.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.hierarchy import GroupingState, Path
 from repro.core.timeslice import TimeSlice
 from repro.errors import AggregationError
-from repro.trace.trace import Trace
+from repro.trace.trace import Entity, Trace
+
+if TYPE_CHECKING:
+    from repro.trace.entities import EntityTable
 
 __all__ = ["AggregatedUnit", "AggregatedEdge", "AggregatedView", "aggregate_view"]
 
@@ -53,7 +57,13 @@ class AggregatedUnit:
         return self.values.get(metric, default)
 
 
-@dataclass(frozen=True)
+#: Slotted dataclasses where the interpreter has them (Python 3.10+): a
+#: unit structure holds one edge object per unit pair, and a slotted
+#: edge takes half the memory of one with an attribute dict.
+_SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(frozen=True, **_SLOTTED)
 class AggregatedEdge:
     """An undirected edge between two units, merging parallel trace edges."""
 
@@ -73,13 +83,16 @@ class AggregatedView:
     ``stats`` carries a snapshot of the producing
     :class:`~repro.core.aggengine.AggregationEngine` counters (cache
     hits, delta vs full integrations, ns timings); the scalar oracle
-    path leaves it empty.
+    path leaves it empty.  ``entities`` is the trace's
+    :class:`~repro.trace.entities.EntityTable` the unit members name
+    entities of (the layout remembers positions by its indices).
     """
 
     units: dict[str, AggregatedUnit]
     edges: list[AggregatedEdge]
     tslice: TimeSlice
     stats: dict = field(default_factory=dict)
+    entities: EntityTable | None = None
 
     def unit(self, key: str) -> AggregatedUnit:
         """The unit with *key*, raising when unknown."""
@@ -145,41 +158,39 @@ def aggregate_view(
         intensive quantities.
     """
     metric_names = list(metrics) if metrics is not None else trace.metric_names()
-    members: dict[str, list[str]] = {}
+    members: dict[str, list[Entity]] = {}
     meta: dict[str, tuple[Path | None, str]] = {}
+    entity_unit: dict[str, str] = {}
     for entity in trace:
         group = grouping.unit_of(entity.name)
         key = unit_key(group, entity.kind, entity.name)
-        members.setdefault(key, []).append(entity.name)
+        members.setdefault(key, []).append(entity)
         meta[key] = (group, entity.kind)
+        entity_unit[entity.name] = key
 
     units: dict[str, AggregatedUnit] = {}
-    for key, names in members.items():
+    for key, entities in members.items():
         group, kind = meta[key]
         values: dict[str, float] = {}
         for metric in metric_names:
             sampled = [
-                tslice.value_of(trace.entity(name).metrics[metric])
-                for name in names
-                if metric in trace.entity(name).metrics
+                tslice.value_of(entity.metrics[metric])
+                for entity in entities
+                if metric in entity.metrics
             ]
             if sampled:
                 values[metric] = space_op(sampled)
-        label = "/".join(group) if group is not None else names[0]
+        label = "/".join(group) if group is not None else entities[0].name
         units[key] = AggregatedUnit(
             key=key,
             label=label,
             kind=kind,
-            members=tuple(names),
+            members=tuple(entity.name for entity in entities),
             group=group,
             values=values,
         )
 
     edge_multiplicity: dict[tuple[str, str], int] = {}
-    entity_unit = {
-        name: unit_key(grouping.unit_of(name), trace.entity(name).kind, name)
-        for name in (e.name for e in trace)
-    }
     for edge in trace.edges:
         if edge.via:
             pairs: Iterable[tuple[str, str]] = (
@@ -199,4 +210,6 @@ def aggregate_view(
         AggregatedEdge(a, b, count)
         for (a, b), count in sorted(edge_multiplicity.items())
     ]
-    return AggregatedView(units=units, edges=edges, tslice=tslice)
+    return AggregatedView(
+        units=units, edges=edges, tslice=tslice, entities=trace.table
+    )

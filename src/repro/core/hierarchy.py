@@ -15,9 +15,13 @@ underneath until it is expanded again — Fig. 8's four levels are just
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
-from repro.errors import HierarchyError
+import numpy as np
+
+from repro.errors import HierarchyError, TraceError
+from repro.trace.entities import EntityTable
 from repro.trace.trace import Entity, Trace
 
 __all__ = ["Hierarchy", "GroupingState"]
@@ -29,37 +33,50 @@ class Hierarchy:
     """The tree of groups implied by entity paths.
 
     Interior nodes are *groups* (identified by their path tuple); leaves
-    are entities.  The root is the empty path ``()``.
+    are entities.  The root is the empty path ``()``.  Entities are not
+    copied: the hierarchy reads its trace's
+    :class:`~repro.trace.entities.EntityTable` (each entity's innermost
+    group is a code into the table's group paths) and keeps only the
+    group tree, built once with the answers to :meth:`groups`,
+    :meth:`groups_at_depth` and :meth:`max_depth`.
     """
 
-    def __init__(self, entities: Iterable[Entity]) -> None:
-        self._children: dict[Path, set[Path]] = {(): set()}
-        self._leaves: dict[Path, list[str]] = {(): []}
-        self._kind: dict[str, str] = {}
-        self._leaf_path: dict[str, Path] = {}
-        for entity in entities:
-            self._insert(entity)
+    def __init__(self, entities: Iterable[Entity] | EntityTable) -> None:
+        if isinstance(entities, EntityTable):
+            table = entities
+        else:
+            try:
+                table = EntityTable.from_entities(entities)
+            except TraceError as error:
+                raise HierarchyError(str(error)) from None
+        #: the entity table the leaves index into (shared with the trace)
+        self.table = table
+        children: dict[Path, set[Path]] = {(): set()}
+        for group in table.group_paths:
+            for depth in range(len(group)):
+                subgroup = group[: depth + 1]
+                children.setdefault(group[:depth], set()).add(subgroup)
+            children.setdefault(group, set())
+        self._children: dict[Path, tuple[Path, ...]] = {
+            path: tuple(sorted(subgroups))
+            for path, subgroups in children.items()
+        }
+        self._groups = tuple(
+            sorted((p for p in children if p), key=lambda p: (len(p), p))
+        )
+        self._by_depth: dict[int, list[Path]] = {}
+        for group in self._groups:
+            self._by_depth.setdefault(len(group), []).append(group)
+        self._max_depth = 1 + max(
+            (len(group) for group in table.group_paths), default=-1
+        )
+        self._circle: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "Hierarchy":
-        """Build the hierarchy of every entity in *trace*."""
-        return cls(trace)
-
-    def _insert(self, entity: Entity) -> None:
-        if entity.name in self._kind:
-            raise HierarchyError(f"duplicate entity {entity.name!r}")
-        self._kind[entity.name] = entity.kind
-        self._leaf_path[entity.name] = entity.path
-        path = entity.path
-        for depth in range(len(path)):
-            prefix = path[:depth]
-            child = path[: depth + 1]
-            self._children.setdefault(prefix, set())
-            self._leaves.setdefault(prefix, [])
-            if depth < len(path) - 1:
-                self._children[prefix].add(child)
-            self._leaves[prefix].append(entity.name)
-        self._children.setdefault(path[:-1], set())
+        """Build the hierarchy of every entity in *trace* over the
+        trace's own entity table."""
+        return cls(trace.table)
 
     # ------------------------------------------------------------------
     # Navigation
@@ -67,64 +84,105 @@ class Hierarchy:
     def is_group(self, path: Path) -> bool:
         """True when *path* names a group (interior node) of the tree."""
         return path in self._children and bool(
-            self._children[path] or self._group_leaves(path)
+            self._children[path] or path in self.table.group_index
         )
-
-    def _group_leaves(self, path: Path) -> list[str]:
-        return [
-            name
-            for name in self._leaves.get(path, [])
-            if self._leaf_path[name][:-1] == path
-        ]
 
     def children(self, path: Path) -> list[Path]:
         """Sub-groups directly under *path*, sorted."""
         if path not in self._children:
             raise HierarchyError(f"unknown group {path!r}")
-        return sorted(self._children[path])
+        return list(self._children[path])
+
+    def members(self, path: Path = ()) -> np.ndarray:
+        """Entity indices of every leaf under *path*, in trace order."""
+        if path not in self._children:
+            raise HierarchyError(f"unknown group {path!r}")
+        depth = len(path)
+        codes = [
+            code
+            for group, code in self.table.group_index.items()
+            if group[:depth] == path
+        ]
+        return np.flatnonzero(np.isin(self.table.groups, codes))
 
     def leaves(self, path: Path = ()) -> list[str]:
         """Every entity name under *path* (insertion order)."""
-        if path not in self._leaves:
-            raise HierarchyError(f"unknown group {path!r}")
-        return list(self._leaves[path])
+        names = self.table.names
+        return [names[i] for i in self.members(path).tolist()]
 
     def groups(self) -> list[Path]:
         """All groups, sorted by (depth, path); excludes the root."""
-        return sorted((p for p in self._children if p), key=lambda p: (len(p), p))
+        return list(self._groups)
 
     def groups_at_depth(self, depth: int) -> list[Path]:
         """Groups whose path length is exactly *depth*."""
         if depth <= 0:
             raise HierarchyError(f"depth must be positive, got {depth}")
-        return [p for p in self.groups() if len(p) == depth]
+        return list(self._by_depth.get(depth, ()))
 
     def max_depth(self) -> int:
         """Length of the longest entity path."""
-        return max((len(p) for p in self._leaf_path.values()), default=0)
+        return self._max_depth
+
+    def leaf_circle(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cosine and sine of every entity's angle on the seeding circle.
+
+        Leaves are ordered depth-first through the tree — a group's own
+        leaves in trace order, then its sub-groups in sorted order —
+        and leaf ``i`` of ``total`` sits at angle
+        ``2.0 * math.pi * i / total``.  Two float64 arrays over entity
+        indices, computed once per hierarchy with :func:`math.cos` and
+        :func:`math.sin` (the radial seeds of
+        :mod:`repro.core.layout.seeding`).
+        """
+        if self._circle is None:
+            order: dict[Path, int] = {}
+
+            def walk(path: Path) -> None:
+                order[path] = len(order)
+                for child in self._children[path]:
+                    walk(child)
+
+            walk(())
+            table = self.table
+            rank_of_code = np.asarray(
+                [order[group] for group in table.group_paths], dtype=np.int64
+            )
+            leaf_order = np.argsort(rank_of_code[table.groups], kind="stable")
+            total = max(len(table), 1)
+            cos = np.empty(len(table))
+            sin = np.empty(len(table))
+            for i, entity in enumerate(leaf_order.tolist()):
+                angle = 2.0 * math.pi * i / total
+                cos[entity] = math.cos(angle)
+                sin[entity] = math.sin(angle)
+            cos.setflags(write=False)
+            sin.setflags(write=False)
+            self._circle = (cos, sin)
+        return self._circle
 
     def path_of(self, entity: str) -> Path:
         """The full path of *entity* (ending with its own name)."""
         try:
-            return self._leaf_path[entity]
+            return self.table.path(self.table.index[entity])
         except KeyError:
             raise HierarchyError(f"unknown entity {entity!r}") from None
 
     def kind_of(self, entity: str) -> str:
         """The kind of *entity*."""
         try:
-            return self._kind[entity]
+            return self.table.kind(self.table.index[entity])
         except KeyError:
             raise HierarchyError(f"unknown entity {entity!r}") from None
 
     def __contains__(self, entity: str) -> bool:
-        return entity in self._kind
+        return entity in self.table.index
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._kind)
+        return iter(self.table.names)
 
     def __len__(self) -> int:
-        return len(self._kind)
+        return len(self.table)
 
 
 class GroupingState:

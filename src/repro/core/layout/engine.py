@@ -18,7 +18,11 @@ analyst to get confused when changing scale" (Fig. 8's caption).
 from __future__ import annotations
 
 import math
+import operator
 import random
+from collections.abc import Mapping
+
+import numpy as np
 
 from repro.core.layout.barneshut import BarnesHutLayout
 from repro.core.layout.base import ForceLayout
@@ -96,16 +100,32 @@ class DynamicLayout:
         self.tolerance = tolerance
         self._rng = random.Random(seed ^ 0x5EED)
         #: last known position of every *trace entity* (not unit), the
-        #: memory that makes aggregation/disaggregation transitions smooth
-        self._entity_positions: dict[str, tuple[float, float]] = {}
-        #: members of each unit key at the last sync
-        self._members: dict[str, tuple[str, ...]] = {}
+        #: memory that makes aggregation/disaggregation transitions
+        #: smooth: row ``i`` is entity ``i`` of the synced graphs'
+        #: entity table (or of ``_names`` for graphs without one), and
+        #: ``_known`` marks the rows that hold a position
+        self._xy = np.zeros((0, 2))
+        self._known = np.zeros(0, dtype=bool)
+        self._slot: dict[str, int] | None = None
+        self._names: dict[str, int] = {}
+        #: the member tuples of the nodes at the last sync, their
+        #: members' entity rows (concatenated in node order, node ``j``
+        #: owning ``_member_rows[_bounds[j]:_bounds[j + 1]]``), the
+        #: layout body of each node and its last remembered position
+        #: (its members take it when the node set next changes)
+        self._synced: list[tuple[str, ...]] = []
+        self._bounds = np.zeros(1, dtype=np.int32)
+        self._member_rows = np.zeros(0, dtype=np.int32)
+        self._node_body = np.zeros(0, dtype=np.int32)
+        self._node_xy = np.zeros((0, 2))
 
     # ------------------------------------------------------------------
     def sync(
         self,
         graph: VisGraph,
-        seed_positions: dict[str, tuple[float, float]] | None = None,
+        seed_positions: Mapping[str, tuple[float, float]]
+        | np.ndarray
+        | None = None,
     ) -> dict[str, tuple[float, float]]:
         """Reconcile the simulation with *graph*; return seed positions
         of the nodes that were created by this sync.
@@ -114,53 +134,112 @@ class DynamicLayout:
         whose members were never seen before — the session passes the
         hierarchical radial seeding here ("the scalable Barnes-hut
         algorithm combined with the hierarchical information from the
-        traces", Section 3.3); without it new nodes start at random.
+        traces", Section 3.3): a ``{node key: (x, y)}`` mapping, or a
+        ``(len(graph), 2)`` array in graph node order with NaN rows for
+        no seed.  Without it new nodes start at random.
         """
         self._remember_positions()
-        target = {node.key for node in graph}
+        nodes = graph.nodes()
+        target = {node.key for node in nodes}
         # Remove in layout index order: removal swaps the last body into
         # the freed slot, so the body order (and with it every float
         # sum over bodies) must not depend on set iteration order.
         stale = [key for key in self.layout.names() if key not in target]
-        for key in stale:
-            del self._members[key]
+        members = [node.members for node in nodes]
+        # A view of the same structure hands out the same member tuples:
+        # then the member rows of the last sync still hold.
+        restructured = bool(stale) or len(members) != len(self._synced) or (
+            not all(map(operator.is_, members, self._synced))
+        )
+        if restructured or any(node.key not in self.layout for node in nodes):
+            self._spread_positions()
         self.layout.remove_nodes(stale)
+        if restructured:
+            self._index_members(graph, members)
         new_keys: list[str] = []
         new_weights: list[float] = []
         new_spots: list[tuple[float, float] | None] = []
-        for node in graph:
+        for j, node in enumerate(nodes):
             weight = max(1.0, float(node.weight))
             if node.key in self.layout:
                 self.layout.set_weight(node.key, weight)
-            else:
-                position = self._seed_position(node.members)
-                if position is None and seed_positions is not None:
+                continue
+            position = self._seed_position(j)
+            if position is None and seed_positions is not None:
+                if isinstance(seed_positions, np.ndarray):
+                    x, y = seed_positions[j].tolist()
+                    if x == x:  # NaN: no seed for this node
+                        position = (x, y)
+                else:
                     position = seed_positions.get(node.key)
-                new_keys.append(node.key)
-                new_weights.append(weight)
-                new_spots.append(position)
-            self._members[node.key] = node.members
+            new_keys.append(node.key)
+            new_weights.append(weight)
+            new_spots.append(position)
         self.layout.add_nodes(new_keys, new_weights, new_spots)
         self.layout.set_edges([(e.a, e.b) for e in graph.edges])
+        if restructured or new_keys:
+            body = self.layout._index
+            self._node_body = np.asarray(
+                [body[node.key] for node in nodes], dtype=np.int32
+            )
+        self._synced = members
         return {key: self.layout.position(key) for key in new_keys}
 
-    def _remember_positions(self) -> None:
-        for key, members in self._members.items():
-            if key in self.layout:
-                position = self.layout.position(key)
-                for member in members:
-                    self._entity_positions[member] = position
+    def _index_members(
+        self, graph: VisGraph, members: list[tuple[str, ...]]
+    ) -> None:
+        """Resolve every node's members to position-memory rows."""
+        table = getattr(graph, "entities", None)
+        index = table.index if table is not None else self._names
+        if index is not self._slot:
+            # A new entity numbering: positions under the old one are
+            # not addressable any more.
+            self._slot = index
+            self._xy = np.zeros((len(index), 2))
+            self._known = np.zeros(len(index), dtype=bool)
+        if table is None:
+            for names in members:
+                for name in names:
+                    index.setdefault(name, len(index))
+            grow = len(index) - len(self._known)
+            if grow > 0:
+                self._xy = np.vstack([self._xy, np.zeros((grow, 2))])
+                self._known = np.concatenate(
+                    [self._known, np.zeros(grow, dtype=bool)]
+                )
+        self._member_rows = np.asarray(
+            [index[name] for names in members for name in names],
+            dtype=np.int32,
+        )
+        bounds = np.zeros(len(members) + 1, dtype=np.int32)
+        np.cumsum([len(names) for names in members], out=bounds[1:])
+        self._bounds = bounds
 
-    def _seed_position(self, members: tuple[str, ...]) -> tuple[float, float] | None:
-        known = [
-            self._entity_positions[m]
-            for m in members
-            if m in self._entity_positions
-        ]
-        if not known:
+    def _remember_positions(self) -> None:
+        """Remember the synced nodes' current positions."""
+        self._node_xy = self.layout._pos[self._node_body]
+
+    def _spread_positions(self) -> None:
+        """Every member of every synced node takes the node's last
+        remembered position: one scatter per change of the node set."""
+        rows = self._member_rows
+        if len(rows):
+            counts = np.diff(self._bounds)
+            self._xy[rows] = np.repeat(self._node_xy, counts, axis=0)
+            self._known[rows] = True
+
+    def _seed_position(self, j: int) -> tuple[float, float] | None:
+        """Spot of new node *j*: its members' remembered centroid."""
+        rows = self._member_rows[self._bounds[j]:self._bounds[j + 1]]
+        known = rows[self._known[rows]]
+        if len(known) == 0:
             return None  # let the layout pick a random spot
-        cx = sum(p[0] for p in known) / len(known)
-        cy = sum(p[1] for p in known) / len(known)
+        if len(known) == 1:
+            cx, cy = self._xy[known[0]].tolist()
+        else:
+            # Left-to-right sums over the members, in member order.
+            cx = float(np.cumsum(self._xy[known, 0])[-1]) / len(known)
+            cy = float(np.cumsum(self._xy[known, 1])[-1]) / len(known)
         # Tiny jitter so disaggregated siblings do not stack exactly.
         return (
             cx + self._rng.uniform(-1.0, 1.0),

@@ -14,10 +14,51 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.hierarchy import Hierarchy
 from repro.core.visgraph import VisGraph
 
-__all__ = ["radial_seeds"]
+__all__ = ["radial_seed_array", "radial_seeds"]
+
+
+def radial_seed_array(
+    hierarchy: Hierarchy,
+    graph: VisGraph,
+    radius: float | None = None,
+    spring_length: float = 40.0,
+) -> np.ndarray:
+    """Initial positions for *graph*'s nodes from the hierarchy.
+
+    Leaves are ordered depth-first through the hierarchy and spread
+    around a circle (:meth:`~repro.core.hierarchy.Hierarchy.leaf_circle`,
+    computed once per hierarchy); each node (plain entity or aggregate)
+    seeds at the angular centroid of its members.  The radius defaults
+    to ``spring_length * sqrt(n) / 2`` — the same scale the random
+    placement uses, so the two initializations are comparable.
+
+    A float64 ``(len(graph), 2)`` array in graph node order; a node
+    without a member in the hierarchy gets a NaN row (no seed).
+    """
+    cos, sin = hierarchy.leaf_circle()
+    index = hierarchy.table.index
+    if radius is None:
+        radius = spring_length * math.sqrt(len(graph)) / 2.0
+    seeds = np.full((len(graph), 2), np.nan)
+    for j, node in enumerate(graph):
+        members = [i for i in map(index.get, node.members) if i is not None]
+        if not members:
+            continue
+        # Angular centroid via the vector mean (robust to wrap-around);
+        # cumsum adds the members left to right, in member order.
+        x = float(np.cumsum(cos[members])[-1]) / len(members)
+        y = float(np.cumsum(sin[members])[-1]) / len(members)
+        norm = math.hypot(x, y)
+        if norm < 1e-9:
+            seeds[j] = (0.0, 0.0)
+        else:
+            seeds[j] = (radius * x / norm, radius * y / norm)
+    return seeds
 
 
 def radial_seeds(
@@ -26,44 +67,13 @@ def radial_seeds(
     radius: float | None = None,
     spring_length: float = 40.0,
 ) -> dict[str, tuple[float, float]]:
-    """Initial positions for *graph*'s nodes from the hierarchy.
-
-    Leaves are ordered depth-first through the hierarchy and spread
-    around a circle; each node (plain entity or aggregate) seeds at the
-    angular centroid of its members.  The radius defaults to
-    ``spring_length * sqrt(n) / 2`` — the same scale the random
-    placement uses, so the two initializations are comparable.
-    """
-    order: list[str] = []
-
-    def walk(path: tuple[str, ...]) -> None:
-        for name in hierarchy.leaves(path):
-            if hierarchy.path_of(name)[:-1] == path:
-                order.append(name)
-        for child in hierarchy.children(path):
-            walk(child)
-
-    walk(())
-    index = {name: i for i, name in enumerate(order)}
-    total = max(len(order), 1)
-    if radius is None:
-        radius = spring_length * math.sqrt(len(graph)) / 2.0
-
-    seeds: dict[str, tuple[float, float]] = {}
-    for node in graph:
-        angles = [
-            2.0 * math.pi * index[m] / total
-            for m in node.members
-            if m in index
-        ]
-        if not angles:
-            continue
-        # Angular centroid via the vector mean (robust to wrap-around).
-        x = sum(math.cos(a) for a in angles) / len(angles)
-        y = sum(math.sin(a) for a in angles) / len(angles)
-        norm = math.hypot(x, y)
-        if norm < 1e-9:
-            seeds[node.key] = (0.0, 0.0)
-        else:
-            seeds[node.key] = (radius * x / norm, radius * y / norm)
-    return seeds
+    """:func:`radial_seed_array` as a ``{node key: (x, y)}`` dict of
+    the seeded nodes."""
+    seeds = radial_seed_array(
+        hierarchy, graph, radius=radius, spring_length=spring_length
+    ).tolist()
+    return {
+        node.key: (x, y)
+        for node, (x, y) in zip(graph, seeds)
+        if x == x  # NaN: no member in the hierarchy
+    }

@@ -10,12 +10,15 @@ engine, which persists across view changes so transitions stay smooth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.aggregation import AggregatedEdge, AggregatedUnit, AggregatedView
 from repro.core.mapping import VisualMapping
 from repro.core.scaling import ScaleSet
 from repro.errors import MappingError
+
+if TYPE_CHECKING:
+    from repro.trace.entities import EntityTable
 
 __all__ = ["VisNode", "VisEdge", "VisGraph", "build_visgraph"]
 
@@ -65,9 +68,21 @@ class VisEdge:
 
 
 class VisGraph:
-    """A set of styled nodes plus the edges connecting them."""
+    """A set of styled nodes plus the edges connecting them.
 
-    def __init__(self, nodes: list[VisNode], edges: list[VisEdge]) -> None:
+    ``entities`` is the :class:`~repro.trace.entities.EntityTable` the
+    node members name entities of, when the graph was built from a
+    trace's view (:func:`build_visgraph`); the dynamic layout keeps its
+    per-entity position memory by that table's indices.
+    """
+
+    def __init__(
+        self,
+        nodes: list[VisNode],
+        edges: list[VisEdge],
+        entities: EntityTable | None = None,
+    ) -> None:
+        self.entities = entities
         self._nodes: dict[str, VisNode] = {}
         for node in nodes:
             if node.key in self._nodes:
@@ -160,4 +175,4 @@ def build_visgraph(
     edges = [
         VisEdge(edge.a, edge.b, edge.multiplicity) for edge in view.edges
     ]
-    return VisGraph(nodes, edges)
+    return VisGraph(nodes, edges, entities=view.entities)

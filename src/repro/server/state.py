@@ -330,6 +330,8 @@ class SharedServerState:
         )
         # Pay the hierarchy build at startup, not on first connect.
         self.shared.hierarchy
+        #: entities per kind, for ``/info``
+        self._kinds = trace.table.kind_counts()
 
     def create_session(self) -> SessionState:
         """Open a new session attached to the shared structures.
@@ -436,13 +438,10 @@ class SharedServerState:
     def info(self) -> dict:
         """The ``/info`` endpoint payload: trace and server vitals."""
         start, end = self.trace.span()
-        kinds: dict[str, int] = {}
-        for entity in self.trace:
-            kinds[entity.kind] = kinds.get(entity.kind, 0) + 1
         return {
             "protocol": PROTOCOL_VERSION,
             "entities": len(self.shared.hierarchy),
-            "kinds": kinds,
+            "kinds": dict(self._kinds),
             "metrics": sorted(self.trace.metric_names()),
             "span": [start, end],
             "sessions": len(self.sessions),

@@ -12,6 +12,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".builder": ("TraceBuilder",),
+    ".entities": ("EntityTable",),
     ".events": ("PointEvent", "VariableEvent"),
     ".connect": (
         "communication_matrix", "edges_from_messages",
@@ -35,6 +36,7 @@ __all__ = [
     "CAPACITY",
     "USAGE",
     "Entity",
+    "EntityTable",
     "MetricInfo",
     "PointEvent",
     "Signal",

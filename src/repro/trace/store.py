@@ -40,10 +40,8 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import threading
 from pathlib import Path
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import numpy as np
@@ -68,6 +66,7 @@ from repro.trace.columnar import (
     resolve_array,
     sniff_magic,
 )
+from repro.trace.entities import EntityTable
 
 # The trace model, the signal classes and the span hook are imported
 # where they are used: ``repro convert`` then loads only the parser, the
@@ -311,11 +310,11 @@ def convert(
 class _MetricColumns:
     """Resolved (but unread) memory-map views of one metric's columns."""
 
-    __slots__ = ("rows", "row_of", "offsets", "initials", "times", "values", "prefix")
+    __slots__ = ("offsets", "initials", "times", "values", "prefix")
 
     def __init__(
         self,
-        rows: list[str],
+        n_rows: int,
         offsets: np.ndarray,
         initials: np.ndarray,
         times: np.ndarray,
@@ -324,16 +323,14 @@ class _MetricColumns:
         *,
         what: str,
     ) -> None:
-        self.rows = rows
-        self.row_of = {name: i for i, name in enumerate(rows)}
-        if len(offsets) != len(rows) + 1:
+        if len(offsets) != n_rows + 1:
             raise TraceStoreError(
-                f"{what}: {len(offsets)} offsets for {len(rows)} rows "
+                f"{what}: {len(offsets)} offsets for {n_rows} rows "
                 f"(need rows + 1)"
             )
-        if len(initials) != len(rows):
+        if len(initials) != n_rows:
             raise TraceStoreError(
-                f"{what}: {len(initials)} initial values for {len(rows)} rows"
+                f"{what}: {len(initials)} initial values for {n_rows} rows"
             )
         if not (len(times) == len(values) == len(prefix)):
             raise TraceStoreError(
@@ -359,9 +356,11 @@ class _MetricColumns:
 class TraceStore:
     """A validated, memory-mapped columnar trace file.
 
-    Opening a store reads only the fixed header and the JSON directory;
-    the column data stays on disk behind :func:`numpy.memmap` views and
-    is faulted in page by page as queries touch it.  Use
+    Opening a store reads only the fixed header and the JSON directory,
+    whose entity section becomes :attr:`entities` — the trace's one
+    :class:`~repro.trace.entities.EntityTable`; the column data stays
+    on disk behind :func:`numpy.memmap` views and is faulted in page by
+    page as queries touch it.  Use
     :meth:`open_trace` for a drop-in :class:`~repro.trace.trace.Trace`,
     or :meth:`signal_bank` for direct mmap-backed
     :class:`~repro.trace.signalbank.SignalBank` access.
@@ -382,15 +381,18 @@ class TraceStore:
                 f"{what}: file is {size} bytes but the header declares "
                 f"{self.header.file_length} (truncated or padded file)"
             )
-        if size > 0:
-            self._raw: np.ndarray = np.memmap(
-                self.path, dtype=np.uint8, mode="r"
-            )
-        else:  # pragma: no cover - read_header already rejected this
-            raise TraceStoreError(f"{what}: empty file")
         h = self.header
         directory = self._read_directory()
-        self._data = self._raw[h.data_offset : h.data_offset + h.data_length]
+        # Only the data section is mapped: the directory is read once
+        # with pread and never paged into this process again.
+        self._data: np.ndarray = (
+            np.memmap(
+                self.path, dtype=np.uint8, mode="r",
+                offset=h.data_offset, shape=(h.data_length,),
+            )
+            if h.data_length
+            else np.empty(0, dtype=np.uint8)
+        )
         self._columns: dict[str, _MetricColumns] = {}
         self._banks: dict[str, tuple[SignalBank, Mapping[str, int]]] = {}
         self._decode_directory(directory, what)
@@ -400,12 +402,23 @@ class TraceStore:
 
     # -- directory decoding -------------------------------------------
     def _read_directory(self) -> dict:
-        """The checksum-verified, parsed JSON directory."""
+        """The checksum-verified, parsed JSON directory, read from the
+        file with ``pread`` (the bytes are never memory-mapped)."""
         what = f"trace store {self.path.name!r}"
         h = self.header
-        payload = bytes(
-            self._raw[h.directory_offset : h.directory_offset + h.directory_length]
-        )
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+            try:
+                payload = os.pread(fd, h.directory_length, h.directory_offset)
+            finally:
+                os.close(fd)
+        except OSError as error:
+            raise TraceStoreError(f"{what}: cannot read: {error}") from None
+        if len(payload) != h.directory_length:
+            raise TraceStoreError(
+                f"{what}: directory truncated ({len(payload)} of "
+                f"{h.directory_length} bytes)"
+            )
         if directory_crc(payload) != h.directory_crc:
             raise TraceStoreError(
                 f"{what}: directory checksum mismatch (file corrupted)"
@@ -416,17 +429,17 @@ class TraceStore:
         """The directory for a new :class:`StoredTrace` to consume.
 
         The first caller takes the copy parsed at open, so the store no
-        longer holds it; later callers parse the mapped bytes again.
+        longer holds it; later callers read and parse the file again.
         """
         sections, self._sections = self._sections, None
         return sections if sections is not None else self._read_directory()
 
     def _decode_directory(self, d: dict, what: str) -> None:
-        """Decode the entity and column sections of directory *d*.
+        """Decode the entity and column sections of directory *d* into
+        :attr:`entities`, the trace's one :class:`EntityTable`.
 
-        Every name is stored as one object shared by the entity table
-        and each metric's row list; path parts are interned.  The
-        entity and column sections are popped from *d*.
+        Each metric's row list becomes an int32 array of entity
+        indices.  The entity and column sections are popped from *d*.
         """
         try:
             raw_entities = d.pop("entities")
@@ -435,28 +448,32 @@ class TraceStore:
             raise TraceStoreError(
                 f"{what}: directory misses section {error}"
             ) from None
-        self.entity_kinds: dict[str, str] = {}
-        self.entity_paths: dict[str, tuple[str, ...]] = {}
         name_what, kind_what = f"{what}: entity name", f"{what}: entity kind"
-        intern = sys.intern
-        for row in raw_entities:
-            try:
-                name, kind, path = row
-            except (TypeError, ValueError):
-                raise TraceStoreError(
-                    f"{what}: malformed entity row {row!r}"
-                ) from None
-            check_name(name, what=name_what)
-            check_name(kind, what=kind_what)
-            if name in self.entity_kinds:
-                raise TraceStoreError(f"{what}: duplicate entity {name!r}")
-            self.entity_kinds[name] = intern(kind)
-            self.entity_paths[name] = tuple([
-                name if part == name else intern(str(part)) for part in path
-            ])
-        names = self._names()
+
+        def rows() -> Iterator[tuple[str, str, list]]:
+            for row in raw_entities:
+                try:
+                    name, kind, path = row
+                except (TypeError, ValueError):
+                    raise TraceStoreError(
+                        f"{what}: malformed entity row {row!r}"
+                    ) from None
+                check_name(name, what=name_what)
+                check_name(kind, what=kind_what)
+                if not isinstance(path, list):
+                    raise TraceStoreError(
+                        f"{what}: malformed path of entity {name!r}"
+                    )
+                yield name, kind, path
+
+        #: the trace's entity table: names, kinds, groups and, per
+        #: metric, the bank rows as entity indices
+        self.entities = table = EntityTable.from_rows(
+            rows(), error=TraceStoreError, what=what
+        )
         if not isinstance(raw_columns, dict):
             raise TraceStoreError(f"{what}: 'columns' is not an object")
+        index = table.index
         for metric, refs in raw_columns.items():
             check_name(metric, what=f"{what}: metric name")
             where = f"{what}: metric {metric!r}"
@@ -466,14 +483,14 @@ class TraceStore:
                 raw_rows = list(refs["rows"])
             except (KeyError, TypeError):
                 raise TraceStoreError(f"{where}: missing row list") from None
-            rows = []
+            rows_of = []
             for name in raw_rows:
-                try:
-                    rows.append(names[name])
-                except (KeyError, TypeError):
+                i = index.get(name) if isinstance(name, str) else None
+                if i is None:
                     raise TraceStoreError(
                         f"{where}: row entity {name!r} is not declared"
-                    ) from None
+                    )
+                rows_of.append(i)
             arrays = {}
             for column in ("offsets", "initials", "times", "values", "prefix"):
                 try:
@@ -486,7 +503,7 @@ class TraceStore:
                     self._data, ref, what=f"{where} column {column!r}"
                 )
             self._columns[metric] = _MetricColumns(
-                rows,
+                len(rows_of),
                 arrays["offsets"],
                 arrays["initials"],
                 arrays["times"],
@@ -494,6 +511,7 @@ class TraceStore:
                 arrays["prefix"],
                 what=where,
             )
+            table.set_rows(metric, rows_of)
         self.span_hint: tuple[float, float] | None = None
         stored = d.get("span")
         if stored is not None:
@@ -506,38 +524,18 @@ class TraceStore:
             self.span_hint = (lo, hi)
 
     # -- introspection ------------------------------------------------
-    def _names(self) -> dict[str, str]:
-        """Each entity name mapped to the one object the store keeps."""
-        return {name: name for name in self.entity_kinds}
-
-    def _metric_sets(self) -> dict[str, tuple[str, ...]]:
-        """Each entity's sorted metric names; equal sets share a tuple."""
-        per_entity: dict[str, list[str]] = {}
-        for metric in self.metric_names():
-            for name in self._columns[metric].rows:
-                per_entity.setdefault(name, []).append(metric)
-        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-        sets: dict[str, tuple[str, ...]] = {}
-        for name, metrics in per_entity.items():
-            key = tuple(metrics)
-            sets[name] = shared.setdefault(key, key)
-        return sets
-
     def metric_names(self) -> list[str]:
         """Metric names stored in the file, sorted."""
         return sorted(self._columns)
 
     def entity_names(self) -> list[str]:
         """Entity names in their stored (trace iteration) order."""
-        return list(self.entity_kinds)
+        return list(self.entities.names)
 
     def metrics_of(self, entity: str) -> list[str]:
         """Sorted metric names recorded for *entity*."""
-        return sorted(
-            metric
-            for metric, cols in self._columns.items()
-            if entity in cols.row_of
-        )
+        i = self.entities.index.get(entity)
+        return [] if i is None else list(self.entities.metrics_of(i))
 
     @property
     def total_breakpoints(self) -> int:
@@ -546,7 +544,7 @@ class TraceStore:
 
     def __repr__(self) -> str:
         return (
-            f"TraceStore({str(self.path)!r}: {len(self.entity_kinds)} "
+            f"TraceStore({str(self.path)!r}: {len(self.entities)} "
             f"entities, {len(self._columns)} metrics, "
             f"{self.total_breakpoints} breakpoints)"
         )
@@ -557,7 +555,7 @@ class TraceStore:
 
         The bank's flat columns are zero-copy views into the mapped
         file; ``row_of`` is a read-only mapping from entity name to bank
-        row.  This is the provider surface
+        row, answered from :attr:`entities`.  This is the provider surface
         :class:`~repro.core.aggengine.AggregationEngine` consumes via
         the ``signal_bank`` hook on :class:`StoredTrace`.
         """
@@ -580,7 +578,7 @@ class TraceStore:
                     f"trace store {self.path.name!r}: metric {metric!r}: "
                     f"{error}"
                 ) from None
-            entry = (bank, MappingProxyType(cols.row_of))
+            entry = (bank, self.entities.row_map(metric))
             self._banks[metric] = entry
         return entry
 
@@ -597,7 +595,7 @@ class TraceStore:
         """Materialize one entity's signal for *metric* from the store."""
         cols = self._column(metric)
         try:
-            row = cols.row_of[entity]
+            row = self.entities.row_map(metric)[entity]
         except KeyError:
             raise TraceStoreError(
                 f"trace store {self.path.name!r}: entity {entity!r} has "

@@ -2,8 +2,9 @@
 
 :meth:`repro.trace.store.TraceStore.open_trace` returns a
 :class:`StoredTrace`: entities, edges, events and metadata come from
-the store directory, signals materialize lazily from the mapped
-columns, and the aggregation engine reads mmap-backed signal banks.
+the store directory and its entity table, entities and their signals
+materialize lazily on access, and the aggregation engine reads
+mmap-backed signal banks.
 It lives apart from :mod:`repro.trace.store` so that writing a store
 (``repro convert``) never loads the trace model.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 from repro.errors import TraceError, TraceStoreError
 from repro.trace.events import PointEvent
@@ -68,37 +71,32 @@ class _LazyMetrics(Mapping):
 class StoredTrace(Trace):
     """A :class:`~repro.trace.trace.Trace` backed by a :class:`TraceStore`.
 
-    Entities, edges, events and metadata come from the store directory
-    (cheap); per-entity signals materialize lazily on first access, and
-    the aggregation engine bypasses them entirely through
-    :meth:`signal_bank`, which serves mmap-backed banks.  Everything
-    downstream — :class:`~repro.core.session.AnalysisSession`, the
-    hierarchy, renderers — sees an ordinary trace.
+    Entities come from the store's :class:`~repro.trace.entities.EntityTable`
+    and are materialized only when asked for: each :meth:`entity` call
+    or iteration step builds a fresh :class:`~repro.trace.trace.Entity`
+    whose metrics mapping materializes signals lazily, so the trace
+    itself holds no per-entity object.  Edges, events and metadata come
+    from the store directory, and the aggregation engine bypasses
+    signals entirely through :meth:`signal_bank`, which serves
+    mmap-backed banks.  Everything downstream —
+    :class:`~repro.core.session.AnalysisSession`, the hierarchy,
+    renderers — sees an ordinary trace.
     """
 
     def __init__(self, store: TraceStore) -> None:
         self.store = store
+        table = self._table = store.entities
         d = store._take_sections()
-        names = store._names()
-        metric_sets = store._metric_sets()
+        index, names = table.index, table.names
 
-        # Edge and event endpoints reuse the store's entity-name objects.
+        # Edge and event endpoints reuse the table's entity-name objects.
         def name(raw) -> str:
             text = str(raw)
-            return names.get(text, text)
+            i = index.get(text)
+            return text if i is None else names[i]
 
         try:
-            entities = [
-                Entity(
-                    entity,
-                    kind,
-                    store.entity_paths[entity],
-                    _LazyMetrics(store, entity, metric_sets.get(entity, ())),
-                )
-                for entity, kind in store.entity_kinds.items()
-            ]
             super().__init__(
-                entities=entities,
                 edges=[
                     TraceEdge(
                         name(a), name(b), name(via), sys.intern(str(source))
@@ -125,13 +123,54 @@ class StoredTrace(Trace):
                 f"trace store {store.path.name!r}: corrupt directory: {error}"
             ) from None
 
+    # -- entities, answered from the table -------------------------------
+    def _entity(self, i: int) -> Entity:
+        table = self._table
+        name = table.names[i]
+        return Entity(
+            name,
+            table.kind(i),
+            table.path(i),
+            _LazyMetrics(self.store, name, table.metrics_of(i)),
+        )
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._table.index
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __iter__(self) -> Iterator[Entity]:
+        return map(self._entity, range(len(self._table)))
+
+    def entity(self, name: str) -> Entity:
+        """The entity called *name*, built from the table on each call;
+        :class:`~repro.errors.TraceError` if absent."""
+        i = self._table.index.get(name)
+        if i is None:
+            raise TraceError(f"unknown entity {name!r}")
+        return self._entity(i)
+
+    def entities(self, kind: str | None = None) -> list[Entity]:
+        """All entities, optionally restricted to one *kind*."""
+        table = self._table
+        if kind is None:
+            return list(self)
+        if kind not in table.kind_names:
+            return []
+        code = table.kind_names.index(kind)
+        return [
+            self._entity(i)
+            for i in np.flatnonzero(table.kinds == code).tolist()
+        ]
+
+    def kinds(self) -> list[str]:
+        """The sorted set of entity kinds present in the trace."""
+        return sorted(self._table.kind_names)
+
     def signal_bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
         """The engine's bank provider hook — mmap-backed, from the store."""
         return self.store.signal_bank(metric)
-
-    def metric_names(self) -> list[str]:
-        """Stored metric names (directory lookup, no signal access)."""
-        return self.store.metric_names()
 
     def span(self) -> tuple[float, float]:
         """The stored time span — no column data is touched."""

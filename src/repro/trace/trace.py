@@ -25,6 +25,7 @@ from repro.trace.signal import Signal, constant
 
 if TYPE_CHECKING:
     from repro.trace.columnar import TraceColumns
+    from repro.trace.entities import EntityTable
 
 __all__ = ["Entity", "TraceEdge", "MetricInfo", "Trace"]
 
@@ -128,6 +129,9 @@ class TraceEdge:
 class Trace:
     """An immutable-ish container of monitored entities and relationships."""
 
+    #: the entity table, built on first use of :attr:`table`
+    _table: EntityTable | None = None
+
     def __init__(
         self,
         entities: Iterable[Entity] = (),
@@ -191,14 +195,29 @@ class Trace:
 
     def _check_edge(self, edge: TraceEdge) -> None:
         for end in edge.endpoints():
-            if end not in self._entities:
+            if end not in self:
                 raise TraceError(f"edge endpoint {end!r} is not an entity")
-        if edge.via and edge.via not in self._entities:
+        if edge.via and edge.via not in self:
             raise TraceError(f"edge 'via' entity {edge.via!r} is not an entity")
 
     # ------------------------------------------------------------------
     # Entities
     # ------------------------------------------------------------------
+    @property
+    def table(self) -> EntityTable:
+        """The trace's one :class:`~repro.trace.entities.EntityTable`:
+        entity names, kinds, groups and per-metric bank rows by index.
+
+        Built from the entities on first use (a stored trace takes its
+        store's); the hierarchy, the shared unit structures, the layout
+        seeds and the layout memory all read this one table.
+        """
+        if self._table is None:
+            from repro.trace.entities import EntityTable
+
+            self._table = EntityTable.from_entities(self._entities.values())
+        return self._table
+
     def __contains__(self, name: str) -> bool:
         return name in self._entities
 
@@ -255,10 +274,7 @@ class Trace:
 
     def metric_names(self) -> list[str]:
         """Every metric name appearing on at least one entity."""
-        names: set[str] = set()
-        for entity in self._entities.values():
-            names.update(entity.metrics)
-        return sorted(names)
+        return sorted(self.table.rows)
 
     @property
     def metrics_info(self) -> tuple[MetricInfo, ...]:
@@ -276,7 +292,7 @@ class Trace:
         """
         lo = float("inf")
         hi = float("-inf")
-        for entity in self._entities.values():
+        for entity in self:
             for sig in entity.metrics.values():
                 if len(sig):
                     first, last = sig.span()
@@ -296,6 +312,6 @@ class Trace:
 
     def __repr__(self) -> str:
         return (
-            f"Trace({len(self._entities)} entities, {len(self._edges)} edges, "
+            f"Trace({len(self)} entities, {len(self._edges)} edges, "
             f"{len(self._events)} events)"
         )

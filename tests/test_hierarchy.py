@@ -86,6 +86,42 @@ class TestHierarchy:
         assert set(h.leaves(("GroupB", "GroupA"))) == {"h1", "h2", "l12"}
 
 
+class TestAnswersBuiltOnce:
+    """``groups``, ``groups_at_depth`` and ``max_depth`` come from
+    tables built with the hierarchy; callers get copies."""
+
+    def test_groups_are_copies_of_one_sorted_table(self):
+        h = Hierarchy.from_trace(random_hierarchical_trace(seed=2))
+        groups = h.groups()
+        assert groups == sorted(groups, key=lambda p: (len(p), p))
+        groups.clear()
+        assert h.groups() and h.groups() is not h.groups()
+        at_two = h.groups_at_depth(2)
+        at_two.append(("bogus",))
+        assert ("bogus",) not in h.groups_at_depth(2)
+        assert h.groups_at_depth(99) == []
+
+    def test_depth_tables_agree_with_the_paths(self):
+        trace = random_hierarchical_trace(seed=2)
+        h = Hierarchy.from_trace(trace)
+        assert h.max_depth() == max(len(e.path) for e in trace)
+        for depth in range(1, h.max_depth() + 1):
+            assert h.groups_at_depth(depth) == [
+                g for g in h.groups() if len(g) == depth
+            ]
+        assert Hierarchy([]).max_depth() == 0
+        assert Hierarchy([]).groups() == []
+
+    def test_members_are_entity_indices_in_trace_order(self):
+        trace = random_hierarchical_trace(seed=2)
+        h = Hierarchy.from_trace(trace)
+        assert h.table is trace.table
+        for group in h.groups():
+            members = h.members(group)
+            assert list(members) == sorted(members)
+            assert [trace.table.names[i] for i in members] == h.leaves(group)
+
+
 class TestGroupingState:
     def make(self):
         h = Hierarchy(entities())

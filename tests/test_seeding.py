@@ -23,7 +23,56 @@ def graph_and_hierarchy(trace, collapse_depth=None):
     return graph, hierarchy
 
 
+def walk_reference(hierarchy, graph, radius=None, spring_length=40.0):
+    """Radial seeds by their definition, one node at a time.
+
+    Walks the tree depth-first (a group's own leaves in trace order,
+    then its sorted sub-groups), spreads the leaves over the circle at
+    ``2 * pi * i / total`` and seeds each node at the vector mean of its
+    members' directions, summed left to right in member order.
+    """
+    order = []
+
+    def walk(path):
+        for name in hierarchy.leaves(path):
+            if hierarchy.path_of(name)[:-1] == path:
+                order.append(name)
+        for child in hierarchy.children(path):
+            walk(child)
+
+    walk(())
+    index = {name: i for i, name in enumerate(order)}
+    total = max(len(order), 1)
+    if radius is None:
+        radius = spring_length * math.sqrt(len(graph)) / 2.0
+    seeds = {}
+    for node in graph:
+        angles = [2.0 * math.pi * index[m] / total for m in node.members]
+        x = y = 0
+        for angle in angles:
+            x += math.cos(angle)
+            y += math.sin(angle)
+        x, y = x / len(angles), y / len(angles)
+        norm = math.hypot(x, y)
+        seeds[node.key] = (
+            (0.0, 0.0) if norm < 1e-9 else (radius * x / norm, radius * y / norm)
+        )
+    return seeds
+
+
 class TestRadialSeeds:
+    @pytest.mark.parametrize("depth", [None, 1, 2, 3])
+    def test_equal_to_the_walk_reference(self, depth):
+        """The per-hierarchy leaf angles give the reference's floats
+        exactly, at every depth."""
+        trace = random_hierarchical_trace(
+            n_sites=3, clusters_per_site=2, hosts_per_cluster=5, seed=6
+        )
+        graph, hierarchy = graph_and_hierarchy(trace, collapse_depth=depth)
+        assert radial_seeds(hierarchy, graph) == walk_reference(
+            hierarchy, graph
+        )
+
     def test_every_node_seeded(self):
         trace = random_hierarchical_trace(n_sites=3, seed=4)
         graph, hierarchy = graph_and_hierarchy(trace)

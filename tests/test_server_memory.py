@@ -7,14 +7,25 @@ costs, times the capacity, is memory every server process holds.
 Entries are read-only float64 arrays in the structure's per-metric
 unit order; a name-keyed ``{unit: float}`` dict per entry retains more
 than twice as much on this scenario.
+
+Two more bounds pin the entity tables.  Per trace, an opened store
+plus the server state keeps one :class:`~repro.trace.entities.EntityTable`
+and no per-entity object.  Per grouping, a view of a newly expanded
+site adds its unit structure, one seed array and the session layout's
+growth; the layout remembers entity positions in one array over the
+table's indices.
 """
 
 import gc
 import tracemalloc
 
+import pytest
+
 from repro.core.aggengine import SharedTraceData
 from repro.core.session import AnalysisSession
 from repro.server.cache import SharedResultCache
+from repro.server.state import ServerConfig, SharedServerState
+from repro.trace.store import open_store, write_store
 
 from tests.test_store_differential import grid_trace  # noqa: F401 (fixture)
 
@@ -56,3 +67,72 @@ def test_full_result_cache_stays_under_bound(grid_trace):  # noqa: F811
     assert len(session.view(settle=False).aggregated.units) == 41
     assert len(cache) == CACHE_ENTRIES < (SCRUBS + 1) * n_metrics
     assert (after - before) / 2**20 < RETAINED_BOUND_MB
+
+
+#: Traced memory of an opened reduced Grid'5000 store (605 entities)
+#: plus the server state and one ``hello``: 0.19 MB with one entity
+#: table, 0.43 MB with name-keyed store dicts, eager per-entity objects
+#: and per-prefix leaf lists.
+PER_TRACE_BOUND_MB = 0.25
+#: Traced growth of one view after expanding the largest site of the
+#: reduced Grid'5000 trace at depth 2 (149 units): its unit structure
+#: with the per-metric layouts, the seed array and the session layout's
+#: growth.  74 KB with index arrays, 122 KB with name-keyed seed dicts
+#: and a per-entity position dict.
+PER_GROUPING_BOUND_KB = 95
+
+
+@pytest.fixture(scope="module")
+def grid_store(grid_trace, tmp_path_factory):  # noqa: F811
+    """The reduced Grid'5000 trace written as a store file."""
+    path = tmp_path_factory.mktemp("memory") / "grid.rtrace"
+    write_store(grid_trace, path)
+    return path
+
+
+def _traced(action):
+    """``(result, retained bytes)`` of *action* under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = action()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, after - before
+
+
+def test_per_trace_tables_stay_under_bound(grid_store):
+    import repro.server.state  # noqa: F401 - imports are not the trace
+
+    def serve():
+        trace = open_store(grid_store).open_trace()
+        state = SharedServerState(trace, ServerConfig())
+        hello = state.create_session().apply({"op": "hello"})
+        return state, hello
+
+    (state, hello), retained = _traced(serve)
+    assert hello["entities"] == len(state.trace) > 500
+    assert retained / 2**20 < PER_TRACE_BOUND_MB
+
+
+def test_per_grouping_growth_stays_under_bound(grid_store):
+    trace = open_store(grid_store).open_trace()
+    shared = SharedTraceData(trace)
+    session = AnalysisSession(trace, shared=shared)
+    session.aggregate_depth(2)
+    session.view(settle=False)
+    site = max(
+        shared.hierarchy.groups_at_depth(2),
+        key=lambda group: len(shared.hierarchy.leaves(group)),
+    )
+    session.disaggregate(site)
+    # The view itself is the caller's and is dropped; what stays is
+    # the shared structure, the seed entry and the session's layout.
+    nodes, retained = _traced(lambda: len(session.view(settle=False).graph))
+    assert nodes > 100
+    assert shared.stats["structure_builds"] == 2
+    assert shared.stats["seed_builds"] == 2
+    assert retained / 2**10 < PER_GROUPING_BOUND_KB

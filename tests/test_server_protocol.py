@@ -236,6 +236,18 @@ class TestMalformedBattery:
         assert server.stats["errors"] == 1
 
 
+class TestInfoPayload:
+    def test_kind_counts_match_the_entities(self):
+        trace = figure3_trace()
+        info = SharedServerState(trace).info()
+        counts = {}
+        for entity in trace:
+            counts[entity.kind] = counts.get(entity.kind, 0) + 1
+        assert info["kinds"] == counts
+        assert list(info["kinds"]) == list(counts)
+        assert info["entities"] == len(trace)
+
+
 class TestOverTheWire:
     """The same guarantees across a real WebSocket connection."""
 

@@ -20,11 +20,13 @@ four ways:
 
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggengine import SharedTraceData
+from repro.core.hierarchy import Hierarchy
 from repro.core.session import AnalysisSession
 from repro.server.cache import SharedResultCache
 from repro.trace.synthetic import random_hierarchical_trace
@@ -229,6 +231,39 @@ class TestSharedMemoBounds:
             session.view(settle_steps=1)
         assert shared.stats["seed_builds"] == 1
         assert shared.stats["seed_shared_hits"] == 1
+
+    @pytest.mark.parametrize("depth", [0, 2, 3])
+    def test_memo_hit_equals_a_fresh_radial_seeding(self, depth):
+        """A memo hit hands out the very floats a fresh
+        :func:`radial_seeds` call computes, row for row in graph order."""
+        from repro.core.layout.seeding import radial_seeds
+        from repro.core.mapping import VisualMapping
+        from repro.core.scaling import ScaleSet
+        from repro.core.visgraph import build_visgraph
+
+        trace = random_hierarchical_trace(seed=3)
+        shared = SharedTraceData(trace)
+        for _ in range(2):
+            session = AnalysisSession(trace, shared=shared)
+            if depth:
+                session.aggregate_depth(depth)
+            view = session.view(settle=False)
+        assert shared.stats["seed_shared_hits"] == 1
+        graph = build_visgraph(
+            view.aggregated, VisualMapping.paper_default(), ScaleSet()
+        )
+        spring_length = session.dynamic.params.spring_length
+        memo = shared.layout_seeds(
+            session.grouping.state_key, graph, spring_length
+        )
+        assert shared.stats["seed_shared_hits"] == 2
+        assert memo.dtype == np.float64 and memo.shape == (len(graph), 2)
+        assert not memo.flags.writeable
+        fresh = radial_seeds(
+            Hierarchy.from_trace(trace), graph, spring_length=spring_length
+        )
+        assert list(fresh) == [node.key for node in graph]
+        assert [tuple(row) for row in memo.tolist()] == list(fresh.values())
 
 
 # ----------------------------------------------------------------------
