@@ -111,7 +111,7 @@ def test_mmap_scrub_stays_exact_at_scale(tmp_path):
     for metric in trace.metric_names():
         rows = [e.metrics[metric] for e in trace if metric in e.metrics]
         resident = SignalBank(rows)
-        mapped, _ = store.signal_bank(metric)
+        mapped = store.signal_bank(metric)
         for i in range(moves):
             a = start + i * step
             b = a + width

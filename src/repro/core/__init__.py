@@ -8,10 +8,7 @@ driven through :class:`AnalysisSession`.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    ".aggengine": (
-        "AggregationEngine", "SharedTraceData", "SliceCache",
-        "make_aggregator",
-    ),
+    ".aggengine": ("AggregationEngine", "SharedTraceData", "SliceCache"),
     ".aggregation": (
         "AggregatedEdge", "AggregatedUnit", "AggregatedView", "aggregate_view",
     ),
@@ -74,7 +71,6 @@ __all__ = [
     "animation_frames",
     "build_visgraph",
     "export_animation_html",
-    "make_aggregator",
     "ShardedBarnesHutLayout",
     "make_layout",
     "render_ascii",

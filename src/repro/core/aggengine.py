@@ -6,8 +6,8 @@ called.  That is the same hot-path shape the vectorized Barnes-Hut
 kernel removed from the layout, and it dominates the view loop when
 the analyst scrubs the time slice or toggles a group.
 :class:`AggregationEngine` produces *identical* views (the legacy
-function is kept as the differential-testing oracle, selected with
-``AnalysisSession(engine="scalar")``) from one cache per concept:
+function is kept as the differential-testing oracle that tests call
+directly) from one cache per concept:
 
 * **slice means** — a :class:`SliceCache` per metric: one
   :class:`~repro.trace.signalbank.SignalBank` holds every entity's
@@ -56,7 +56,7 @@ can never observe another session's in-flight mutation
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,7 +79,6 @@ __all__ = [
     "AggregationEngine",
     "SharedTraceData",
     "SliceCache",
-    "make_aggregator",
 ]
 
 
@@ -326,9 +325,9 @@ class SharedTraceData:
 
     * the resource :class:`~repro.core.hierarchy.Hierarchy`, over the
       trace's one :class:`~repro.trace.entities.EntityTable`;
-    * one :class:`~repro.trace.signalbank.SignalBank` (plus its rows as
-      entity indices) per metric — for a ``.rtrace`` store these are
-      zero-copy views over the memory-mapped columns;
+    * one :class:`~repro.trace.signalbank.SignalBank` per metric — for
+      a ``.rtrace`` store these are zero-copy views over the
+      memory-mapped columns;
     * the unit :class:`_Structure` of every grouping the analysts have
       visited, keyed on the canonical
       :attr:`~repro.core.hierarchy.GroupingState.state_key` token (two
@@ -349,16 +348,11 @@ class SharedTraceData:
     #: position the same.
     MAX_STRUCTURES = 256
 
-    def __init__(
-        self,
-        trace: Trace,
-        space_op: Callable[[Sequence[float]], float] = sum,
-    ) -> None:
+    def __init__(self, trace: Trace) -> None:
         self.trace = trace
-        self.space_op = space_op
         self._lock = threading.Lock()
         self._hierarchy: Hierarchy | None = None
-        self._banks: dict[str, tuple[SignalBank, np.ndarray]] = {}
+        self._banks: dict[str, SignalBank] = {}
         self._pairs: np.ndarray | None = None
         self._structures: dict[tuple, _Structure] = {}
         self._seeds: dict[tuple, np.ndarray] = {}
@@ -382,50 +376,29 @@ class SharedTraceData:
                 self._hierarchy = Hierarchy.from_trace(self.trace)
             return self._hierarchy
 
-    def bank(self, metric: str) -> tuple[SignalBank, np.ndarray]:
-        """The shared ``(SignalBank, rows)`` pair for *metric*.
+    def bank(self, metric: str) -> SignalBank:
+        """The shared :class:`~repro.trace.signalbank.SignalBank` of
+        *metric*, its rows in the order of the trace table's
+        ``rows[metric]`` (empty for a metric no entity carries).
 
-        ``rows`` is the metric's int32 array of entity indices into the
-        trace's :class:`~repro.trace.entities.EntityTable`, one per bank
-        row.  Built on first demand; for a duck-typed bank provider (a
-        ``StoredTrace``) the bank is served straight off the columnar
-        file, so no ``Signal`` objects are ever materialized.
+        Built on first demand by the trace's
+        :meth:`~repro.trace.trace.Trace.signal_bank`; a stored trace
+        serves it straight off the columnar file, so no ``Signal``
+        objects are ever materialized.
         """
         with self._lock:
-            entry = self._banks.get(metric)
-            if entry is None:
-                table = self.trace.table
-                provider = getattr(self.trace, "signal_bank", None)
-                rows = table.rows.get(metric, np.empty(0, dtype=np.int32))
-                if provider is not None:
-                    bank = provider(metric)[0]
-                else:
-                    names = table.names
-                    bank = SignalBank([
-                        self.trace.entity(names[i]).metrics[metric]
-                        for i in rows.tolist()
-                    ])
-                entry = self._banks[metric] = (bank, rows)
+            bank = self._banks.get(metric)
+            if bank is None:
+                bank = self._banks[metric] = self.trace.signal_bank(metric)
                 self.stats["bank_builds"] += 1
-            return entry
+            return bank
 
     def _edge_pairs(self) -> np.ndarray:
-        """Every trace edge segment as an ``(m, 2)`` int32 array of
-        entity indices: ``a - via - b`` gives ``(a, via)`` and
-        ``(via, b)``, an edge without a link ``(a, b)``.  Built once."""
+        """The trace's edge segments as entity-index pairs
+        (:meth:`~repro.trace.trace.Trace.edge_segments`), built once."""
         with self._lock:
             if self._pairs is None:
-                index = self.trace.table.index
-                pairs: list[int] = []
-                for edge in self.trace.edges:
-                    if edge.via:
-                        pairs += (
-                            index[edge.a], index[edge.via],
-                            index[edge.via], index[edge.b],
-                        )
-                    else:
-                        pairs += (index[edge.a], index[edge.b])
-                self._pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+                self._pairs = self.trace.edge_segments()
                 self._pairs.setflags(write=False)
             return self._pairs
 
@@ -535,27 +508,18 @@ class AggregationEngine:
     def __init__(
         self,
         trace: Trace,
-        space_op: Callable[[Sequence[float]], float] = sum,
         shared: SharedTraceData | None = None,
         result_cache=None,
         cache_owner: str | None = None,
     ) -> None:
         if shared is None:
-            shared = SharedTraceData(trace, space_op=space_op)
-        else:
-            if shared.trace is not trace:
-                raise AggregationError(
-                    "shared trace data was built for a different trace"
-                )
-            if space_op is not sum and space_op is not shared.space_op:
-                raise AggregationError(
-                    "space_op differs from the shared trace data's; "
-                    "sharing results across different combination "
-                    "operators would serve wrong values"
-                )
+            shared = SharedTraceData(trace)
+        elif shared.trace is not trace:
+            raise AggregationError(
+                "shared trace data was built for a different trace"
+            )
         self.shared = shared
-        self.trace = shared.trace
-        self.space_op = shared.space_op
+        self.trace = trace
         self.result_cache = result_cache
         self.cache_owner = (
             cache_owner if cache_owner is not None else f"engine-{id(self):x}"
@@ -578,14 +542,9 @@ class AggregationEngine:
     def _slice_cache(self, metric: str) -> SliceCache:
         cache = self._slice_caches.get(metric)
         if cache is None:
-            bank, _ = self.shared.bank(metric)
-            self._slice_caches[metric] = cache = SliceCache(bank, self.stats)
+            cache = SliceCache(self.shared.bank(metric), self.stats)
+            self._slice_caches[metric] = cache
         return cache
-
-    def _bank(self, metric: str) -> tuple[SignalBank, np.ndarray]:
-        """The ``(bank, rows)`` pair of *metric* this engine scrubs."""
-        self._slice_cache(metric)
-        return self.shared.bank(metric)
 
     def _unit_values(
         self, metric: str, structure: _Structure, tslice: TimeSlice
@@ -611,30 +570,20 @@ class AggregationEngine:
         means = slices.means(tslice)
         with span("agg.spatial"):
             rows, offsets, _ = structure.metric_layout(metric)
-            bounds = offsets.tolist()
-            n_units = len(bounds) - 1
-            if self.space_op is sum and n_units:
-                gathered = means[rows]
-                if len(rows) == n_units:
-                    # Fully expanded view: every unit is a single
-                    # entity, its value is its own slice mean.
-                    values = gathered
-                else:
-                    # One np.add.reduce per unit over its members in
-                    # member order (np.add.reduceat's blocked inner
-                    # loop sums in another order).  From eight members
-                    # on numpy sums pairwise, so the scalar oracle's
-                    # left-to-right sum agrees to roundoff only.
-                    values = np.empty(n_units)
-                    for i in range(n_units):
-                        values[i] = np.add.reduce(
-                            gathered[bounds[i]:bounds[i + 1]]
-                        )
-            else:
+            # A unit of one entity takes that entity's slice mean.
+            values = means[rows]
+            n_units = len(offsets) - 1
+            if len(rows) != n_units:
+                # Some unit has several members: one np.add.reduce per
+                # unit over its members in member order (np.add.reduceat's
+                # blocked inner loop sums in another order).  From eight
+                # members on numpy sums pairwise, so the oracle's
+                # left-to-right sum agrees to roundoff only.
+                gathered, bounds = values, offsets.tolist()
                 values = np.empty(n_units)
                 for i in range(n_units):
-                    values[i] = self.space_op(
-                        means[rows[bounds[i]:bounds[i + 1]]].tolist()
+                    values[i] = np.add.reduce(
+                        gathered[bounds[i]:bounds[i + 1]]
                     )
             # Handed out by reference (result cache, other sessions):
             # frozen like the slice means.
@@ -654,7 +603,7 @@ class AggregationEngine:
         """The aggregated view for the current scales — fast path.
 
         Semantically identical to
-        ``aggregate_view(trace, grouping, tslice, metrics, space_op)``.
+        ``aggregate_view(trace, grouping, tslice, metrics)``.
         """
         structure = self.shared.structure(grouping)
         metric_names = (
@@ -690,33 +639,3 @@ class AggregationEngine:
         view.stats = dict(self.stats)
         return view
 
-
-def make_aggregator(
-    engine: str,
-    trace: Trace,
-    space_op: Callable[[Sequence[float]], float] = sum,
-    shared: SharedTraceData | None = None,
-    result_cache=None,
-    cache_owner: str | None = None,
-) -> AggregationEngine | None:
-    """``AggregationEngine`` for ``"fast"``, ``None`` for ``"scalar"``.
-
-    The scalar oracle path is the plain
-    :func:`~repro.core.aggregation.aggregate_view` call sites already
-    use; sessions switch with ``AnalysisSession(engine="scalar")``.
-    *shared*/*result_cache*/*cache_owner* forward to
-    :class:`AggregationEngine` for the multi-session server path.
-    """
-    if engine == "fast":
-        return AggregationEngine(
-            trace,
-            space_op=space_op,
-            shared=shared,
-            result_cache=result_cache,
-            cache_owner=cache_owner,
-        )
-    if engine == "scalar":
-        return None
-    raise AggregationError(
-        f"unknown aggregation engine {engine!r}; pick 'fast' or 'scalar'"
-    )

@@ -141,11 +141,10 @@ def aggregate_view(
 
     This is the straightforward per-entity, from-scratch reference
     implementation — the **scalar oracle** of the differential-testing
-    net.  The production view loop uses
+    net, which tests call directly.  Every session aggregates with
     :class:`~repro.core.aggengine.AggregationEngine`, which must match
     this function to roundoff on any input
-    (``tests/test_aggregation_differential.py``); sessions pick the
-    path with ``AnalysisSession(engine="fast" | "scalar")``.
+    (``tests/test_aggregation_differential.py``).
 
     Parameters
     ----------

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.layout.forces import LayoutParams
+from repro.core.layout.forces import MAX_DISPLACEMENT, TIMESTEP, LayoutParams
 from repro.errors import LayoutError
 from repro.obs.registry import registry
 
@@ -316,15 +316,14 @@ class ForceLayout(ABC):
         """
         if not self._names:
             return 0.0
-        params = self.params
         forces = self._repulsion_forces() + self._spring_forces()
-        self._vel = (self._vel + forces * params.timestep) * params.damping
-        displacement = self._vel * params.timestep
+        self._vel = (self._vel + forces * TIMESTEP) * self.params.damping
+        displacement = self._vel * TIMESTEP
         norms = np.linalg.norm(displacement, axis=1)
-        over = norms > params.max_displacement
+        over = norms > MAX_DISPLACEMENT
         if over.any():
-            displacement[over] *= (params.max_displacement / norms[over])[:, None]
-            norms[over] = params.max_displacement
+            displacement[over] *= (MAX_DISPLACEMENT / norms[over])[:, None]
+            norms[over] = MAX_DISPLACEMENT
         displacement[self._pinned] = 0.0
         norms[self._pinned] = 0.0
         self._pos += displacement

@@ -91,13 +91,9 @@ class DynamicLayout:
         self,
         params: LayoutParams | None = None,
         seed: int = 0,
-        max_steps: int = 300,
-        tolerance: float = 0.5,
         workers: int = 1,
     ) -> None:
         self.layout = make_layout("barneshut", params, seed, workers=workers)
-        self.max_steps = max_steps
-        self.tolerance = tolerance
         self._rng = random.Random(seed ^ 0x5EED)
         #: last known position of every *trace entity* (not unit), the
         #: memory that makes aggregation/disaggregation transitions
@@ -118,6 +114,8 @@ class DynamicLayout:
         self._member_rows = np.zeros(0, dtype=np.int32)
         self._node_body = np.zeros(0, dtype=np.int32)
         self._node_xy = np.zeros((0, 2))
+        #: the edge pairs handed to the layout at the last sync
+        self._edge_pairs: list[tuple[str, str]] | None = None
 
     # ------------------------------------------------------------------
     def sync(
@@ -176,7 +174,12 @@ class DynamicLayout:
             new_weights.append(weight)
             new_spots.append(position)
         self.layout.add_nodes(new_keys, new_weights, new_spots)
-        self.layout.set_edges([(e.a, e.b) for e in graph.edges])
+        # A scrub keeps the edges: rebuilding the springs (and the
+        # spring index the next step derives from them) is then waste.
+        pairs = [(e.a, e.b) for e in graph.edges]
+        if pairs != self._edge_pairs:
+            self.layout.set_edges(pairs)
+            self._edge_pairs = pairs
         if restructured or new_keys:
             body = self.layout._index
             self._node_body = np.asarray(
@@ -248,12 +251,13 @@ class DynamicLayout:
 
     # ------------------------------------------------------------------
     def settle(
-        self, max_steps: int | None = None, tolerance: float | None = None
+        self, max_steps: int | None = None, tolerance: float = 0.5
     ) -> int:
-        """Relax the simulation; returns the steps executed."""
+        """Relax the simulation for at most *max_steps* steps (300 when
+        ``None``), stopping early after a step in which every node moved
+        less than *tolerance*; returns the steps executed."""
         steps = self.layout.run(
-            max_steps if max_steps is not None else self.max_steps,
-            tolerance if tolerance is not None else self.tolerance,
+            300 if max_steps is None else max_steps, tolerance
         )
         self._remember_positions()
         return steps

@@ -22,10 +22,20 @@ from repro.errors import LayoutError
 
 __all__ = ["LayoutParams"]
 
+#: Integration step of every force layout.
+TIMESTEP = 1.0
+
+#: Per-step displacement cap, keeping the integrator stable when nodes
+#: start very close to each other.
+MAX_DISPLACEMENT = 25.0
+
 
 @dataclass(frozen=True)
 class LayoutParams:
     """Parameters of the force model and its integrator.
+
+    The integrator's step and displacement cap are the module constants
+    :data:`TIMESTEP` and :data:`MAX_DISPLACEMENT`.
 
     Parameters
     ----------
@@ -38,11 +48,6 @@ class LayoutParams:
         Natural length of every edge spring, in pixels.
     damping:
         Velocity multiplier in ``(0, 1]`` applied every step.
-    timestep:
-        Integration step.
-    max_displacement:
-        Per-step displacement cap, keeping the integrator stable when
-        nodes start very close to each other.
     theta:
         Barnes-Hut opening criterion: a cell of size *s* at distance *d*
         is approximated by its center of mass when ``s / d < theta``;
@@ -59,8 +64,6 @@ class LayoutParams:
     spring: float = 0.06
     spring_length: float = 40.0
     damping: float = 0.6
-    timestep: float = 1.0
-    max_displacement: float = 25.0
     theta: float = 0.7
     rebuild_drift: float = 0.05
 
@@ -81,12 +84,6 @@ class LayoutParams:
             )
         if not 0 < self.damping <= 1:
             raise LayoutError(f"damping must be in (0, 1], got {self.damping}")
-        if self.timestep <= 0:
-            raise LayoutError(f"timestep must be > 0, got {self.timestep}")
-        if self.max_displacement <= 0:
-            raise LayoutError(
-                f"max_displacement must be > 0, got {self.max_displacement}"
-            )
         if self.theta < 0:
             raise LayoutError(f"theta must be >= 0, got {self.theta}")
         if not 0 <= self.rebuild_drift < 1:

@@ -19,16 +19,12 @@ transitions) and returns a :class:`~repro.core.view.TopologyView`.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.core.aggengine import (
-    AggregationEngine,
-    SharedTraceData,
-    make_aggregator,
-)
-from repro.core.aggregation import aggregate_view
-from repro.core.hierarchy import GroupingState, Hierarchy, Path
+from repro.core.aggengine import AggregationEngine, SharedTraceData
+from repro.core.hierarchy import GroupingState, Path
 from repro.core.layout.engine import DynamicLayout
 from repro.core.layout.forces import LayoutParams
 from repro.core.layout.seeding import radial_seeds
@@ -37,7 +33,7 @@ from repro.core.scaling import ScaleSet
 from repro.core.timeslice import TimeSlice, animation_frames
 from repro.core.view import TopologyView
 from repro.core.visgraph import build_visgraph
-from repro.errors import AggregationError
+from repro.errors import AggregationError, HierarchyError, ReproError
 from repro.trace.trace import Trace
 
 __all__ = ["AnalysisSession"]
@@ -62,16 +58,8 @@ class AnalysisSession:
         (:class:`~repro.core.layout.ShardedBarnesHutLayout`, the same
         positions bit for bit).  See
         :func:`~repro.core.layout.make_layout`.
-    space_op:
-        Spatial combination of member values (default: sum).
     seed:
         Layout determinism seed.
-    engine:
-        Aggregation path: ``"fast"`` (default, the incremental
-        :class:`~repro.core.aggengine.AggregationEngine`) or
-        ``"scalar"`` (the legacy from-scratch
-        :func:`~repro.core.aggregation.aggregate_view`, kept as the
-        differential-testing oracle).
     shared:
         A :class:`~repro.core.aggengine.SharedTraceData` holding the
         trace's immutable structures (hierarchy, signal banks, unit
@@ -81,8 +69,7 @@ class AnalysisSession:
         private one — single-user behavior is unchanged.
     result_cache:
         Optional process-wide aggregation result cache shared across
-        sessions (see :class:`repro.server.cache.SharedResultCache`);
-        only meaningful with ``engine="fast"``.
+        sessions (see :class:`repro.server.cache.SharedResultCache`).
     session_id:
         Identity reported to *result_cache* so cross-session cache
         hits are attributable per session.
@@ -93,39 +80,25 @@ class AnalysisSession:
         trace: Trace,
         mapping: VisualMapping | None = None,
         layout_params: LayoutParams | None = None,
-        space_op: Callable[[Sequence[float]], float] = sum,
         seed: int = 0,
-        max_pixel: float = 60.0,
-        engine: str = "fast",
         shared: SharedTraceData | None = None,
         result_cache=None,
         session_id: str | None = None,
         layout_workers: int = 1,
     ) -> None:
-        if shared is not None and shared.trace is not trace:
-            raise AggregationError(
-                "shared trace data was built for a different trace"
-            )
         self.trace = trace
         self._shared = shared
         self.session_id = session_id
-        self.hierarchy = (
-            shared.hierarchy if shared is not None
-            else Hierarchy.from_trace(trace)
-        )
-        self.grouping = GroupingState(self.hierarchy)
-        self.mapping = mapping if mapping is not None else VisualMapping.paper_default()
-        self.scales = ScaleSet(max_pixel=max_pixel)
-        self.space_op = shared.space_op if shared is not None else space_op
-        self.engine = engine
-        self._aggregator: AggregationEngine | None = make_aggregator(
-            engine,
+        self._aggregator = AggregationEngine(
             trace,
-            space_op=space_op,
             shared=shared,
             result_cache=result_cache,
             cache_owner=session_id,
         )
+        self.hierarchy = self._aggregator.shared.hierarchy
+        self.grouping = GroupingState(self.hierarchy)
+        self.mapping = mapping if mapping is not None else VisualMapping.paper_default()
+        self.scales = ScaleSet()
         self.dynamic = DynamicLayout(
             layout_params, seed, workers=layout_workers
         )
@@ -235,10 +208,10 @@ class AnalysisSession:
 
     @property
     def aggregation_stats(self) -> dict:
-        """Counters of the fast aggregation engine (cache hits, delta
-        vs full integrations) — the aggregation analogue of
-        :attr:`DynamicLayout.stats`.  Empty for ``engine="scalar"``."""
-        return dict(self._aggregator.stats) if self._aggregator else {}
+        """Counters of the aggregation engine (cache hits, delta vs
+        full integrations) — the aggregation analogue of
+        :attr:`DynamicLayout.stats`."""
+        return dict(self._aggregator.stats)
 
     # ------------------------------------------------------------------
     # Session persistence
@@ -277,31 +250,69 @@ class AnalysisSession:
     def load_state(self, path: "str | pathlib.Path") -> None:
         """Restore a state written by :meth:`save_state`.
 
-        Groups and positions referring to entities absent from the
-        current trace are skipped silently (traces evolve).
+        The whole file is checked before anything is applied: a file
+        that is not JSON, lacks the time slice or holds a malformed
+        field raises :class:`~repro.errors.AggregationError` naming the
+        field and leaves the session as it was.  Groups and positions
+        referring to entities absent from the current trace are skipped
+        silently (traces evolve).
         """
-        state = json.loads(pathlib.Path(path).read_text())
-        if state.get("version") != 1:
-            raise AggregationError(
-                f"unsupported session state version {state.get('version')!r}"
-            )
-        start, end = state["time_slice"]
-        self._tslice = TimeSlice(float(start), float(end))
+        tslice, collapsed, sliders, params, positions = self._read_state(path)
+        self._tslice = tslice
         self.grouping.expand_all()
-        for group in state.get("collapsed", []):
+        for group in collapsed:
             try:
-                self.grouping.collapse(tuple(group))
-            except Exception:
+                self.grouping.collapse(group)
+            except HierarchyError:
                 continue
-        for kind, position in state.get("sliders", {}).items():
-            self.scales.set_slider(kind, float(position))
-        self.set_layout_params(**state.get("layout_params", {}))
-        positions = state.get("positions", {})
+        for kind, position in sliders.items():
+            self.scales.set_slider(kind, position)
+        self.dynamic.set_params(params)
         # Rebuild the current view's layout, then pin down saved spots.
         self.view(settle=False)
-        for key, (x, y) in positions.items():
+        for key, position in positions.items():
             if key in self.dynamic.layout:
-                self.dynamic.drag(key, (float(x), float(y)))
+                self.dynamic.drag(key, position)
+
+    def _read_state(self, path: "str | pathlib.Path") -> tuple:
+        """The checked fields of the state file at *path*: the time
+        slice, the collapsed group paths, the sliders, the layout
+        parameters and the node positions."""
+        try:
+            state = json.loads(pathlib.Path(path).read_text())
+        except ValueError as error:
+            raise AggregationError(
+                f"session state is not JSON: {error}"
+            ) from None
+        version = state.get("version") if isinstance(state, dict) else None
+        if version != 1:
+            raise AggregationError(
+                f"unsupported session state version {version!r}"
+            )
+
+        def field(name: str, kind: type, parse):
+            value = state.get(name, kind())
+            try:
+                if not isinstance(value, kind):
+                    raise ValueError(f"{value!r} is not a {kind.__name__}")
+                return parse(value)
+            except (TypeError, ValueError, ReproError) as error:
+                raise AggregationError(
+                    f"session state field {name!r}: {error}"
+                ) from None
+
+        return (
+            field("time_slice", list, lambda v: TimeSlice(*_numbers(v, 2))),
+            field("collapsed", list, lambda v: [_path(group) for group in v]),
+            field("sliders", dict, lambda v: {
+                kind: _fraction(position) for kind, position in v.items()
+            }),
+            field("layout_params", dict,
+                  lambda v: self.dynamic.params.with_(**v)),
+            field("positions", dict, lambda v: {
+                key: _numbers(xy, 2) for key, xy in v.items()
+            }),
+        )
 
     # ------------------------------------------------------------------
     # View production
@@ -313,18 +324,9 @@ class AnalysisSession:
         metrics: Sequence[str] | None = None,
     ) -> TopologyView:
         """Build the view for the current time slice and grouping."""
-        if self._aggregator is not None:
-            aggregated = self._aggregator.view(
-                self.grouping, self._tslice, metrics=metrics
-            )
-        else:
-            aggregated = aggregate_view(
-                self.trace,
-                self.grouping,
-                self._tslice,
-                metrics=metrics,
-                space_op=self.space_op,
-            )
+        aggregated = self._aggregator.view(
+            self.grouping, self._tslice, metrics=metrics
+        )
         if not aggregated.units:
             raise AggregationError("the trace has no entities to display")
         graph = build_visgraph(aggregated, self.mapping, self.scales)
@@ -365,3 +367,29 @@ class AnalysisSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _numbers(value, n: int) -> tuple[float, ...]:
+    """*value*, a list of *n* finite JSON numbers, as floats."""
+    if not (isinstance(value, list) and len(value) == n and all(
+        type(v) in (int, float) and math.isfinite(v) for v in value
+    )):
+        raise ValueError(f"{value!r} is not a list of {n} finite numbers")
+    return tuple(map(float, value))
+
+
+def _fraction(value) -> float:
+    """A slider position: a number in ``[0, 1]``."""
+    (position,) = _numbers([value], 1)
+    if not 0.0 <= position <= 1.0:
+        raise ValueError(f"slider position {position} is not in [0, 1]")
+    return position
+
+
+def _path(value) -> Path:
+    """A group path: a list of names."""
+    if not isinstance(value, list) or not all(
+        isinstance(part, str) for part in value
+    ):
+        raise ValueError(f"group path {value!r} is not a list of names")
+    return tuple(value)

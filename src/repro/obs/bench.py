@@ -597,7 +597,7 @@ def _store_suite(quick: bool) -> list[BenchCase]:
     def make_mmap_scrub():
         """Window means straight off the stored columns."""
         keep = scratch  # noqa: F841 - pin the scratch dir's lifetime
-        bank, _ = open_store(store_path).signal_bank(metric)
+        bank = open_store(store_path).signal_bank(metric)
         return scrubber(bank)
 
     def make_resident_scrub():

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from repro.obs.registry import registry
 
@@ -80,7 +80,6 @@ class SharedResultCache:
             "puts": 0,
             "updates": 0,
             "evictions": 0,
-            "invalidations": 0,
         })
 
     def get(self, key: Hashable, requester: str | None = None) -> Any:
@@ -145,27 +144,6 @@ class SharedResultCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.stats["evictions"] += 1
-
-    def invalidate(
-        self, predicate: Callable[[Hashable], bool] | None = None
-    ) -> int:
-        """Drop entries whose key matches *predicate* (all when None).
-
-        Normal operation never needs this — key canonicalization makes
-        stale entries unaddressable — but an operator can flush after,
-        say, swapping the trace file.  Returns the number dropped.
-        """
-        with self._lock:
-            if predicate is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                doomed = [k for k in self._entries if predicate(k)]
-                for key in doomed:
-                    del self._entries[key]
-                dropped = len(doomed)
-            self.stats["invalidations"] += dropped
-            return dropped
 
     def __len__(self) -> int:
         with self._lock:

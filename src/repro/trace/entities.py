@@ -23,8 +23,7 @@ on first use from its entities (:meth:`EntityTable.from_entities`).
 from __future__ import annotations
 
 import sys
-from collections.abc import Mapping
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -184,30 +183,3 @@ class EntityTable:
         """Entities per kind, kinds in order of first appearance."""
         counts = np.bincount(self.kinds, minlength=len(self.kind_names))
         return dict(zip(self.kind_names, counts.tolist()))
-
-    def row_map(self, metric: str) -> Mapping[str, int]:
-        """Read-only ``{entity name: bank row}`` view of *metric*."""
-        return _RowMap(self, metric)
-
-
-class _RowMap(Mapping):
-    """Entity name to bank row of one metric, answered from the table."""
-
-    __slots__ = ("_table", "_metric")
-
-    def __init__(self, table: EntityTable, metric: str) -> None:
-        self._table = table
-        self._metric = metric
-
-    def __getitem__(self, name: str) -> int:
-        row = int(self._table.row_index(self._metric)[self._table.index[name]])
-        if row < 0:
-            raise KeyError(name)
-        return row
-
-    def __iter__(self) -> Iterator[str]:
-        names = self._table.names
-        return (names[i] for i in self._table.rows[self._metric].tolist())
-
-    def __len__(self) -> int:
-        return len(self._table.rows[self._metric])

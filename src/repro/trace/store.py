@@ -42,7 +42,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
@@ -274,33 +274,24 @@ def _write_file(stream, columns: TraceColumns) -> None:
     )
 
 
-def convert(
-    source: str | Path, destination: str | Path, input_format: str = "auto"
-) -> TraceStore:
+def convert(source: str | Path, destination: str | Path) -> TraceStore:
     """Convert the text trace at *source* into a store at *destination*.
 
-    *input_format* is ``"repro"``, ``"paje"`` or ``"auto"``
-    (:func:`is_paje_file` picks).  ``repro`` text is parsed straight into the store columns
+    :func:`is_paje_file` picks the format.  ``repro`` text is parsed
+    straight into the store columns
     (:func:`repro.trace.reader.parse_columns`), with no
     :class:`~repro.trace.trace.Trace` in between; Paje input goes
     through its trace.  Returns the written file reopened as a
     :class:`TraceStore`, which validates it.
     """
-    if input_format == "auto":
-        input_format = "paje" if is_paje_file(source) else "repro"
-    if input_format == "paje":
+    if is_paje_file(source):
         from repro.trace.paje import read_paje
 
         write_store(read_paje(source), destination)
-    elif input_format == "repro":
+    else:
         from repro.trace.reader import parse_columns
 
         _write_columns(parse_columns(source), destination)
-    else:
-        raise TraceStoreError(
-            f"unknown input format {input_format!r} "
-            f"(pick 'auto', 'repro' or 'paje')"
-        )
     return TraceStore(destination)
 
 
@@ -394,7 +385,7 @@ class TraceStore:
             else np.empty(0, dtype=np.uint8)
         )
         self._columns: dict[str, _MetricColumns] = {}
-        self._banks: dict[str, tuple[SignalBank, Mapping[str, int]]] = {}
+        self._banks: dict[str, SignalBank] = {}
         self._decode_directory(directory, what)
         #: the directory's trace-level sections, held only until the
         #: first :class:`StoredTrace` consumes them
@@ -550,17 +541,17 @@ class TraceStore:
         )
 
     # -- query surfaces ------------------------------------------------
-    def signal_bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
-        """``(bank, row_of)`` for *metric*, mmap-backed, cached.
+    def signal_bank(self, metric: str) -> SignalBank:
+        """The mmap-backed, cached bank of *metric*.
 
         The bank's flat columns are zero-copy views into the mapped
-        file; ``row_of`` is a read-only mapping from entity name to bank
-        row, answered from :attr:`entities`.  This is the provider surface
-        :class:`~repro.core.aggengine.AggregationEngine` consumes via
-        the ``signal_bank`` hook on :class:`StoredTrace`.
+        file; row ``r`` holds entity ``entities.rows[metric][r]``.
+        :meth:`StoredTrace.signal_bank
+        <repro.trace.stored.StoredTrace.signal_bank>` hands it to the
+        aggregation engine.
         """
-        entry = self._banks.get(metric)
-        if entry is None:
+        bank = self._banks.get(metric)
+        if bank is None:
             from repro.trace.signalbank import SignalBank
 
             cols = self._column(metric)
@@ -578,9 +569,8 @@ class TraceStore:
                     f"trace store {self.path.name!r}: metric {metric!r}: "
                     f"{error}"
                 ) from None
-            entry = (bank, self.entities.row_map(metric))
-            self._banks[metric] = entry
-        return entry
+            self._banks[metric] = bank
+        return bank
 
     def _column(self, metric: str) -> _MetricColumns:
         try:
@@ -594,13 +584,13 @@ class TraceStore:
     def signal(self, entity: str, metric: str) -> Signal:
         """Materialize one entity's signal for *metric* from the store."""
         cols = self._column(metric)
-        try:
-            row = self.entities.row_map(metric)[entity]
-        except KeyError:
+        i = self.entities.index.get(entity)
+        row = -1 if i is None else int(self.entities.row_index(metric)[i])
+        if row < 0:
             raise TraceStoreError(
                 f"trace store {self.path.name!r}: entity {entity!r} has "
                 f"no stored metric {metric!r}"
-            ) from None
+            )
         from repro.trace.signal import Signal
 
         lo, hi = int(cols.offsets[row]), int(cols.offsets[row + 1])

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import TraceError, TraceStoreError
 from repro.trace.events import PointEvent
-from repro.trace.trace import Entity, MetricInfo, Trace, TraceEdge
+from repro.trace.trace import Entity, MetricInfo, Trace, TraceEdge, _segments
 
 if TYPE_CHECKING:
     from repro.trace.signal import Signal
@@ -75,10 +75,13 @@ class StoredTrace(Trace):
     and are materialized only when asked for: each :meth:`entity` call
     or iteration step builds a fresh :class:`~repro.trace.trace.Entity`
     whose metrics mapping materializes signals lazily, so the trace
-    itself holds no per-entity object.  Edges, events and metadata come
-    from the store directory, and the aggregation engine bypasses
-    signals entirely through :meth:`signal_bank`, which serves
-    mmap-backed banks.  Everything downstream —
+    itself holds no per-entity object.  Edges are kept as entity-index
+    arrays plus source codes, and :attr:`edges` / :meth:`edges_of`
+    build :class:`~repro.trace.trace.TraceEdge` records on each read;
+    events and metadata come from the store directory.  The
+    aggregation engine bypasses signals entirely through
+    :meth:`signal_bank`, which serves mmap-backed banks.  Everything
+    downstream —
     :class:`~repro.core.session.AnalysisSession`, the hierarchy,
     renderers — sees an ordinary trace.
     """
@@ -89,20 +92,15 @@ class StoredTrace(Trace):
         d = store._take_sections()
         index, names = table.index, table.names
 
-        # Edge and event endpoints reuse the table's entity-name objects.
+        # Event endpoints reuse the table's entity-name objects.
         def name(raw) -> str:
             text = str(raw)
             i = index.get(text)
             return text if i is None else names[i]
 
         try:
+            self._decode_edges(d.get("edges", []))
             super().__init__(
-                edges=[
-                    TraceEdge(
-                        name(a), name(b), name(via), sys.intern(str(source))
-                    )
-                    for a, b, via, source in d.get("edges", [])
-                ],
                 events=[
                     PointEvent(
                         float(time), str(kind), name(src), name(dst),
@@ -122,6 +120,46 @@ class StoredTrace(Trace):
             raise TraceStoreError(
                 f"trace store {store.path.name!r}: corrupt directory: {error}"
             ) from None
+
+    def _decode_edges(self, rows) -> None:
+        """Keep the directory's ``(a, b, via, source)`` edge rows as an
+        ``(m, 3)`` int32 array of entity indices (``via`` -1 where the
+        edge has no link) plus an int32 code per edge into
+        :attr:`_sources`."""
+        index = self._table.index
+        ends: list[int] = []
+        codes: dict[str, int] = {}
+        sources: list[int] = []
+        for a, b, via, source in rows:
+            for end in (a, b):
+                if end not in index:
+                    raise TraceError(f"edge endpoint {end!r} is not an entity")
+            if via and via not in index:
+                raise TraceError(f"edge 'via' entity {via!r} is not an entity")
+            ends += (index[a], index[b], index[via] if via else -1)
+            sources.append(codes.setdefault(str(source), len(codes)))
+        self._ends = np.asarray(ends, dtype=np.int32).reshape(-1, 3)
+        self._source_codes = np.asarray(sources, dtype=np.int32)
+        self._sources = tuple(sys.intern(source) for source in codes)
+
+    # -- edges, built from the index arrays on each read -----------------
+    @property
+    def edges(self) -> tuple[TraceEdge, ...]:
+        """Declared connections between entities, built on each read."""
+        names, sources = self._table.names, self._sources
+        return tuple(
+            TraceEdge(
+                names[a], names[b], names[via] if via >= 0 else "",
+                sources[code],
+            )
+            for (a, b, via), code in zip(
+                self._ends.tolist(), self._source_codes.tolist()
+            )
+        )
+
+    def edge_segments(self) -> np.ndarray:
+        """The edge segments, straight from the index arrays."""
+        return _segments(self._ends)
 
     # -- entities, answered from the table -------------------------------
     def _entity(self, i: int) -> Entity:
@@ -168,8 +206,11 @@ class StoredTrace(Trace):
         """The sorted set of entity kinds present in the trace."""
         return sorted(self._table.kind_names)
 
-    def signal_bank(self, metric: str) -> tuple[SignalBank, Mapping[str, int]]:
-        """The engine's bank provider hook — mmap-backed, from the store."""
+    def signal_bank(self, metric: str) -> SignalBank:
+        """The store's mmap-backed bank of *metric*; the empty resident
+        bank for a metric no entity carries, as on any trace."""
+        if metric not in self._table.rows:
+            return super().signal_bank(metric)
         return self.store.signal_bank(metric)
 
     def span(self) -> tuple[float, float]:

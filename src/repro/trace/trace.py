@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from repro.errors import TraceError
 from repro.trace.events import PointEvent
 from repro.trace.signal import Signal, constant
@@ -26,6 +28,7 @@ from repro.trace.signal import Signal, constant
 if TYPE_CHECKING:
     from repro.trace.columnar import TraceColumns
     from repro.trace.entities import EntityTable
+    from repro.trace.signalbank import SignalBank
 
 __all__ = ["Entity", "TraceEdge", "MetricInfo", "Trace"]
 
@@ -254,7 +257,17 @@ class Trace:
 
     def edges_of(self, name: str) -> list[TraceEdge]:
         """Edges incident to entity *name* (as endpoint, not as ``via``)."""
-        return [e for e in self._edges if name in e.endpoints()]
+        return [e for e in self.edges if name in e.endpoints()]
+
+    def edge_segments(self) -> np.ndarray:
+        """Every edge segment as an ``(m, 2)`` int32 array of entity
+        indices into :attr:`table`: ``a - via - b`` gives ``(a, via)``
+        and ``(via, b)``, an edge without a link ``(a, b)``."""
+        index = self.table.index
+        return _segments([
+            (index[e.a], index[e.b], index[e.via] if e.via else -1)
+            for e in self._edges
+        ])
 
     @property
     def events(self) -> tuple[PointEvent, ...]:
@@ -275,6 +288,18 @@ class Trace:
     def metric_names(self) -> list[str]:
         """Every metric name appearing on at least one entity."""
         return sorted(self.table.rows)
+
+    def signal_bank(self, metric: str) -> SignalBank:
+        """The :class:`~repro.trace.signalbank.SignalBank` of *metric*,
+        row ``r`` holding entity ``table.rows[metric][r]``; empty for a
+        metric no entity carries.  The aggregation engine's bank hook."""
+        from repro.trace.signalbank import SignalBank
+
+        names = self.table.names
+        return SignalBank([
+            self.entity(names[i]).metrics[metric]
+            for i in self.table.rows.get(metric, ())
+        ])
 
     @property
     def metrics_info(self) -> tuple[MetricInfo, ...]:
@@ -312,6 +337,18 @@ class Trace:
 
     def __repr__(self) -> str:
         return (
-            f"Trace({len(self)} entities, {len(self._edges)} edges, "
+            f"Trace({len(self)} entities, {len(self.edges)} edges, "
             f"{len(self._events)} events)"
         )
+
+
+def _segments(ends) -> np.ndarray:
+    """The segments of ``(a, b, via)`` entity-index edge rows (``via``
+    -1 for an edge without a link), as :meth:`Trace.edge_segments`
+    lists them."""
+    a, b, via = np.asarray(ends, dtype=np.int32).reshape(-1, 3).T
+    linked = via >= 0
+    return np.column_stack((
+        np.concatenate((a[~linked], a[linked], via[linked])),
+        np.concatenate((b[~linked], via[linked], b[linked])),
+    ))

@@ -16,8 +16,8 @@ import pytest
 from repro.core import AggregationEngine, AnalysisSession, TimeSlice
 from repro.core.aggregation import aggregate_view
 from repro.core.hierarchy import GroupingState, Hierarchy
-from repro.errors import AggregationError
 from repro.trace import CAPACITY, USAGE
+from repro.trace.store import open_store, write_store
 from repro.trace.synthetic import figure3_trace, random_hierarchical_trace
 
 RTOL = 1e-9
@@ -132,23 +132,6 @@ def test_interleaved_scrub_and_grouping(seed=7):
         )
 
 
-def test_custom_space_op_matches_oracle():
-    trace = random_hierarchical_trace(n_sites=2, seed=9)
-    hierarchy = Hierarchy.from_trace(trace)
-    grouping = GroupingState(hierarchy)
-    grouping.collapse_depth(2)
-
-    def mean_op(values):
-        return sum(values) / len(values)
-
-    engine = AggregationEngine(trace, space_op=mean_op)
-    for tslice in scrub_sequence(trace.span(), 9, moves=8):
-        assert_views_equal(
-            engine.view(grouping, tslice),
-            aggregate_view(trace, grouping, tslice, space_op=mean_op),
-        )
-
-
 def test_metric_subset_matches_oracle():
     trace = random_hierarchical_trace(n_sites=2, seed=11)
     hierarchy = Hierarchy.from_trace(trace)
@@ -177,29 +160,34 @@ def test_zero_width_slice_matches_oracle():
 
 
 def test_session_engines_agree():
-    """AnalysisSession(engine='fast') and 'scalar' see identical data."""
+    """A session's engine agrees with the oracle for the session's
+    grouping and slice, and counts one view."""
     trace = random_hierarchical_trace(n_sites=2, seed=13)
-    fast = AnalysisSession(trace, seed=1, engine="fast")
-    slow = AnalysisSession(trace, seed=1, engine="scalar")
-    for session in (fast, slow):
-        session.aggregate_depth(2)
-        session.set_time_slice(20.0, 70.0)
-    view_fast = fast.view(settle=False)
-    view_slow = slow.view(settle=False)
-    assert_views_equal(view_fast.aggregated, view_slow.aggregated)
-    assert view_fast.total(CAPACITY) == pytest.approx(
-        view_slow.total(CAPACITY), rel=RTOL
+    session = AnalysisSession(trace, seed=1)
+    session.aggregate_depth(2)
+    session.set_time_slice(20.0, 70.0)
+    view = session.view(settle=False)
+    oracle = aggregate_view(trace, session.grouping, session.time_slice)
+    assert_views_equal(view.aggregated, oracle)
+    assert session.aggregation_stats["views"] == 1
+    assert view.agg_stats["views"] == 1
+
+
+@pytest.mark.parametrize("backing", ["resident", "stored"])
+def test_unknown_metric_view_matches_oracle(backing, tmp_path):
+    """A metric no entity carries gives every unit empty values on a
+    resident and on a stored trace alike, as the oracle does."""
+    trace = random_hierarchical_trace(n_sites=2, seed=3)
+    if backing == "stored":
+        write_store(trace, tmp_path / "t.rtrace")
+        trace = open_store(tmp_path / "t.rtrace").open_trace()
+    session = AnalysisSession(trace)
+    view = session.view(settle=False, metrics=["bogus"])
+    oracle = aggregate_view(
+        trace, session.grouping, session.time_slice, metrics=["bogus"]
     )
-    # The stats surfaces reflect the engine choice.
-    assert fast.aggregation_stats["views"] == 1
-    assert view_fast.agg_stats["views"] == 1
-    assert slow.aggregation_stats == {}
-    assert view_slow.agg_stats == {}
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(AggregationError):
-        AnalysisSession(figure3_trace(), engine="warp-drive")
+    assert_views_equal(view.aggregated, oracle)
+    assert all(not u.values for u in view.aggregated.units.values())
 
 
 def test_delta_windows_identity():

@@ -31,8 +31,6 @@ class TestLayoutParams:
             ("spring_length", 0.0),
             ("damping", 0.0),
             ("damping", 1.5),
-            ("timestep", 0.0),
-            ("max_displacement", 0.0),
             ("theta", -0.5),
         ],
     )
@@ -396,6 +394,48 @@ class TestDynamicLayout:
             )
             digests.add(out.stdout.strip())
         assert len(digests) == 1, digests
+
+    def test_scrub_views_set_the_springs_once(self, monkeypatch):
+        """A slice move changes values, not edges: ten depth-2 scrub
+        views hand the layout its edge set once."""
+        from repro.core import AnalysisSession
+        from repro.trace.synthetic import random_hierarchical_trace
+
+        trace = random_hierarchical_trace(n_sites=3, seed=4)
+        session = AnalysisSession(trace, seed=0)
+        session.aggregate_depth(2)
+        layout = session.dynamic.layout
+        calls = []
+        set_edges = layout.set_edges
+
+        def spy(pairs):
+            calls.append(pairs)
+            set_edges(pairs)
+
+        monkeypatch.setattr(layout, "set_edges", spy)
+        start, end = trace.span()
+        width = (end - start) / 4
+        for i in range(10):
+            lo = start + i * width / 10
+            session.set_time_slice(lo, lo + width)
+            session.view(settle_steps=1)
+        assert len(calls) == 1
+        assert layout.edges()
+
+    def test_new_edges_on_the_same_nodes_reach_the_layout(self):
+        from repro.core.visgraph import VisGraph
+
+        session = self.graph()
+        graph = session.view(settle_steps=0).graph
+        assert len(graph.edges) > 1
+        first = graph.edges[0]
+        fewer = VisGraph(graph.nodes(), [first], graph.entities)
+        session.dynamic.sync(fewer)
+        assert session.dynamic.layout.edges() == [
+            tuple(sorted((first.a, first.b)))
+        ]
+        session.dynamic.sync(graph)
+        assert len(session.dynamic.layout.edges()) == len(graph.edges)
 
 
 class TestRepulsionStats:

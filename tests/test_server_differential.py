@@ -18,8 +18,8 @@ import json
 
 import pytest
 
+from repro.core.aggregation import aggregate_view
 from repro.core.hierarchy import Hierarchy
-from repro.core.session import AnalysisSession
 from repro.server.app import ReproServer
 from repro.server.client import WsClient
 from repro.server.load import (
@@ -159,9 +159,11 @@ class TestFixedSliceRegrouping:
         self, trace, window
     ):
         """Byte-identical to an isolated session.  Against the scalar
-        oracle every byte but the unit values is equal, and those agree
-        to roundoff: ``np.add.reduce`` sums eight or more members
-        pairwise, the oracle's built-in ``sum`` left to right."""
+        oracle, ``aggregate_view`` for the isolated session's grouping
+        and slice at each move, every unit field but the values and
+        every edge is equal, and the values agree to roundoff:
+        ``np.add.reduce`` sums eight or more members pairwise, the
+        oracle's built-in ``sum`` left to right."""
         start, end = trace.span()
         width = end - start
         storm = regroup_storm(
@@ -170,16 +172,27 @@ class TestFixedSliceRegrouping:
         payloads, tiers = replay_shared(trace, storm)
         assert payloads == replay_storm_local(trace, storm, settle_steps=1)
         assert {"fresh", "local", "shared"} <= set(tiers)
-        scalar = SessionState(
-            "scalar", AnalysisSession(trace, engine="scalar"), settle_steps=1
-        )
+        local = SessionState.local(trace, settle_steps=1)
         for payload, move in zip(payloads, storm):
-            got, want = json.loads(payload), scalar.apply(dict(move))
-            for unit, oracle_unit in zip(got["units"], want["units"]):
-                assert unit.pop("values") == pytest.approx(
-                    oracle_unit.pop("values"), rel=1e-9
+            local.apply(dict(move))
+            session = local.session
+            want = aggregate_view(trace, session.grouping, session.time_slice)
+            got = json.loads(payload)
+            assert [u["key"] for u in got["units"]] == list(want.units)
+            for unit, oracle_unit in zip(got["units"], want.units.values()):
+                assert unit["label"] == oracle_unit.label
+                assert unit["kind"] == oracle_unit.kind
+                assert unit["group"] == (
+                    None if oracle_unit.group is None
+                    else list(oracle_unit.group)
                 )
-            assert canonical_json(got) == canonical_json(want)
+                assert unit["weight"] == oracle_unit.weight
+                assert unit["values"] == pytest.approx(
+                    oracle_unit.values, rel=1e-9
+                )
+            assert got["edges"] == [
+                [e.a, e.b, e.multiplicity] for e in want.edges
+            ]
 
 
 class TestStormDeterminism:

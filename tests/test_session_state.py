@@ -75,3 +75,59 @@ class TestSaveLoad:
         other.load_state(path)
         view = other.view(settle_steps=0)
         assert any(n.is_aggregate for n in view.nodes())
+
+
+def _state(**fields) -> dict:
+    """A valid state file's fields, some replaced or (``None``) gone."""
+    state = {
+        "version": 1,
+        "time_slice": [0.1, 0.9],
+        "collapsed": [],
+        "sliders": {},
+        "layout_params": {},
+        "positions": {},
+    }
+    state.update(fields)
+    return {key: value for key, value in state.items() if value is not None}
+
+
+MALFORMED = {
+    "no time slice": (_state(time_slice=None), "time_slice"),
+    "non-numeric slice": (_state(time_slice=["a", "b"]), "time_slice"),
+    "unknown layout parameter": (
+        _state(layout_params={"gravity": 1.0}), "layout_params"
+    ),
+    "one-number position": (_state(positions={"h1": [1.0]}), "positions"),
+    "not JSON": ("{not json", "JSON"),
+    "half-applied": (
+        _state(
+            time_slice=[1, 2],
+            collapsed=[["GroupB"]],
+            layout_params={"gravity": 1.0},
+        ),
+        "layout_params",
+    ),
+    "non-path group": (_state(collapsed=[5]), "collapsed"),
+}
+
+
+class TestMalformedState:
+    """A malformed state file raises a typed error naming the field and
+    changes nothing."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected_before_anything_applies(self, tmp_path, case):
+        content, field = MALFORMED[case]
+        path = tmp_path / "state.json"
+        path.write_text(
+            content if isinstance(content, str) else json.dumps(content)
+        )
+        session = AnalysisSession(figure3_trace())
+        session.set_time_slice(0.25, 0.75)
+        session.aggregate(("GroupB", "GroupA"))
+        params = session.dynamic.params
+        before = (session.time_slice, set(session.grouping.collapsed))
+        with pytest.raises(AggregationError, match=field):
+            session.load_state(path)
+        assert (session.time_slice, set(session.grouping.collapsed)) == before
+        assert session.dynamic.params == params

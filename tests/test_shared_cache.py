@@ -179,18 +179,6 @@ class TestPoisonedEntries:
             assert "__poison__" not in unit.values
             assert unit.values == expected.aggregated.units[key].values
 
-    def test_invalidate_drops_matching_entries(self):
-        cache = SharedResultCache()
-        cache.put(("a", 1), "x")
-        cache.put(("b", 2), "y")
-        dropped = cache.invalidate(lambda key: key[0] == "a")
-        assert dropped == 1
-        assert ("a", 1) not in cache
-        assert cache.get(("b", 2)) == "y"
-        assert cache.invalidate() == 1  # flush the rest
-        assert len(cache) == 0
-        assert cache.stats["invalidations"] == 2
-
 
 # ----------------------------------------------------------------------
 # The SharedTraceData memos are bounded too

@@ -50,11 +50,12 @@ def _stored_bank(tmp_path_factory):
     trace = Trace(entities, [], [], [MetricInfo("usage", "", "")], {"end_time": 100.0})
     path = tmp_path_factory.mktemp("cursors") / "bank.rtrace"
     write_store(trace, path)
-    bank, row_of = open_store(path).signal_bank("usage")
-    assert [name for name, _ in sorted(row_of.items(), key=lambda kv: kv[1])] == [
+    store = open_store(path)
+    table = store.entities
+    assert [table.names[i] for i in table.rows["usage"].tolist()] == [
         e.name for e in entities
     ]
-    return bank
+    return store.signal_bank("usage")
 
 
 @pytest.fixture(scope="module", params=BACKINGS)

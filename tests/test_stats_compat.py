@@ -112,10 +112,6 @@ class TestAggregationStats:
         assert set(stats) == AGG_KEYS
         assert stats["views"] >= 1
 
-    def test_scalar_engine_is_empty_dict(self):
-        session = AnalysisSession(figure3_trace(), engine="scalar")
-        assert session.aggregation_stats == {}
-
     def test_view_agg_stats_snapshot(self):
         session = AnalysisSession(figure3_trace())
         view = session.view(settle_steps=2)

@@ -291,7 +291,7 @@ class TestFuzz:
                 store = reopen(bytes(corrupt))
                 mirror = store.open_trace()
                 for metric in store.metric_names():
-                    bank, _ = store.signal_bank(metric)
+                    bank = store.signal_bank(metric)
                     bank.window_means(0.0, 50.0)
                 for entity in mirror:
                     dict(entity.metrics)

@@ -148,9 +148,9 @@ class TestStoredTraceFacade:
                 assert mirror.metrics[metric] == signal
 
     def test_engine_uses_mmap_banks(self, stored_trace):
-        bank, row_of = stored_trace.signal_bank("usage")
+        bank = stored_trace.signal_bank("usage")
         assert bank.backing == "mmap"
-        assert len(row_of) == len(bank)
+        assert len(stored_trace.store.entities.rows["usage"]) == len(bank)
         engine = AggregationEngine(stored_trace)
-        engine_bank, _ = engine._bank("usage")
-        assert engine_bank is bank  # the provider hook, not a rebuild
+        # the provider hook, not a rebuild
+        assert engine.shared.bank("usage") is bank

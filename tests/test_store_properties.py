@@ -125,9 +125,10 @@ def test_bank_columns_are_bit_identical(store_dir, trace):
         resident = SignalBank(
             [trace.entity(name).metrics[metric] for name in rows]
         )
-        mapped, row_of = store.signal_bank(metric)
+        mapped = store.signal_bank(metric)
         assert mapped.backing == "mmap"
-        assert [name for name, _ in sorted(row_of.items(), key=lambda k: k[1])] == rows
+        table = store.entities
+        assert [table.names[i] for i in table.rows[metric].tolist()] == rows
         for column in ("times", "values", "prefix", "offsets", "initials"):
             np.testing.assert_array_equal(
                 getattr(mapped, column),
@@ -147,7 +148,7 @@ def test_window_queries_are_bit_identical(store_dir, trace, points):
         resident = SignalBank(
             [trace.entity(name).metrics[metric] for name in rows]
         )
-        mapped, _ = store.signal_bank(metric)
+        mapped = store.signal_bank(metric)
         for a, b in zip(points, points[1:]):
             assert (
                 mapped.window_integrals(a, b) == resident.window_integrals(a, b)
@@ -164,7 +165,7 @@ def test_mmap_advance_equals_mmap_locate(store_dir, trace, stops):
     """Incremental cursors on a mapped bank land where a bisect does."""
     _, store = _round_trip(trace, store_dir)
     for metric in trace.metric_names():
-        mapped, _ = store.signal_bank(metric)
+        mapped = store.signal_bank(metric)
         idx = mapped.locate(stops[0])
         for t in stops[1:]:
             rounds = mapped.advance(idx, t, max_rounds=10_000)

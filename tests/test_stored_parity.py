@@ -11,6 +11,8 @@ signal values, the hierarchy built over it, and the typed error for an
 unknown entity.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.errors import TraceError
 from repro.trace.reader import read_trace
 from repro.trace.store import convert, open_store
 from repro.trace.synthetic import figure3_trace, random_hierarchical_trace
+from repro.trace.trace import TraceEdge
 from repro.trace.writer import write_trace
 
 
@@ -75,6 +78,29 @@ def test_edges_events_and_metric_names(pair):
     assert stored.span() == resident.span()
 
 
+def test_edges_are_kept_as_entity_index_arrays(pair):
+    """Opening a stored trace builds no edge record; its edge segments,
+    ``edges`` and ``edges_of`` answer like the resident trace's."""
+    resident, _, store = pair
+    assert resident.edges
+
+    def records() -> int:
+        gc.collect()
+        return sum(isinstance(o, TraceEdge) for o in gc.get_objects())
+
+    before = records()
+    stored = store.open_trace()
+    assert records() == before
+    np.testing.assert_array_equal(
+        stored.edge_segments(), resident.edge_segments()
+    )
+    assert stored.edge_segments().dtype == np.int32
+    assert stored.edges == resident.edges
+    for name in resident.table.names:
+        assert stored.edges_of(name) == resident.edges_of(name)
+    assert stored.edges_of("ghost") == resident.edges_of("ghost") == []
+
+
 def test_metric_membership_and_signal_values(pair):
     resident, stored, store = pair
     for want in resident:
@@ -118,15 +144,13 @@ def test_bank_rows_are_entity_indices(pair):
     resident, stored, store = pair
     table = store.entities
     for metric in store.metric_names():
-        bank, row_of = store.signal_bank(metric)
+        bank = store.signal_bank(metric)
         rows = table.rows[metric]
         assert rows.dtype == np.int32 and len(rows) == len(bank)
-        assert list(row_of) == [table.names[i] for i in rows.tolist()]
-        for row, name in enumerate(row_of):
-            assert row_of[name] == row
-            assert table.row_index(metric)[table.index[name]] == row
+        for row, i in enumerate(rows.tolist()):
+            assert table.row_index(metric)[i] == row
         carriers = [e.name for e in resident if metric in e.metrics]
-        assert sorted(row_of) == sorted(carriers)
+        assert sorted(table.names[i] for i in rows.tolist()) == sorted(carriers)
 
 
 def test_directory_is_read_not_mapped(pair):

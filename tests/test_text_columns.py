@@ -145,7 +145,7 @@ def assert_matches_oracle(text: str, work_dir) -> None:
     source = work_dir / "t.trace"
     source.write_text(text, encoding="utf-8")
     want = oracle(text)
-    convert(source, work_dir / "got.rtrace", input_format="repro")
+    convert(source, work_dir / "got.rtrace")
     write_store(want, work_dir / "want.rtrace")
     assert (work_dir / "got.rtrace").read_bytes() == (
         work_dir / "want.rtrace"
@@ -411,7 +411,7 @@ def test_fuzzed_lines_fail_alike_or_not_at_all(work_dir, text):
     out.unlink(missing_ok=True)
     source.write_text(text, encoding="utf-8")
     read_error = _error(lambda: read_trace(source))
-    convert_error = _error(lambda: convert(source, out, input_format="repro"))
+    convert_error = _error(lambda: convert(source, out))
     assert read_error == convert_error
     if read_error is None:
         write_store(read_trace(source), work_dir / "fuzz-resident.rtrace")
