@@ -260,7 +260,7 @@ class _Structure:
         )
         self.edges = self._edges(unit_of, edge_pairs)
         self._metric_layouts: dict[
-            str, tuple[np.ndarray, np.ndarray, np.ndarray]
+            str, tuple[np.ndarray, tuple, np.ndarray]
         ] = {}
 
     def _edges(
@@ -284,15 +284,18 @@ class _Structure:
 
     def metric_layout(
         self, metric: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, offsets, slots)`` for vectorized per-unit combination.
+    ) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """``(rows, spans, slots)`` for vectorized per-unit combination.
 
         The *metric's unit order* lists the units with at least one
-        member carrying *metric*, in view order.  Its ``i``-th unit
-        owns the bank rows ``rows[offsets[i]:offsets[i+1]]`` (its
-        members', in member order); ``slots`` is an int32 array over
-        ``unit_order`` holding each unit's position in the metric's
-        unit order, or -1 when no member carries *metric*.
+        member carrying *metric*, stably sorted by how many members
+        carry it; ``slots`` is an int32 array over ``unit_order``
+        holding each unit's position in the metric's unit order, or -1
+        when no member carries *metric*.  ``rows`` holds those members'
+        bank rows, unit after unit in the metric's unit order and each
+        unit's in member order; ``spans`` holds one ``(count, start,
+        stop)`` per member count: the units at positions
+        ``[start, stop)`` have ``count`` members each.
         """
         cached = self._metric_layouts.get(metric)
         if cached is None:
@@ -302,18 +305,67 @@ class _Structure:
             running = np.concatenate(([0], np.cumsum(carried)))
             per_unit = np.diff(running[self.member_offsets])
             present = per_unit > 0
-            slots = np.where(
-                present, np.cumsum(present) - 1, -1
-            ).astype(np.int32)
-            offsets = np.concatenate(
-                ([0], np.cumsum(per_unit[present]))
-            ).astype(np.int32)
-            rows = bank_rows[carried]
-            for array in (rows, offsets, slots):
-                array.setflags(write=False)
-            cached = (rows, offsets, slots)
+            order, gather, spans = _count_order(per_unit[present])
+            slots = np.full(len(per_unit), -1, dtype=np.int32)
+            slots[np.flatnonzero(present)[order]] = np.arange(
+                len(order), dtype=np.int32
+            )
+            rows = bank_rows[carried][gather]
+            rows.setflags(write=False)
+            slots.setflags(write=False)
+            cached = (rows, spans, slots)
             self._metric_layouts[metric] = cached
         return cached
+
+
+def _count_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Units of *counts* members each, grouped by count:
+    ``(order, gather, spans)``.
+
+    ``order`` lists the units stably sorted by count; ``gather`` the
+    positions of their members in the concatenation of all units'
+    members in unit order, unit after unit in ``order``; ``spans`` one
+    ``(count, start, stop)`` per distinct count, units
+    ``order[start:stop]`` having ``count`` members each.
+    """
+    order = np.argsort(counts, kind="stable")
+    sorted_counts = counts[order]
+    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+    placed = np.concatenate(([0], np.cumsum(sorted_counts)))[:-1]
+    gather = np.repeat(starts[order] - placed, sorted_counts) + np.arange(
+        int(sorted_counts.sum())
+    )
+    bounds = [0, *(np.flatnonzero(np.diff(sorted_counts)) + 1).tolist()]
+    bounds.append(len(order))
+    spans = tuple(
+        (int(sorted_counts[start]), start, stop)
+        for start, stop in zip(bounds, bounds[1:])
+        if stop > start
+    )
+    return order, gather, spans
+
+
+def _combine(values: np.ndarray, spans: tuple) -> np.ndarray:
+    """The sum of each unit's member *values*, laid out unit after unit
+    as :func:`_count_order` sorts them, in that unit order.
+
+    One ``np.add.reduce`` per member count sums the rows of a
+    C-contiguous ``(units, count)`` block: each row in member order and
+    in the pairwise order of a 1-D reduce over the same values, bit for
+    bit.  When every unit has one member the values are the sums.
+    """
+    if all(count == 1 for count, _, _ in spans):
+        return values
+    combined = np.empty(spans[-1][2])
+    at = 0
+    for count, start, stop in spans:
+        end = at + (stop - start) * count
+        np.add.reduce(
+            values[at:end].reshape(-1, count), axis=1,
+            out=combined[start:stop],
+        )
+        at = end
+    return combined
 
 
 class SharedTraceData:
@@ -569,22 +621,13 @@ class AggregationEngine:
                 return cached
         means = slices.means(tslice)
         with span("agg.spatial"):
-            rows, offsets, _ = structure.metric_layout(metric)
-            # A unit of one entity takes that entity's slice mean.
-            values = means[rows]
-            n_units = len(offsets) - 1
-            if len(rows) != n_units:
-                # Some unit has several members: one np.add.reduce per
-                # unit over its members in member order (np.add.reduceat's
-                # blocked inner loop sums in another order).  From eight
-                # members on numpy sums pairwise, so the oracle's
-                # left-to-right sum agrees to roundoff only.
-                gathered, bounds = values, offsets.tolist()
-                values = np.empty(n_units)
-                for i in range(n_units):
-                    values[i] = np.add.reduce(
-                        gathered[bounds[i]:bounds[i + 1]]
-                    )
+            rows, spans, _ = structure.metric_layout(metric)
+            # Each unit sums its members in member order, as a 1-D
+            # np.add.reduce would (np.add.reduceat's blocked inner loop
+            # sums in another order).  From eight members on numpy sums
+            # pairwise, so the oracle's left-to-right sum agrees to
+            # roundoff only.
+            values = _combine(means[rows], spans)
             # Handed out by reference (result cache, other sessions):
             # frozen like the slice means.
             values.setflags(write=False)

@@ -330,13 +330,17 @@ class AnalysisSession:
         if not aggregated.units:
             raise AggregationError("the trace has no entities to display")
         graph = build_visgraph(aggregated, self.mapping, self.scales)
+        seeds = None
         if self._shared is not None:
             seeds = self._shared.layout_seeds(
                 self.grouping.state_key,
                 graph,
                 self.dynamic.params.spring_length,
             )
-        else:
+        elif any(
+            node.key not in self.dynamic.layout for node in graph.nodes()
+        ):
+            # Seeds place only nodes the layout lacks; a scrub adds none.
             seeds = radial_seeds(
                 self.hierarchy,
                 graph,

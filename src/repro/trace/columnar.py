@@ -19,7 +19,7 @@ deserialization between the page cache and Equation 1:
     |   version u32 format major version (readers reject skew)         |
     |   endian  u32 0x01020304 read back little-endian; a byte-swapped |
     |               value means the file crossed an endianness boundary |
-    |   dir_off u64 --+  byte range of the JSON directory              |
+    |   dir_off u64 --+  byte range of the directory                   |
     |   dir_len u64 --+                                                |
     |   data_off u64 -+  byte range of the columnar data section       |
     |   data_len u64 -+                                                |
@@ -27,15 +27,29 @@ deserialization between the page cache and Equation 1:
     |   dir_crc u32  zlib.crc32 of the directory bytes                 |
     +------------------------------------------------------------------+
     | data section: 8-byte-aligned little-endian arrays, one after the |
-    | other.  Per metric: offsets <i8 (rows+1), initials <f8 (rows),   |
-    | times <f8, values <f8, prefix <f8 (flat, row i spanning          |
-    | [offsets[i], offsets[i+1]) exactly as SignalBank stores them)    |
+    | other, signal columns only.  Per metric: offsets <i8 (rows+1),   |
+    | initials <f8 (rows), times <f8, values <f8, prefix <f8 (flat,    |
+    | row i spanning [offsets[i], offsets[i+1]) exactly as SignalBank  |
+    | stores them)                                                     |
     +------------------------------------------------------------------+
-    | directory: one JSON object (schema "rtrace/1") naming entities   |
-    | (name, kind, path), metric metadata, edges, point events, the    |
-    | time span, and — per metric — the row order (entity names) plus  |
-    | an ArrayRef {offset, count, dtype} per column into the data      |
-    | section                                                          |
+    | directory (every byte under dir_crc):                            |
+    |   json_len u64  length of the JSON part                          |
+    |   JSON part     one object (schema "rtrace/2"): metric metadata, |
+    |                 point events, meta, the time span, the kind,     |
+    |                 group-path and edge-source name lists, and an    |
+    |                 ArrayRef {offset, count, dtype} per table (into  |
+    |                 the tables) and per signal column (into the data |
+    |                 section)                                         |
+    |   zero padding to an 8-byte boundary of the directory            |
+    |   tables: 8-byte-aligned little-endian arrays, the entity table  |
+    |     names        |u1  the entity names as one UTF-8 blob         |
+    |     name_offsets <i8  byte offsets, entity i = [o[i], o[i+1])    |
+    |     kinds        <i4  kind code per entity (into kind_names)     |
+    |     groups       <i4  innermost-group code (into group_paths)    |
+    |     rows         <i4  per metric, the entity of each bank row    |
+    |     edges        <i4  (a, b, via) entity indices per edge, via   |
+    |                       -1 for an edge without a link              |
+    |     edge_sources <i4  source code per edge (into source_names)   |
     +------------------------------------------------------------------+
 
 Every quantity a reader uses for addressing is validated *before* any
@@ -43,7 +57,11 @@ Every quantity a reader uses for addressing is validated *before* any
 section bounds, array-reference bounds, alignment, name lengths), and
 every failure raises the typed
 :class:`~repro.errors.TraceStoreError` — never garbage data, never an
-out-of-range mapped read.
+out-of-range mapped read.  The tables are checked with array
+operations, not a loop per entity: names that are empty, overlong or
+not UTF-8, offsets that do not increase, codes and indices out of
+range (:func:`decode_names`,
+:meth:`~repro.trace.entities.EntityTable.from_arrays`).
 """
 
 from __future__ import annotations
@@ -65,7 +83,11 @@ __all__ = [
     "MetricColumns",
     "TraceColumns",
     "check_name",
+    "decode_names",
+    "encode_names",
+    "index_array",
     "load_directory",
+    "pack_directory",
     "DIRECTORY_SCHEMA",
     "ENDIAN_CHECK",
     "HEADER",
@@ -88,7 +110,9 @@ __all__ = [
 MAGIC = b"\x89RTC\r\n\x1a\n"
 
 #: Format major version; bump on any incompatible layout change.
-VERSION = 1
+#: Version 2 keeps the entity table as arrays in the directory; a
+#: version-1 file (a JSON list per entity) is refused.
+VERSION = 2
 
 #: Sentinel read back as a little-endian u32; the byte-swapped value
 #: indicates a file written (or mangled) with the opposite endianness.
@@ -103,13 +127,18 @@ ALIGNMENT = 8
 MAX_NAME_BYTES = 1024
 
 #: Schema tag stamped into (and required of) the JSON directory.
-DIRECTORY_SCHEMA = "rtrace/1"
+DIRECTORY_SCHEMA = "rtrace/2"
 
 #: The fixed 64-byte little-endian header layout.
 HEADER = struct.Struct("<8sIIQQQQQI4x")
 
-#: Dtypes allowed in the data section (explicitly little-endian).
-_DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+#: The length of the directory's JSON part, which opens the directory.
+_JSON_LENGTH = struct.Struct("<Q")
+
+#: Dtypes an array reference may name (explicitly little-endian).
+_DTYPES = {
+    code: np.dtype(code) for code in ("<f8", "<i8", "<i4", "|u1")
+}
 
 
 @dataclass(frozen=True)
@@ -188,7 +217,8 @@ def read_header(buffer: bytes, *, what: str = "trace store") -> Header:
     if version != VERSION:
         raise TraceStoreError(
             f"{what}: unsupported format version {version} "
-            f"(this reader understands version {VERSION})"
+            f"(this reader understands version {VERSION}; write the "
+            f"store again from its text trace with `repro convert`)"
         )
     header = Header(
         version, dir_off, dir_len, data_off, data_len, file_len, dir_crc
@@ -206,7 +236,7 @@ def read_header(buffer: bytes, *, what: str = "trace store") -> Header:
 
 
 def directory_crc(payload: bytes) -> int:
-    """The checksum guarding the JSON directory bytes."""
+    """The checksum guarding the directory bytes."""
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 
@@ -214,9 +244,10 @@ def directory_crc(payload: bytes) -> int:
 class ArrayRef:
     """One column's location inside the data section.
 
-    ``offset`` is relative to the data section start; ``count`` is the
-    element count; ``dtype`` one of the explicitly-little-endian codes
-    in the format (``"<f8"``/``"<i8"``).
+    ``offset`` is relative to the start of the data section (signal
+    columns) or of the directory's tables; ``count`` is the element
+    count; ``dtype`` one of the explicitly-little-endian codes in the
+    format (``"<f8"``/``"<i8"``/``"<i4"``/``"|u1"``).
     """
 
     offset: int
@@ -261,7 +292,8 @@ def dtype_of(ref: ArrayRef, *, what: str) -> np.dtype:
 def resolve_array(
     data: np.ndarray, ref: ArrayRef, *, what: str
 ) -> np.ndarray:
-    """A typed view of *ref* inside the mapped *data* section bytes.
+    """A typed view of *ref* inside *data*, the bytes of the mapped
+    data section or of the directory's tables.
 
     Validates bounds, sign and alignment against the actual section
     length before taking the view, so a corrupt reference can never
@@ -358,7 +390,7 @@ class ColumnWriter:
         self._stream.write(data.data)
         self._written += data.nbytes
         pad = (-self._written) % ALIGNMENT
-        if pad:  # pragma: no cover - 8-byte dtypes never need padding
+        if pad:  # only the name blob is not a whole number of words
             self._stream.write(b"\x00" * pad)
             self._written += pad
         return ArrayRef(offset, int(data.size), dtype)
@@ -380,10 +412,129 @@ def check_name(name: str, *, what: str) -> str:
     return name
 
 
-def load_directory(payload: bytes, *, what: str) -> dict:
-    """Parse and schema-check the JSON directory bytes."""
+def encode_names(names: list[str], *, what: str) -> tuple[bytes, np.ndarray]:
+    """*names* as one UTF-8 blob and its ``len(names) + 1`` byte offsets.
+
+    Each name is encoded once; a name that is not a string, cannot be
+    encoded, is empty or exceeds :data:`MAX_NAME_BYTES` raises the
+    typed error (its message prefixed with *what*).
+    """
     try:
-        directory = json.loads(payload.decode("utf-8"))
+        encoded = [name.encode("utf-8") for name in names]
+    except (AttributeError, UnicodeEncodeError) as error:
+        raise TraceStoreError(
+            f"{what}: names must be strings encodable as UTF-8 ({error})"
+        ) from None
+    lengths = np.fromiter(map(len, encoded), np.int64, count=len(names))
+    bad = (lengths == 0) | (lengths > MAX_NAME_BYTES)
+    if bad.any():
+        check_name(names[int(bad.argmax())], what=what)
+    offsets = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return b"".join(encoded), offsets
+
+
+def decode_names(
+    blob: np.ndarray, offsets: np.ndarray, *, what: str
+) -> list[str]:
+    """The names of a UTF-8 *blob*: name ``i`` is bytes
+    ``[offsets[i], offsets[i+1])``.
+
+    The checks run on whole arrays: offsets start at 0, increase and
+    end at the blob's end; no name is empty or longer than
+    :data:`MAX_NAME_BYTES`; the blob is UTF-8 and no offset splits a
+    character.  The blob is decoded once and cut at character offsets.
+    """
+    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(blob):
+        raise TraceStoreError(
+            f"{what}: name offsets do not span the {len(blob)}-byte name "
+            f"blob"
+        )
+    lengths = np.diff(offsets)
+    if len(lengths) and lengths.min() <= 0:
+        at = int(np.flatnonzero(lengths <= 0)[0])
+        raise TraceStoreError(
+            f"{what}: name offsets decrease at entity {at}"
+            if lengths[at] < 0
+            else f"{what}: entity {at} has an empty name"
+        )
+    if len(lengths) and lengths.max() > MAX_NAME_BYTES:
+        at = int(lengths.argmax())
+        raise TraceStoreError(
+            f"{what}: name of entity {at} ({lengths[at]} bytes) exceeds "
+            f"the {MAX_NAME_BYTES}-byte format cap"
+        )
+    try:
+        text = str(memoryview(blob), "utf-8")
+    except UnicodeDecodeError as error:
+        raise TraceStoreError(
+            f"{what}: names are not UTF-8 ({error.reason} at byte "
+            f"{error.start})"
+        ) from None
+    if len(text) == len(blob):  # ASCII: byte offsets are character offsets
+        bounds = offsets.tolist()
+    else:
+        starts = (blob & 0xC0) != 0x80  # bytes that begin a character
+        if not starts[offsets[:-1]].all():
+            at = int(np.flatnonzero(~starts[offsets[:-1]])[0])
+            raise TraceStoreError(
+                f"{what}: name of entity {at} is not UTF-8 (its offset "
+                f"splits a character)"
+            )
+        chars = np.zeros(len(blob) + 1, dtype=np.int64)
+        np.cumsum(starts, out=chars[1:])
+        bounds = chars[offsets].tolist()
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def index_array(
+    values: np.ndarray, high: int, *, low: int = 0, what: str
+) -> np.ndarray:
+    """The stored indices *values* copied into an int32 array; a typed
+    error unless every one lies in ``[low, high)`` (checked with
+    ``min``/``max``), its message prefixed with *what*."""
+    array = np.array(values, dtype=np.int32)
+    if array.size and (array.min() < low or array.max() >= high):
+        bad = array[(array < low) | (array >= high)].flat[0]
+        raise TraceStoreError(f"{what} {bad} is out of range [{low}, {high})")
+    return array
+
+
+def pack_directory(sections: dict, tables: bytes) -> bytes:
+    """The directory bytes: the length of the canonical JSON of
+    *sections*, that JSON, zero padding to an 8-byte boundary, then
+    the *tables* its array references point into."""
+    text = json.dumps(
+        sections, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    pad = (-(_JSON_LENGTH.size + len(text))) % ALIGNMENT
+    return _JSON_LENGTH.pack(len(text)) + text + b"\0" * pad + tables
+
+
+def load_directory(payload: bytes, *, what: str) -> tuple[dict, np.ndarray]:
+    """Split the directory bytes: ``(sections, tables)``.
+
+    *sections* is the parsed, schema-checked JSON part; *tables* the
+    bytes after it, as a ``uint8`` array for :func:`resolve_array`.
+    """
+    size = _JSON_LENGTH.size
+    if len(payload) < size:
+        raise TraceStoreError(
+            f"{what}: directory of {len(payload)} bytes has no JSON length"
+        )
+    (length,) = _JSON_LENGTH.unpack_from(payload)
+    if length > len(payload) - size:
+        raise TraceStoreError(
+            f"{what}: JSON part of {length} bytes overruns the "
+            f"{len(payload)}-byte directory"
+        )
+    tables_at = size + length + (-(size + length)) % ALIGNMENT
+    if tables_at > len(payload):
+        raise TraceStoreError(
+            f"{what}: directory ends inside the padding after its JSON part"
+        )
+    try:
+        directory = json.loads(payload[size : size + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise TraceStoreError(f"{what}: corrupt directory: {error}") from None
     if not isinstance(directory, dict):
@@ -394,4 +545,4 @@ def load_directory(payload: bytes, *, what: str) -> dict:
             f"{what}: unknown directory schema {schema!r} "
             f"(expected {DIRECTORY_SCHEMA!r})"
         )
-    return directory
+    return directory, np.frombuffer(payload, dtype=np.uint8)[tables_at:]

@@ -15,9 +15,11 @@ name-keyed dict:
 * ``rows[metric]`` — the metric's signal-bank rows as an int32 array of
   entity indices (row ``r`` of the bank holds entity ``rows[metric][r]``).
 
-:meth:`repro.trace.store.TraceStore` decodes the table once from the
-store directory; a resident :class:`~repro.trace.trace.Trace` builds it
-on first use from its entities (:meth:`EntityTable.from_entities`).
+:class:`repro.trace.store.TraceStore` decodes the table once from the
+arrays of the store directory (:meth:`EntityTable.from_arrays`); a
+resident :class:`~repro.trace.trace.Trace` builds it on first use from
+its entities (:meth:`EntityTable.from_entities`), and the store writer
+from the rows it writes (:meth:`EntityTable.from_rows`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import TraceError
+from repro.errors import TraceError, TraceStoreError
+from repro.trace.columnar import index_array
 
 if TYPE_CHECKING:
     from repro.trace.trace import Entity
@@ -40,11 +43,11 @@ Path = tuple[str, ...]
 class EntityTable:
     """Names, kinds, groups and per-metric bank rows of a trace's entities.
 
-    Build it with :meth:`from_rows` (path-bearing rows, the store's
-    entity section) plus :meth:`set_rows` per metric, or with
-    :meth:`from_entities`.  Read only once built, apart from the
-    idempotent per-metric row-index memo, so concurrent sessions share
-    it without copies.
+    Build it with :meth:`from_rows` (path-bearing rows) or
+    :meth:`from_arrays` (the store's entity tables) plus
+    :meth:`set_rows` per metric, or with :meth:`from_entities`.  Read
+    only once built, apart from the idempotent per-metric row-index
+    memo, so concurrent sessions share it without copies.
     """
 
     __slots__ = (
@@ -84,9 +87,11 @@ class EntityTable:
         *path* is the entity's full hierarchy path (ending with its
         name) or empty for an entity outside every group.  Group path
         parts are interned, so equal paths share their strings.  A
-        duplicate name or a path that does not end with its entity's
-        name raises *error*, its message prefixed with *what*.  Metric
-        rows are added with :meth:`set_rows`.
+        duplicate name, a path that does not end with its entity's
+        name, or a kind or group-path part that is not a string raises
+        *error*, its message prefixed with *what*; kinds and groups
+        are checked once each.  Metric rows are added with
+        :meth:`set_rows`.
         """
         where = f"{what}: " if what else ""
         table = cls()
@@ -108,11 +113,21 @@ class EntityTable:
             names.append(name)
             code = kind_codes.get(kind)
             if code is None:
+                if not isinstance(kind, str):
+                    raise error(
+                        f"{where}entity {name!r}: kind must be a string, "
+                        f"got {kind!r}"
+                    )
                 code = kind_codes[kind] = len(kind_codes)
             kinds.append(code)
-            group = tuple([str(part) for part in path[:-1]])
+            group = tuple(path[:-1])
             code = group_index.get(group)
             if code is None:
+                if not all(isinstance(part, str) for part in group):
+                    raise error(
+                        f"{where}entity {name!r}: path parts must be "
+                        f"strings, got {group!r}"
+                    )
                 group = tuple([intern(part) for part in group])
                 code = group_index[group] = len(group_index)
             groups.append(code)
@@ -120,6 +135,64 @@ class EntityTable:
         table.kinds = np.asarray(kinds, dtype=np.int32)
         table.group_paths = tuple(group_index)
         table.groups = np.asarray(groups, dtype=np.int32)
+        return table
+
+    @classmethod
+    def from_arrays(
+        cls,
+        names: list[str],
+        kind_names: Sequence[str],
+        kinds: np.ndarray,
+        group_paths: Sequence[Path],
+        groups: np.ndarray,
+        what: str = "",
+    ) -> "EntityTable":
+        """The table of *names* (trace order) with their kind and
+        innermost-group codes into *kind_names* and *group_paths*: the
+        store's decode of its entity tables.
+
+        The codes are copied into int32 arrays.  A duplicate name or
+        group path, or a code array of another length than *names* or
+        holding a code out of range, raises
+        :class:`~repro.errors.TraceStoreError`, its message prefixed
+        with *what*; the checks run on whole arrays.  Metric rows are
+        added with :meth:`set_rows`.
+        """
+        where = f"{what}: " if what else ""
+        table = cls()
+        table.names = names
+        table.index = index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
+            seen: set[str] = set()
+            duplicate = next(
+                name for name in names if name in seen or seen.add(name)
+            )
+            raise TraceStoreError(f"{where}duplicate entity {duplicate!r}")
+        intern = sys.intern
+        table.kind_names = tuple(map(intern, kind_names))
+        table.group_paths = tuple(
+            tuple(map(intern, path)) for path in group_paths
+        )
+        table.group_index = dict(
+            zip(table.group_paths, range(len(table.group_paths)))
+        )
+        if len(table.group_index) != len(table.group_paths):
+            raise TraceStoreError(f"{where}duplicate group path")
+        for codes, count, field in (
+            (kinds, len(kind_names), "kind"),
+            (groups, len(group_paths), "group"),
+        ):
+            if len(codes) != len(names):
+                raise TraceStoreError(
+                    f"{where}{len(codes)} {field} codes for "
+                    f"{len(names)} entities"
+                )
+        table.kinds = index_array(
+            kinds, len(kind_names), what=f"{where}kind code"
+        )
+        table.groups = index_array(
+            groups, len(group_paths), what=f"{where}group code"
+        )
         return table
 
     @classmethod

@@ -13,11 +13,14 @@ reads it back through :func:`numpy.memmap` with zero-copy slices:
   through the one store writer.  ``convert`` parses ``repro`` text
   straight into the store columns; ``write_store`` takes them from a
   trace's signals.  Output bytes are deterministic (no timestamps, a
-  canonical JSON directory), so golden fixtures can assert byte
-  stability, and a file replaces its destination only once complete.
+  canonical JSON part, the entity table as arrays), so golden fixtures
+  can assert byte stability, and a file replaces its destination only
+  once complete.
 * :func:`open_store` — validate and map a stored file into a
   :class:`TraceStore` without reading the column data (cold-open cost
-  is the 64-byte header plus the JSON directory).
+  is the 64-byte header plus the directory: a JSON part of a few KB
+  and the entity table's arrays, decoded without a Python object per
+  entity beyond its name).
 * :meth:`TraceStore.open_trace` — a
   :class:`~repro.trace.stored.StoredTrace` (a
   :class:`~repro.trace.trace.Trace` subclass) whose entity metrics are
@@ -38,11 +41,13 @@ is taken.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import sys
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
@@ -54,13 +59,16 @@ from repro.trace.columnar import (
     DIRECTORY_SCHEMA,
     HEADER,
     MAGIC,
-    MAX_NAME_BYTES,
     Header,
     MetricColumns,
     TraceColumns,
     check_name,
+    decode_names,
     directory_crc,
+    encode_names,
+    index_array,
     load_directory,
+    pack_directory,
     pack_header,
     read_header,
     resolve_array,
@@ -117,12 +125,6 @@ def is_paje_file(path: str | Path) -> bool:
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
-def _plain_name(name: object) -> bool:
-    """Whether *name* passes :func:`check_name` without encoding it
-    (the common case, checked without building an error message)."""
-    return isinstance(name, str) and 0 < len(name) <= MAX_NAME_BYTES // 4
-
-
 def _json_safe(value: Any, *, what: str) -> Any:
     """Check *value* can live in the directory; raise a typed error."""
     try:
@@ -199,12 +201,6 @@ def _write_columns(columns: TraceColumns, destination: str | Path) -> None:
     partial file is removed and a file already at *destination* keeps
     its bytes.
     """
-    for name, kind, path in columns.entities:
-        if not all(map(_plain_name, (name, kind, *path))):
-            check_name(name, what=f"entity {name!r}")
-            check_name(kind, what=f"kind of entity {name!r}")
-            for part in path:
-                check_name(part, what=f"path of entity {name!r}")
     # Process and thread ids keep concurrent writers' partial files apart.
     folder, name = os.path.split(os.fspath(destination))
     partial = os.path.join(
@@ -222,28 +218,72 @@ def _write_columns(columns: TraceColumns, destination: str | Path) -> None:
         raise
 
 
+def _indices(
+    names: Iterable[str], index: dict[str, int], *, what: str
+) -> np.ndarray:
+    """The int32 entity indices of *names*; a typed error for a name
+    *index* does not declare."""
+    try:
+        return np.array([index[name] for name in names], dtype=np.int32)
+    except KeyError as error:
+        raise TraceStoreError(
+            f"{what} {error.args[0]!r} is not a declared entity"
+        ) from None
+
+
 def _write_file(stream, columns: TraceColumns) -> None:
-    """The store bytes of *columns*: header, data section, directory."""
+    """The store bytes of *columns*: header, data section, directory.
+
+    The entity table is built once (:meth:`EntityTable.from_rows`):
+    names are checked once per entity, kinds and group-path parts once
+    per distinct value, and metric rows and edge ends are written as
+    indices into it.
+    """
+    table = EntityTable.from_rows(
+        columns.entities, error=TraceStoreError, what="entity table"
+    )
+    names, name_offsets = encode_names(table.names, what="entity")
+    for kind in table.kind_names:
+        check_name(kind, what=f"entity kind {kind!r}")
+    for path in table.group_paths:
+        for part in path:
+            check_name(part, what=f"group path {path!r}")
+    sources: dict[str, int] = {}
+    edge_sources = [
+        sources.setdefault(source, len(sources))
+        for _, _, _, source in columns.edges
+    ]
+    for source in sources:
+        check_name(source, what=f"edge source {source!r}")
     stream.write(b"\0" * HEADER.size)
     writer = ColumnWriter(stream)
+    buffer = io.BytesIO()
+    tables = ColumnWriter(buffer)
     refs: dict[str, dict[str, Any]] = {}
+    rows: dict[str, dict[str, Any]] = {}
     for metric, col in columns.metrics:
         check_name(metric, what=f"metric {metric!r}")
+        rows[metric] = tables.put(
+            _indices(col.rows, table.index, what=f"metric {metric!r} row"),
+            "<i4",
+        ).to_json()
         refs[metric] = {
-            "rows": col.rows,
             "offsets": writer.put(col.offsets, "<i8").to_json(),
             "initials": writer.put(col.initials, "<f8").to_json(),
             "times": writer.put(col.times, "<f8").to_json(),
             "values": writer.put(col.values, "<f8").to_json(),
             "prefix": writer.put(col.prefix, "<f8").to_json(),
         }
-    directory = {
+    ends = _indices(
+        (end for edge in columns.edges for end in edge[:3]),
+        {**table.index, "": -1},  # "" as via: an edge without a link
+        what="edge end",
+    )
+    sections = {
         "schema": DIRECTORY_SCHEMA,
         "meta": _json_safe(columns.meta, what="trace meta"),
         "span": columns.span,
-        "entities": columns.entities,
         "metrics_info": columns.metrics_info,
-        "edges": columns.edges,
         "events": [
             (
                 time, kind, source, target,
@@ -251,11 +291,23 @@ def _write_file(stream, columns: TraceColumns) -> None:
             )
             for time, kind, source, target, payload in columns.events
         ],
+        "kind_names": table.kind_names,
+        "group_paths": table.group_paths,
+        "source_names": list(sources),
+        "tables": {
+            "names": tables.put(
+                np.frombuffer(names, dtype=np.uint8), "|u1"
+            ).to_json(),
+            "name_offsets": tables.put(name_offsets, "<i8").to_json(),
+            "kinds": tables.put(table.kinds, "<i4").to_json(),
+            "groups": tables.put(table.groups, "<i4").to_json(),
+            "edges": tables.put(ends, "<i4").to_json(),
+            "edge_sources": tables.put(edge_sources, "<i4").to_json(),
+            "rows": rows,
+        },
         "columns": refs,
     }
-    payload = json.dumps(
-        directory, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    payload = pack_directory(sections, buffer.getvalue())
     directory_offset = HEADER.size + writer.written
     stream.write(payload)
     stream.seek(0)
@@ -298,6 +350,16 @@ def convert(source: str | Path, destination: str | Path) -> TraceStore:
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
+def _names(value: object, *, what: str) -> list[str]:
+    """*value*, a JSON list of names, each checked with
+    :func:`check_name`."""
+    if not isinstance(value, list):
+        raise TraceStoreError(f"{what}: not a list of names")
+    for name in value:
+        check_name(name, what=what)
+    return value
+
+
 class _MetricColumns:
     """Resolved (but unread) memory-map views of one metric's columns."""
 
@@ -347,9 +409,10 @@ class _MetricColumns:
 class TraceStore:
     """A validated, memory-mapped columnar trace file.
 
-    Opening a store reads only the fixed header and the JSON directory,
-    whose entity section becomes :attr:`entities` — the trace's one
-    :class:`~repro.trace.entities.EntityTable`; the column data stays
+    Opening a store reads only the fixed header and the directory,
+    whose tables become :attr:`entities` — the trace's one
+    :class:`~repro.trace.entities.EntityTable` — and the edge arrays
+    :attr:`edge_ends` / :attr:`edge_sources`; the column data stays
     on disk behind :func:`numpy.memmap` views and is faulted in page by
     page as queries touch it.  Use
     :meth:`open_trace` for a drop-in :class:`~repro.trace.trace.Trace`,
@@ -373,7 +436,7 @@ class TraceStore:
                 f"{self.header.file_length} (truncated or padded file)"
             )
         h = self.header
-        directory = self._read_directory()
+        directory, tables = self._read_directory()
         # Only the data section is mapped: the directory is read once
         # with pread and never paged into this process again.
         self._data: np.ndarray = (
@@ -386,15 +449,16 @@ class TraceStore:
         )
         self._columns: dict[str, _MetricColumns] = {}
         self._banks: dict[str, SignalBank] = {}
-        self._decode_directory(directory, what)
+        self._decode_directory(directory, tables, what)
         #: the directory's trace-level sections, held only until the
         #: first :class:`StoredTrace` consumes them
         self._sections: dict | None = directory
 
     # -- directory decoding -------------------------------------------
-    def _read_directory(self) -> dict:
-        """The checksum-verified, parsed JSON directory, read from the
-        file with ``pread`` (the bytes are never memory-mapped)."""
+    def _read_directory(self) -> tuple[dict, np.ndarray]:
+        """The checksum-verified directory, read from the file with
+        ``pread`` (the bytes are never memory-mapped): its parsed JSON
+        part and its tables' bytes."""
         what = f"trace store {self.path.name!r}"
         h = self.header
         try:
@@ -417,75 +481,122 @@ class TraceStore:
         return load_directory(payload, what=what)
 
     def _take_sections(self) -> dict:
-        """The directory for a new :class:`StoredTrace` to consume.
+        """The directory's JSON part for a new :class:`StoredTrace` to
+        consume.
 
         The first caller takes the copy parsed at open, so the store no
         longer holds it; later callers read and parse the file again.
         """
         sections, self._sections = self._sections, None
-        return sections if sections is not None else self._read_directory()
+        if sections is None:
+            sections = self._read_directory()[0]
+        return sections
 
-    def _decode_directory(self, d: dict, what: str) -> None:
-        """Decode the entity and column sections of directory *d* into
-        :attr:`entities`, the trace's one :class:`EntityTable`.
+    def _decode_directory(
+        self, d: dict, tables: np.ndarray, what: str
+    ) -> None:
+        """Decode the tables and column references of directory *d*
+        into :attr:`entities`, the trace's one :class:`EntityTable`,
+        the edge arrays and the metric columns.
 
-        Each metric's row list becomes an int32 array of entity
-        indices.  The entity and column sections are popped from *d*.
+        Every table is copied out of *tables* (the directory bytes),
+        checked with array operations, so the directory bytes are not
+        kept.  The sections decoded here are popped from *d*.
         """
         try:
-            raw_entities = d.pop("entities")
+            refs = d.pop("tables")
             raw_columns = d.pop("columns")
+            kind_names = d.pop("kind_names")
+            group_paths = d.pop("group_paths")
+            source_names = d.pop("source_names")
         except KeyError as error:
             raise TraceStoreError(
                 f"{what}: directory misses section {error}"
             ) from None
-        name_what, kind_what = f"{what}: entity name", f"{what}: entity kind"
+        if not isinstance(refs, dict):
+            raise TraceStoreError(f"{what}: 'tables' is not an object")
 
-        def rows() -> Iterator[tuple[str, str, list]]:
-            for row in raw_entities:
-                try:
-                    name, kind, path = row
-                except (TypeError, ValueError):
-                    raise TraceStoreError(
-                        f"{what}: malformed entity row {row!r}"
-                    ) from None
-                check_name(name, what=name_what)
-                check_name(kind, what=kind_what)
-                if not isinstance(path, list):
-                    raise TraceStoreError(
-                        f"{what}: malformed path of entity {name!r}"
-                    )
-                yield name, kind, path
+        def array(ref: object, dtype: str, where: str) -> np.ndarray:
+            ref = ArrayRef.from_json(ref, what=where)
+            if ref.dtype != dtype:
+                raise TraceStoreError(
+                    f"{where}: dtype {ref.dtype!r}, expected {dtype!r}"
+                )
+            return resolve_array(tables, ref, what=where)
 
+        def table(key: str, dtype: str) -> np.ndarray:
+            return array(refs.get(key), dtype, f"{what}: table {key!r}")
+
+        if not isinstance(group_paths, list):
+            raise TraceStoreError(f"{what}: group_paths: not a list")
         #: the trace's entity table: names, kinds, groups and, per
         #: metric, the bank rows as entity indices
-        self.entities = table = EntityTable.from_rows(
-            rows(), error=TraceStoreError, what=what
+        self.entities = entities = EntityTable.from_arrays(
+            decode_names(
+                table("names", "|u1"),
+                table("name_offsets", "<i8"),
+                what=f"{what}: entity names",
+            ),
+            _names(kind_names, what=f"{what}: kind_names"),
+            table("kinds", "<i4"),
+            [_names(p, what=f"{what}: group_paths") for p in group_paths],
+            table("groups", "<i4"),
+            what=what,
         )
-        if not isinstance(raw_columns, dict):
-            raise TraceStoreError(f"{what}: 'columns' is not an object")
-        index = table.index
-        for metric, refs in raw_columns.items():
+        n = len(entities)
+        ends = table("edges", "<i4")
+        if len(ends) % 3:
+            raise TraceStoreError(
+                f"{what}: table 'edges' holds {len(ends)} entity indices, "
+                f"not (a, b, via) triples"
+            )
+        ends = index_array(
+            ends, n, low=-1, what=f"{what}: edge end"
+        ).reshape(-1, 3)
+        if len(ends) and ends[:, :2].min() < 0:
+            raise TraceStoreError(
+                f"{what}: edge endpoint {ends[:, :2].min()} is out of "
+                f"range [0, {n})"
+            )
+        #: every edge's ``(a, b, via)`` entity indices as an ``(m, 3)``
+        #: int32 array, ``via`` -1 for an edge without a link
+        self.edge_ends = ends
+        #: the names :attr:`edge_sources` codes index
+        self.source_names = tuple(map(
+            sys.intern, _names(source_names, what=f"{what}: source_names")
+        ))
+        sources = table("edge_sources", "<i4")
+        if len(sources) != len(ends):
+            raise TraceStoreError(
+                f"{what}: {len(sources)} edge sources for {len(ends)} edges"
+            )
+        #: an int32 code per edge into :attr:`source_names`
+        self.edge_sources = index_array(
+            sources, len(self.source_names), what=f"{what}: edge source code"
+        )
+        rows = refs.get("rows")
+        if not isinstance(rows, dict) or not isinstance(raw_columns, dict):
+            raise TraceStoreError(
+                f"{what}: 'rows' or 'columns' is not an object"
+            )
+        if rows.keys() != raw_columns.keys():
+            raise TraceStoreError(
+                f"{what}: metrics {sorted(rows.keys() ^ raw_columns.keys())} "
+                f"lack rows or columns"
+            )
+        for metric, cols in raw_columns.items():
             check_name(metric, what=f"{what}: metric name")
             where = f"{what}: metric {metric!r}"
-            if not isinstance(refs, dict):
+            if not isinstance(cols, dict):
                 raise TraceStoreError(f"{where}: column entry is not an object")
-            try:
-                raw_rows = list(refs["rows"])
-            except (KeyError, TypeError):
-                raise TraceStoreError(f"{where}: missing row list") from None
-            rows_of = []
-            for name in raw_rows:
-                i = index.get(name) if isinstance(name, str) else None
-                if i is None:
-                    raise TraceStoreError(
-                        f"{where}: row entity {name!r} is not declared"
-                    )
-                rows_of.append(i)
+            rows_of = index_array(
+                array(rows[metric], "<i4", f"{where}: rows"), n,
+                what=f"{where}: row entity",
+            )
             arrays = {}
             for column in ("offsets", "initials", "times", "values", "prefix"):
                 try:
-                    ref = ArrayRef.from_json(refs[column], what=where)
+                    ref = ArrayRef.from_json(cols[column], what=where)
                 except KeyError:
                     raise TraceStoreError(
                         f"{where}: missing column {column!r}"
@@ -502,7 +613,7 @@ class TraceStore:
                 arrays["prefix"],
                 what=where,
             )
-            table.set_rows(metric, rows_of)
+            entities.set_rows(metric, rows_of)
         self.span_hint: tuple[float, float] | None = None
         stored = d.get("span")
         if stored is not None:

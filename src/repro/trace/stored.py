@@ -1,17 +1,16 @@
 """The :class:`~repro.trace.trace.Trace` facade over a columnar store.
 
 :meth:`repro.trace.store.TraceStore.open_trace` returns a
-:class:`StoredTrace`: entities, edges, events and metadata come from
-the store directory and its entity table, entities and their signals
-materialize lazily on access, and the aggregation engine reads
-mmap-backed signal banks.
+:class:`StoredTrace`: entities and edges come from the store's entity
+table and edge arrays, events and metadata from its directory,
+entities and their signals materialize lazily on access, and the
+aggregation engine reads mmap-backed signal banks.
 It lives apart from :mod:`repro.trace.store` so that writing a store
 (``repro convert``) never loads the trace model.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator
 
@@ -75,10 +74,11 @@ class StoredTrace(Trace):
     and are materialized only when asked for: each :meth:`entity` call
     or iteration step builds a fresh :class:`~repro.trace.trace.Entity`
     whose metrics mapping materializes signals lazily, so the trace
-    itself holds no per-entity object.  Edges are kept as entity-index
-    arrays plus source codes, and :attr:`edges` / :meth:`edges_of`
-    build :class:`~repro.trace.trace.TraceEdge` records on each read;
-    events and metadata come from the store directory.  The
+    itself holds no per-entity object.  Edges stay the store's
+    entity-index arrays plus source codes, and :attr:`edges` /
+    :meth:`edges_of` build :class:`~repro.trace.trace.TraceEdge`
+    records on each read; events and metadata come from the store
+    directory.  The
     aggregation engine bypasses signals entirely through
     :meth:`signal_bank`, which serves mmap-backed banks.  Everything
     downstream —
@@ -99,7 +99,6 @@ class StoredTrace(Trace):
             return text if i is None else names[i]
 
         try:
-            self._decode_edges(d.get("edges", []))
             super().__init__(
                 events=[
                     PointEvent(
@@ -114,52 +113,30 @@ class StoredTrace(Trace):
                 ],
                 meta=d.get("meta", {}),
             )
-        except TraceStoreError:
-            raise
         except (TypeError, ValueError, TraceError) as error:
             raise TraceStoreError(
                 f"trace store {store.path.name!r}: corrupt directory: {error}"
             ) from None
 
-    def _decode_edges(self, rows) -> None:
-        """Keep the directory's ``(a, b, via, source)`` edge rows as an
-        ``(m, 3)`` int32 array of entity indices (``via`` -1 where the
-        edge has no link) plus an int32 code per edge into
-        :attr:`_sources`."""
-        index = self._table.index
-        ends: list[int] = []
-        codes: dict[str, int] = {}
-        sources: list[int] = []
-        for a, b, via, source in rows:
-            for end in (a, b):
-                if end not in index:
-                    raise TraceError(f"edge endpoint {end!r} is not an entity")
-            if via and via not in index:
-                raise TraceError(f"edge 'via' entity {via!r} is not an entity")
-            ends += (index[a], index[b], index[via] if via else -1)
-            sources.append(codes.setdefault(str(source), len(codes)))
-        self._ends = np.asarray(ends, dtype=np.int32).reshape(-1, 3)
-        self._source_codes = np.asarray(sources, dtype=np.int32)
-        self._sources = tuple(sys.intern(source) for source in codes)
-
     # -- edges, built from the index arrays on each read -----------------
     @property
     def edges(self) -> tuple[TraceEdge, ...]:
         """Declared connections between entities, built on each read."""
-        names, sources = self._table.names, self._sources
+        names, store = self._table.names, self.store
+        sources = store.source_names
         return tuple(
             TraceEdge(
                 names[a], names[b], names[via] if via >= 0 else "",
                 sources[code],
             )
             for (a, b, via), code in zip(
-                self._ends.tolist(), self._source_codes.tolist()
+                store.edge_ends.tolist(), store.edge_sources.tolist()
             )
         )
 
     def edge_segments(self) -> np.ndarray:
         """The edge segments, straight from the index arrays."""
-        return _segments(self._ends)
+        return _segments(self.store.edge_ends)
 
     # -- entities, answered from the table -------------------------------
     def _entity(self, i: int) -> Entity:

@@ -11,7 +11,10 @@ the caches cannot silently degrade into from-scratch recomputation.
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AggregationEngine, AnalysisSession, TimeSlice
 from repro.core.aggregation import aggregate_view
@@ -223,3 +226,38 @@ def test_grouping_revision_counts_effective_changes_only():
     assert grouping.revision == 2
     grouping.expand_all()  # already empty: no-op
     assert grouping.revision == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=st.lists(
+        st.one_of(
+            st.integers(min_value=1, max_value=20),
+            st.integers(min_value=100, max_value=300),
+            st.integers(min_value=2000, max_value=4423),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_grouped_combine_equals_the_per_unit_loop(counts, seed):
+    """One reduce per member count over a (units, count) gather sums
+    every unit's members bit for bit as one 1-D np.add.reduce per unit
+    does, pairwise order and signed zeros included; a view of
+    single-member units only takes the values as they are."""
+    from repro.core.aggengine import _combine, _count_order
+
+    rng = np.random.default_rng(seed)
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    values = rng.standard_normal(int(offsets[-1])) * 10.0 ** rng.integers(
+        -8, 9, int(offsets[-1])
+    )
+    values[rng.random(len(values)) < 0.05] = -0.0
+    want = values if max(counts) == 1 else np.array([
+        np.add.reduce(values[a:b]) for a, b in zip(offsets[:-1], offsets[1:])
+    ])
+    order, gather, spans = _count_order(np.asarray(counts))
+    got = np.empty(len(counts))
+    got[order] = _combine(values[gather], spans)
+    assert got.tobytes() == want.tobytes()

@@ -158,3 +158,62 @@ class TestSeededConvergence:
         )
         min_x, min_y, max_x, max_y = view.bounds()
         assert spread < math.hypot(max_x - min_x, max_y - min_y) / 3
+
+
+class TestPrivateSessionSeeds:
+    """A session without shared data computes radial seeds only for a
+    view that adds a node to the layout: seeds place new nodes only,
+    and a scrub adds none."""
+
+    @staticmethod
+    def scrub(session, views, settle_steps=2):
+        start, end = session.trace.span()
+        width = (end - start) / 5
+        for i in range(views):
+            lo = start + (end - start - width) * i / max(views - 1, 1)
+            session.set_time_slice(lo, lo + width)
+            yield session.view(settle_steps=settle_steps)
+
+    def test_scrub_views_compute_seeds_once(self, monkeypatch):
+        import repro.core.session as session_module
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return radial_seeds(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "radial_seeds", spy)
+        trace = random_hierarchical_trace(n_sites=3, seed=5)
+        session = AnalysisSession(trace, seed=5)
+        session.aggregate_depth(2)
+        for _ in self.scrub(session, 10):
+            pass
+        assert len(calls) == 1
+        session.aggregate_depth(1)  # a regroup brings new nodes
+        session.view(settle_steps=2)
+        assert len(calls) == 2
+
+    def test_positions_equal_seeding_every_view(self):
+        """A scrub storm with seeds computed once gives the bits of the
+        same storm with seeds passed to every sync."""
+        trace = random_hierarchical_trace(n_sites=3, seed=6)
+        session = AnalysisSession(trace, seed=6)
+        reference = AnalysisSession(trace, seed=6)
+        sync = reference.dynamic.sync
+
+        def seeded_sync(graph, seed_positions=None):
+            return sync(graph, seed_positions=radial_seeds(
+                reference.hierarchy,
+                graph,
+                spring_length=reference.dynamic.params.spring_length,
+            ))
+
+        reference.dynamic.sync = seeded_sync
+        for depth in (None, 2):
+            for s in (session, reference):
+                if depth is not None:
+                    s.aggregate_depth(depth)
+            got = [v.positions for v in self.scrub(session, 8)]
+            want = [v.positions for v in self.scrub(reference, 8)]
+            assert got == want

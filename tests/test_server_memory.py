@@ -8,12 +8,13 @@ Entries are read-only float64 arrays in the structure's per-metric
 unit order; a name-keyed ``{unit: float}`` dict per entry retains more
 than twice as much on this scenario.
 
-Two more bounds pin the entity tables.  Per trace, an opened store
-plus the server state keeps one :class:`~repro.trace.entities.EntityTable`
-and no per-entity object.  Per grouping, a view of a newly expanded
-site adds its unit structure, one seed array and the session layout's
-growth; the layout remembers entity positions in one array over the
-table's indices.
+Three more bounds pin the entity tables.  Opening a store decodes its
+table from arrays, so the open's peak stays near what it keeps.  Per
+trace, an opened store plus the server state keeps one
+:class:`~repro.trace.entities.EntityTable` and no per-entity object.
+Per grouping, a view of a newly expanded site adds its unit structure,
+one seed array and the session layout's growth; the layout remembers
+entity positions in one array over the table's indices.
 """
 
 import gc
@@ -69,6 +70,10 @@ def test_full_result_cache_stays_under_bound(grid_trace):  # noqa: F811
     assert (after - before) / 2**20 < RETAINED_BOUND_MB
 
 
+#: Traced peak of opening the reduced Grid'5000 store (605 entities) and
+#: its trace: 0.15 MB with the entity table, rows and edges stored as
+#: arrays, 0.61 MB when each entity, row and edge end was JSON to decode.
+OPEN_PEAK_BOUND_MB = 0.35
 #: Traced memory of an opened reduced Grid'5000 store (605 entities)
 #: plus the server state and one ``hello``: 0.19 MB with one entity
 #: table, 0.43 MB with name-keyed store dicts, eager per-entity objects
@@ -91,17 +96,28 @@ def grid_store(grid_trace, tmp_path_factory):  # noqa: F811
 
 
 def _traced(action):
-    """``(result, retained bytes)`` of *action* under tracemalloc."""
+    """``(result, retained bytes, peak bytes)`` of *action* under
+    tracemalloc."""
     gc.collect()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         result = action()
         gc.collect()
-        after, _ = tracemalloc.get_traced_memory()
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, after - before
+    return result, after - before, peak - before
+
+
+def test_store_open_peak_stays_under_bound(grid_store):
+    open_store(grid_store).open_trace()  # imports are not the open
+    trace, retained, peak = _traced(
+        lambda: open_store(grid_store).open_trace()
+    )
+    assert len(trace) > 500 and retained < peak
+    assert peak / 2**20 < OPEN_PEAK_BOUND_MB
 
 
 def test_per_trace_tables_stay_under_bound(grid_store):
@@ -113,7 +129,7 @@ def test_per_trace_tables_stay_under_bound(grid_store):
         hello = state.create_session().apply({"op": "hello"})
         return state, hello
 
-    (state, hello), retained = _traced(serve)
+    (state, hello), retained, _ = _traced(serve)
     assert hello["entities"] == len(state.trace) > 500
     assert retained / 2**20 < PER_TRACE_BOUND_MB
 
@@ -131,7 +147,9 @@ def test_per_grouping_growth_stays_under_bound(grid_store):
     session.disaggregate(site)
     # The view itself is the caller's and is dropped; what stays is
     # the shared structure, the seed entry and the session's layout.
-    nodes, retained = _traced(lambda: len(session.view(settle=False).graph))
+    nodes, retained, _ = _traced(
+        lambda: len(session.view(settle=False).graph)
+    )
     assert nodes > 100
     assert shared.stats["structure_builds"] == 2
     assert shared.stats["seed_builds"] == 2

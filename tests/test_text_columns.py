@@ -28,10 +28,10 @@ from hypothesis import strategies as st
 from repro.constants import FORMAT_HEADER
 from repro.errors import TraceError, TraceStoreError
 from repro.trace.builder import TraceBuilder
-from repro.trace.columnar import MAX_NAME_BYTES
+from repro.trace.columnar import MAX_NAME_BYTES, MetricColumns, TraceColumns
 from repro.trace.reader import _coerce, loads, read_trace
 from repro.trace.signal import Signal, SignalBuilder
-from repro.trace.store import convert, open_store, write_store
+from repro.trace.store import _write_columns, convert, open_store, write_store
 from repro.trace.synthetic import figure1_trace, random_hierarchical_trace
 from repro.trace.trace import Entity, Trace
 from repro.trace.writer import dumps, write_trace
@@ -336,6 +336,64 @@ class TestAtomicReplace:
         with pytest.raises(TraceStoreError):
             write_store(bad, tmp_path / "t.rtrace")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestWriterEntityTable:
+    """The writer writes rows and edge ends as indices into the entity
+    table it builds, so a name the table lacks fails the write."""
+
+    @staticmethod
+    def columns(rows=("h",), edges=()):
+        return TraceColumns(
+            entities=[("h", "host", ("g", "h")), ("k", "host", ("g", "k"))],
+            metrics_info=[],
+            edges=list(edges),
+            events=[],
+            meta={},
+            span=None,
+            metrics=[("m", MetricColumns(
+                rows=list(rows),
+                offsets=np.zeros(len(rows) + 1, dtype=np.int64),
+                initials=np.zeros(len(rows)),
+                times=np.empty(0),
+                values=np.empty(0),
+                prefix=np.empty(0),
+            ))],
+        )
+
+    @pytest.mark.parametrize("rows, edges, match", [
+        (("ghost",), (), "metric 'm' row 'ghost' is not a declared entity"),
+        (("h",), [("h", "ghost", "", "topology")], "edge end 'ghost'"),
+        (("h",), [("h", "k", "ghost", "topology")], "edge end 'ghost'"),
+        (("h",), [("h", "k", "", "")], "edge source ''"),
+    ])
+    def test_undeclared_names_fail_the_write(
+        self, tmp_path, rows, edges, match
+    ):
+        with pytest.raises(TraceStoreError, match=match):
+            _write_columns(self.columns(rows, edges), tmp_path / "t.rtrace")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, path, match", [
+        (5, ("g", "h"), "kind must be a string"),
+        ("host", (5, "h"), "path parts must be strings"),
+        ("host", ("", "h"), "group path"),
+    ])
+    def test_kinds_and_paths_are_checked(self, tmp_path, kind, path, match):
+        with pytest.raises(TraceStoreError, match=match):
+            write_store(Trace([Entity("h", kind, path)]), tmp_path / "t")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_indices_round_trip(self, tmp_path):
+        _write_columns(
+            self.columns(("k",), [("k", "h", "", "analyst")]),
+            tmp_path / "t.rtrace",
+        )
+        store = open_store(tmp_path / "t.rtrace")
+        assert store.entities.rows["m"].tolist() == [1]
+        assert store.edge_ends.tolist() == [[1, 0, -1]]
+        assert store.source_names == ("analyst",)
+        assert store.entities.group_paths == (("g",),)
 
 
 # ----------------------------------------------------------------------
