@@ -82,16 +82,3 @@ def test_fill_fraction_stays_sane_under_sum(cluster_views):
         capacity = unit.value(CAPACITY)
         if capacity > 0:
             assert unit.value(USAGE) / capacity <= 1.0 + 1e-9
-
-
-def test_linkagg_speed(benchmark, nasdt_runs):
-    """Bench: one cluster-level aggregation with a custom operator."""
-    __, trace, __ = nasdt_runs["runs"]["sequential"]
-    hierarchy = Hierarchy.from_trace(trace)
-    grouping = GroupingState(hierarchy)
-    grouping.collapse_depth(2)
-    start, end = trace.span()
-    view = benchmark(
-        aggregate_view, trace, grouping, TimeSlice(start, end), None, max
-    )
-    assert len(view) > 0

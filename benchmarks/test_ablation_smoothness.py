@@ -108,21 +108,6 @@ def test_aggregate_appears_at_member_centroid(transition):
         assert math.hypot(x - cx, y - cy) < diagonal / 2
 
 
-def test_transition_speed(benchmark):
-    """Bench: one aggregate-then-view scale change at cluster scale."""
-    trace = random_hierarchical_trace(n_sites=4, seed=9)
-
-    def change_scale():
-        session = AnalysisSession(trace, seed=9)
-        session.aggregate_depth(3)
-        session.view(settle_steps=30)
-        session.aggregate_depth(2)
-        return session.view(settle_steps=30)
-
-    view = benchmark.pedantic(change_scale, rounds=3, iterations=1)
-    assert len(view) > 0
-
-
 def test_hierarchical_seeding_beats_random(report):
     """Second seeding ablation: the paper combines Barnes-Hut "with the
     hierarchical information from the traces" — quantify what the

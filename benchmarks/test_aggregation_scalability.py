@@ -9,26 +9,24 @@ The scrub-loop bench adds the temporal half of the claim: sliding the
 time slice across the trace (the paper's interactive exploration) must
 be fast enough to animate, which the incremental
 :class:`~repro.core.AggregationEngine` achieves by integrating only the
-delta windows each move uncovers.  Its fast-vs-scalar speedup lands in
-``results/aggregation_scrub_speedup.json``.
+delta windows each move uncovers.  Its speedup over the from-scratch
+oracle is read off one run of the ``aggregation`` bench suite, which
+lands in ``results/BENCH_aggregation.json``.
 
 Set ``REPRO_BENCH_QUICK=1`` to swap the Grid'5000 simulation for a
 small synthetic trace in CI smoke runs.
 """
 
-import json
 import os
-import time
-from pathlib import Path
 
 import pytest
 
+from conftest import RESULTS_DIR
 from repro.obs import bench
 from repro.core import AggregationEngine, TimeSlice
 from repro.core.aggregation import aggregate_view
 from repro.core.hierarchy import GroupingState, Hierarchy
-from repro.trace import CAPACITY, USAGE
-from repro.trace.synthetic import random_hierarchical_trace
+from repro.trace import CAPACITY
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -60,127 +58,49 @@ def test_view_size_per_level(grid_run, report):
     assert sizes[1] <= 5
 
 
-@pytest.mark.parametrize("depth", [0, 3, 2, 1])
-def test_aggregation_time_per_level(benchmark, grid_run, depth):
-    """Bench: aggregation cost at each level (near-constant in depth)."""
-    trace = grid_run["trace"]
-    hierarchy = Hierarchy.from_trace(trace)
-    grouping = GroupingState(hierarchy)
-    if depth:
-        grouping.collapse_depth(depth)
-    start, end = trace.span()
-    tslice = TimeSlice(start, end)
-    benchmark.group = "aggregate-2170-hosts"
-    view = benchmark.pedantic(
-        aggregate_view,
-        args=(trace, grouping, tslice),
-        kwargs={"metrics": [CAPACITY]},
-        rounds=3,
-        iterations=1,
-    )
-    assert len(view) > 0
-
-
 #: The acceptance bar for the incremental engine over a scrub loop.
-SCRUB_MOVES = 40 if QUICK else 200
 SCRUB_FLOOR = 2.5 if QUICK else 5.0
 
 
-def test_slice_scrub_speedup(report, request):
-    """Scrub loop: slide the slice SCRUB_MOVES times, fast vs scalar.
+def test_slice_scrub_speedup(report):
+    """Scrub loop: the engine's slice move vs a from-scratch view.
 
     The paper's interactive scenario — an aggregated site-level view of
-    the Grid'5000 run, with the analyst dragging the time slice — timed
-    once through the scalar oracle ``aggregate_view`` and once through
-    the incremental ``AggregationEngine`` over the same slide sequence.
-    Both must produce the same values; the engine must win by riding the
-    delta-window path, not by skipping work.  Numbers are recorded in
-    ``results/aggregation_scrub_speedup.json``.
+    the Grid'5000 run, with the analyst dragging the time slice back and
+    forth — run by the ``aggregation`` suite through the scalar oracle
+    ``aggregate_view`` (``cold_view``) and the incremental
+    ``AggregationEngine`` (``scrub_move``) over the same slides.  The
+    engine must produce the oracle's values and win by riding the
+    delta-window path, not by skipping work.
     """
-    if QUICK:
-        trace = random_hierarchical_trace(
-            n_sites=4, clusters_per_site=3, hosts_per_cluster=6, seed=5
-        )
-    else:
-        trace = request.getfixturevalue("grid_run")["trace"]
-    grouping = GroupingState(Hierarchy.from_trace(trace))
-    grouping.collapse_depth(2)  # the site-level view of Fig. 8
-    start, end = trace.span()
-    width = (end - start) / 10.0
-    step = (end - start - width) / (SCRUB_MOVES - 1)
-    slices = [
-        TimeSlice(start + i * step, start + i * step + width)
-        for i in range(SCRUB_MOVES)
-    ]
-    metrics = [CAPACITY, USAGE]
+    result = bench.run_suite("aggregation", quick=QUICK)
+    speedup = bench.speedup(result, "cold_view", "scrub_move")
 
-    # Scalar oracle: every move recomputes from scratch, so a subsample
-    # of the slide sequence is enough to price one move.  Each move is
-    # timed individually so both paths land robust per-move statistics
-    # (median/IQR/MAD) in the shared repro-bench format.
-    scalar_slices = slices if QUICK else slices[::5]
-    scalar_view = aggregate_view(trace, grouping, slices[0], metrics=metrics)
-    scalar_samples = []
-    for tslice in scalar_slices:
-        began = time.perf_counter()
-        scalar_view = aggregate_view(trace, grouping, tslice, metrics=metrics)
-        scalar_samples.append(time.perf_counter() - began)
-    scalar_timing = bench.robust_stats(scalar_samples)
-    scalar_per_move = scalar_timing["median_s"]
-
-    engine = AggregationEngine(trace)
-    engine.view(grouping, slices[0], metrics=metrics)  # warm caches
-    fast_samples = []
-    for tslice in slices:
-        began = time.perf_counter()
-        fast_view = engine.view(grouping, tslice, metrics=metrics)
-        fast_samples.append(time.perf_counter() - began)
-    fast_timing = bench.robust_stats(fast_samples)
-    fast_per_move = fast_timing["median_s"]
-    speedup = scalar_per_move / fast_per_move
-
-    # Same final slice, same values — and the stats must prove the
+    # Same slides, same values — and the stats must prove the
     # incremental paths were taken, not a degenerate recomputation.
-    assert list(fast_view.units) == list(scalar_view.units)
-    for key, want in scalar_view.units.items():
-        for metric, ref in want.values.items():
-            got = fast_view.units[key].values[metric]
-            assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
+    trace, grouping, slides, metrics = bench.scrub_workload(QUICK)
+    engine = AggregationEngine(trace)
+    for tslice in slides:
+        view = engine.view(grouping, tslice, metrics=metrics)
+        oracle = aggregate_view(trace, grouping, tslice, metrics=metrics)
+        assert list(view.units) == list(oracle.units)
+        for key, want in oracle.units.items():
+            for metric, ref in want.values.items():
+                got = view.units[key].values[metric]
+                assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
     stats = engine.stats
     assert stats["slice_delta"] > stats["slice_full"]
     assert stats["advance_rounds"] > 0
 
-    payload = {
-        "schema": bench.SCHEMA,
-        "machine": bench.machine_fingerprint(),
-        "quick": QUICK,
-        "entities": len(trace),
-        "units": len(fast_view.units),
-        "moves": SCRUB_MOVES,
-        "scalar_moves_timed": len(scalar_slices),
-        "scalar_per_move_s": scalar_per_move,
-        "fast_per_move_s": fast_per_move,
-        "scalar_timing": scalar_timing,
-        "fast_timing": fast_timing,
-        "speedup": speedup,
-        "floor": SCRUB_FLOOR,
-        "stats": {
-            k: v for k, v in stats.items() if not k.endswith("_ns")
-        },
-    }
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "aggregation_scrub_speedup.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
+    bench.write_result(result, RESULTS_DIR)
+    cases = result["cases"]
     report(
         "aggregation_scrub_speedup",
         [
-            f"entities={len(trace)}  units={len(fast_view.units)}"
-            f"  moves={SCRUB_MOVES}",
-            f"scalar  {scalar_per_move * 1000:8.2f} ms/move"
-            f"  ({len(scalar_slices)} timed)",
-            f"fast    {fast_per_move * 1000:8.2f} ms/move"
+            f"entities={len(trace)}  units={len(view.units)}"
+            f"  moves={len(slides)}",
+            f"scalar  {cases['cold_view']['median_s'] * 1000:8.2f} ms/move",
+            f"fast    {cases['scrub_move']['median_s'] * 1000:8.2f} ms/move"
             f"  (delta={stats['slice_delta']}, full={stats['slice_full']})",
             f"speedup: {speedup:.1f}x (floor {SCRUB_FLOOR}x)",
         ],

@@ -11,8 +11,9 @@ Measured by projection rather than a direct A/B re-run (which is
 machine- and noise-fragile in CI): time the disabled guard check
 itself with the calibrated :func:`repro.obs.bench.measure` harness,
 count how many guard crossings the baseline ``sim.master_worker``
-workload performs (from the engine's own ``sim.stats`` counters), and
-bound ``guard_cost * crossings`` against the committed per-run median.
+workload (:func:`repro.obs.bench.master_worker_sim`) performs (from
+the engine's own ``sim.stats`` counters), and bound
+``guard_cost * crossings`` against the committed per-run median.
 """
 
 import json
@@ -20,8 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.bench import measure
-from repro.platform import Host, Link, Platform, Router
+from repro.obs import bench
 from repro.simulation import Simulator
 
 BASELINE = Path(__file__).parent.parent / "BENCH_sim.json"
@@ -29,45 +29,6 @@ BASELINE = Path(__file__).parent.parent / "BENCH_sim.json"
 #: Acceptance bound from ISSUE: <5% disabled-mode overhead on the
 #: recorded ``sim`` suite baseline.
 MAX_OVERHEAD = 0.05
-
-
-def _bench_platform(n_workers: int) -> Platform:
-    """The same star platform the ``sim`` bench suite builds."""
-    p = Platform("bench")
-    p.add_router(Router("switch"))
-    p.add_host(Host("m", 1e9, path=("bench", "m")))
-    p.add_link(Link("m-l", 1e9, path=("bench", "m-l")), "m", "switch")
-    for i in range(n_workers):
-        p.add_host(Host(f"w{i}", 1e9, path=("bench", f"w{i}")))
-        p.add_link(
-            Link(f"w{i}-l", 1e9, path=("bench", f"w{i}-l")),
-            f"w{i}",
-            "switch",
-        )
-    return p
-
-
-def _run_bench_workload(n_workers: int, tasks: int) -> Simulator:
-    """One run of the ``sim.master_worker`` bench workload, untraced."""
-    sim = Simulator(_bench_platform(n_workers))
-
-    def worker(ctx):
-        """Receive *tasks* messages, computing for each."""
-        for _ in range(tasks):
-            message = yield ctx.recv(f"in-{ctx.host.name}")
-            yield ctx.execute(message.payload["flops"])
-
-    def master(ctx):
-        """Scatter *tasks* rounds of work to every worker."""
-        for _ in range(tasks):
-            for i in range(n_workers):
-                yield ctx.send(f"w{i}", 1e5, f"in-w{i}", payload={"flops": 1e6})
-
-    for i in range(n_workers):
-        sim.spawn(worker, f"w{i}", f"worker-{i}")
-    sim.spawn(master, "m", "master")
-    sim.run()
-    return sim
 
 
 def _guard_crossings(sim: Simulator) -> int:
@@ -92,7 +53,9 @@ def test_disabled_tracer_overhead_within_bounds(report):
     params = case["params"]
     base_s = case["median_s"]
 
-    sim = _run_bench_workload(params["workers"], params["tasks_per_worker"])
+    sim = bench.master_worker_sim(
+        params["workers"], params["tasks_per_worker"]
+    )
     assert sim.tracer is None  # the production default: tracing off
     crossings = _guard_crossings(sim)
 
@@ -101,7 +64,7 @@ def test_disabled_tracer_overhead_within_bounds(report):
         if sim.tracer is not None:  # pragma: no cover - tracer is None
             raise AssertionError("tracer unexpectedly attached")
 
-    stats = measure(guard_check, quick=True)
+    stats = bench.measure(guard_check, quick=True)
     per_check = stats["median_s"]
     projected = per_check * crossings / base_s
 
@@ -123,7 +86,7 @@ def test_disabled_tracer_overhead_within_bounds(report):
 
 def test_disabled_tracer_stamps_no_context():
     """No tracer attached -> delivered messages carry no span context."""
-    sim = Simulator(_bench_platform(1))
+    sim = Simulator(bench.star_platform(1))
     received = []
 
     def sender(ctx):

@@ -47,13 +47,9 @@ def test_fig1_series(cursor_rows, report):
     assert fills[1] == max(fills)
 
 
-def test_fig1_view_build_speed(benchmark):
-    """Bench: building one instantaneous-cursor view."""
+def test_fig1_cursor_view_holds_three_nodes():
+    """One instantaneous-cursor view draws HostA, HostB and LinkA."""
     session = AnalysisSession(figure1_trace(), seed=1)
-
-    def build():
-        session.set_time_slice(6.0, 6.0)
-        return session.view(settle=False)
-
-    view = benchmark(build)
+    session.set_time_slice(6.0, 6.0)
+    view = session.view(settle=False)
     assert len(view) == 3

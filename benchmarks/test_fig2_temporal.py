@@ -44,10 +44,10 @@ def test_fig2_small_events_attenuated():
     assert narrow.value_of(spike) == pytest.approx(100.0)
 
 
-def test_fig2_integration_speed(benchmark):
-    """Bench: exact integration over a long (10k-step) signal."""
+def test_fig2_long_signal_integrates():
+    """Exact integration over a long (10k-step) signal."""
     times = [float(i) for i in range(10_000)]
     values = [float(i % 97) for i in range(10_000)]
     signal = Signal(times, values)
-    total = benchmark(signal.integrate, 0.0, 9_999.0)
+    total = signal.integrate(0.0, 9_999.0)
     assert total > 0

@@ -51,12 +51,11 @@ def test_fig3_aggregation_reduces_view(depth, expected_max):
     assert len(view) <= expected_max
 
 
-def test_fig3_aggregate_view_speed(benchmark):
-    """Bench: spatial aggregation of a ~100-entity trace at cluster level."""
+def test_fig3_cluster_level_view_is_not_empty():
+    """Spatial aggregation of a ~100-entity trace at cluster level."""
     trace = random_hierarchical_trace(n_sites=4, seed=2)
     hierarchy = Hierarchy.from_trace(trace)
     grouping = GroupingState(hierarchy)
     grouping.collapse_depth(3)
-    tslice = TimeSlice(0.0, 100.0)
-    view = benchmark(aggregate_view, trace, grouping, tslice)
+    view = aggregate_view(trace, grouping, TimeSlice(0.0, 100.0))
     assert len(view) > 0

@@ -52,12 +52,8 @@ def test_fig4_schemes(session, report):
     assert c["LinkA"] < b["LinkA"]
 
 
-def test_fig4_visgraph_build_speed(benchmark, session):
-    """Bench: styling + scaling a view (the per-frame hot path)."""
-
-    def build():
-        session.set_time_slice(0.0, 5.0)
-        return session.view(settle=False)
-
-    view = benchmark(build)
+def test_fig4_styled_view_holds_three_nodes(session):
+    """Styling + scaling a view (the per-frame hot path)."""
+    session.set_time_slice(0.0, 5.0)
+    view = session.view(settle=False)
     assert len(view) == 3

@@ -110,14 +110,9 @@ def test_fig5_charge_series_matches_naive_oracle():
     assert dispersions[0] < dispersions[1]
 
 
-def test_fig5_layout_convergence_speed(benchmark):
-    """Bench: settling the two-cluster layout from scratch."""
-
-    def run():
-        layout = make_layout("barneshut", LayoutParams(), seed=3)
-        two_cluster_graph(layout)
-        layout.run(max_steps=200, tolerance=0.5)
-        return layout
-
-    layout = benchmark(run)
+def test_fig5_settled_layout_keeps_every_body():
+    """Settling the two-cluster layout from scratch."""
+    layout = make_layout("barneshut", LayoutParams(), seed=3)
+    two_cluster_graph(layout)
+    layout.run(max_steps=200, tolerance=0.5)
     assert len(layout) == 16

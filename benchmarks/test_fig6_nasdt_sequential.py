@@ -6,14 +6,8 @@ saturated, suggesting that this might be limiting the benchmark
 execution" and that they stay busy "most of the time".
 """
 
-import pytest
-
 from repro.core import TimeSlice
-from repro.mpi import run_nas_dt, sequential_deployment, white_hole
-from repro.platform import two_cluster_platform
 from repro.trace import CAPACITY, USAGE
-
-from conftest import ordered_nasdt_hosts
 
 
 def slice_table(trace, link_name):
@@ -60,18 +54,3 @@ def test_fig6_intercluster_is_top_utilized_link(nasdt_runs):
     }
     top = max(utilizations, key=utilizations.get)
     assert top == "adonis-griffon"
-
-
-def test_fig6_run_speed(benchmark):
-    """Bench: one full simulated NAS-DT class A run (no monitor)."""
-    graph = white_hole("A")
-
-    def run():
-        platform = two_cluster_platform()
-        hosts = ordered_nasdt_hosts(platform)
-        return run_nas_dt(
-            platform, sequential_deployment(hosts, graph.n_nodes), graph
-        )
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert result.makespan > 0

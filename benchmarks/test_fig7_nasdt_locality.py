@@ -6,15 +6,10 @@ hole hierarchy are being transmitted"); contention moves to the small
 intra-cluster links; **execution time improves by ~20%**.
 """
 
-import pytest
-
 from repro.analysis import compare_runs
 from repro.core import TimeSlice
-from repro.mpi import locality_deployment, run_nas_dt, white_hole
-from repro.platform import two_cluster_platform
 from repro.trace import CAPACITY, USAGE
 
-from conftest import ordered_nasdt_hosts
 from test_fig6_nasdt_sequential import slice_table
 
 
@@ -66,17 +61,3 @@ def test_fig7_headline_20_percent(nasdt_runs, report):
     # The paper's headline: ~20% faster.  Accept a band around it.
     assert 0.12 <= comparison.improvement <= 0.32
     assert inter.after < inter.before / 2
-
-
-def test_fig7_locality_run_speed(benchmark):
-    """Bench: simulated locality run incl. the partitioning step."""
-    graph = white_hole("A")
-
-    def run():
-        platform = two_cluster_platform()
-        hosts = ordered_nasdt_hosts(platform)
-        placement = locality_deployment(graph, platform, hosts)
-        return run_nas_dt(platform, placement, graph)
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert result.makespan > 0

@@ -119,19 +119,3 @@ def test_fig9_fifo_uniform_vs_bandwidth_centric(report):
     # uniformly — the paper's closing contrast.
     assert ginis[Policy.BANDWIDTH_CENTRIC] > ginis[Policy.FIFO] + 0.2
     assert ginis[Policy.FIFO] < 0.2
-
-
-def test_fig9_animation_speed(benchmark, grid_run):
-    """Bench: producing one site-level animation frame."""
-    trace = grid_run["trace"]
-    session = AnalysisSession(trace, seed=3)
-    session.aggregate_depth(2)
-    start, end = trace.span()
-    width = (end - start) / 4.0
-
-    def one_frame():
-        session.set_time_slice(start, start + width)
-        return session.view(settle_steps=5)
-
-    frame = benchmark.pedantic(one_frame, rounds=3, iterations=1)
-    assert len(frame) > 0

@@ -21,13 +21,9 @@ import os
 import time
 from pathlib import Path
 
-from repro.apps.masterworker import AppSpec, run_master_worker
 from repro.core.timeline import Timeline
 from repro.obs import bench
 from repro.obs.latency import LatencyAttribution
-from repro.platform.cluster import add_cluster
-from repro.platform.topology import Platform
-from repro.simulation import CausalTracer
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -40,20 +36,9 @@ LARGE = (4, 500) if QUICK else (16, 3400)
 SLICES = 64
 
 
-def causal_run(workers, tasks):
-    tracer = CausalTracer()
-    platform = Platform()
-    add_cluster(platform, "c", workers + 1)
-    hosts = [h.name for h in platform.hosts]
-    spec = AppSpec(name="app", master=hosts[0], n_tasks=tasks,
-                   input_bytes=1e6, task_flops=1e8)
-    run_master_worker(platform, [spec], tracer=tracer)
-    return tracer.build()
-
-
 def test_band_element_count_independent_of_messages(report):
-    small = causal_run(*SMALL)
-    large = causal_run(*LARGE)
+    small = bench.causal_run(*SMALL)
+    large = bench.causal_run(*LARGE)
     if not QUICK:
         assert len(large.edges) > 10_000
     results = {}
@@ -117,7 +102,7 @@ def test_band_element_count_independent_of_messages(report):
 def test_attribution_scales(report):
     """Attribution + conservation stays fast and exact at the large
     message scale (the analytics half of the latency pipeline)."""
-    causal = causal_run(*LARGE)
+    causal = bench.causal_run(*LARGE)
     began = time.perf_counter()
     attribution = LatencyAttribution(causal)
     build_s = time.perf_counter() - began

@@ -18,12 +18,12 @@ benchmark run writes.
 """
 
 import json
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.obs import disable, enable, enabled
+from repro.obs.bench import measure
 from repro.obs.spans import span
 
 ROOT = Path(__file__).parent.parent
@@ -58,20 +58,14 @@ def obs_disabled():
         enable()
 
 
-def _disabled_span_cost_s(calls: int = 200_000) -> float:
+def _disabled_span_cost_s() -> float:
     """Per-call wall cost of entering+exiting a disabled span."""
-    # Warm up the noop singleton path.
-    for _ in range(1000):
-        with span("bench.warmup"):
+
+    def one_span():
+        with span("bench.noop", key=1):
             pass
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            with span("bench.noop", key=1):
-                pass
-        best = min(best, (time.perf_counter() - t0) / calls)
-    return best
+
+    return measure(one_span, quick=True)["median_s"]
 
 
 def test_disabled_span_overhead_within_bounds(obs_disabled, report):
@@ -116,23 +110,15 @@ def test_disabled_span_records_nothing(obs_disabled):
 SERVER_BASELINE = ROOT / "BENCH_server.json"
 
 
-def _histogram_observe_cost_s(calls: int = 100_000) -> float:
+def _histogram_observe_cost_s() -> float:
     """Per-call wall cost of one ``Histogram.observe``."""
     from repro.obs import Histogram
 
     h = Histogram("bench.hist")
-    for _ in range(1000):
-        h.observe(0.002)
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            h.observe(0.002)
-        best = min(best, (time.perf_counter() - t0) / calls)
-    return best
+    return measure(lambda: h.observe(0.002), quick=True)["median_s"]
 
 
-def _telemetry_observe_cost_s(calls: int = 20_000) -> float:
+def _telemetry_observe_cost_s() -> float:
     """Per-call wall cost of the full request-accounting funnel
     (histogram + stat-group counters + self-trace ring; no access
     log, which is opt-in)."""
@@ -144,16 +130,9 @@ def _telemetry_observe_cost_s(calls: int = 20_000) -> float:
         session="bench", op="scrub", began_s=0.0, wall_s=0.002,
         bytes_in=64, bytes_out=1024, tier="shared", ok=True,
     )
-    for _ in range(1000):
-        telemetry.observe(record)
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            telemetry.observe(record)
-        best = min(best, (time.perf_counter() - t0) / calls)
+    cost = measure(lambda: telemetry.observe(record), quick=True)["median_s"]
     registry.reset()
-    return best
+    return cost
 
 
 def test_request_accounting_overhead_within_bounds(report):

@@ -10,27 +10,11 @@ every scale must stay interactive (well under a second).
 
 import time
 
-import pytest
-
 from repro.core import AnalysisSession, SvgRenderer
-from repro.trace.synthetic import random_hierarchical_trace
-
-
-def view_of_size(n_sites, collapse_depth=None):
-    trace = random_hierarchical_trace(
-        n_sites=n_sites, clusters_per_site=4, hosts_per_cluster=16, seed=1
-    )
-    session = AnalysisSession(trace, seed=1)
-    if collapse_depth:
-        session.aggregate_depth(collapse_depth)
-    return session.view(settle_steps=5)
 
 
 def test_render_time_vs_view_size(report, grid_run):
-    from repro.core import AnalysisSession as Session
-
-    trace = grid_run["trace"]
-    session = Session(trace, seed=2)
+    session = AnalysisSession(grid_run["trace"], seed=2)
     renderer = SvgRenderer(heat_fill=True)
     rows = ["level     nodes   render(ms)"]
     for depth, label in ((0, "hosts"), (3, "clusters"), (2, "sites")):
@@ -48,11 +32,3 @@ def test_render_time_vs_view_size(report, grid_run):
         assert elapsed < 2000.0
     report("render_scalability", rows)
 
-
-@pytest.mark.parametrize("n_sites", [2, 8])
-def test_render_speed(benchmark, n_sites):
-    view = view_of_size(n_sites)
-    renderer = SvgRenderer()
-    benchmark.group = "svg-render"
-    markup = benchmark(renderer.render, view)
-    assert markup.endswith("</svg>")

@@ -4,58 +4,56 @@ The multi-session server's whole premise (ROADMAP item 1) is that N
 analysts scrubbing the same trace should not cost N times one analyst:
 the trace structures are loaded once (``SharedTraceData``) and combined
 unit values flow between sessions through the shared result cache.
-This bench runs the ``server`` suite's exact workload — the same
-deterministic scrub storm replayed solo and by 8 concurrent closed-loop
-WebSocket sessions — and pins the acceptance criteria:
+This bench runs the ``server`` bench suite — the same deterministic
+scrub storm replayed solo and by 8 concurrent closed-loop WebSocket
+sessions — and pins the acceptance criteria over that run:
 
 * 8-way-concurrent p95 round-trip latency stays within ``P95_FACTOR``x
   the single-session p95 (ISSUE 7's 3x bound);
 * the concurrent run proves **cross-session** cache traffic: hits from
   sessions other than the one that populated the entry;
 * speed never buys different bytes — the concurrent payloads match
-  fresh isolated sessions exactly (the differential is re-asserted here
-  on the bench workload, not just in the unit net).
+  a fresh isolated session exactly (the differential is re-asserted
+  here on the bench workload, not just in the unit net).
 
-Numbers land in ``results/server_load.json``.  Set
+The suite run lands in ``results/BENCH_server.json``.  Set
 ``REPRO_BENCH_QUICK=1`` for the CI smoke variant (smaller trace, same
 assertions).
 """
 
-import json
 import os
-from pathlib import Path
 
+from conftest import RESULTS_DIR
 from repro.obs import bench
 from repro.server.load import run_load
-from repro.trace.synthetic import random_hierarchical_trace
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 #: Concurrent p95 must stay within this factor of the solo p95.
 P95_FACTOR = 3.0
 
-SHAPE = (
-    dict(n_sites=6, clusters_per_site=4, hosts_per_cluster=12)
-    if QUICK
-    else dict(n_sites=12, clusters_per_site=6, hosts_per_cluster=24)
-)
-MOVES = 12 if QUICK else 24
-
 
 def test_concurrent_p95_within_factor_of_solo(report):
-    trace = random_hierarchical_trace(seed=13, **SHAPE)
-    solo = run_load(
-        trace=trace, sessions=1, moves=MOVES, settle_steps=0,
-        keep_samples=True,
-    )
-    concurrent = run_load(
-        trace=trace, sessions=8, moves=MOVES, settle_steps=0,
-        differential=True, keep_samples=True,
-    )
-
-    p95_solo = solo["latency"]["p95_s"]
-    p95_c8 = concurrent["latency"]["p95_s"]
+    result = bench.run_suite("server", quick=QUICK)
+    solo = result["cases"]["scrub_solo"]
+    concurrent = result["cases"]["scrub_c8"]
+    p95_solo = solo["p95_s"]
+    p95_c8 = concurrent["p95_s"]
     ratio = p95_c8 / p95_solo
+    bench.write_result(result, RESULTS_DIR)
+    report(
+        "server_load",
+        [
+            f"entities={concurrent['params']['entities']}"
+            f"  moves={concurrent['params']['moves']}  sessions=8",
+            f"solo p95  {p95_solo * 1e3:8.3f} ms",
+            f"c8 p95    {p95_c8 * 1e3:8.3f} ms",
+            f"ratio: {ratio:.2f}x (bound {P95_FACTOR}x)  "
+            f"cross-hits: {concurrent['cache_cross_hits']}  "
+            f"differential: "
+            f"{'OK' if concurrent['differential_ok'] else 'FAILED'}",
+        ],
+    )
 
     # Speed: concurrency amortizes, it does not multiply.
     assert p95_c8 <= P95_FACTOR * p95_solo, (
@@ -63,51 +61,18 @@ def test_concurrent_p95_within_factor_of_solo(report):
         f"p95 {p95_solo * 1e3:.2f} ms (ratio {ratio:.2f})"
     )
     # Sharing: sessions actually consumed each other's work.
-    assert concurrent["cache"]["cross_hits"] > 0
-    # Correctness: byte-identical to isolated sessions.
-    assert concurrent["differential"]["ok"], concurrent["differential"]
-
-    stats = bench.robust_stats(concurrent["latency"]["samples_s"])
-    payload = {
-        "quick": QUICK,
-        "entities": len(trace),
-        "moves": MOVES,
-        "solo_p95_s": p95_solo,
-        "c8_p95_s": p95_c8,
-        "ratio": ratio,
-        "factor": P95_FACTOR,
-        "c8_median_s": stats["median_s"],
-        "c8_iqr_s": stats["iqr_s"],
-        "throughput_rps": concurrent["throughput_rps"],
-        "cross_hits": concurrent["cache"]["cross_hits"],
-        "differential_checked": concurrent["differential"]["checked"],
-        "machine": bench.machine_fingerprint(),
-    }
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "server_load.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
-    report(
-        "server_load",
-        [
-            f"entities={len(trace)}  moves={MOVES}  sessions=8",
-            f"solo p95  {p95_solo * 1e3:8.3f} ms",
-            f"c8 p95    {p95_c8 * 1e3:8.3f} ms",
-            f"ratio: {ratio:.2f}x (bound {P95_FACTOR}x)  "
-            f"cross-hits: {concurrent['cache']['cross_hits']}  "
-            f"differential: OK",
-        ],
-    )
+    assert concurrent["cache_cross_hits"] > 0
+    # Correctness: byte-identical to an isolated session.
+    assert concurrent["differential_ok"]
 
 
 def test_shared_cache_carries_the_wave(report):
     """Within one concurrent wave, exactly one session computes each
     (slice, grouping, metric) triple; the rest hit the cache."""
-    trace = random_hierarchical_trace(seed=13, **SHAPE)
+    trace, moves = bench.server_workload(QUICK)
     sessions = 4
     result = run_load(
-        trace=trace, sessions=sessions, moves=MOVES, settle_steps=0,
+        trace=trace, sessions=sessions, moves=moves, settle_steps=0,
     )
     cache = result["cache"]
     # Every lookup resolves: hits + misses == lookups.

@@ -4,93 +4,47 @@ The paper's workflow is iterative: the analyst closes the tool and comes
 back to the same trace.  With the text format, every return pays a full
 re-parse (tokenizing each breakpoint); the ``.rtrace`` store instead
 validates a 64-byte header, checksums a small JSON directory and maps
-the columns — cost proportional to the *metadata*, not the data.  This
-bench converts a synthetic hierarchical trace once, then prices the two
-cold paths against each other and pins the acceptance floor: cold-open
-must be at least ``OPEN_FLOOR``x faster than text re-parse.  A second
-check drives identical window queries through the mmap bank and the
-resident bank and requires bit-identical answers — speed never buys a
-different number.  Numbers land in ``results/store_cold_open.json``.
+the columns — cost proportional to the *metadata*, not the data.  The
+``store`` bench suite prices the two cold paths on one synthetic
+hierarchical trace, and this bench pins the acceptance floor over that
+run: cold-open must be at least ``OPEN_FLOOR``x faster than text
+re-parse.  A second check drives identical window queries through the
+mmap bank and the resident bank and requires bit-identical answers —
+speed never buys a different number.  The suite run lands in
+``results/BENCH_store.json``.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke variant (smaller trace,
-lower floor headroom, same assertions).
+same assertions).
 """
 
-import json
 import os
-import time
-from pathlib import Path
 
 import numpy as np
 
+from conftest import RESULTS_DIR
 from repro.obs import bench
-from repro.trace.reader import read_trace
 from repro.trace.signalbank import SignalBank
 from repro.trace.store import open_store, write_store
-from repro.trace.synthetic import random_hierarchical_trace
-from repro.trace.writer import write_trace
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 #: Acceptance floor: cold-open must beat text re-parse by this factor.
 OPEN_FLOOR = 5.0
 
-SHAPE = (
-    dict(n_sites=3, clusters_per_site=3, hosts_per_cluster=6)
-    if QUICK
-    else dict(n_sites=6, clusters_per_site=4, hosts_per_cluster=10)
-)
 
-
-def _best_of(fn, n):
-    """Minimum wall time of *n* calls — the cold paths are short enough
-    that the best observation is the least noisy estimator."""
-    best = float("inf")
-    for _ in range(n):
-        began = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - began)
-    return best
-
-
-def test_cold_open_beats_text_reparse(tmp_path, report):
-    trace = random_hierarchical_trace(seed=11, **SHAPE)
-    store_path = tmp_path / "bench.rtrace"
-    text_path = tmp_path / "bench.trace"
-    write_store(trace, store_path)
-    write_trace(trace, text_path)
-
-    repeats = 5 if QUICK else 9
-    open_s = _best_of(lambda: open_store(store_path), repeats)
-    reparse_s = _best_of(lambda: read_trace(text_path), max(3, repeats // 2))
-    speedup = reparse_s / open_s
-
-    breakpoints = sum(len(s) for e in trace for s in e.metrics.values())
-    payload = {
-        "schema": bench.SCHEMA,
-        "machine": bench.machine_fingerprint(),
-        "quick": QUICK,
-        "entities": len(trace),
-        "breakpoints": breakpoints,
-        "store_bytes": store_path.stat().st_size,
-        "text_bytes": text_path.stat().st_size,
-        "cold_open_s": open_s,
-        "text_reparse_s": reparse_s,
-        "speedup": speedup,
-        "floor": OPEN_FLOOR,
-    }
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "store_cold_open.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
+def test_cold_open_beats_text_reparse(report):
+    result = bench.run_suite("store", quick=QUICK)
+    speedup = bench.speedup(result, "text_reparse", "cold_open")
+    bench.write_result(result, RESULTS_DIR)
+    cases = result["cases"]
+    shape = cases["cold_open"]["params"]
     report(
         "store_cold_open",
         [
-            f"entities={len(trace)}  breakpoints={breakpoints}"
-            f"  store={store_path.stat().st_size}B",
-            f"cold open   {open_s * 1e3:8.3f} ms",
-            f"text parse  {reparse_s * 1e3:8.3f} ms",
+            f"entities={shape['entities']}"
+            f"  breakpoints={shape['breakpoints']}  store={shape['bytes']}B",
+            f"cold open   {cases['cold_open']['median_s'] * 1e3:8.3f} ms",
+            f"text parse  {cases['text_reparse']['median_s'] * 1e3:8.3f} ms",
             f"speedup: {speedup:.1f}x (floor {OPEN_FLOOR}x)",
         ],
     )
@@ -100,7 +54,7 @@ def test_cold_open_beats_text_reparse(tmp_path, report):
 def test_mmap_scrub_stays_exact_at_scale(tmp_path):
     """Speed must not change answers: a window sweep over the mapped
     columns is bit-identical to the resident bank's."""
-    trace = random_hierarchical_trace(seed=11, **SHAPE)
+    trace = bench.store_trace(QUICK)
     path = tmp_path / "exact.rtrace"
     write_store(trace, path)
     store = open_store(path)

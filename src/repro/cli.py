@@ -49,12 +49,11 @@ Usage (``python -m repro <command> ...``):
   WebSocket sessions (slice scrubs, group/ungroup, SVG tiles) plus the
   ``/healthz`` / ``/info`` / ``/stats`` / ``/metrics`` / ``/render``
   HTTP endpoints.  ``--access-log`` appends one JSON line per request,
-  ``--no-metrics`` disables the Prometheus exposition, ``--self-trace``
-  writes the server's own request activity as a repro trace on
-  shutdown (render it with ``repro render``), and ``--selfcheck`` runs
-  a small in-process concurrent load with the differential
-  byte-comparison plus a live probe of ``/metrics`` and the
-  ``stats_stream`` push op instead of serving (exit 4 on failure);
+  ``--self-trace`` writes the server's own request activity as a repro
+  trace on shutdown (render it with ``repro render``), and
+  ``--selfcheck`` runs a small in-process concurrent load with the
+  differential byte-comparison plus a live probe of ``/metrics`` and
+  the ``stats_stream`` push op instead of serving (exit 4 on failure);
 * ``loadtest <trace>`` — drive a server (in-process by default, or a
   running one via ``--url``) with N concurrent scrub-storm sessions;
   prints p50/p95/p99 latency, the shared-cache counters and the
@@ -312,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--access-log", type=Path, default=None,
                        metavar="OUT.jsonl",
                        help="append one JSON line per served request here")
-    serve.add_argument("--metrics", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="expose GET /metrics in Prometheus text format "
-                       "(default: on; --no-metrics returns 404)")
     serve.add_argument("--self-trace", type=Path, default=None,
                        metavar="OUT.trace",
                        help="on shutdown, write the server's own request "
@@ -727,7 +722,7 @@ def _selfcheck_observability(trace, config) -> list[str]:
     from repro.server.client import scrape_breakdown
 
     failures: list[str] = []
-    live = dataclasses.replace(config, port=0, metrics=True)
+    live = dataclasses.replace(config, port=0)
 
     async def probe(port: int) -> None:
         client = await WsClient.connect(live.host, port)
@@ -787,7 +782,6 @@ def _cmd_serve(args) -> int:
         seed=args.seed,
         cache_entries=args.cache_entries,
         access_log=str(args.access_log) if args.access_log else None,
-        metrics=args.metrics,
     )
     if args.selfcheck:
         from repro.server import format_report, run_load
@@ -892,7 +886,7 @@ def _cmd_top(args) -> int:
             if scraped is None:
                 raise ReproError(
                     f"GET /metrics on {host}:{port} failed "
-                    "(is the server running with metrics enabled?)"
+                    "(is a repro server listening there?)"
                 )
             rows = {
                 op: latency_summary(bounds, state)

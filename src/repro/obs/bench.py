@@ -9,7 +9,12 @@ could diff run *N* against run *N-1*.  This module fixes the substrate:
   loop auto-sized so each sample is long enough to trust the clock, an
   auto-chosen repeat count, and *robust* statistics (median / IQR /
   MAD) that a single OS scheduling hiccup cannot drag around the way a
-  mean can;
+  mean can.  :func:`run_suite` calibrates a suite's cases the same way,
+  then samples them round-robin, one sample of each case per round;
+* :func:`speedup` — the ratio of two cases of one suite run, as the
+  median of their per-round ratios, so a host slowdown that spans a
+  round cancels out of it (the speed floors under ``benchmarks/`` read
+  their ratios this way);
 * :func:`machine_fingerprint` — the context that makes a number
   meaningful later (python, platform, CPU count, numpy version);
 * named **suites** over the real hot paths — ``layout`` (Barnes-Hut
@@ -34,6 +39,7 @@ and :func:`compare_results` refuses to compare across modes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -51,17 +57,25 @@ __all__ = [
     "SCHEMA",
     "BenchCase",
     "available_suites",
+    "causal_run",
+    "clustered_layout",
     "compare_results",
     "format_comparison",
     "format_result",
     "has_regression",
     "load_result",
     "machine_fingerprint",
+    "master_worker_sim",
     "measure",
     "quick_mode",
     "result_path",
     "robust_stats",
     "run_suite",
+    "scrub_workload",
+    "server_workload",
+    "speedup",
+    "star_platform",
+    "store_trace",
     "write_result",
 ]
 
@@ -121,25 +135,34 @@ def robust_stats(samples: list[float]) -> dict:
     }
 
 
-def measure(
-    fn: Callable[[], object],
+def _timed(fn: Callable[[], object], loops: int) -> float:
+    """Wall seconds of *loops* back-to-back calls of *fn*."""
+    began = perf_counter()
+    for _ in range(loops):
+        fn()
+    return perf_counter() - began
+
+
+def _sample(
+    fns: list[Callable[[], object]],
     *,
     quick: bool = False,
     warmup: int | None = None,
     repeats: int | None = None,
     min_sample_s: float | None = None,
     max_total_s: float | None = None,
-) -> dict:
-    """One calibrated measurement of *fn* (a no-argument callable).
+) -> list[dict]:
+    """Calibrate each of *fns*, then sample them all round-robin.
 
-    The protocol: run ``warmup`` throwaway calls, double the inner-loop
-    count until one sample takes at least ``min_sample_s`` (so the
-    perf-counter quantization disappears), then collect samples.  The
-    repeat count is auto-chosen to fit ``max_total_s`` but never drops
-    below 5 (quick: 3) — robust statistics need a population.
-
-    Returns the :func:`robust_stats` dict extended with ``repeats``,
-    ``inner_loops``, ``warmup`` and the raw per-call ``samples_s``.
+    Each callable gets ``warmup`` throwaway calls, then its inner loop
+    doubles until one sample takes at least ``min_sample_s`` (so the
+    perf-counter quantization disappears); that calibration run is its
+    sample 0.  Then ``repeats - 1`` rounds follow, each taking one
+    sample of every callable in order, so sample *i* of every callable
+    comes from round *i* and a host slowdown lands on all of them
+    alike.  The repeat count is auto-chosen so the rounds fit
+    ``max_total_s`` but never drops below 5 (quick: 3) — robust
+    statistics need a population.
     """
     if warmup is None:
         warmup = 1 if quick else 2
@@ -150,46 +173,84 @@ def measure(
     floor_repeats = 5 if quick else 7
     cap_repeats = 9 if quick else 30
 
-    for _ in range(warmup):
-        fn()
-
-    # Calibrate the inner loop: one sample must outlast clock jitter.
-    loops = 1
-    while True:
-        began = perf_counter()
-        for _ in range(loops):
+    calibrated: list[tuple[int, list[float]]] = []
+    for fn in fns:
+        for _ in range(warmup):
             fn()
-        sample_s = perf_counter() - began
-        if sample_s >= min_sample_s or loops >= 1 << 20:
-            break
-        loops *= 2
+        loops = 1
+        while True:
+            sample_s = _timed(fn, loops)
+            if sample_s >= min_sample_s or loops >= 1 << 20:
+                break
+            loops *= 2
+        calibrated.append((loops, [sample_s / loops]))
 
     if repeats is None:
-        repeats = int(max_total_s / max(sample_s, 1e-9))
+        round_s = sum(loops * samples[0] for loops, samples in calibrated)
+        repeats = int(max_total_s / max(round_s, 1e-9))
         repeats = max(floor_repeats, min(cap_repeats, repeats))
 
-    samples = [sample_s / loops]  # the calibration run is sample 0
     for _ in range(repeats - 1):
-        began = perf_counter()
-        for _ in range(loops):
-            fn()
-        samples.append((perf_counter() - began) / loops)
+        for fn, (loops, samples) in zip(fns, calibrated):
+            samples.append(_timed(fn, loops) / loops)
 
-    out = robust_stats(samples)
-    out["repeats"] = repeats
-    out["inner_loops"] = loops
-    out["warmup"] = warmup
-    out["samples_s"] = samples
+    out = []
+    for loops, samples in calibrated:
+        stats = robust_stats(samples)
+        stats["repeats"] = repeats
+        stats["inner_loops"] = loops
+        stats["warmup"] = warmup
+        stats["samples_s"] = samples
+        out.append(stats)
     return out
+
+
+def measure(fn: Callable[[], object], *, quick: bool = False, **kwargs) -> dict:
+    """One calibrated measurement of *fn* (a no-argument callable).
+
+    The one-case form of the sampler :func:`run_suite` uses: *kwargs*
+    are its ``warmup`` / ``repeats`` / ``min_sample_s`` /
+    ``max_total_s``.  Returns the :func:`robust_stats` dict extended
+    with ``repeats``, ``inner_loops``, ``warmup`` and the raw per-call
+    ``samples_s``.
+    """
+    return _sample([fn], quick=quick, **kwargs)[0]
+
+
+def speedup(result: dict, slow: str, fast: str) -> float:
+    """How many times faster case *fast* ran than case *slow*.
+
+    *result* is one :func:`run_suite` payload.  The ratio is the median
+    over rounds of ``slow.samples_s[i] / fast.samples_s[i]``: both
+    samples of a round were taken back to back, so a host slowdown that
+    spans the round cancels out of it.  Raises :class:`ValueError` when
+    the two cases were not sampled in the same rounds — a ``runner``
+    case, or unequal sample counts.
+    """
+    paired = result.get("round_robin", ())
+    for name in (slow, fast):
+        if name not in paired:
+            raise ValueError(
+                f"case {name!r} was not sampled in the suite's rounds"
+            )
+    slow_s = result["cases"][slow]["samples_s"]
+    fast_s = result["cases"][fast]["samples_s"]
+    if len(slow_s) != len(fast_s):
+        raise ValueError(
+            f"cases {slow!r} and {fast!r} hold {len(slow_s)} and "
+            f"{len(fast_s)} samples; a ratio needs the same rounds"
+        )
+    return sample_quantile([s / f for s, f in zip(slow_s, fast_s)], 0.5)
 
 
 class BenchCase:
     """One named, parameterized benchmark case inside a suite.
 
     ``make`` runs the (untimed) setup and returns the no-argument
-    callable that :func:`measure` times; ``params`` documents the
-    workload shape in the result payload so baselines are only ever
-    compared like-for-like.
+    callable that :func:`run_suite` samples, round-robin with the
+    suite's other ``make`` cases; ``params`` documents the workload
+    shape in the result payload so baselines are only ever compared
+    like-for-like.
 
     Cases whose samples are not repeated calls of one closure — e.g.
     the ``server`` suite, where each sample is one request round trip
@@ -197,7 +258,8 @@ class BenchCase:
     taking the quick flag and returning a complete stats dict (at
     least the :func:`robust_stats` keys plus ``repeats`` /
     ``inner_loops`` / ``warmup`` / ``samples_s``, so the comparison
-    gate and formatters treat both kinds identically).
+    gate and formatters treat both kinds identically).  A runner case
+    runs whole, so :func:`speedup` cannot pair it with another case.
     """
 
     __slots__ = ("name", "make", "params", "runner")
@@ -240,7 +302,7 @@ def available_suites() -> list[str]:
     return list(_SUITES)
 
 
-def _clustered_layout(
+def clustered_layout(
     n: int,
     seed: int = 2,
     workers: int = 1,
@@ -284,11 +346,15 @@ def _layout_suite(quick: bool) -> list[BenchCase]:
     """Barnes-Hut relaxation steps (build + traverse) at several *n*."""
     sizes = (128, 512) if quick else (256, 1024, 4096)
 
-    def stepper(n: int):
+    def stepper(n: int, workers: int = 1, settle_steps: int = 5):
         def make():
             """Build the layout once; time whole relaxation steps."""
-            layout = _clustered_layout(n)
-            layout.step()  # warm tree/caches outside the timing
+            layout = clustered_layout(
+                n, workers=workers, settle_steps=settle_steps
+            )
+            # Warm the tree and caches (sharded: fork the pool and build
+            # the replicas) outside the timing.
+            layout.step()
             return layout.step
 
         return make
@@ -299,100 +365,102 @@ def _layout_suite(quick: bool) -> list[BenchCase]:
     ]
 
     # The sharded kernel's flagship case: 100k bodies split across 4
-    # worker processes (quick mode shrinks to 1024 bodies / 2 workers
-    # so CI smoke runs stay seconds, as the other suites do).
-    shard_n = 1024 if quick else 100_000
-    shard_workers = 2 if quick else 4
-
-    def sharded_stepper():
-        layout = _clustered_layout(
-            shard_n, workers=shard_workers, settle_steps=2
+    # worker processes (quick mode shrinks to 4,096 bodies so CI smoke
+    # runs stay seconds, as the other suites do), against the array
+    # kernel on the same graph.
+    shard_n = 4096 if quick else 100_000
+    shard_workers = 4
+    cases.append(
+        BenchCase(
+            "step_array_100k",
+            stepper(shard_n, settle_steps=2),
+            {"n": shard_n, "kernel": "array"},
         )
-        layout.step()  # fork the pool + build replicas outside timing
-        return layout.step
-
+    )
     cases.append(
         BenchCase(
             "step_sharded_100k",
-            sharded_stepper,
+            stepper(shard_n, workers=shard_workers, settle_steps=2),
             {"n": shard_n, "kernel": "sharded", "workers": shard_workers},
         )
     )
     return cases
 
 
-def _aggregation_trace(quick: bool):
-    """The scrub-loop workload: Grid'5000 when full, synthetic when quick."""
+def scrub_workload(quick: bool):
+    """The aggregation suite's scrub: ``(trace, grouping, slides, metrics)``.
+
+    The site-level (depth 2) grouping of Fig. 8 over the Grid'5000
+    master-worker run (quick: a small synthetic trace), and 40 slides
+    (full: 200) a tenth of the span wide, first to last.
+    """
+    from repro.core import TimeSlice
+    from repro.core.hierarchy import GroupingState, Hierarchy
+    from repro.trace import CAPACITY, USAGE
+
     if quick:
         from repro.trace.synthetic import random_hierarchical_trace
 
-        return random_hierarchical_trace(
+        trace = random_hierarchical_trace(
             n_sites=4, clusters_per_site=3, hosts_per_cluster=6, seed=5
         )
-    from repro.apps import paper_workload, run_master_worker
-    from repro.platform import grid5000_platform
-    from repro.simulation import UsageMonitor
+    else:
+        from repro.apps import paper_workload, run_master_worker
+        from repro.platform import grid5000_platform
+        from repro.simulation import UsageMonitor
 
-    platform = grid5000_platform()
-    app1, app2 = paper_workload(platform, tasks_per_worker=2.0)
-    monitor = UsageMonitor(platform)
-    run_master_worker(platform, [app1, app2], monitor=monitor)
-    return monitor.build_trace()
+        platform = grid5000_platform()
+        app1, app2 = paper_workload(platform, tasks_per_worker=2.0)
+        monitor = UsageMonitor(platform)
+        run_master_worker(platform, [app1, app2], monitor=monitor)
+        trace = monitor.build_trace()
+    grouping = GroupingState(Hierarchy.from_trace(trace))
+    grouping.collapse_depth(2)
+    start, end = trace.span()
+    width = (end - start) / 10.0
+    moves = 40 if quick else 200
+    step = (end - start - width) / (moves - 1)
+    slides = [
+        TimeSlice(start + i * step, start + i * step + width)
+        for i in range(moves)
+    ]
+    return trace, grouping, slides, [CAPACITY, USAGE]
 
 
 @_suite("aggregation")
 def _aggregation_suite(quick: bool) -> list[BenchCase]:
-    """The paper's interactive loop: time-slice scrubbing and cold views."""
-    from repro.core import AggregationEngine, TimeSlice
-    from repro.core.aggregation import aggregate_view
-    from repro.core.hierarchy import GroupingState, Hierarchy
-    from repro.trace import CAPACITY, USAGE
+    """The paper's interactive loop: time-slice scrubbing and cold views.
 
-    trace = _aggregation_trace(quick)
-    hierarchy = Hierarchy.from_trace(trace)
-    start, end = trace.span()
-    width = (end - start) / 10.0
-    moves = 16 if quick else 64
-    step = (end - start - width) / (moves - 1)
-    slices = [
-        TimeSlice(start + i * step, start + i * step + width)
-        for i in range(moves)
-    ]
-    metrics = [CAPACITY, USAGE]
+    Both cases slide back and forth over the same slides, one slide
+    per call, so no call jumps from the last slide back to the first:
+    ``scrub_move`` through one incremental engine, ``cold_view``
+    through the from-scratch ``aggregate_view`` oracle.
+    """
+    from repro.core import AggregationEngine
+    from repro.core.aggregation import aggregate_view
+
+    trace, grouping, slides, metrics = scrub_workload(quick)
+    # After slides[0]: up to the last slide, back down to the first.
+    back_and_forth = slides[1:] + slides[-2::-1]
+    shape = {"entities": len(trace), "moves": len(slides), "depth": 2}
 
     def make_scrub():
         """One engine kept across calls; each call is one slice move."""
-        grouping = GroupingState(hierarchy)
-        grouping.collapse_depth(2)  # the site-level view of Fig. 8
         engine = AggregationEngine(trace)
-        engine.view(grouping, slices[0], metrics=metrics)  # warm caches
-        state = {"i": 0}
-
-        def one_move():
-            """Advance to the next slice in the scripted slide loop."""
-            state["i"] = (state["i"] + 1) % len(slices)
-            return engine.view(grouping, slices[state["i"]], metrics=metrics)
-
-        return one_move
+        engine.view(grouping, slides[0], metrics=metrics)  # warm caches
+        order = itertools.cycle(back_and_forth)
+        return lambda: engine.view(grouping, next(order), metrics=metrics)
 
     def make_cold():
-        """Scalar full recomputation of the site-level view."""
-        grouping = GroupingState(hierarchy)
-        grouping.collapse_depth(2)
-
-        def one_view():
-            """One from-scratch aggregate_view over the whole span."""
-            return aggregate_view(trace, grouping, slices[0], metrics=metrics)
-
-        return one_view
+        """Each call recomputes the next slide's view from scratch."""
+        order = itertools.cycle(back_and_forth)
+        return lambda: aggregate_view(
+            trace, grouping, next(order), metrics=metrics
+        )
 
     return [
-        BenchCase(
-            "scrub_move",
-            make_scrub,
-            {"entities": len(trace), "moves": moves, "depth": 2},
-        ),
-        BenchCase("cold_view", make_cold, {"entities": len(trace), "depth": 2}),
+        BenchCase("scrub_move", make_scrub, shape),
+        BenchCase("cold_view", make_cold, shape),
     ]
 
 
@@ -457,67 +525,77 @@ def _render_suite(quick: bool) -> list[BenchCase]:
     return [BenchCase("svg_render", make, {"n_sites": n_sites})]
 
 
+def star_platform(n_workers: int):
+    """The sim suite's platform: a master and *n_workers* hosts, each
+    behind its own link to one switch."""
+    from repro.platform import Host, Link, Platform, Router
+
+    p = Platform("bench")
+    p.add_router(Router("switch"))
+    p.add_host(Host("m", 1e9, path=("bench", "m")))
+    p.add_link(Link("m-l", 1e9, path=("bench", "m-l")), "m", "switch")
+    for i in range(n_workers):
+        p.add_host(Host(f"w{i}", 1e9, path=("bench", f"w{i}")))
+        p.add_link(
+            Link(f"w{i}-l", 1e9, path=("bench", f"w{i}-l")),
+            f"w{i}",
+            "switch",
+        )
+    return p
+
+
+def master_worker_sim(n_workers: int, tasks: int):
+    """Build and run the sim suite's simulation; return the simulator.
+
+    The master scatters *tasks* rounds of work to every worker of
+    :func:`star_platform`; each worker receives and computes its tasks.
+    """
+    from repro.simulation import Simulator
+
+    sim = Simulator(star_platform(n_workers))
+
+    def worker(ctx):
+        """Receive *tasks* messages, computing for each."""
+        for _ in range(tasks):
+            message = yield ctx.recv(f"in-{ctx.host.name}")
+            yield ctx.execute(message.payload["flops"])
+
+    def master(ctx):
+        """Scatter *tasks* rounds of work to every worker."""
+        for _ in range(tasks):
+            for i in range(n_workers):
+                yield ctx.send(
+                    f"w{i}", 1e5, f"in-w{i}", payload={"flops": 1e6}
+                )
+
+    for i in range(n_workers):
+        sim.spawn(worker, f"w{i}", f"worker-{i}")
+    sim.spawn(master, "m", "master")
+    sim.run()
+    return sim
+
+
 @_suite("sim")
 def _sim_suite(quick: bool) -> list[BenchCase]:
     """One full small master/worker discrete-event simulation per call."""
-    from repro.platform import Host, Link, Platform, Router
-
     n_workers = 4 if quick else 16
     tasks = 2 if quick else 4
-
-    def make():
-        """Return a closure running a fresh simulation end to end."""
-
-        def build_platform():
-            """A star of *n_workers* hosts behind one switch."""
-            p = Platform("bench")
-            p.add_router(Router("switch"))
-            p.add_host(Host("m", 1e9, path=("bench", "m")))
-            p.add_link(Link("m-l", 1e9, path=("bench", "m-l")), "m", "switch")
-            for i in range(n_workers):
-                p.add_host(Host(f"w{i}", 1e9, path=("bench", f"w{i}")))
-                p.add_link(
-                    Link(f"w{i}-l", 1e9, path=("bench", f"w{i}-l")),
-                    f"w{i}",
-                    "switch",
-                )
-            return p
-
-        def run_once():
-            """Construct and run the whole simulation (the timed unit)."""
-            from repro.simulation import Simulator
-
-            p = build_platform()
-            sim = Simulator(p)
-
-            def worker(ctx):
-                """Receive *tasks* messages, computing for each."""
-                for _ in range(tasks):
-                    message = yield ctx.recv(f"in-{ctx.host.name}")
-                    yield ctx.execute(message.payload["flops"])
-
-            def master(ctx):
-                """Scatter *tasks* rounds of work to every worker."""
-                for _ in range(tasks):
-                    for i in range(n_workers):
-                        yield ctx.send(
-                            f"w{i}", 1e5, f"in-w{i}", payload={"flops": 1e6}
-                        )
-
-            for i in range(n_workers):
-                sim.spawn(worker, f"w{i}", f"worker-{i}")
-            sim.spawn(master, "m", "master")
-            return sim.run()
-
-        return run_once
-
     return [
         BenchCase(
             "master_worker",
-            make,
+            lambda: (lambda: master_worker_sim(n_workers, tasks)),
             {"workers": n_workers, "tasks_per_worker": tasks},
         )
     ]
+
+
+def store_trace(quick: bool):
+    """The store suite's trace: 3 sites x 3 clusters x 6 hosts (full:
+    6 x 4 x 10) of the synthetic hierarchical platform."""
+    from repro.trace.synthetic import random_hierarchical_trace
+
+    shape = (3, 3, 6) if quick else (6, 4, 10)
+    return random_hierarchical_trace(*shape, seed=11)
 
 
 @_suite("store")
@@ -535,17 +613,9 @@ def _store_suite(quick: bool) -> list[BenchCase]:
 
     from repro.trace.signalbank import SignalBank
     from repro.trace.store import open_store, write_store
-    from repro.trace.synthetic import random_hierarchical_trace
     from repro.trace.writer import write_trace
 
-    if quick:
-        trace = random_hierarchical_trace(
-            n_sites=2, clusters_per_site=2, hosts_per_cluster=4, seed=11
-        )
-    else:
-        trace = random_hierarchical_trace(
-            n_sites=4, clusters_per_site=3, hosts_per_cluster=8, seed=11
-        )
+    trace = store_trace(quick)
     scratch = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
     root = Path(scratch.name)
     store_path = root / "bench.rtrace"
@@ -618,6 +688,17 @@ def _store_suite(quick: bool) -> list[BenchCase]:
     ]
 
 
+def server_workload(quick: bool):
+    """The server suite's storm: ``(trace, moves)``, a synthetic
+    hierarchical trace of 6 sites x 4 clusters x 12 hosts and 12 scrub
+    moves per session (full: 12 x 6 x 24 and 24 moves)."""
+    from repro.trace.synthetic import random_hierarchical_trace
+
+    if quick:
+        return random_hierarchical_trace(6, 4, 12, seed=13), 12
+    return random_hierarchical_trace(12, 6, 24, seed=13), 24
+
+
 @_suite("server")
 def _server_suite(quick: bool) -> list[BenchCase]:
     """Multi-session server round trips: solo vs 8-way concurrency.
@@ -630,18 +711,12 @@ def _server_suite(quick: bool) -> list[BenchCase]:
     gate reads.  ``scrub_c8`` runs eight concurrent closed-loop
     sessions; the ROADMAP target is its p95 staying within 3x the
     ``scrub_solo`` p95 (asserted by ``benchmarks/test_server_load.py``).
+    After each storm its replies are byte-compared against one isolated
+    replay (``differential_ok``), outside the timed requests.
     """
     from repro.server.load import run_load
-    from repro.trace.synthetic import random_hierarchical_trace
 
-    if quick:
-        trace = random_hierarchical_trace(
-            n_sites=12, clusters_per_site=6, hosts_per_cluster=24, seed=13
-        )
-        moves = 16
-    else:
-        trace = _aggregation_trace(False)
-        moves = 48
+    trace, moves = server_workload(quick)
     # settle_steps=0: a scrub does not change the graph structure, so
     # the scrub-latency benchmark pins the layout at its radial seeds —
     # the measured work is aggregation + payload + transport, which is
@@ -657,6 +732,7 @@ def _server_suite(quick: bool) -> list[BenchCase]:
                 sessions=sessions,
                 moves=moves,
                 settle_steps=0,
+                differential=True,
                 keep_samples=True,
             )
             samples = report["latency"]["samples_s"]
@@ -671,6 +747,7 @@ def _server_suite(quick: bool) -> list[BenchCase]:
                 p99_s=sample_quantile(samples, 0.99),
                 throughput_rps=report["throughput_rps"],
                 cache_cross_hits=report["cache"]["cross_hits"],
+                differential_ok=report["differential"]["ok"],
             )
             return stats
 
@@ -690,17 +767,17 @@ def _server_suite(quick: bool) -> list[BenchCase]:
     ]
 
 
-def _causal_run(quick: bool):
-    """A master-worker run under the causal tracer: the bench workload
-    for the latency-analytics hot paths (full mode produces a >10k
-    causal-edge DAG so the band aggregation is measured at the scale
-    where per-message arrows stop being viable)."""
+def causal_run(workers: int, tasks: int):
+    """A master-worker run of *tasks* tasks over *workers* workers under
+    the causal tracer: the bench workload for the latency-analytics hot
+    paths (the causal suite's full mode, 16 workers and 3,400 tasks,
+    produces a >10k causal-edge DAG so the band aggregation is measured
+    at the scale where per-message arrows stop being viable)."""
     from repro.apps.masterworker import AppSpec, run_master_worker
     from repro.platform.cluster import add_cluster
     from repro.platform.topology import Platform
     from repro.simulation.tracing import CausalTracer
 
-    workers, tasks = (4, 60) if quick else (16, 3400)
     tracer = CausalTracer()
     platform = Platform()
     add_cluster(platform, "c", workers + 1)
@@ -726,12 +803,9 @@ def _causal_suite(quick: bool) -> list[BenchCase]:
     from repro.core.timeline import Timeline
     from repro.obs.latency import LatencyAttribution, propagation_paths
 
-    causal = _causal_run(quick)
-    shape = {
-        "workers": 4 if quick else 16,
-        "tasks": 60 if quick else 3400,
-        "edges": len(causal.edges),
-    }
+    workers, tasks = (4, 60) if quick else (16, 3400)
+    causal = causal_run(workers, tasks)
+    shape = {"workers": workers, "tasks": tasks, "edges": len(causal.edges)}
     timeline = Timeline.from_trace(causal.to_trace())
 
     def make_attribution():
@@ -769,24 +843,36 @@ def _causal_suite(quick: bool) -> list[BenchCase]:
 def run_suite(name: str, quick: bool | None = None, **measure_kwargs) -> dict:
     """Run every case of suite *name*; return the result payload.
 
-    The payload is the exact dict :func:`write_result` serializes:
-    ``schema``/``suite``/``quick``/``created_unix``/``machine`` plus a
-    ``cases`` mapping of case name to stats + params.
+    ``runner`` cases run in suite order.  The ``make`` cases are all
+    built, then calibrated and sampled together, round-robin, by the
+    sampler behind :func:`measure` (*measure_kwargs* are its settings),
+    so :func:`speedup` can pair any two of them round by round.  The
+    payload is the exact dict :func:`write_result` serializes:
+    ``schema``/``suite``/``quick``/``created_unix``/``machine``, a
+    ``cases`` mapping of case name to stats + params, and
+    ``round_robin``, the ``make`` cases in the order each round sampled
+    them.
     """
     if name not in _SUITES:
         raise KeyError(
             f"unknown bench suite {name!r} (have: {', '.join(_SUITES)})"
         )
     quick = quick_mode(quick)
-    cases = {}
-    for case in _SUITES[name](quick):
-        if case.runner is not None:
-            stats = case.runner(quick)
-        else:
-            fn = case.make()
-            stats = measure(fn, quick=quick, **measure_kwargs)
-        stats["params"] = case.params
-        cases[case.name] = stats
+    suite = _SUITES[name](quick)
+    stats = {
+        case.name: case.runner(quick)
+        for case in suite
+        if case.runner is not None
+    }
+    sampled = [case for case in suite if case.runner is None]
+    measured = _sample(
+        [case.make() for case in sampled], quick=quick, **measure_kwargs
+    )
+    stats.update(zip((case.name for case in sampled), measured))
+    cases = {
+        case.name: {**stats[case.name], "params": case.params}
+        for case in suite
+    }
     return {
         "schema": SCHEMA,
         "suite": name,
@@ -795,6 +881,7 @@ def run_suite(name: str, quick: bool | None = None, **measure_kwargs) -> dict:
         "argv": list(sys.argv),
         "machine": machine_fingerprint(),
         "cases": cases,
+        "round_robin": [case.name for case in sampled],
     }
 
 

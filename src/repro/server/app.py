@@ -8,8 +8,7 @@ subset on it:
 * ``GET /info`` — trace vitals (entities, kinds, metrics, span);
 * ``GET /stats`` — server / shared-cache / shared-structure counters;
 * ``GET /metrics`` — the whole metrics registry in Prometheus text
-  exposition format (:mod:`repro.obs.expo`); disable with
-  ``ServerConfig(metrics=False)``;
+  exposition format (:mod:`repro.obs.expo`);
 * ``GET /render?start=..&end=..[&depth=..]`` — a one-shot SVG tile of
   the requested slice, rendered by an ephemeral session;
 * ``GET /ws`` with an ``Upgrade: websocket`` header — the interactive
@@ -519,15 +518,12 @@ class ReproServer:
             return 200, _JSON, _json(self.state.info()), ""
         if path == "/stats":
             return 200, _JSON, _json(self.state.stats_payload()), ""
-        if path == "/metrics" and self.config.metrics:
+        if path == "/metrics":
             from repro.obs.expo import PROM_CONTENT_TYPE, render_prometheus
 
             return (
                 200, PROM_CONTENT_TYPE, render_prometheus().encode("utf-8"), ""
             )
-        if path == "/metrics":
-            body = _json({"error": "metrics exposition is disabled"})
-            return 404, _JSON, body, "bad_request"
         if path == "/render":
             return self._render(dict(urllib.parse.parse_qsl(parts.query)))
         body = _json({"error": f"no route {path!r}"})

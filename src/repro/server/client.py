@@ -239,10 +239,9 @@ async def scrape_breakdown(host: str, port: int) -> dict | None:
     Returns ``{op: (bounds, (bucket_counts, count, sum))}``, the
     arguments :func:`~repro.obs.registry.latency_summary` takes, as
     :meth:`~repro.server.telemetry.ServerTelemetry.breakdown` passes
-    them in-process; ``None`` when the endpoint is unavailable
-    (``--no-metrics``).  Two scrapes bracketing a run subtract into the
-    run's own latency summary.  A malformed body raises
-    :class:`ValueError`.
+    them in-process; ``None`` for a reply other than 200 OK.  Two
+    scrapes bracketing a run subtract into the run's own latency
+    summary.  A malformed body raises :class:`ValueError`.
     """
     from repro.obs.expo import histogram_series, parse_exposition, prom_name
     from repro.server.telemetry import REQUEST_HISTOGRAM

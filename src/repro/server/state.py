@@ -67,9 +67,6 @@ class ServerConfig:
     #: Path of the JSONL access log (one object per request); ``None``
     #: disables it.  CLI flag ``--access-log``.
     access_log: str | None = None
-    #: Serve ``GET /metrics`` (Prometheus text exposition).  CLI flag
-    #: ``--metrics/--no-metrics``.
-    metrics: bool = True
 
 
 class SessionState:

@@ -214,13 +214,15 @@ class SignalBank:
         t = self._check_time(t)
         times, starts, lengths = self.times, self.offsets[:-1], self.lengths
         rounds = 0
-        # Forward: cursor index counts breakpoints <= t.
+        if not times.size:  # no breakpoints: every cursor sits at 0
+            return rounds
+        # Forward: cursor index counts breakpoints <= t.  Rows that
+        # cannot move read breakpoint 0, which exists, and stay put.
         while True:
             can = idx < lengths
-            if can.any():
-                j = np.where(can, starts + idx, 0)
-                np.logical_and(can, times[j] <= t, out=can)
-            if not can.any():
+            j = np.where(can, starts + idx, 0)
+            np.logical_and(can, times[j] <= t, out=can)
+            if not np.count_nonzero(can):
                 break
             idx[can] += 1
             rounds += 1
@@ -230,10 +232,9 @@ class SignalBank:
         # cursor API does not assume that).
         while True:
             can = idx > 0
-            if can.any():
-                j = np.where(can, starts + idx - 1, 0)
-                np.logical_and(can, times[j] > t, out=can)
-            if not can.any():
+            j = np.where(can, starts + idx - 1, 0)
+            np.logical_and(can, times[j] > t, out=can)
+            if not np.count_nonzero(can):
                 break
             idx[can] -= 1
             rounds += 1

@@ -129,6 +129,29 @@ class TestRunSuite:
         assert stats["median_s"] == 0.25
         assert stats["params"] == {"sessions": 2}
 
+    def test_cases_are_sampled_round_robin(self, monkeypatch):
+        """After each case's warmup and calibration, every round calls
+        each case once per inner loop, in suite order."""
+        calls: list[str] = []
+
+        def fake_suite(quick):
+            return [
+                bench.BenchCase(name, lambda name=name: (
+                    lambda: calls.append(name)))
+                for name in ("a", "b")
+            ]
+
+        monkeypatch.setitem(bench._SUITES, "fake", fake_suite)
+        payload = bench.run_suite(
+            "fake", quick=True, warmup=1, repeats=4, min_sample_s=0.0
+        )
+        # warmup + calibration of a, then of b; then 3 alternating rounds.
+        assert calls == ["a", "a", "b", "b"] + ["a", "b"] * 3
+        assert payload["round_robin"] == ["a", "b"]
+        for name in ("a", "b"):
+            assert payload["cases"][name]["inner_loops"] == 1
+            assert len(payload["cases"][name]["samples_s"]) == 4
+
     def test_quick_payload_shape_is_deterministic(self):
         """Two quick runs: same schema, same case names, same params —
         only the measured numbers may differ."""
@@ -168,6 +191,56 @@ class TestRunSuite:
         path.write_text('{"kernels": {}}')
         with pytest.raises(ValueError, match="not a repro-bench result"):
             bench.load_result(path)
+
+
+class TestSpeedup:
+    @staticmethod
+    def payload(slow, fast, paired=("slow", "fast")) -> dict:
+        """A hand-built suite payload holding two cases' samples."""
+        return {
+            "cases": {
+                "slow": {"samples_s": slow},
+                "fast": {"samples_s": fast},
+            },
+            "round_robin": list(paired),
+        }
+
+    def test_median_of_per_round_ratios(self):
+        # Per-round ratios 2, 5, 3: the median is 3, while the ratio
+        # of the medians (4.0 / 1.0) would read 4.
+        result = self.payload([4.0, 5.0, 3.0], [2.0, 1.0, 1.0])
+        assert bench.speedup(result, "slow", "fast") == 3.0
+
+    def test_even_round_count_interpolates(self):
+        result = self.payload([2.0, 4.0], [1.0, 1.0])
+        assert bench.speedup(result, "slow", "fast") == 3.0
+
+    def test_runner_case_refused(self):
+        result = self.payload([2.0, 4.0], [1.0, 1.0], paired=("slow",))
+        with pytest.raises(ValueError, match="'fast'"):
+            bench.speedup(result, "slow", "fast")
+
+    def test_runner_case_of_a_suite_run_refused(self, monkeypatch):
+        def runner(quick):
+            return {"median_s": 1.0, "samples_s": [1.0, 1.0, 1.0]}
+
+        def fake_suite(quick):
+            return [
+                bench.BenchCase("made", lambda: (lambda: None)),
+                bench.BenchCase("storm", runner=runner),
+            ]
+
+        monkeypatch.setitem(bench._SUITES, "fake", fake_suite)
+        result = bench.run_suite("fake", quick=True, repeats=3,
+                                 min_sample_s=0.0)
+        assert result["round_robin"] == ["made"]
+        with pytest.raises(ValueError, match="rounds"):
+            bench.speedup(result, "storm", "made")
+
+    def test_unequal_sample_counts_refused(self):
+        result = self.payload([2.0, 4.0, 3.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="same rounds"):
+            bench.speedup(result, "slow", "fast")
 
 
 # ----------------------------------------------------------------------

@@ -514,16 +514,14 @@ class TestServe:
         assert args.max_sessions == 64
         assert not args.selfcheck
         assert args.access_log is None
-        assert args.metrics is True
         assert args.self_trace is None
 
     def test_parser_observability_flags(self):
         args = build_parser().parse_args(
             ["serve", "t.trace", "--access-log", "a.jsonl",
-             "--no-metrics", "--self-trace", "self.trace"]
+             "--self-trace", "self.trace"]
         )
         assert str(args.access_log) == "a.jsonl"
-        assert args.metrics is False
         assert str(args.self_trace) == "self.trace"
 
     def test_selfcheck_exercises_observability(self, grid_file, capsys):

@@ -357,15 +357,6 @@ class TestMetricsEndpoint:
 
         _run_live(scenario)
 
-    def test_no_metrics_flag_turns_the_endpoint_off(self):
-        config = ServerConfig(settle_steps=0, metrics=False)
-        with ReproServer(figure3_trace(), config) as server:
-            status, _ = asyncio.run(
-                http_get(config.host, server.port, "/metrics")
-            )
-            assert status == 404
-            assert server.state.stats["errors.bad_request"] >= 1
-
 
 class TestHealthz:
     def test_readiness_payload(self):
