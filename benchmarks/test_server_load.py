@@ -68,7 +68,7 @@ def test_concurrent_p95_within_factor_of_solo(report):
 
 def test_shared_cache_carries_the_wave(report):
     """Within one concurrent wave, exactly one session computes each
-    (slice, grouping, metric) triple; the rest hit the cache."""
+    (slice, grouping, metrics) view; the rest hit the cache."""
     trace, moves = bench.server_workload(QUICK)
     sessions = 4
     result = run_load(
@@ -77,7 +77,7 @@ def test_shared_cache_carries_the_wave(report):
     cache = result["cache"]
     # Every lookup resolves: hits + misses == lookups.
     assert cache["hits"] + cache["misses"] == cache["lookups"]
-    # Each distinct triple is computed once (a put), and consumed by
+    # Each distinct view is computed once (a put), and consumed by
     # the other sessions as hits: with S sessions replaying the same
     # storm, hits ≈ (S - 1) * puts.
     assert cache["puts"] > 0

@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0,
                        help="layout determinism seed for every session")
     serve.add_argument("--cache-entries", type=int, default=4096,
-                       help="shared result-cache capacity")
+                       help="shared result-cache capacity, in metric "
+                       "results held (a four-metric view takes four)")
     serve.add_argument("--selfcheck", action="store_true",
                        help="run a small in-process concurrent load with "
                        "the differential check, then exercise /metrics and "

@@ -19,9 +19,11 @@ directly) from one cache per concept:
   canonical grouping token
   (:attr:`~repro.core.hierarchy.GroupingState.state_key`); every view
   looks its structure up there, so a slice move never rebuilds one;
-* **combined unit values** — the optional result cache, keyed on
-  ``(slice.as_tuple(), grouping.state_key, metric)``: one read-only
-  float64 array per key in the structure's per-metric unit order.
+* **combined unit values** — the optional result cache, one entry per
+  view keyed on ``(slice.as_tuple(), grouping.state_key, metrics)``:
+  one read-only float64 array holding each metric's combined values
+  back to back, each in the structure's per-metric unit order, weighed
+  by its number of metrics.
 
 A single-user session has no result cache: a repeated view re-runs
 only the spatial combine, because its :class:`SliceCache` already
@@ -544,13 +546,16 @@ class AggregationEngine:
     result_cache:
         An optional process-wide result cache shared with other
         engines (duck-typed ``get(key, requester=...)`` /
-        ``put(key, value, owner=...)``, e.g.
-        :class:`repro.server.cache.SharedResultCache`).  Keys are
-        ``(slice.as_tuple(), grouping.state_key, metric)``; values are
-        read-only float64 arrays in the structure's per-metric unit
-        order, read back through the unit structure of the same
-        ``state_key`` — a private format only this class reads and
-        writes.
+        ``put(key, value, owner=..., weight=...)``, e.g.
+        :class:`repro.server.cache.SharedResultCache`).  One lookup and
+        at most one put per view, keyed on ``(slice.as_tuple(),
+        grouping.state_key, metrics)`` with the view's metric names as
+        a tuple and weighed by their number; a view with no metrics
+        makes neither.  A value is one read-only float64 array holding
+        each metric's values back to back, each in the structure's
+        per-metric unit order, read back through the unit structure of
+        the same ``state_key`` — a private format only this class reads
+        and writes.
     cache_owner:
         Identity reported to the result cache so cross-session hits
         (one session consuming work another session paid for) are
@@ -599,41 +604,54 @@ class AggregationEngine:
         return cache
 
     def _unit_values(
-        self, metric: str, structure: _Structure, tslice: TimeSlice
+        self, metrics: tuple, structure: _Structure, tslice: TimeSlice
     ) -> np.ndarray:
-        """Combined value per unit for one metric.
+        """Combined values per unit of every metric of one view.
 
-        A read-only float64 array in *structure*'s per-metric unit
-        order (see :meth:`_Structure.metric_layout`), served from the
-        result cache when it holds the key and put into it otherwise.
+        One read-only float64 array holding each metric's values back
+        to back, each in *structure*'s per-metric unit order (see
+        :meth:`_Structure.metric_layout`), served from the result cache
+        when it holds the view's key and put into it otherwise, weighed
+        by the number of metrics.  Non-finite values (a slice so wide
+        its integrals overflow) raise :class:`AggregationError` and are
+        never cached.
         """
-        slices = self._slice_cache(metric)
         cache = self.result_cache
-        cache_key = (tslice.as_tuple(), structure.key, metric)
+        cache_key = (tslice.as_tuple(), structure.key, metrics)
         if cache is not None:
             cached = cache.get(cache_key, requester=self.cache_owner)
             if cached is not None:
                 # Some session — maybe this one — already combined this
-                # exact (slice, grouping, metric) triple.  It is aligned
+                # exact (slice, grouping, metrics) view.  It is aligned
                 # with any structure built for the same grouping token,
                 # not just the one it was computed against.
                 self.stats["shared_hits"] += 1
                 return cached
-        means = slices.means(tslice)
-        with span("agg.spatial"):
-            rows, spans, _ = structure.metric_layout(metric)
-            # Each unit sums its members in member order, as a 1-D
-            # np.add.reduce would (np.add.reduceat's blocked inner loop
-            # sums in another order).  From eight members on numpy sums
-            # pairwise, so the oracle's left-to-right sum agrees to
-            # roundoff only.
-            values = _combine(means[rows], spans)
-            # Handed out by reference (result cache, other sessions):
-            # frozen like the slice means.
-            values.setflags(write=False)
-        self.stats["combine_full"] += 1
+        parts = []
+        for metric in metrics:
+            means = self._slice_cache(metric).means(tslice)
+            with span("agg.spatial"):
+                rows, spans, _ = structure.metric_layout(metric)
+                # Each unit sums its members in member order, as a 1-D
+                # np.add.reduce would (np.add.reduceat's blocked inner
+                # loop sums in another order).  From eight members on
+                # numpy sums pairwise, so the oracle's left-to-right sum
+                # agrees to roundoff only.
+                parts.append(_combine(means[rows], spans))
+            self.stats["combine_full"] += 1
+        values = np.concatenate(parts)
+        if np.count_nonzero(np.isfinite(values)) < values.size:
+            raise AggregationError(
+                f"slice [{tslice.start!r}, {tslice.end!r}] gives "
+                f"non-finite values"
+            )
+        # Handed out by reference (result cache, other sessions): frozen
+        # like the slice means.
+        values.setflags(write=False)
         if cache is not None:
-            cache.put(cache_key, values, owner=self.cache_owner)
+            cache.put(
+                cache_key, values, owner=self.cache_owner, weight=len(metrics)
+            )
             self.stats["shared_puts"] += 1
         return values
 
@@ -649,14 +667,21 @@ class AggregationEngine:
         ``aggregate_view(trace, grouping, tslice, metrics)``.
         """
         structure = self.shared.structure(grouping)
-        metric_names = (
-            list(metrics) if metrics is not None else self.trace.metric_names()
+        metric_names = tuple(
+            metrics if metrics is not None else self.trace.metric_names()
         )
         per_metric = []
-        for metric in metric_names:
-            combined = self._unit_values(metric, structure, tslice)
-            slots = structure.metric_layout(metric)[2]
-            per_metric.append((metric, combined.tolist(), slots.tolist()))
+        if metric_names:
+            combined = self._unit_values(metric_names, structure, tslice)
+            at = 0
+            for metric in metric_names:
+                _, spans, slots = structure.metric_layout(metric)
+                # The metric's part: one value per unit carrying it.
+                width = spans[-1][2] if spans else 0
+                per_metric.append(
+                    (metric, combined[at:at + width].tolist(), slots.tolist())
+                )
+                at += width
         units: dict[str, AggregatedUnit] = {}
         for i, key in enumerate(structure.unit_order):
             values: dict[str, float] = {}

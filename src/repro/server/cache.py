@@ -2,13 +2,21 @@
 
 One :class:`SharedResultCache` instance is shared by every session's
 :class:`~repro.core.aggengine.AggregationEngine` in a server process.
-Keys are ``(slice.as_tuple(), grouping.state_key, metric)`` — built
-entirely from *canonical* tokens, so two different sessions scrubbing
-to the same slice under the same collapsed groups produce the **same**
-key and hit each other's combined per-unit values: read-only float64
-arrays in the structure's per-metric unit order, a format private to
+The engine keeps one entry per view, keyed on ``(slice.as_tuple(),
+grouping.state_key, metrics)`` — built entirely from *canonical*
+tokens, so two different sessions viewing the same metrics at the same
+slice under the same collapsed groups produce the **same** key and hit
+each other's combined per-unit values: one read-only float64 array per
+view, each metric's values back to back in the structure's per-metric
+unit order, a format private to
 :class:`~repro.core.aggengine.AggregationEngine`.  Writing into one
 raises (``tests/test_session_isolation.py``).
+
+Capacity is counted in *metric results*: an entry weighs its number of
+metrics, and the LRU evicts whole entries, oldest first, until the
+summed weight is within ``max_entries`` again.  The default 4,096 thus
+holds 1,024 four-metric views, and :meth:`SharedResultCache.snapshot`
+reports occupancy (``size``) in the same unit.
 
 Invalidation is *structural*, not imperative: a grouping change bumps
 ``GroupingState.revision``, which recomputes ``state_key``, which
@@ -45,18 +53,20 @@ _ANSWERS = ("shared", "local", "fresh")
 
 
 class SharedResultCache:
-    """A thread-safe LRU cache of combined per-unit aggregation values.
+    """A thread-safe, weighted LRU cache of combined per-unit values.
 
-    The cache stores values opaquely; the aggregation engine puts
-    read-only float64 arrays in the structure's per-metric unit order.
+    The cache stores values opaquely; the aggregation engine puts one
+    read-only float64 array per view, weighed by its number of metrics.
 
     Parameters
     ----------
     max_entries:
-        LRU capacity; the least-recently-used entry is evicted past it.
-        Eviction never changes results — only costs a recompute — which
-        the property tests verify by differencing against an unbounded
-        twin.
+        LRU capacity, in summed entry weight (metric results held):
+        least-recently-used entries are evicted while the weight held
+        exceeds it, but never the entry just put, so one entry heavier
+        than the capacity stays alone.  Eviction never changes results
+        — only costs a recompute — which the property tests verify by
+        differencing against an unbounded twin.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -64,10 +74,13 @@ class SharedResultCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        #: key -> (value, owner); insertion order is recency order.
-        self._entries: "OrderedDict[Hashable, tuple[Any, str | None]]" = (
+        #: key -> (value, owner, weight); insertion order is recency
+        #: order.
+        self._entries: "OrderedDict[Hashable, tuple[Any, str | None, int]]" = (
             OrderedDict()
         )
+        #: summed weight of the entries held
+        self._weight = 0
         #: requester -> its most shared answer since its last take_tier
         self._answers: dict[str, str] = {}
         #: traffic counters, a :class:`repro.obs.StatGroup` registered
@@ -99,7 +112,7 @@ class SharedResultCache:
                 return None
             self._entries.move_to_end(key)
             self.stats["hits"] += 1
-            value, owner = entry
+            value, owner, _ = entry
             if (
                 owner is not None
                 and requester is not None
@@ -125,8 +138,18 @@ class SharedResultCache:
         with self._lock:
             return self._answers.pop(requester, None)
 
-    def put(self, key: Hashable, value: Any, owner: str | None = None) -> None:
+    def put(
+        self,
+        key: Hashable,
+        value: Any,
+        owner: str | None = None,
+        weight: int = 1,
+    ) -> None:
         """Store *value* under *key*, attributed to session *owner*.
+
+        The entry weighs *weight* (the engine's number of metrics)
+        against ``max_entries``; older entries are evicted whole until
+        the weight held fits, always keeping this one.
 
         If the key is already present (two sessions raced on the same
         miss and both computed) the **first** entry wins: keys are
@@ -139,13 +162,16 @@ class SharedResultCache:
                 self._entries.move_to_end(key)
                 self.stats["updates"] += 1
                 return
-            self._entries[key] = (value, owner)
+            self._entries[key] = (value, owner, weight)
+            self._weight += weight
             self.stats["puts"] += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            while self._weight > self.max_entries and len(self._entries) > 1:
+                _, (_, _, dropped) = self._entries.popitem(last=False)
+                self._weight -= dropped
                 self.stats["evictions"] += 1
 
     def __len__(self) -> int:
+        """The number of entries held (views, not metric results)."""
         with self._lock:
             return len(self._entries)
 
@@ -154,8 +180,10 @@ class SharedResultCache:
             return key in self._entries
 
     def snapshot(self) -> dict[str, int]:
-        """Counters plus the current entry count, as one plain dict."""
+        """Counters plus the occupancy ``size`` — the summed weight
+        held, in metric results like ``max_entries`` — as one plain
+        dict."""
         with self._lock:
             out = dict(self.stats)
-            out["size"] = len(self._entries)
+            out["size"] = self._weight
             return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.core.aggengine import SharedTraceData
 from repro.core.session import AnalysisSession
-from repro.errors import HierarchyError, ReproError
+from repro.errors import AggregationError, HierarchyError, ReproError
 from repro.obs.registry import registry
 from repro.server.cache import SharedResultCache
 from repro.server.protocol import (
@@ -62,7 +62,8 @@ class ServerConfig:
     #: Layout determinism seed given to every session (and to the
     #: differential oracle).
     seed: int = 0
-    #: Capacity of the shared result cache.
+    #: Capacity of the shared result cache, in metric results held
+    #: (a view of four metrics takes four).
     cache_entries: int = 4096
     #: Path of the JSONL access log (one object per request); ``None``
     #: disables it.  CLI flag ``--access-log``.
@@ -161,8 +162,14 @@ class SessionState:
             raise ProtocolError(
                 "bad_slice", f"slice end {end} precedes start {start}"
             )
+        previous = self.session.time_slice
         self.session.set_time_slice(start, end)
-        return self._view_result()
+        try:
+            return self._view_result()
+        except AggregationError as err:
+            # The integrals overflowed: keep the slice the session had.
+            self.session.set_time_slice(previous.start, previous.end)
+            raise ProtocolError("bad_slice", str(err)) from None
 
     def _op_group(self, msg: dict) -> dict:
         """Collapse the group at ``path``; returns the view payload."""
@@ -225,11 +232,13 @@ class SessionState:
         return {"svg": markup, "nodes": len(view)}
 
     def _op_stats(self, msg: dict) -> dict:
-        """Per-session counters (moves, aggregation-engine stats)."""
+        """Per-session counters (moves, aggregation-engine stats and the
+        layout's repulsion counts, which repeat for a given seed)."""
         return {
             "session": self.session_id,
             "moves": self.moves,
             "agg": dict(self.session.aggregation_stats),
+            "layout": dict(self.session.dynamic.stats),
         }
 
     def _op_stats_stream(self, msg: dict) -> dict:

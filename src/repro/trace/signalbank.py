@@ -264,7 +264,7 @@ class SignalBank:
         v_start = self.values_at(start, idx_start)
         out = v_start * (end - start)  # same-segment rows: exact
         cross = idx_start < idx_end
-        if cross.any():
+        if np.count_nonzero(cross):
             starts = self.offsets[:-1]
             j_first = (starts + idx_start)[cross]  # first breakpoint > start
             j_last = (starts + idx_end - 1)[cross]  # last breakpoint <= end

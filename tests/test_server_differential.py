@@ -195,6 +195,30 @@ class TestFixedSliceRegrouping:
             ]
 
 
+class TestStatsOp:
+    def test_layout_counts_equal_the_local_replay(self, trace):
+        """The ``stats`` op's ``layout`` counts repeat for a seed: a
+        server session that shares its structures and result cache with
+        another session reports, after the same ops, the counts of its
+        isolated ``SessionState.local`` replay."""
+        server = SharedServerState(trace, ServerConfig(settle_steps=2))
+        other, state = server.create_session(), server.create_session()
+        local = SessionState.local(trace, settle_steps=2)
+        storm = make_storm(
+            trace.span(), moves=20, seed=5,
+            group_paths=default_group_paths(trace),
+        )
+        for move in storm:
+            other.apply(dict(move))  # puts first, so `state` hits
+            state.apply(dict(move))
+            local.apply(dict(move))
+        assert server.cache.stats["cross_hits"] > 0
+        got = state.apply({"op": "stats"})["layout"]
+        assert got == local.apply({"op": "stats"})["layout"]
+        assert set(got) == {"evals", "builds", "cells", "p2p_pairs"}
+        assert got["evals"] > 0
+
+
 class TestStormDeterminism:
     def test_same_seed_same_storm(self, trace):
         span = trace.span()

@@ -1,12 +1,14 @@
 """Resident memory of the server's shared aggregation state.
 
 A server process keeps one trace resident and, in its shared result
-cache, one combined value set per (slice, grouping, metric) it has
-served.  Scrubbing fills that cache to capacity, so what one entry
-costs, times the capacity, is memory every server process holds.
-Entries are read-only float64 arrays in the structure's per-metric
-unit order; a name-keyed ``{unit: float}`` dict per entry retains more
-than twice as much on this scenario.
+cache, one entry per (slice, grouping, metrics) view it has served.
+Scrubbing fills that cache to capacity, so what one entry costs, times
+the entries the capacity holds, is memory every server process holds.
+An entry is one read-only float64 array of every metric's values back
+to back, each in the structure's per-metric unit order, and weighs its
+number of metrics against the capacity.  One entry per metric of a view
+retains about 2 MB on this scenario, a name-keyed ``{unit: float}`` dict
+per metric more than twice that.
 
 Three more bounds pin the entity tables.  Opening a store decodes its
 table from arrays, so the open's peak stays near what it keeps.  Per
@@ -32,11 +34,11 @@ from tests.test_store_differential import grid_trace  # noqa: F401 (fixture)
 
 #: Distinct slide windows scrubbed at site/cluster depth 2.
 SCRUBS = 1100
-#: Result-cache capacity, the server default.
+#: Result-cache capacity in metric results, the server default.
 CACHE_ENTRIES = 4096
-#: Allowed growth of traced memory once the cache is full; array entries
-#: retain about 2 MB here.
-RETAINED_BOUND_MB = 3
+#: Allowed growth of traced memory once the cache is full; one entry
+#: per view retains 1.03 MB here, one per metric 2.04 MB.
+RETAINED_BOUND_MB = 1.5
 
 
 def test_full_result_cache_stays_under_bound(grid_trace):  # noqa: F811
@@ -66,7 +68,9 @@ def test_full_result_cache_stays_under_bound(grid_trace):  # noqa: F811
     n_metrics = len(grid_trace.metric_names())
     assert cache.stats["hits"] == 0
     assert len(session.view(settle=False).aggregated.units) == 41
-    assert len(cache) == CACHE_ENTRIES < (SCRUBS + 1) * n_metrics
+    assert n_metrics == 4 and SCRUBS + 1 > CACHE_ENTRIES // n_metrics
+    assert len(cache) == CACHE_ENTRIES // n_metrics == 1024
+    assert cache.snapshot()["size"] == CACHE_ENTRIES
     assert (after - before) / 2**20 < RETAINED_BOUND_MB
 
 

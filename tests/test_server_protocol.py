@@ -161,6 +161,9 @@ BATTERY = [
     ({"op": "scrub", "start": math.nan, "end": 1.0}, "bad_slice"),
     ({"op": "scrub", "start": 0.9, "end": 0.1}, "bad_slice"),
     ({"op": "scrub", "start": True, "end": 1.0}, "bad_slice"),
+    # Finite bounds whose integrals overflow: refused, slice kept.
+    ({"op": "scrub", "start": 1e300, "end": 1e308}, "bad_slice"),
+    ({"op": "scrub", "start": -1e308, "end": 1e308}, "bad_slice"),
     ({"op": "group", "path": ["nope", "nada"]}, "unknown_group"),
     ({"op": "group", "path": "GroupA"}, "bad_request"),
     ({"op": "group", "path": []}, "bad_request"),

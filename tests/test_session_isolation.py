@@ -77,19 +77,19 @@ class TestFrozenSliceMeans:
 
     def test_cached_unit_values_are_read_only(self, trace):
         """A value the result cache serves — here to the session that
-        did not compute it — is a frozen float64 array."""
+        did not compute it — is one frozen float64 array per view."""
         a, b, cache = shared_pair(trace)
         a.view(settle_steps=0)
         b.view(settle_steps=0)
         assert cache.stats["cross_hits"] > 0
-        for metric in trace.metric_names():
-            key = (b.time_slice.as_tuple(), b.grouping.state_key, metric)
-            values = cache.get(key, requester="b")
-            assert isinstance(values, np.ndarray)
-            assert values.dtype == np.float64 and values.size > 0
-            assert values.flags.writeable is False
-            with pytest.raises(ValueError, match="read-only"):
-                values[0] = 1e9
+        metrics = tuple(trace.metric_names())
+        key = (b.time_slice.as_tuple(), b.grouping.state_key, metrics)
+        values = cache.get(key, requester="b")
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64 and values.size > len(metrics)
+        assert values.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1e9
 
 
 class TestEvictionRebuild:
