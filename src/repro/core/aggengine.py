@@ -386,8 +386,9 @@ class SharedTraceData:
       visited, keyed on the canonical
       :attr:`~repro.core.hierarchy.GroupingState.state_key` token (two
       sessions with the same collapsed groups share one structure);
-    * the hierarchical radial layout seeds per grouping token (the
-      quadtree seeding of Section 3.3), one float64 array each.
+    * the radial layout seeds per grouping token (the hierarchical
+      arcs of :func:`~repro.core.layout.seeding.radial_seed_array`),
+      one float64 array each.
 
     Everything stored here is immutable once built, so readers take no
     lock; the lock only serializes construction.  A plain single-user
@@ -582,6 +583,9 @@ class AggregationEngine:
             cache_owner if cache_owner is not None else f"engine-{id(self):x}"
         )
         self._slice_caches: dict[str, SliceCache] = {}
+        # A default view's metrics, and its result-cache key's: one
+        # tuple per engine, since a loaded trace's metrics never change.
+        self._all_metrics = tuple(trace.metric_names())
         #: decision counters, mirroring ``ForceLayout.stats``; a
         #: :class:`repro.obs.StatGroup` registered process-wide under
         #: the ``agg`` namespace
@@ -628,17 +632,20 @@ class AggregationEngine:
                 self.stats["shared_hits"] += 1
                 return cached
         parts = []
-        for metric in metrics:
-            means = self._slice_cache(metric).means(tslice)
-            with span("agg.spatial"):
-                rows, spans, _ = structure.metric_layout(metric)
-                # Each unit sums its members in member order, as a 1-D
-                # np.add.reduce would (np.add.reduceat's blocked inner
-                # loop sums in another order).  From eight members on
-                # numpy sums pairwise, so the oracle's left-to-right sum
-                # agrees to roundoff only.
-                parts.append(_combine(means[rows], spans))
-            self.stats["combine_full"] += 1
+        # A slice so wide that its integrals overflow is refused below,
+        # so NumPy need not warn about the overflow as well.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for metric in metrics:
+                means = self._slice_cache(metric).means(tslice)
+                with span("agg.spatial"):
+                    rows, spans, _ = structure.metric_layout(metric)
+                    # Each unit sums its members in member order, as a
+                    # 1-D np.add.reduce would (np.add.reduceat's blocked
+                    # inner loop sums in another order).  From eight
+                    # members on numpy sums pairwise, so the oracle's
+                    # left-to-right sum agrees to roundoff only.
+                    parts.append(_combine(means[rows], spans))
+                self.stats["combine_full"] += 1
         values = np.concatenate(parts)
         if np.count_nonzero(np.isfinite(values)) < values.size:
             raise AggregationError(
@@ -667,8 +674,8 @@ class AggregationEngine:
         ``aggregate_view(trace, grouping, tslice, metrics)``.
         """
         structure = self.shared.structure(grouping)
-        metric_names = tuple(
-            metrics if metrics is not None else self.trace.metric_names()
+        metric_names = (
+            tuple(metrics) if metrics is not None else self._all_metrics
         )
         per_metric = []
         if metric_names:

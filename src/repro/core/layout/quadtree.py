@@ -13,8 +13,10 @@ children``) built level-by-level with vectorized group-bys, and forces
 are evaluated with a frontier traversal over blocks of about
 :data:`BLOCK_BODIES` bodies (each round expands every (body, cell) pair
 of the block whose cell fails the opening criterion into its
-children), so the traversal's memory does not grow with n.  Its exact
-oracle is the O(n^2) :class:`~repro.core.layout.naive.NaiveLayout`,
+children), so the traversal's memory does not grow with n.  A block's
+leaf hits become body pairs :data:`LEAF_CHUNK` hits at a time, so its
+leaf phase does not hold every pair of the block at once either.  Its
+exact oracle is the O(n^2) :class:`~repro.core.layout.naive.NaiveLayout`,
 which ``theta == 0`` reproduces.
 """
 
@@ -26,7 +28,9 @@ import numpy as np
 
 from repro.errors import LayoutError
 
-__all__ = ["ArrayQuadTree", "MAX_DEPTH", "BLOCK_BODIES", "root_cell"]
+__all__ = [
+    "ArrayQuadTree", "MAX_DEPTH", "BLOCK_BODIES", "LEAF_CHUNK", "root_cell",
+]
 
 #: Stop subdividing past this depth; co-located bodies share a leaf.
 MAX_DEPTH = 32
@@ -37,6 +41,13 @@ MAX_DEPTH = 32
 #: twice as many), because every block pays each traversal round's
 #: fixed NumPy overhead, however few bodies it holds.
 BLOCK_BODIES = 256
+
+#: Leaf hits, the (body, leaf cell) pairs a block's sweep collects,
+#: that :meth:`ArrayQuadTree.forces` expands into body pairs at a
+#: time: the leaf phase holds one chunk's pair arrays plus each pair's
+#: slot and weights, instead of about ten arrays as long as every pair
+#: of the block.
+LEAF_CHUNK = 2048
 
 #: Squared distance under which two bodies count as co-located and get
 #: the deterministic separation kick instead of a diverging force.
@@ -287,7 +298,10 @@ class ArrayQuadTree:
         to ``2 * BLOCK_BODIES - 1`` bodies; each block runs its own
         frontier traversal and writes its rows before the next block
         starts, so the transient memory is bounded by the block rather
-        than growing with n log n.
+        than growing with n log n.  Within a block, the leaf hits are
+        expanded into body pairs and evaluated :data:`LEAF_CHUNK` hits
+        at a time; only each pair's slot and two force terms wait for
+        the block's one ``bincount`` per axis.
 
         ``bodies`` restricts the evaluation to a subset of body indices
         — the primitive behind the sharded kernel, where each worker
@@ -360,7 +374,11 @@ class ArrayQuadTree:
         frontier sweep and summed in one bincount per block, so
         per-round work stays pure masking/arithmetic and each body's
         terms are added in traversal order, whatever shares its block.
-        Returns the exact leaf pairs and the accepted far cells.
+        The leaf hits are then evaluated in chunks of
+        :data:`LEAF_CHUNK`, in collection order, and the chunks' terms
+        summed in one bincount per axis: the same order, so the same
+        bits, as expanding every pair at once.  Returns the exact leaf
+        pairs and the accepted far cells.
         """
         k = block.size
         far_body: list[np.ndarray] = []
@@ -396,6 +414,8 @@ class ArrayQuadTree:
             di = (~(accept | leaf)).nonzero()[0]
             if not di.size:
                 break
+            # Free this round's arrays before the next frontier's.
+            del dx, dy, d2, leaf, accept
             dc = c[di]
             counts = child_count[dc]
             # CSR expansion: child j of cell dc[i] sits at
@@ -406,26 +426,40 @@ class ArrayQuadTree:
             b = np.repeat(b[di], counts)
         fx = np.zeros(k)
         fy = np.zeros(k)
+        far = 0
         if far_body:
             fs = slot[np.concatenate(far_body)]
+            far = fs.size
             fx += np.bincount(fs, weights=np.concatenate(far_fx), minlength=k)
             fy += np.bincount(fs, weights=np.concatenate(far_fy), minlength=k)
+            # Summed: the leaf phase need not hold the far terms.
+            del fs, far_body, far_fx, far_fy
         p2p = 0
         if leaf_body:
             lb = np.concatenate(leaf_body)
             lc = np.concatenate(leaf_cell)
-            cnt = self.leaf_count[lc]
-            # CSR expansion: pair body lb[j] with every resident of its
-            # leaf, then drop the self-pair.
-            me = np.repeat(lb, cnt)
-            first = self.leaf_start[lc] - (cnt.cumsum() - cnt)
-            other = self.leaf_bodies[
-                np.repeat(first, cnt) + np.arange(int(cnt.sum()))
-            ]
-            keep = other != me
-            me, other = me[keep], other[keep]
-            p2p = int(me.size)
-            if p2p:
+            del leaf_body, leaf_cell
+            # The hits are expanded into pairs LEAF_CHUNK at a time, in
+            # collection order; only each chunk's slots and weights are
+            # kept for the one bincount per axis.
+            pair_slot: list[np.ndarray] = []
+            pair_fx: list[np.ndarray] = []
+            pair_fy: list[np.ndarray] = []
+            for lo in range(0, lb.size, LEAF_CHUNK):
+                hit_body = lb[lo:lo + LEAF_CHUNK]
+                hit_cell = lc[lo:lo + LEAF_CHUNK]
+                cnt = self.leaf_count[hit_cell]
+                # CSR expansion: pair each hit's body with every
+                # resident of its leaf, then drop the self-pair.
+                me = np.repeat(hit_body, cnt)
+                first = self.leaf_start[hit_cell] - (cnt.cumsum() - cnt)
+                other = self.leaf_bodies[
+                    np.repeat(first, cnt) + np.arange(me.size)
+                ]
+                keep = other != me
+                me, other = me[keep], other[keep]
+                if not me.size:
+                    continue
                 ox = x[me] - x[other]
                 oy = y[me] - y[other]
                 od2 = ox * ox + oy * oy
@@ -435,9 +469,18 @@ class ArrayQuadTree:
                     oy = np.where(close, _KICK[1], oy)
                     od2 = np.where(close, _KICK[2], od2)
                 scale = charge * m[me] * m[other] / (od2 * np.sqrt(od2))
-                ms = slot[me]
-                fx += np.bincount(ms, weights=scale * ox, minlength=k)
-                fy += np.bincount(ms, weights=scale * oy, minlength=k)
+                pair_slot.append(slot[me])
+                pair_fx.append(scale * ox)
+                pair_fy.append(scale * oy)
+                p2p += me.size
+            if p2p:
+                ms = np.concatenate(pair_slot)
+                del pair_slot
+                fx += np.bincount(ms, weights=np.concatenate(pair_fx),
+                                  minlength=k)
+                del pair_fx
+                fy += np.bincount(ms, weights=np.concatenate(pair_fy),
+                                  minlength=k)
         out[block, 0] = fx
         out[block, 1] = fy
-        return p2p, sum(part.size for part in far_body)
+        return p2p, far

@@ -12,11 +12,13 @@ the same region hit each other's work.
 Layers (one module each):
 
 * :mod:`repro.server.protocol` — canonical-JSON wire envelopes, typed
-  :class:`~repro.server.protocol.ProtocolError` codes, view payloads;
+  :class:`~repro.server.protocol.ProtocolError` codes, view payloads
+  and the one-pass view reply writer;
 * :mod:`repro.server.cache` — the shared LRU result cache with
   hit/miss/eviction/cross-hit counters in the obs registry;
-* :mod:`repro.server.state` — shared-vs-per-session state split and
-  the op dispatch (:class:`~repro.server.state.SessionState.apply`);
+* :mod:`repro.server.state` — shared-vs-per-session state split, the
+  op dispatch (:class:`~repro.server.state.SessionState.apply`) and
+  the reply frames (:class:`~repro.server.state.SessionState.reply`);
 * :mod:`repro.server.ws` — stdlib RFC 6455 WebSocket codec (no I/O);
 * :mod:`repro.server.telemetry` — per-request accounting: latency
   histograms, the JSONL access log, and the
@@ -40,7 +42,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ),
     ".protocol": (
         "PROTOCOL_VERSION", "ProtocolError", "canonical_json", "push_envelope",
-        "view_payload",
+        "view_payload", "view_reply",
     ),
     ".state": ("ServerConfig", "SessionState", "SharedServerState"),
     ".telemetry": ("RequestRecord", "ServerRecorder", "ServerTelemetry"),
@@ -66,4 +68,5 @@ __all__ = [
     "replay_storm_local",
     "run_load",
     "view_payload",
+    "view_reply",
 ]

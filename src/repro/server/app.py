@@ -54,7 +54,6 @@ from repro.obs.spans import span
 from repro.server.protocol import (
     ProtocolError,
     canonical_json,
-    error_envelope,
     push_envelope,
 )
 from repro.server.state import ServerConfig, SessionState, SharedServerState
@@ -727,23 +726,10 @@ class ReproServer:
         Never raises for request-level failures — malformed frames
         become typed error envelopes and the session stays usable.
         """
-        envelope, meta = self.state.handle_frame(session, text)
+        reply, meta = self.state.handle_frame(session, text)
         done = meta["ok"] and meta["op"] == "bye"
-        try:
-            reply = canonical_json(envelope)
-        except ValueError as err:
-            # A non-finite float escaped into a payload: report instead
-            # of shipping NaN bytes.
-            self.state.record_error("server_error")
-            meta = dict(meta, ok=False, code="server_error")
-            reply = canonical_json(
-                error_envelope(
-                    envelope.get("id"), "server_error",
-                    f"unserializable payload: {err}",
-                )
-            )
         if meta["ok"] and meta["op"] == "stats_stream":
-            meta = dict(meta, stream=envelope["result"])
+            meta = dict(meta, stream=json.loads(reply)["result"])
         return reply, done, meta
 
 

@@ -167,11 +167,16 @@ class WsClient:
         """Send a raw frame (possibly malformed on purpose) and await
         the reply envelope — the malformed-request battery's entry
         point."""
+        return json.loads(await self.exchange(text))
+
+    async def exchange(self, text: str) -> str:
+        """Send a raw frame and await the reply frame's text, as the
+        server wrote it (what the byte differentials compare)."""
         await self.ws.send_text(text)
         reply = await self.ws.recv_text()
         if reply is None:
             raise WebSocketError("server closed before replying")
-        return json.loads(reply)
+        return reply
 
     async def recv_json(self) -> dict | None:
         """The next frame as a dict — replies *and* server-initiated

@@ -9,15 +9,17 @@ provides the three pieces its test net is built from:
 * :func:`replay_storm_local` — the **differential oracle**: the same
   storm applied to a fresh, fully isolated
   :class:`~repro.core.session.AnalysisSession` (no shared structures,
-  no result cache), returning canonical payload bytes per move;
+  no result cache), returning per move the reply bytes
+  :func:`~repro.server.state.canonical_reply` writes for its result
+  (a view op's through :func:`~repro.server.protocol.view_payload`);
 * :func:`run_load` — N closed-loop concurrent WebSocket clients against
   an in-process (or remote ``--url``) server, measuring per-request
   round-trip latency percentiles (p50/p95/p99), optionally
-  byte-comparing every concurrent payload against the oracle, and
+  byte-comparing every reply as received against the oracle, and
   reporting the shared-cache counters that prove cross-session reuse.
 
 Determinism is load-bearing: the storm is pure ``random.Random(seed)``,
-layouts are seeded, payloads are canonical JSON — so "concurrent equals
+layouts are seeded, replies are canonical JSON — so "concurrent equals
 isolated" is a byte equality over the full storm, not a tolerance.
 """
 
@@ -36,7 +38,7 @@ from repro.obs.registry import latency_summary, sample_quantile
 from repro.server.app import ReproServer
 from repro.server.client import WsClient, http_get, scrape_breakdown
 from repro.server.protocol import canonical_json
-from repro.server.state import ServerConfig, SessionState
+from repro.server.state import ServerConfig, SessionState, canonical_reply
 from repro.server.telemetry import format_breakdown
 
 __all__ = [
@@ -124,17 +126,22 @@ def make_storm(
 def replay_storm_local(
     trace, storm: list[dict], seed: int = 0, settle_steps: int = 2
 ) -> list[str]:
-    """Canonical payload bytes of *storm* on one isolated session.
+    """Oracle reply bytes of *storm* on one isolated session.
 
     The differential oracle: a fresh single-user
     :class:`~repro.core.session.AnalysisSession` with the same layout
     *seed* and *settle_steps* the server gives its sessions, sharing
-    nothing with anyone.  Returns one canonical-JSON string per move.
+    nothing with anyone.  Returns, for move *i*, the
+    :func:`~repro.server.state.canonical_reply` of its result under
+    request id *i*: the exact reply the server must send to that move.
     """
     state = SessionState.local(
         trace, seed=seed, settle_steps=settle_steps
     )
-    return [canonical_json(state.apply(dict(move))) for move in storm]
+    return [
+        canonical_reply(index, move["op"], state.apply(dict(move)))
+        for index, move in enumerate(storm)
+    ]
 
 
 async def _client_storm(
@@ -142,27 +149,30 @@ async def _client_storm(
 ) -> tuple[list[float], list[str]]:
     """One closed-loop client: replay *storm*, record round trips.
 
-    Returns ``(latencies_s, canonical payload strings)``; raises on any
-    error envelope (the storm is valid by construction).
+    Move *i* goes out as request id *i*.  Returns ``(latencies_s,
+    reply texts as received)``; raises on any error envelope (the storm
+    is valid by construction).
     """
     client = await WsClient.connect(host, port)
     latencies: list[float] = []
-    payloads: list[str] = []
+    replies: list[str] = []
     try:
         hello = await client.request("hello")
         if not hello.get("ok"):
             raise ReproError(f"hello failed: {hello!r}")
-        for move in storm:
+        for index, move in enumerate(storm):
+            request = {"id": index, **move}
             began = time.perf_counter()
-            reply = await client.request(**move)
+            reply = await client.exchange(canonical_json(request))
+            ok = json.loads(reply).get("ok")
             latencies.append(time.perf_counter() - began)
-            if not reply.get("ok"):
-                raise ReproError(f"storm move {move!r} failed: {reply!r}")
-            payloads.append(canonical_json(reply["result"]))
+            if not ok:
+                raise ReproError(f"storm move {move!r} failed: {reply}")
+            replies.append(reply)
         await client.request("bye")
     finally:
         await client.close()
-    return latencies, payloads
+    return latencies, replies
 
 
 async def _drive(
@@ -222,8 +232,8 @@ async def _drive(
         )
         mismatches = sum(
             1
-            for _, payloads in results
-            for got, want in zip(payloads, oracle)
+            for _, replies in results
+            for got, want in zip(replies, oracle)
             if got != want
         )
         report["differential"] = {
@@ -356,7 +366,7 @@ def format_report(report: dict) -> str:
     if diff:
         verdict = "OK" if diff["ok"] else f"{diff['mismatches']} MISMATCHES"
         lines.append(
-            f"differential        {verdict} over {diff['checked']} payloads"
+            f"differential        {verdict} over {diff['checked']} replies"
         )
     ops = report.get("server_ops")
     if ops:

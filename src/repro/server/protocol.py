@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any
 
 from repro.errors import ReproError
@@ -50,6 +51,7 @@ __all__ = [
     "require_int",
     "require_path",
     "view_payload",
+    "view_reply",
 ]
 
 #: Bumped on any incompatible change to envelopes or payload schemas
@@ -186,6 +188,11 @@ def require_path(msg: dict, field: str = "path") -> tuple[str, ...]:
 def view_payload(view) -> dict:
     """The JSON payload of one :class:`~repro.core.view.TopologyView`.
 
+    The byte oracle of :func:`view_reply`, which writes the same bytes
+    without building this dict tree: the server sends
+    ``view_reply(id, op, view)``, and tests compare it with
+    ``canonical_json(ok_envelope(id, op, view_payload(view)))``.
+
     Schema (pinned by the golden test)::
 
         {"protocol": 1,
@@ -220,3 +227,83 @@ def view_payload(view) -> dict:
             key: [x, y] for key, (x, y) in view.positions.items()
         },
     }
+
+
+def view_reply(request_id: Any, op: str, view) -> str:
+    """The success reply of a view op, written in one pass from *view*.
+
+    Byte for byte ``canonical_json(ok_envelope(request_id, op,
+    view_payload(view)))``: sorted keys, ``(",", ":")`` separators,
+    :func:`json.encoder.encode_basestring_ascii` escapes and
+    ``float.__repr__`` / ``int.__repr__`` numbers.  Units follow view
+    order, edges the structure's order and positions their sorted keys.
+    No payload dict and no per-token string list is built: each unit,
+    edge and position is one string, and each section is joined as soon
+    as it is complete, so the peak is about twice the reply.
+
+    A non-finite float, or a number that is not a float where a view
+    holds floats (a library caller may set the slice with ints), sends
+    the whole reply through the oracle instead, which writes the same
+    bytes or raises the ``ValueError`` of :func:`canonical_json`.
+    """
+    try:
+        sections = _view_sections(view)
+    except TypeError:
+        sections = None
+    if sections is None:
+        return canonical_json(ok_envelope(request_id, op, view_payload(view)))
+    edges, positions, slice_text, units = sections
+    return "".join((
+        '{"id":', canonical_json(request_id), ',"ok":true,"op":',
+        _string(op), ',"result":{"edges":[', edges, '],"positions":{',
+        positions, '},"protocol":', str(PROTOCOL_VERSION), ',"slice":',
+        slice_text, ',"units":[', units, "]}}",
+    ))
+
+
+def _view_sections(view) -> tuple[str, str, str, str] | None:
+    """The edges, positions, slice and units texts of *view*'s payload,
+    or ``None`` when one of its floats is not finite."""
+    string, real, whole = _string, float.__repr__, int.__repr__
+    agg = view.aggregated
+    start, end = view.tslice.start, view.tslice.end
+    slice_text = f"[{real(start)},{real(end)}]"
+    # Any NaN or infinity among the floats makes this sum non-finite (a
+    # finite sum that overflows only costs the oracle's slower pass).
+    total = start + end
+    groups = {None: "null"}
+    units = []
+    for unit in agg.units.values():
+        values = unit.values
+        total += sum(values.values())
+        group = groups.get(unit.group)
+        if group is None:
+            group = groups[unit.group] = (
+                "[" + ",".join(map(string, unit.group)) + "]"
+            )
+        metrics = ",".join([
+            f"{string(metric)}:{real(values[metric])}"
+            for metric in sorted(values)
+        ])
+        units.append(
+            f'{{"group":{group},"key":{string(unit.key)},'
+            f'"kind":{string(unit.kind)},"label":{string(unit.label)},'
+            f'"values":{{{metrics}}},"weight":{whole(unit.weight)}}}'
+        )
+    # Each section is joined in place, so its parts are freed before
+    # the next section is built.
+    units = ",".join(units)
+    edges = ",".join([
+        f"[{string(e.a)},{string(e.b)},{whole(e.multiplicity)}]"
+        for e in agg.edges
+    ])
+    positions = view.positions
+    total += sum(map(sum, positions.values()))
+    if not math.isfinite(total):
+        return None
+    positions = ",".join([
+        f"{string(key)}:[{real(positions[key][0])},"
+        f"{real(positions[key][1])}]"
+        for key in sorted(positions)
+    ])
+    return edges, positions, slice_text, units

@@ -10,12 +10,16 @@ and the session registry.
 Each connected analyst gets one :class:`SessionState`: a thin wrapper
 over a full single-user :class:`~repro.core.session.AnalysisSession`
 (time cursors, grouping, dynamic layout positions) plus the op
-dispatch table that turns decoded protocol messages into views.
+dispatch table that turns decoded protocol messages into views, and
+:meth:`SessionState.reply`, which turns a request into the reply frame
+the server sends (a view op's written straight from its
+:class:`~repro.core.view.TopologyView` by
+:func:`~repro.server.protocol.view_reply`).
 
 :meth:`SessionState.local` builds the **differential oracle**: the same
 wrapper over a fresh, completely isolated ``AnalysisSession`` (no
 shared structures, no result cache).  The cross-session differential
-test replays a storm through both and compares canonical bytes.
+test replays a storm through both and compares reply bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 from repro.core.aggengine import SharedTraceData
 from repro.core.session import AnalysisSession
+from repro.core.view import TopologyView
 from repro.errors import AggregationError, HierarchyError, ReproError
 from repro.obs.registry import registry
 from repro.server.cache import SharedResultCache
@@ -32,6 +37,7 @@ from repro.server.protocol import (
     ERROR_CODES,
     PROTOCOL_VERSION,
     ProtocolError,
+    canonical_json,
     decode_request,
     error_envelope,
     ok_envelope,
@@ -39,10 +45,29 @@ from repro.server.protocol import (
     require_int,
     require_path,
     view_payload,
+    view_reply,
 )
 from repro.server.telemetry import ServerTelemetry
 
-__all__ = ["ServerConfig", "SessionState", "SharedServerState"]
+__all__ = [
+    "ServerConfig",
+    "SessionState",
+    "SharedServerState",
+    "canonical_reply",
+]
+
+
+def canonical_reply(request_id, op: str, result: dict | TopologyView) -> str:
+    """The success reply frame :func:`~repro.server.protocol.canonical_json`
+    writes for an op *result* of :meth:`SessionState.apply`, a view's
+    through :func:`~repro.server.protocol.view_payload`.
+
+    The byte oracle of :meth:`SessionState.reply`, which writes a view
+    op's frame in one pass and must send exactly these bytes.
+    """
+    if isinstance(result, TopologyView):
+        result = view_payload(result)
+    return canonical_json(ok_envelope(request_id, op, result))
 
 
 @dataclass(frozen=True)
@@ -118,13 +143,17 @@ class SessionState:
     # ------------------------------------------------------------------
     # Op dispatch
     # ------------------------------------------------------------------
-    def apply(self, msg: dict) -> dict:
-        """Execute one decoded request, returning the result payload.
+    def apply(self, msg: dict) -> dict | TopologyView:
+        """Execute one decoded request, returning its result.
 
-        Raises :class:`~repro.server.protocol.ProtocolError` on any
-        malformed or unserviceable request; the caller wraps either
-        outcome in the reply envelope.  Session state only changes when
-        the op succeeds, so a session stays usable after an error.
+        A view op (``scrub``, ``group``, ``ungroup``, ``depth``,
+        ``expand_all``, ``view``) returns its
+        :class:`~repro.core.view.TopologyView`, whose payload is
+        :func:`~repro.server.protocol.view_payload`; every other op its
+        result payload dict.  Raises
+        :class:`~repro.server.protocol.ProtocolError` on any malformed
+        or unserviceable request.  Session state only changes when the
+        op succeeds, so a session stays usable after an error.
         """
         op = msg.get("op")
         if not isinstance(op, str):
@@ -136,11 +165,41 @@ class SessionState:
         self.moves += 1
         return result
 
-    def _view_result(self, metrics=None) -> dict:
-        view = self.session.view(
+    def reply(self, msg: dict) -> tuple[str, str]:
+        """Apply *msg*: the reply frame the server sends, and its error
+        code (``""`` for a success).
+
+        A view op's success envelope is written straight from the view
+        by :func:`~repro.server.protocol.view_reply`, every other
+        envelope by :func:`~repro.server.protocol.canonical_json`.
+        Protocol errors become typed error envelopes, any other
+        :class:`~repro.errors.ReproError` ``server_error``, and a
+        payload holding a non-finite float, which canonical JSON
+        refuses, ``server_error`` "unserializable payload".  Never
+        raises for request-level failures.
+        """
+        request_id = msg.get("id")
+        try:
+            result = self.apply(msg)
+        except ProtocolError as err:
+            code, message = err.code, err.message
+        except ReproError as err:
+            code, message = "server_error", str(err)
+        else:
+            op = msg["op"]
+            try:
+                if isinstance(result, TopologyView):
+                    return view_reply(request_id, op, result), ""
+                return canonical_reply(request_id, op, result), ""
+            except ValueError as err:
+                code = "server_error"
+                message = f"unserializable payload: {err}"
+        return canonical_json(error_envelope(request_id, code, message)), code
+
+    def _view_result(self, metrics=None) -> TopologyView:
+        return self.session.view(
             settle_steps=self.settle_steps, metrics=metrics
         )
-        return view_payload(view)
 
     def _op_hello(self, msg: dict) -> dict:
         """Session handshake: identity plus the trace's vital signs."""
@@ -154,8 +213,8 @@ class SessionState:
             "max_depth": self.session.hierarchy.max_depth(),
         }
 
-    def _op_scrub(self, msg: dict) -> dict:
-        """Move the time slice; returns the resulting view payload."""
+    def _op_scrub(self, msg: dict) -> TopologyView:
+        """Move the time slice; returns the resulting view."""
         start = require_finite(msg, "start", code="bad_slice")
         end = require_finite(msg, "end", code="bad_slice")
         if end < start:
@@ -171,8 +230,8 @@ class SessionState:
             self.session.set_time_slice(previous.start, previous.end)
             raise ProtocolError("bad_slice", str(err)) from None
 
-    def _op_group(self, msg: dict) -> dict:
-        """Collapse the group at ``path``; returns the view payload."""
+    def _op_group(self, msg: dict) -> TopologyView:
+        """Collapse the group at ``path``; returns the view."""
         path = require_path(msg)
         try:
             self.session.aggregate(path)
@@ -180,8 +239,8 @@ class SessionState:
             raise ProtocolError("unknown_group", str(err)) from None
         return self._view_result()
 
-    def _op_ungroup(self, msg: dict) -> dict:
-        """Expand the group at ``path``; returns the view payload."""
+    def _op_ungroup(self, msg: dict) -> TopologyView:
+        """Expand the group at ``path``; returns the view."""
         path = require_path(msg)
         try:
             self.session.disaggregate(path)
@@ -189,7 +248,7 @@ class SessionState:
             raise ProtocolError("unknown_group", str(err)) from None
         return self._view_result()
 
-    def _op_depth(self, msg: dict) -> dict:
+    def _op_depth(self, msg: dict) -> TopologyView:
         """Show exactly hierarchy level ``depth`` (0 = full detail)."""
         depth = require_int(msg, "depth", minimum=0, code="bad_depth")
         if depth == 0:
@@ -198,12 +257,12 @@ class SessionState:
             self.session.aggregate_depth(depth)
         return self._view_result()
 
-    def _op_expand_all(self, msg: dict) -> dict:
+    def _op_expand_all(self, msg: dict) -> TopologyView:
         """Back to the fully detailed view."""
         self.session.disaggregate_all()
         return self._view_result()
 
-    def _op_view(self, msg: dict) -> dict:
+    def _op_view(self, msg: dict) -> TopologyView:
         """The current view, optionally restricted to some ``metrics``."""
         metrics = msg.get("metrics")
         if metrics is not None:
@@ -390,30 +449,23 @@ class SharedServerState:
         self.stats["errors"] += 1
         self.stats[f"errors.{code}"] += 1
 
-    def dispatch(self, state: SessionState, msg: dict) -> dict:
-        """Apply *msg* to *state*, producing a reply envelope dict.
+    def dispatch(self, state: SessionState, msg: dict) -> tuple[str, str]:
+        """Apply *msg* to *state*: the reply frame and its error code.
 
-        Protocol errors become typed error envelopes; any other
-        :class:`~repro.errors.ReproError` becomes ``server_error``.
-        Never raises for request-level failures.
+        :meth:`SessionState.reply` plus the accounting: the request and
+        any error code are counted.  Never raises for request-level
+        failures.
         """
-        request_id = msg.get("id")
-        op = msg.get("op")
         self.stats["requests"] += 1
-        try:
-            result = state.apply(msg)
-        except ProtocolError as err:
-            self.record_error(err.code)
-            return error_envelope(request_id, err.code, err.message)
-        except ReproError as err:
-            self.record_error("server_error")
-            return error_envelope(request_id, "server_error", str(err))
-        return ok_envelope(request_id, op, result)
+        reply, code = state.reply(msg)
+        if code:
+            self.record_error(code)
+        return reply, code
 
-    def handle_frame(self, state: SessionState, text: str) -> tuple[dict, dict]:
-        """Decode and dispatch one raw frame: envelope plus metadata.
+    def handle_frame(self, state: SessionState, text: str) -> tuple[str, dict]:
+        """Decode and dispatch one raw frame: reply frame plus metadata.
 
-        Returns ``(envelope, meta)`` where *meta* carries what the
+        Returns ``(reply, meta)`` where *meta* carries what the
         telemetry layer needs to account the request without re-parsing
         the reply: ``op`` (``"invalid"`` for undecodable frames),
         ``ok``, the error ``code`` (or ``""``), and the cache ``tier``
@@ -430,16 +482,16 @@ class SharedServerState:
             self.stats["requests"] += 1
             self.record_error(err.code)
             meta["code"] = err.code
-            return error_envelope(None, err.code, err.message), meta
+            reply = canonical_json(error_envelope(None, err.code, err.message))
+            return reply, meta
         op = msg.get("op")
         if isinstance(op, str) and op in SessionState._OPS:
             meta["op"] = op
-        envelope = self.dispatch(state, msg)
-        meta["ok"] = bool(envelope.get("ok"))
-        if not meta["ok"]:
-            meta["code"] = envelope.get("error", {}).get("code", "")
+        reply, code = self.dispatch(state, msg)
+        meta["ok"] = not code
+        meta["code"] = code
         meta["tier"] = self.cache.take_tier(state.session_id) or "none"
-        return envelope, meta
+        return reply, meta
 
     def info(self) -> dict:
         """The ``/info`` endpoint payload: trace and server vitals."""

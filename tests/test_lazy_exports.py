@@ -117,9 +117,9 @@ def test_serving_loads_no_module_a_request_has_not_asked_for(tmp_path):
                         {{"op": "ungroup", "path": group}},
                         {{"op": "depth", "depth": 1}},
                         {{"op": "view"}}, {{"op": "stats"}}):
-                assert state.dispatch(session, msg)["ok"], msg
+                assert not state.dispatch(session, msg)[1], msg
             print([name for name in {ON_REQUEST!r} if name in sys.modules])
-            assert state.dispatch(session, {{"op": "svg"}})["ok"]
+            assert not state.dispatch(session, {{"op": "svg"}})[1]
             print("repro.core.render.svg" in sys.modules)
     """)
     assert out.splitlines() == ["[]", "True"]

@@ -2,11 +2,14 @@
 
 The center-of-gravity differential: N concurrent WebSocket sessions
 each replay the same deterministic 100-move scrub storm (group/ungroup
-toggles included) against one shared server, and every reply payload is
-compared — as canonical JSON **bytes** — against a fresh, fully
-isolated :class:`~repro.core.session.AnalysisSession` replaying the
-same storm.  Sharing (one ``SharedTraceData``, one result cache) must
-be a pure optimization: same bytes, fewer computations.
+toggles included) against one shared server, and every reply is
+compared as received — **bytes**, envelope and all — against the
+canonical JSON of a fresh, fully isolated
+:class:`~repro.core.session.AnalysisSession` replaying the same storm.
+Sharing (one ``SharedTraceData``, one result cache) must be a pure
+optimization: same bytes, fewer computations.  The comparison is of the
+text the server wrote, not of a decoded and re-encoded result, so it
+also catches key-order and escaping drift in the one-pass view writer.
 
 The cross-session proof rides along: the run must record cache hits
 from sessions other than the one that populated the entry
@@ -82,19 +85,18 @@ class TestConcurrentDifferential:
             clients = [
                 await WsClient.connect(config.host, port) for _ in range(2)
             ]
-            payloads: list[list[str]] = [[], []]
+            replies: list[list[str]] = [[], []]
             try:
                 for client in clients:
                     await client.request("hello")
-                for move in storm:
+                for index, move in enumerate(storm):
+                    request = canonical_json({"id": index, **move})
                     for i, client in enumerate(clients):
-                        reply = await client.request(**move)
-                        assert reply["ok"], reply
-                        payloads[i].append(canonical_json(reply["result"]))
+                        replies[i].append(await client.exchange(request))
             finally:
                 for client in clients:
                     await client.close()
-            return payloads
+            return replies
 
         config = ServerConfig(port=0, settle_steps=1)
         with ReproServer(trace, config) as server:
@@ -132,22 +134,23 @@ def regroup_storm(trace, start: float, end: float) -> list[dict]:
 def replay_shared(trace, storm: list[dict]) -> tuple[list[str], list[str]]:
     """*storm* through a server session that shares its result cache
     with a second session replaying the same storm; the two take turns
-    going first.  Returns the first session's payloads and cache tiers."""
+    going first.  Returns the first session's reply frames (move *i*
+    sent as request id *i*) and cache tiers."""
     state = SharedServerState(trace, ServerConfig(settle_steps=1))
     first, second = state.create_session(), state.create_session()
-    payloads, tiers = [], []
+    replies, tiers = [], []
     for i, move in enumerate(storm):
         if i % 2:
             second.apply(dict(move))
-        envelope, meta = state.handle_frame(
+        reply, meta = state.handle_frame(
             first, json.dumps(dict(move, id=i))
         )
-        assert envelope["ok"], envelope
-        payloads.append(canonical_json(envelope["result"]))
+        assert meta["ok"], reply
+        replies.append(reply)
         tiers.append(meta["tier"])
         if not i % 2:
             second.apply(dict(move))
-    return payloads, tiers
+    return replies, tiers
 
 
 class TestFixedSliceRegrouping:
@@ -169,15 +172,15 @@ class TestFixedSliceRegrouping:
         storm = regroup_storm(
             trace, start + window[0] * width, start + window[1] * width
         )
-        payloads, tiers = replay_shared(trace, storm)
-        assert payloads == replay_storm_local(trace, storm, settle_steps=1)
+        replies, tiers = replay_shared(trace, storm)
+        assert replies == replay_storm_local(trace, storm, settle_steps=1)
         assert {"fresh", "local", "shared"} <= set(tiers)
         local = SessionState.local(trace, settle_steps=1)
-        for payload, move in zip(payloads, storm):
+        for reply, move in zip(replies, storm):
             local.apply(dict(move))
             session = local.session
             want = aggregate_view(trace, session.grouping, session.time_slice)
-            got = json.loads(payload)
+            got = json.loads(reply)["result"]
             assert [u["key"] for u in got["units"]] == list(want.units)
             for unit, oracle_unit in zip(got["units"], want.units.values()):
                 assert unit["label"] == oracle_unit.label

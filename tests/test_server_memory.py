@@ -17,6 +17,10 @@ trace, an opened store plus the server state keeps one
 Per grouping, a view of a newly expanded site adds its unit structure,
 one seed array and the session layout's growth; the layout remembers
 entity positions in one array over the table's indices.
+
+The last bound is a transient: writing the reply of that view.  The
+one-pass writer holds about twice the reply; a payload dict tree
+encoded by ``json.dumps`` held over ten times the reply.
 """
 
 import gc
@@ -27,7 +31,12 @@ import pytest
 from repro.core.aggengine import SharedTraceData
 from repro.core.session import AnalysisSession
 from repro.server.cache import SharedResultCache
-from repro.server.state import ServerConfig, SharedServerState
+from repro.server.protocol import view_reply
+from repro.server.state import (
+    ServerConfig,
+    SharedServerState,
+    canonical_reply,
+)
 from repro.trace.store import open_store, write_store
 
 from tests.test_store_differential import grid_trace  # noqa: F401 (fixture)
@@ -89,6 +98,11 @@ PER_TRACE_BOUND_MB = 0.25
 #: growth.  74 KB with index arrays, 122 KB with name-keyed seed dicts
 #: and a per-entity position dict.
 PER_GROUPING_BOUND_KB = 95
+#: Traced peak of writing the reply of that view (149 units, a 30.6 KB
+#: reply): 61 KB with :func:`~repro.server.protocol.view_reply`, 353 KB
+#: as ``canonical_json(ok_envelope(..., view_payload(view)))``.  On the
+#: full trace's 907-unit view, 0.34 against 2.03 MB.
+WRITE_PEAK_BOUND_KB = 150
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +172,21 @@ def test_per_grouping_growth_stays_under_bound(grid_store):
     assert shared.stats["structure_builds"] == 2
     assert shared.stats["seed_builds"] == 2
     assert retained / 2**10 < PER_GROUPING_BOUND_KB
+
+
+def test_reply_write_peak_stays_under_bound(grid_store):
+    trace = open_store(grid_store).open_trace()
+    shared = SharedTraceData(trace)
+    session = AnalysisSession(trace, shared=shared)
+    session.aggregate_depth(2)
+    session.view(settle=False)
+    site = max(
+        shared.hierarchy.groups_at_depth(2),
+        key=lambda group: len(shared.hierarchy.leaves(group)),
+    )
+    session.disaggregate(site)
+    view = session.view(settle=False)
+    reply, _, peak = _traced(lambda: view_reply(7, "ungroup", view))
+    assert len(view.graph) > 100
+    assert reply == canonical_reply(7, "ungroup", view)
+    assert peak / 2**10 < WRITE_PEAK_BOUND_KB

@@ -115,7 +115,8 @@ class TestErrorCounters:
             "bad_depth": '{"id": 6, "op": "depth", "depth": -2}',
         }
         for code, frame in provocations.items():
-            envelope, meta = state.handle_frame(session, frame)
+            reply, meta = state.handle_frame(session, frame)
+            envelope = json.loads(reply)
             assert envelope["ok"] is False
             assert envelope["error"]["code"] == code
             assert meta["code"] == code

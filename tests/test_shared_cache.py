@@ -197,8 +197,26 @@ class TestPerViewEntries:
         )
         assert cache.stats["lookups"] == 0 and len(cache) == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_default_views_share_one_metric_tuple(self, setup):
+        """A loaded trace's metrics never change, so every default view
+        keys the cache with the engine's one tuple of them."""
+        trace, shared, grouping, tslice = setup
+        keys = []
+
+        class Recording(SharedResultCache):
+            def put(self, key, value, owner=None, weight=1):
+                keys.append(key)
+                return super().put(key, value, owner=owner, weight=weight)
+
+        engine = AggregationEngine(
+            trace, shared=shared, result_cache=Recording()
+        )
+        engine.view(grouping, tslice)
+        engine.view(grouping, TimeSlice(tslice.end, trace.span()[1]))
+        assert len(keys) == 2 and keys[0][0] != keys[1][0]
+        assert keys[0][2] == tuple(trace.metric_names())
+        assert keys[0][2] is keys[1][2]
+
     def test_non_finite_values_are_refused_and_never_cached(self, setup):
         """A slice whose integrals overflow raises and puts nothing; the
         engine's next slice equals a fresh engine's."""
