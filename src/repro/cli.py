@@ -298,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent session ceiling")
     serve.add_argument("--settle-steps", type=int, default=2,
                        help="layout relaxation steps per returned view")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="layout determinism seed for every session")
     serve.add_argument("--cache-entries", type=int, default=4096,
                        help="shared result-cache capacity, in metric "
                        "results held (a four-metric view takes four)")
@@ -780,7 +778,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         max_sessions=args.max_sessions,
         settle_steps=args.settle_steps,
-        seed=args.seed,
         cache_entries=args.cache_entries,
         access_log=str(args.access_log) if args.access_log else None,
     )
@@ -792,7 +789,6 @@ def _cmd_serve(args) -> int:
             sessions=4,
             moves=12,
             settle_steps=args.settle_steps,
-            layout_seed=args.seed,
             differential=True,
             cache_entries=args.cache_entries,
         )

@@ -81,9 +81,9 @@ class AggregatedView:
     """The unstyled aggregated graph for one time slice.
 
     ``stats`` carries a snapshot of the producing
-    :class:`~repro.core.aggengine.AggregationEngine` counters (cache
-    hits, delta vs full integrations, ns timings); the scalar oracle
-    path leaves it empty.  ``entities`` is the trace's
+    :class:`~repro.core.aggengine.AggregationEngine` counters (slice and
+    result-cache hits, cursor-advanced vs re-bisected slice moves); the
+    scalar oracle path leaves it empty.  ``entities`` is the trace's
     :class:`~repro.trace.entities.EntityTable` the unit members name
     entities of (the layout remembers positions by its indices).
     """

@@ -64,31 +64,6 @@ class TimeSlice:
         """``(start, end)`` — the cache key used by the aggregation engine."""
         return (self.start, self.end)
 
-    def overlaps(self, other: "TimeSlice") -> bool:
-        """Whether the two closed intervals share at least one instant."""
-        return self.start <= other.end and other.start <= self.end
-
-    def delta_windows(
-        self, new: "TimeSlice"
-    ) -> list[tuple[float, float, int]]:
-        """The signed windows turning this slice's integral into *new*'s.
-
-        Scrubbing from ``[a, b]`` to ``[a', b']`` only needs the deltas
-        ``I(a', b') = I(a, b) - sign_a * ∫[a↔a'] + sign_b * ∫[b↔b']``;
-        this returns ``(start, end, sign)`` triples (each window already
-        ordered) such that ``I(new) = I(self) + Σ sign * ∫[start, end]``.
-        An unchanged endpoint contributes no window — the incremental
-        engine integrates nothing for it.
-        """
-        windows: list[tuple[float, float, int]] = []
-        if new.start != self.start:
-            lo, hi = sorted((self.start, new.start))
-            windows.append((lo, hi, -1 if new.start > self.start else 1))
-        if new.end != self.end:
-            lo, hi = sorted((self.end, new.end))
-            windows.append((lo, hi, 1 if new.end > self.end else -1))
-        return windows
-
     def value_of(self, signal: Signal) -> float:
         """Temporal aggregation of *signal* over this slice (Eq. 1).
 

@@ -56,7 +56,12 @@ from repro.server.protocol import (
     canonical_json,
     push_envelope,
 )
-from repro.server.state import ServerConfig, SessionState, SharedServerState
+from repro.server.state import (
+    SESSION_SEED,
+    ServerConfig,
+    SessionState,
+    SharedServerState,
+)
 from repro.server.telemetry import RequestRecord
 from repro.server.ws import (
     OP_CLOSE,
@@ -66,7 +71,7 @@ from repro.server.ws import (
     FrameDecoder,
     WebSocketError,
     accept_token,
-    encode_frame,
+    frame_header,
 )
 
 __all__ = ["ReproServer"]
@@ -373,23 +378,34 @@ class ReproServer:
             conn.decoder.feed(data)
             self._serve_buffered(conn)
 
-    def _send(self, conn: _Connection, data: bytes) -> None:
-        """Send *data* now as far as the kernel takes it; queue the rest."""
+    def _send(self, conn: _Connection, *parts: bytes) -> None:
+        """Send *parts* back to back, as far as the kernel takes them
+        now, in one ``sendmsg`` that does not join them; queue the rest."""
         if conn.closed:
             return
+        sent = 0
         if not conn.outbox:
             try:
-                sent = conn.sock.send(data)
+                sent = conn.sock.sendmsg(parts)
             except BlockingIOError:
-                sent = 0
+                pass
             except OSError:
                 self._close(conn)
                 return
-            if sent == len(data):
-                return
-            data = memoryview(data)[sent:]
-        conn.outbox += data
-        self._watch(conn)
+        for part in parts:
+            if sent >= len(part):
+                sent -= len(part)
+            else:
+                conn.outbox += memoryview(part)[sent:]
+                sent = 0
+        if conn.outbox:
+            self._watch(conn)
+
+    def _send_frame(
+        self, conn: _Connection, opcode: int, payload: bytes
+    ) -> None:
+        """Send one unmasked frame: its header, then *payload* as is."""
+        self._send(conn, frame_header(opcode, len(payload)), payload)
 
     def _flush(self, conn: _Connection) -> None:
         try:
@@ -419,7 +435,7 @@ class ReproServer:
         if conn.closing or conn.closed:
             return
         if close_payload is not None:
-            self._send(conn, encode_frame(OP_CLOSE, close_payload, mask=False))
+            self._send_frame(conn, OP_CLOSE, close_payload)
         conn.closing = True
         conn.stream = None
         self._end_session(conn)
@@ -582,7 +598,7 @@ class ReproServer:
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n"
         )
-        self._send(conn, head.encode("latin-1") + body)
+        self._send(conn, head.encode("latin-1"), body)
         self._finish(conn)
 
     # ------------------------------------------------------------------
@@ -631,7 +647,7 @@ class ReproServer:
             if opcode == OP_TEXT:
                 self._serve_request(conn, payload)
             elif opcode == OP_PING:
-                self._send(conn, encode_frame(OP_PONG, payload, mask=False))
+                self._send_frame(conn, OP_PONG, payload)
             elif opcode == OP_CLOSE:
                 self._finish(conn, payload[:2])
         self._watch(conn)
@@ -642,7 +658,10 @@ class ReproServer:
         began = telemetry.now()
         with span("server.request", session=session.session_id):
             reply, done, meta = self._serve_frame(session, text)
+        # Encode once and let the text go, so that framing and sending
+        # hold the reply only once.
         body = reply.encode("utf-8")
+        del reply
         telemetry.observe(
             RequestRecord(
                 session=session.session_id,
@@ -660,7 +679,7 @@ class ReproServer:
         # client can see the reply.
         if done:
             self._end_session(conn)
-        self._send(conn, encode_frame(OP_TEXT, body, mask=False))
+        self._send_frame(conn, OP_TEXT, body)
         if done:
             self._finish(conn, _CLOSE_NORMAL)
         elif "stream" in meta and not conn.closed:
@@ -699,11 +718,7 @@ class ReproServer:
                 "stats": snapshot,
             },
         )
-        self._send(
-            conn,
-            encode_frame(OP_TEXT, canonical_json(frame).encode("utf-8"),
-                         mask=False),
-        )
+        self._send_frame(conn, OP_TEXT, canonical_json(frame).encode("utf-8"))
         if conn.closed:
             return
         if seq + 1 < params["count"]:
@@ -739,7 +754,7 @@ def _ephemeral_session(state: SharedServerState):
 
     return AnalysisSession(
         state.trace,
-        seed=state.config.seed,
+        seed=SESSION_SEED,
         shared=state.shared,
         result_cache=state.cache,
         session_id="render",

@@ -17,6 +17,7 @@ provides the three pieces its test net is built from:
   round-trip latency percentiles (p50/p95/p99), optionally
   byte-comparing every reply as received against the oracle, and
   reporting the shared-cache counters that prove cross-session reuse.
+  It reads the server only over its endpoints, however it is hosted.
 
 Determinism is load-bearing: the storm is pure ``random.Random(seed)``,
 layouts are seeded, replies are canonical JSON — so "concurrent equals
@@ -34,12 +35,12 @@ import time
 import urllib.parse
 
 from repro.errors import ReproError
-from repro.obs.registry import latency_summary, sample_quantile
+from repro.obs.registry import sample_quantile
 from repro.server.app import ReproServer
 from repro.server.client import WsClient, http_get, scrape_breakdown
 from repro.server.protocol import canonical_json
 from repro.server.state import ServerConfig, SessionState, canonical_reply
-from repro.server.telemetry import format_breakdown
+from repro.server.telemetry import _breakdown_between, format_breakdown
 
 __all__ = [
     "default_group_paths",
@@ -49,24 +50,21 @@ __all__ = [
     "run_load",
 ]
 
-
-def _breakdown_between(before: dict | None, after: dict) -> dict:
-    """The per-op latency summary of the interval between two scrapes."""
-    out: dict[str, dict[str, float]] = {}
-    for op, (bounds, state) in sorted(after.items()):
-        since = (before or {}).get(op)
-        row = latency_summary(bounds, state, since[1] if since else None)
-        if row["count"] > 0:
-            out[op] = row
-    return out
+#: Hierarchy depth a storm collapses to first, and the depth most of its
+#: depth flips return to.
+_START_DEPTH = 2
+#: Every this many moves, a storm makes a grouping move instead of a scrub.
+_GROUP_EVERY = 8
+#: How many of the hierarchy's groups a storm toggles (the first ones).
+_GROUP_PATHS = 2
 
 
-def default_group_paths(trace, limit: int = 2) -> list[tuple[str, ...]]:
-    """The first *limit* shallow hierarchy groups of *trace* — the
-    storm's group/ungroup toggle targets."""
+def default_group_paths(trace) -> list[tuple[str, ...]]:
+    """The first shallow hierarchy groups of *trace* — the storm's
+    group/ungroup toggle targets."""
     from repro.core.hierarchy import Hierarchy
 
-    return Hierarchy.from_trace(trace).groups()[:limit]
+    return Hierarchy.from_trace(trace).groups()[:_GROUP_PATHS]
 
 
 def make_storm(
@@ -74,15 +72,13 @@ def make_storm(
     moves: int = 100,
     seed: int = 7,
     group_paths: list[tuple[str, ...]] | None = None,
-    start_depth: int = 2,
-    group_every: int = 8,
 ) -> list[dict]:
     """A deterministic list of *moves* protocol requests.
 
-    The first move collapses to *start_depth* (the aggregate-first
-    posture: scrub over aggregates, drill down on demand); the bulk is
-    random slice scrubs inside *span*; every *group_every*-th move is a
-    grouping interaction instead — a group/ungroup toggle on one of
+    The first move collapses to depth 2 (the aggregate-first posture:
+    scrub over aggregates, drill down on demand); the bulk is random
+    slice scrubs inside *span*; every eighth move is a grouping
+    interaction instead — a group/ungroup toggle on one of
     *group_paths* or a depth flip — exercising structure rebuilds and
     cache-key changes mid-storm.  Same ``(span, moves, seed, paths)``
     always yields the same storm; ``id`` fields are added by the
@@ -94,13 +90,10 @@ def make_storm(
     start, end = span
     width = end - start
     paths = list(group_paths or [])
-    storm: list[dict] = []
-    if start_depth > 0:
-        storm.append({"op": "depth", "depth": start_depth})
+    storm: list[dict] = [{"op": "depth", "depth": _START_DEPTH}]
     toggled: set[tuple[str, ...]] = set()
     while len(storm) < moves:
-        move_index = len(storm)
-        if group_every > 0 and move_index % group_every == group_every - 1:
+        if len(storm) % _GROUP_EVERY == _GROUP_EVERY - 1:
             choice = rng.random()
             if paths and choice < 0.6:
                 path = paths[rng.randrange(len(paths))]
@@ -113,7 +106,7 @@ def make_storm(
                 continue
             toggled.clear()
             storm.append(
-                {"op": "depth", "depth": start_depth if choice < 0.8 else 1}
+                {"op": "depth", "depth": _START_DEPTH if choice < 0.8 else 1}
             )
             continue
         a = start + rng.random() * width
@@ -124,20 +117,19 @@ def make_storm(
 
 
 def replay_storm_local(
-    trace, storm: list[dict], seed: int = 0, settle_steps: int = 2
+    trace, storm: list[dict], settle_steps: int = 2
 ) -> list[str]:
     """Oracle reply bytes of *storm* on one isolated session.
 
     The differential oracle: a fresh single-user
-    :class:`~repro.core.session.AnalysisSession` with the same layout
-    *seed* and *settle_steps* the server gives its sessions, sharing
-    nothing with anyone.  Returns, for move *i*, the
-    :func:`~repro.server.state.canonical_reply` of its result under
-    request id *i*: the exact reply the server must send to that move.
+    :class:`~repro.core.session.AnalysisSession` with the layout seed
+    (:data:`~repro.server.state.SESSION_SEED`) and *settle_steps* the
+    server gives its sessions, sharing nothing with anyone.  Returns,
+    for move *i*, the :func:`~repro.server.state.canonical_reply` of its
+    result under request id *i*: the exact reply the server must send
+    to that move.
     """
-    state = SessionState.local(
-        trace, seed=seed, settle_steps=settle_steps
-    )
+    state = SessionState.local(trace, settle_steps=settle_steps)
     return [
         canonical_reply(index, move["op"], state.apply(dict(move)))
         for index, move in enumerate(storm)
@@ -175,32 +167,45 @@ async def _client_storm(
     return latencies, replies
 
 
+async def _get_json(host: str, port: int, path: str) -> dict:
+    status, body = await http_get(host, port, path)
+    if status != 200:
+        raise ReproError(f"{path} returned HTTP {status}")
+    return json.loads(body)
+
+
+async def _scrape(host: str, port: int) -> dict:
+    scraped = await scrape_breakdown(host, port)
+    if scraped is None:
+        raise ReproError("/metrics did not return 200 OK")
+    return scraped
+
+
 async def _drive(
     host: str,
     port: int,
-    remote: bool,
     trace,
     sessions: int,
     moves: int,
     seed: int,
     settle_steps: int,
-    layout_seed: int,
     differential: bool,
     keep_samples: bool,
 ) -> dict:
-    """The client side of :func:`run_load` against ``host:port``; a
-    *remote* server's counters are read over HTTP as well."""
+    """The client side of :func:`run_load` against ``host:port``.
+
+    The storm is timed alone.  Two ``/metrics`` scrapes around it give
+    the per-op server latency of the interval, and one ``/stats`` after
+    it the server and cache counters.
+    """
     if trace is not None:
         span = trace.span()
         group_paths = default_group_paths(trace)
     else:
-        status, body = await http_get(host, port, "/info")
-        if status != 200:
-            raise ReproError(f"/info returned HTTP {status}")
-        span = tuple(json.loads(body)["span"])
+        span = tuple((await _get_json(host, port, "/info"))["span"])
         group_paths = []
     storm = make_storm(span, moves=moves, seed=seed, group_paths=group_paths)
-    scrape_before = await scrape_breakdown(host, port) if remote else None
+    scrape_before = await _scrape(host, port)
     began = time.perf_counter()
     results = await asyncio.gather(
         *(_client_storm(host, port, storm) for _ in range(sessions))
@@ -227,9 +232,7 @@ async def _drive(
     if keep_samples:
         report["latency"]["samples_s"] = pooled
     if differential:
-        oracle = replay_storm_local(
-            trace, storm, seed=layout_seed, settle_steps=settle_steps
-        )
+        oracle = replay_storm_local(trace, storm, settle_steps=settle_steps)
         mismatches = sum(
             1
             for _, replies in results
@@ -241,17 +244,12 @@ async def _drive(
             "mismatches": mismatches,
             "ok": mismatches == 0,
         }
-    if remote:
-        status, body = await http_get(host, port, "/stats")
-        if status == 200:
-            stats = json.loads(body)
-            report["cache"] = stats.get("cache", {})
-            report["server"] = stats.get("server", {})
-        scrape_after = await scrape_breakdown(host, port)
-        if scrape_after is not None:
-            report["server_ops"] = _breakdown_between(
-                scrape_before, scrape_after
-            )
+    stats = await _get_json(host, port, "/stats")
+    report["cache"] = stats["cache"]
+    report["server"] = stats["server"]
+    report["server_ops"] = _breakdown_between(
+        scrape_before, await _scrape(host, port)
+    )
     return report
 
 
@@ -285,7 +283,6 @@ def run_load(
     moves: int = 100,
     seed: int = 7,
     settle_steps: int = 2,
-    layout_seed: int = 0,
     differential: bool = False,
     cache_entries: int = 4096,
     keep_samples: bool = False,
@@ -296,14 +293,20 @@ def run_load(
     loopback port and a background thread (the default for tests and
     benches), and the caller's thread and that thread share one CPU for
     the run (:func:`_one_cpu`); otherwise the harness drives a running
-    ``repro serve`` instance.  *sessions* closed-loop WebSocket clients each replay the
-    same deterministic storm of *moves* requests; the report carries
-    pooled and per-session latency percentiles, throughput, shared-cache
-    counters and (with ``differential=True``, trace required) the
-    byte-exact concurrent-vs-isolated comparison.  ``keep_samples=True``
-    includes the raw pooled round-trip samples (the bench suite's
-    input).
+    ``repro serve`` instance.  Either way the harness reads the server
+    only over its endpoints.  *sessions* closed-loop WebSocket clients
+    each replay the same deterministic storm of *moves* requests; the
+    report carries pooled and per-session latency percentiles,
+    throughput, the ``/stats`` server and cache counters, the per-op
+    server latency between two ``/metrics`` scrapes (``server_ops``)
+    and (with ``differential=True``, trace required) the byte-exact
+    concurrent-vs-isolated comparison.  ``keep_samples=True`` includes
+    the raw pooled round-trip samples (the bench suite's input).
     """
+    if sessions < 1:
+        raise ReproError(
+            f"a load run needs at least 1 session, got {sessions}"
+        )
     if differential and trace is None:
         raise ReproError("the differential check needs the trace locally")
     drive = dict(
@@ -312,7 +315,6 @@ def run_load(
         moves=moves,
         seed=seed,
         settle_steps=settle_steps,
-        layout_seed=layout_seed,
         differential=differential,
         keep_samples=keep_samples,
     )
@@ -320,26 +322,17 @@ def run_load(
         parts = urllib.parse.urlsplit(url)
         if parts.hostname is None or parts.port is None:
             raise ReproError(f"url must be http://host:port, got {url!r}")
-        return asyncio.run(
-            _drive(parts.hostname, parts.port, remote=True, **drive)
-        )
+        return asyncio.run(_drive(parts.hostname, parts.port, **drive))
     if trace is None:
         raise ReproError("run_load needs a trace or a --url")
     config = ServerConfig(
         port=0,
         settle_steps=settle_steps,
-        seed=layout_seed,
         max_sessions=max(sessions + 2, 8),
         cache_entries=cache_entries,
     )
     with _one_cpu(), ReproServer(trace, config) as server:
-        report = asyncio.run(
-            _drive(config.host, server.port, remote=False, **drive)
-        )
-    report["cache"] = server.state.cache.snapshot()
-    report["server"] = dict(server.state.stats)
-    report["server_ops"] = server.state.telemetry.breakdown()
-    return report
+        return asyncio.run(_drive(config.host, server.port, **drive))
 
 
 def format_report(report: dict) -> str:
@@ -356,20 +349,17 @@ def format_report(report: dict) -> str:
         f"latency p99         {latency['p99_s'] * 1e3:.2f} ms",
         f"latency max         {latency['max_s'] * 1e3:.2f} ms",
     ]
-    cache = report.get("cache")
-    if cache:
-        lines.append(
-            f"cache hits/lookups  {cache['hits']}/{cache['lookups']}"
-            f" (cross-session {cache['cross_hits']})"
-        )
+    cache = report["cache"]
+    lines.append(
+        f"cache hits/lookups  {cache['hits']}/{cache['lookups']}"
+        f" (cross-session {cache['cross_hits']})"
+    )
     diff = report.get("differential")
     if diff:
         verdict = "OK" if diff["ok"] else f"{diff['mismatches']} MISMATCHES"
         lines.append(
             f"differential        {verdict} over {diff['checked']} replies"
         )
-    ops = report.get("server_ops")
-    if ops:
-        lines.append("per-op server latency (from request histograms)")
-        lines.append(format_breakdown(ops))
+    lines.append("per-op server latency (from request histograms)")
+    lines.append(format_breakdown(report["server_ops"]))
     return "\n".join(lines)

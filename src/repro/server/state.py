@@ -50,11 +50,16 @@ from repro.server.protocol import (
 from repro.server.telemetry import ServerTelemetry
 
 __all__ = [
+    "SESSION_SEED",
     "ServerConfig",
     "SessionState",
     "SharedServerState",
     "canonical_reply",
 ]
+
+#: Layout seed of every server session, of ``/render``'s one-shot
+#: session and of the differential oracle, which must all lay out alike.
+SESSION_SEED = 0
 
 
 def canonical_reply(request_id, op: str, result: dict | TopologyView) -> str:
@@ -84,9 +89,6 @@ class ServerConfig:
     #: Layout relaxation steps per returned view.  Small values keep
     #: scrub latency interactive; the storm tests use 1.
     settle_steps: int = 2
-    #: Layout determinism seed given to every session (and to the
-    #: differential oracle).
-    seed: int = 0
     #: Capacity of the shared result cache, in metric results held
     #: (a view of four metrics takes four).
     cache_entries: int = 4096
@@ -121,22 +123,17 @@ class SessionState:
         self._renderer = None  # built by the first ``svg`` op
 
     @classmethod
-    def local(
-        cls,
-        trace,
-        seed: int = 0,
-        settle_steps: int = 2,
-        session_id: str = "local",
-    ) -> "SessionState":
-        """A fresh, fully isolated session over *trace*.
+    def local(cls, trace, settle_steps: int = 2) -> "SessionState":
+        """A fresh, fully isolated session ``"local"`` over *trace*.
 
-        The differential oracle: same dispatch code, same seed, but a
-        private :class:`~repro.core.aggengine.SharedTraceData` and no
-        result cache — nothing can leak in from other sessions.
+        The differential oracle: same dispatch code, same seed
+        (:data:`SESSION_SEED`), but a private
+        :class:`~repro.core.aggengine.SharedTraceData` and no result
+        cache — nothing can leak in from other sessions.
         """
         return cls(
-            session_id,
-            AnalysisSession(trace, seed=seed),
+            "local",
+            AnalysisSession(trace, seed=SESSION_SEED),
             settle_steps=settle_steps,
         )
 
@@ -417,7 +414,7 @@ class SharedServerState:
             session_id,
             AnalysisSession(
                 self.trace,
-                seed=self.config.seed,
+                seed=SESSION_SEED,
                 shared=self.shared,
                 result_cache=self.cache,
                 session_id=session_id,

@@ -95,8 +95,8 @@ class ServerTelemetry:
     ----------
     stats:
         The server's ``"server"`` :class:`~repro.obs.StatGroup`; gains
-        ``bytes_in`` / ``bytes_out`` totals and per-op ``ops.<op>``
-        counters as requests arrive.
+        the ``bytes_in`` / ``bytes_out`` totals as requests arrive (the
+        per-op request histogram counts the requests of each op).
     access_log:
         Optional path (or open text stream) for the JSONL access log;
         ``None`` disables it.
@@ -119,15 +119,6 @@ class ServerTelemetry:
 
             self._log = JsonlWriter(access_log)
         self._histograms: dict[str, Histogram] = {}
-        # Snapshot pre-existing per-op histograms (registry metrics are
-        # process-global and get-or-create) so per-run breakdowns can
-        # subtract whatever earlier servers in this process observed.
-        self._baseline: dict[str, tuple[tuple[int, ...], int, float]] = {}
-        for histogram in registry.histograms():
-            if histogram.name == REQUEST_HISTOGRAM:
-                op = dict(histogram.labels).get("op", "")
-                self._histograms[op] = histogram
-                self._baseline[op] = histogram.state()
 
     @property
     def access_log_path(self) -> "Path | None":
@@ -148,17 +139,15 @@ class ServerTelemetry:
     def observe(self, record: RequestRecord) -> None:
         """Account one completed request everywhere at once.
 
-        Feeds the per-op histogram, the byte totals and per-op counters
-        of the ``"server"`` stat group, the access log (when enabled)
-        and the self-trace recorder (when attached).  Small and
-        allocation-light by design: this runs on every request, always.
+        Feeds the per-op histogram, the byte totals of the ``"server"``
+        stat group, the access log (when enabled) and the self-trace
+        recorder (when attached).  Small and allocation-light by design:
+        this runs on every request, always.
         """
         self._histogram(record.op).observe(record.wall_s)
         stats = self.stats
         stats["bytes_in"] = stats.get("bytes_in", 0) + record.bytes_in
         stats["bytes_out"] = stats.get("bytes_out", 0) + record.bytes_out
-        key = f"ops.{record.op}"
-        stats[key] = stats.get(key, 0) + 1
         if self.recorder is not None:
             self.recorder.record(record)
         if self._log is not None:
@@ -181,25 +170,6 @@ class ServerTelemetry:
                 )
             )
 
-    def breakdown(self) -> dict[str, dict[str, float]]:
-        """Per-op latency summary of requests observed *by this server*.
-
-        Subtracts the construction-time baseline from each per-op
-        histogram, so in-process runs that share the global registry
-        (loadtests, tests) report only their own interval.  Returns
-        ``{op: {count, mean_s, p50_s, p95_s, p99_s}}``
-        (:func:`~repro.obs.registry.latency_summary`) for ops with at
-        least one request.
-        """
-        out: dict[str, dict[str, float]] = {}
-        for op, histogram in sorted(self._histograms.items()):
-            row = latency_summary(
-                histogram.bounds, histogram.state(), self._baseline.get(op)
-            )
-            if row["count"] > 0:
-                out[op] = row
-        return out
-
     def close(self) -> None:
         """Close the access log (idempotent; no-op when disabled)."""
         if self._log is not None:
@@ -207,12 +177,29 @@ class ServerTelemetry:
             self._log = None
 
 
+def _breakdown_between(before: dict, after: dict) -> dict:
+    """The per-op latency summary of the interval between two scrapes.
+
+    *before* and *after* are :func:`~repro.server.client.scrape_breakdown`
+    results; returns ``{op: {count, mean_s, p50_s, p95_s, p99_s}}``
+    (:func:`~repro.obs.registry.latency_summary`) for every op with at
+    least one request in between.
+    """
+    out: dict[str, dict[str, float]] = {}
+    for op, (bounds, state) in sorted(after.items()):
+        since = before.get(op)
+        row = latency_summary(bounds, state, since[1] if since else None)
+        if row["count"] > 0:
+            out[op] = row
+    return out
+
+
 def format_breakdown(breakdown: Mapping[str, Mapping[str, float]]) -> str:
     """The per-op breakdown as an aligned text table.
 
     One row per op sorted by total time share, milliseconds throughout —
-    the block ``repro loadtest --report`` appends and ``repro top``
-    redraws.
+    the block :func:`~repro.server.load.format_report` ends with, as
+    ``repro loadtest`` prints it.
     """
     if not breakdown:
         return "  (no requests observed)"

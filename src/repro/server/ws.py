@@ -10,7 +10,8 @@ bytes:
   ``libcrypto`` (``hashlib`` is the fallback on interpreters without
   it, as :mod:`random` does for ``_sha512``);
 * frame encoding with 7/16/64-bit payload lengths and client-side
-  masking (:func:`encode_frame`);
+  masking (:func:`encode_frame`), and the bare header
+  (:func:`frame_header`) a server writes ahead of an unmasked payload;
 * :class:`FrameDecoder`, one incremental decoder — feed it whatever
   bytes the socket delivered, pull complete frames or reassembled
   messages out, or learn that more bytes are needed.
@@ -48,6 +49,7 @@ __all__ = [
     "WebSocketError",
     "accept_token",
     "encode_frame",
+    "frame_header",
 ]
 
 #: The fixed handshake GUID of RFC 6455 §1.3.
@@ -100,17 +102,17 @@ def _apply_mask(payload: bytes, mask: bytes) -> bytes:
     ).to_bytes(n, "big")
 
 
-def encode_frame(
-    opcode: int, payload: bytes, mask: bool, fin: bool = True
-) -> bytes:
-    """One wire frame: header + (masked) payload.
+def frame_header(
+    opcode: int, length: int, mask: bool = False, fin: bool = True
+) -> bytearray:
+    """The header of a frame with a *length*-byte payload, up to the
+    masking key a masked frame adds.
 
-    Clients MUST mask (``mask=True``), servers MUST NOT — the caller
-    picks per its role.
+    An unmasked frame is this header followed by the payload, so a
+    sender can write the two without joining them.
     """
     head = bytearray()
     head.append((0x80 if fin else 0) | (opcode & 0x0F))
-    length = len(payload)
     mask_bit = 0x80 if mask else 0
     if length < 126:
         head.append(mask_bit | length)
@@ -120,6 +122,18 @@ def encode_frame(
     else:
         head.append(mask_bit | 127)
         head.extend(struct.pack(">Q", length))
+    return head
+
+
+def encode_frame(
+    opcode: int, payload: bytes, mask: bool, fin: bool = True
+) -> bytes:
+    """One wire frame: header + (masked) payload.
+
+    Clients MUST mask (``mask=True``), servers MUST NOT — the caller
+    picks per its role.
+    """
+    head = frame_header(opcode, len(payload), mask, fin)
     if mask:
         key = os.urandom(4)
         head.extend(key)

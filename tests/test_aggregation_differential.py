@@ -193,25 +193,6 @@ def test_unknown_metric_view_matches_oracle(backing, tmp_path):
     assert all(not u.values for u in view.aggregated.units.values())
 
 
-def test_delta_windows_identity():
-    """TimeSlice.delta_windows really turns I(old) into I(new)."""
-    trace = random_hierarchical_trace(n_sites=2, seed=15)
-    entity = trace.entities("host")[0]
-    signal = entity.metrics[USAGE]
-    rng = random.Random(15)
-    old = TimeSlice(10.0, 40.0)
-    for _ in range(20):
-        new = TimeSlice(rng.uniform(0.0, 50.0), rng.uniform(50.0, 100.0))
-        delta = sum(
-            sign * signal.integrate(lo, hi)
-            for lo, hi, sign in old.delta_windows(new)
-        )
-        assert signal.integrate(old.start, old.end) + delta == pytest.approx(
-            signal.integrate(new.start, new.end), rel=1e-9, abs=1e-9
-        )
-        old = new
-
-
 def test_grouping_revision_counts_effective_changes_only():
     hierarchy = Hierarchy.from_trace(figure3_trace())
     grouping = GroupingState(hierarchy)

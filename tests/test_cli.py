@@ -516,6 +516,14 @@ class TestServe:
         assert args.access_log is None
         assert args.self_trace is None
 
+    def test_layout_seed_is_not_a_flag(self, capsys):
+        """Every server session lays out from one fixed seed, so
+        ``serve`` has no ``--seed``."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "t.trace", "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_parser_observability_flags(self):
         args = build_parser().parse_args(
             ["serve", "t.trace", "--access-log", "a.jsonl",
@@ -693,6 +701,21 @@ class TestLoadtest:
         assert report["differential"]["ok"] is True
         assert report["cache"]["cross_hits"] > 0
         assert report["latency"]["p50_s"] <= report["latency"]["p95_s"]
+
+    def test_no_sessions_is_one_error_line(self, tmp_path, capsys):
+        from repro.trace.synthetic import figure3_trace
+
+        path = tmp_path / "f3.trace"
+        write_trace(figure3_trace(), path)
+        code = main(
+            ["loadtest", str(path), "--sessions", "0", "--moves", "3"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: a load run needs at least 1 session, got 0"
+        ]
+        assert captured.out == ""
 
     def test_differential_failure_exits_4(self, grid_file, monkeypatch, capsys):
         """A diverging payload must fail loudly, not average out."""

@@ -23,7 +23,8 @@ import pytest
 
 from repro.core.aggregation import aggregate_view
 from repro.core.hierarchy import Hierarchy
-from repro.server.app import ReproServer
+from repro.core.session import AnalysisSession
+from repro.server.app import ReproServer, _ephemeral_session
 from repro.server.client import WsClient
 from repro.server.load import (
     default_group_paths,
@@ -32,7 +33,12 @@ from repro.server.load import (
     run_load,
 )
 from repro.server.protocol import canonical_json
-from repro.server.state import ServerConfig, SessionState, SharedServerState
+from repro.server.state import (
+    SESSION_SEED,
+    ServerConfig,
+    SessionState,
+    SharedServerState,
+)
 from repro.trace.synthetic import random_hierarchical_trace
 
 
@@ -79,7 +85,7 @@ class TestConcurrentDifferential:
             seed=5,
             group_paths=default_group_paths(trace),
         )
-        oracle = replay_storm_local(trace, storm, seed=0, settle_steps=1)
+        oracle = replay_storm_local(trace, storm, settle_steps=1)
 
         async def alternate(port: int) -> list[list[str]]:
             clients = [
@@ -253,3 +259,54 @@ class TestStormDeterminism:
         first = replay_storm_local(trace, storm, settle_steps=1)
         second = replay_storm_local(trace, storm, settle_steps=1)
         assert first == second
+
+
+class TestOneLayoutSeed:
+    """Server sessions, ``/render``'s one-shot session and the oracle
+    lay out from one seed, which no caller sets."""
+
+    def test_every_server_session_takes_the_session_seed(
+        self, trace, monkeypatch
+    ):
+        seeds = []
+        real_init = AnalysisSession.__init__
+
+        def spying(self, *args, **kwargs):
+            seeds.append(kwargs["seed"])
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisSession, "__init__", spying)
+        server = SharedServerState(trace, ServerConfig(settle_steps=1))
+        server.create_session()
+        _ephemeral_session(server)
+        SessionState.local(trace)
+        assert seeds == [SESSION_SEED] * 3
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda trace: ServerConfig(seed=0),
+            lambda trace: run_load(
+                trace=trace, sessions=1, moves=1, layout_seed=0
+            ),
+            lambda trace: replay_storm_local(trace, [], seed=0),
+            lambda trace: SessionState.local(trace, seed=0),
+            lambda trace: SessionState.local(trace, session_id="x"),
+            lambda trace: make_storm(trace.span(), start_depth=2),
+            lambda trace: make_storm(trace.span(), group_every=8),
+            lambda trace: default_group_paths(trace, limit=2),
+        ],
+        ids=[
+            "ServerConfig-seed",
+            "run_load-layout_seed",
+            "replay_storm_local-seed",
+            "SessionState.local-seed",
+            "SessionState.local-session_id",
+            "make_storm-start_depth",
+            "make_storm-group_every",
+            "default_group_paths-limit",
+        ],
+    )
+    def test_removed_settings_raise_type_error(self, trace, call):
+        with pytest.raises(TypeError):
+            call(trace)

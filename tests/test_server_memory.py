@@ -18,18 +18,22 @@ Per grouping, a view of a newly expanded site adds its unit structure,
 one seed array and the session layout's growth; the layout remembers
 entity positions in one array over the table's indices.
 
-The last bound is a transient: writing the reply of that view.  The
-one-pass writer holds about twice the reply; a payload dict tree
-encoded by ``json.dumps`` held over ten times the reply.
+The last bounds are transients: writing the reply of that view, and
+the server's whole reply path for it.  The one-pass writer holds about
+twice the reply; a payload dict tree encoded by ``json.dumps`` held
+over ten times the reply.  Encoding and framing then add nothing to the
+writer's peak.
 """
 
 import gc
+import socket
 import tracemalloc
 
 import pytest
 
 from repro.core.aggengine import SharedTraceData
 from repro.core.session import AnalysisSession
+from repro.server.app import ReproServer, _Connection
 from repro.server.cache import SharedResultCache
 from repro.server.protocol import view_reply
 from repro.server.state import (
@@ -37,6 +41,7 @@ from repro.server.state import (
     SharedServerState,
     canonical_reply,
 )
+from repro.server.ws import OP_TEXT, encode_frame
 from repro.trace.store import open_store, write_store
 
 from tests.test_store_differential import grid_trace  # noqa: F401 (fixture)
@@ -103,6 +108,13 @@ PER_GROUPING_BOUND_KB = 95
 #: as ``canonical_json(ok_envelope(..., view_payload(view)))``.  On the
 #: full trace's 907-unit view, 0.34 against 2.03 MB.
 WRITE_PEAK_BOUND_KB = 150
+#: How far the server's whole reply path for that view (write, encode,
+#: frame, send) may peak above the writer alone: 0.2 KB once the text
+#: is dropped after encoding and the frame header is sent beside the
+#: payload, 30 KB (one more reply) when text, bytes and the joined frame
+#: were alive at once.  On the full trace's 907-unit view, 0.337 against
+#: 0.504 MB, the writer alone peaking at 0.336 MB.
+FRAME_SLACK_KB = 8
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +186,8 @@ def test_per_grouping_growth_stays_under_bound(grid_store):
     assert retained / 2**10 < PER_GROUPING_BOUND_KB
 
 
-def test_reply_write_peak_stays_under_bound(grid_store):
-    trace = open_store(grid_store).open_trace()
+def _expanded_site_view(trace):
+    """The view after expanding the largest site at depth 2."""
     shared = SharedTraceData(trace)
     session = AnalysisSession(trace, shared=shared)
     session.aggregate_depth(2)
@@ -185,8 +197,47 @@ def test_reply_write_peak_stays_under_bound(grid_store):
         key=lambda group: len(shared.hierarchy.leaves(group)),
     )
     session.disaggregate(site)
-    view = session.view(settle=False)
+    return session.view(settle=False)
+
+
+def test_reply_write_peak_stays_under_bound(grid_store):
+    view = _expanded_site_view(open_store(grid_store).open_trace())
     reply, _, peak = _traced(lambda: view_reply(7, "ungroup", view))
     assert len(view.graph) > 100
     assert reply == canonical_reply(7, "ungroup", view)
     assert peak / 2**10 < WRITE_PEAK_BOUND_KB
+
+
+def test_framing_does_not_set_the_reply_peak(grid_store):
+    """The server's whole reply path for that view — write, encode,
+    frame, send — peaks no higher than the writer alone (plus
+    :data:`FRAME_SLACK_KB`): the text goes once encoded, and the frame
+    header goes out beside the payload instead of joined to it."""
+    trace = open_store(grid_store).open_trace()
+    view = _expanded_site_view(trace)
+    server = ReproServer(trace, ServerConfig())
+    ours, theirs = socket.socketpair()
+    conn = _Connection(ours)
+    conn.session = server.state.create_session()
+    meta = {"op": "ungroup", "ok": True, "code": "", "tier": "none"}
+    server._serve_frame = lambda session, text: (
+        view_reply(7, "ungroup", view), False, meta
+    )
+    request = '{"id":7,"op":"ungroup"}'
+    with ours, theirs:
+        ours.setblocking(False)
+        want = encode_frame(
+            OP_TEXT, canonical_reply(7, "ungroup", view).encode(), mask=False
+        )
+        for _ in range(2):  # the first one creates the op's histogram
+            _, _, write_peak = _traced(
+                lambda: view_reply(7, "ungroup", view)
+            )
+            _, _, peak = _traced(
+                lambda: server._serve_request(conn, request)
+            )
+            got = bytearray()
+            while len(got) < len(want):
+                got += theirs.recv(len(want) - len(got))
+            assert got == want and not conn.outbox
+    assert peak < write_peak + FRAME_SLACK_KB * 2**10

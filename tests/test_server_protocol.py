@@ -53,7 +53,7 @@ GOLDEN_SCRIPT = [
 def golden_replies() -> dict[str, str]:
     """Replay the golden script on a fresh oracle session: each reply
     frame as the server sends it (the requests carry no id)."""
-    state = SessionState.local(figure3_trace(), seed=0, settle_steps=0)
+    state = SessionState.local(figure3_trace(), settle_steps=0)
     return {
         label: state.reply(dict(msg))[0] for label, msg in GOLDEN_SCRIPT
     }

@@ -16,11 +16,13 @@ import pytest
 
 from repro.core import AnalysisSession
 from repro.core.timeline import Timeline
+from repro.errors import ReproError
 from repro.obs import parse_exposition, registry
 from repro.obs.expo import histogram_series, prom_name
+from repro.obs.registry import latency_summary
 from repro.server.app import ReproServer
 from repro.server.client import WsClient, http_get, scrape_breakdown
-from repro.server.load import _breakdown_between
+from repro.server.load import default_group_paths, make_storm, run_load
 from repro.server.protocol import ERROR_CODES
 from repro.server.state import ServerConfig, SharedServerState
 from repro.server.telemetry import (
@@ -29,6 +31,7 @@ from repro.server.telemetry import (
     RequestRecord,
     ServerRecorder,
     ServerTelemetry,
+    _breakdown_between,
     format_breakdown,
 )
 from repro.server.ws import WebSocketError
@@ -49,6 +52,16 @@ def _shared_state(**kwargs) -> SharedServerState:
     return SharedServerState(
         figure3_trace(), ServerConfig(settle_steps=0, **kwargs)
     )
+
+
+def _request_states() -> dict:
+    """``{op: (bounds, histogram state)}`` of the registry's per-op
+    request histograms, the shape a ``/metrics`` scrape reads."""
+    return {
+        dict(h.labels)["op"]: (h.bounds, h.state())
+        for h in registry.histograms()
+        if h.name == REQUEST_HISTOGRAM
+    }
 
 
 def _record(op="scrub", wall=0.002, **kwargs) -> RequestRecord:
@@ -134,11 +147,10 @@ class TestServerTelemetry:
         telemetry.recorder = ServerRecorder()
         telemetry.observe(_record(op="scrub", wall=0.003))
         telemetry.observe(_record(op="hello", wall=0.0005, bytes_out=120))
-        assert stats["bytes_in"] == 80
-        assert stats["bytes_out"] == 1020
-        assert stats["ops.scrub"] == 1 and stats["ops.hello"] == 1
+        assert stats == {"bytes_in": 80, "bytes_out": 1020}
         h = registry.histogram(REQUEST_HISTOGRAM, op="scrub")
         assert h.count == 1 and h.sum == pytest.approx(0.003)
+        assert registry.histogram(REQUEST_HISTOGRAM, op="hello").count == 1
         assert len(telemetry.recorder.records) == 2
 
     def test_no_records_are_kept_without_a_recorder(self):
@@ -153,7 +165,8 @@ class TestServerTelemetry:
                     )
             finally:
                 await client.close()
-            assert server.state.stats["ops.scrub"] == 20
+            scrubs = registry.histogram(REQUEST_HISTOGRAM, op="scrub")
+            assert scrubs.count == 20
             assert server.state.telemetry.recorder is None
 
         _run_live(scenario)
@@ -177,25 +190,29 @@ class TestServerTelemetry:
         assert lines[0]["tier"] == "shared" and lines[0]["ok"] is True
         assert lines[1]["code"] == "bad_request" and lines[1]["ok"] is False
 
-    def test_breakdown_reports_only_this_servers_interval(self):
-        # A previous server in the same process already observed scrubs
-        # on the process-global registry; a new telemetry instance must
-        # baseline them away.
-        earlier = ServerTelemetry({})
-        for _ in range(5):
-            earlier.observe(_record(op="scrub", wall=0.5))
-        fresh = ServerTelemetry({})
-        fresh.observe(_record(op="scrub", wall=0.001))
-        breakdown = fresh.breakdown()
-        assert breakdown["scrub"]["count"] == 1
-        assert breakdown["scrub"]["mean_s"] == pytest.approx(0.001)
-
     def test_format_breakdown_is_a_table(self):
         telemetry = ServerTelemetry({})
         telemetry.observe(_record(op="scrub"))
-        text = format_breakdown(telemetry.breakdown())
+        text = format_breakdown(_breakdown_between({}, _request_states()))
         assert "scrub" in text and "p95" in text
         assert format_breakdown({}) == "  (no requests observed)"
+
+    def test_server_stat_group_has_no_per_op_keys(self):
+        """The per-op request histogram is the one per-op request count;
+        the ``server`` stat group keeps none beside it."""
+        async def scenario(server, config):
+            client = await WsClient.connect(config.host, server.port)
+            try:
+                await client.request("hello")
+                await client.request("scrub", start=0.0, end=1.0)
+            finally:
+                await client.close()
+            _, body = await http_get(config.host, server.port, "/stats")
+            stats = json.loads(body)["server"]
+            assert stats["requests"] == 2
+            assert not [key for key in stats if key.startswith("ops.")]
+
+        _run_live(scenario)
 
 
 # ----------------------------------------------------------------------
@@ -336,11 +353,13 @@ class TestMetricsEndpoint:
 
     def test_scrape_agrees_with_the_in_process_breakdown(self):
         """One latency summary on both sides of the wire: the per-op
-        rows between two /metrics scrapes equal breakdown()'s exactly,
+        rows between two /metrics scrapes equal ``latency_summary`` over
+        the registry's histogram states taken around the same requests,
         because the exposition prints bucket bounds that round-trip."""
 
         async def scenario(server, config):
             before = await scrape_breakdown(config.host, server.port)
+            states_before = _request_states()
             client = await WsClient.connect(config.host, server.port)
             try:
                 await client.request("hello")
@@ -349,14 +368,94 @@ class TestMetricsEndpoint:
                 await client.request("bye")
             finally:
                 await client.close()
+            states_after = _request_states()
             after = await scrape_breakdown(config.host, server.port)
             scraped = _breakdown_between(before, after)
-            local = server.state.telemetry.breakdown()
             for op in ("hello", "scrub", "bye"):
-                assert scraped[op] == local[op], op
-            assert local["scrub"]["count"] == 5
+                bounds, state = states_after[op]
+                since = states_before.get(op, (None, None))[1]
+                assert scraped[op] == latency_summary(bounds, state, since)
+            assert scraped["scrub"]["count"] == 5
 
         _run_live(scenario)
+
+
+class TestLoadReport:
+    """``run_load`` reads the server only over its endpoints: counters
+    from one ``GET /stats`` after the storm, per-op latency from two
+    ``/metrics`` scrapes around it, however the server is hosted."""
+
+    def test_in_process_report_is_a_stats_reading(self, monkeypatch):
+        """The report's ``cache`` and ``server`` equal a ``GET /stats``
+        taken right after the run, but for the two HTTP requests that
+        follow the run's own reading: its closing ``/metrics`` scrape
+        and that ``GET``."""
+        later = {}
+        real_exit = ReproServer.__exit__
+
+        def read_stats_then_exit(self, *exc):
+            _, body = asyncio.run(
+                http_get(self.config.host, self.port, "/stats")
+            )
+            later.update(json.loads(body))
+            real_exit(self, *exc)
+
+        monkeypatch.setattr(ReproServer, "__exit__", read_stats_then_exit)
+        report = run_load(
+            trace=figure3_trace(), sessions=2, moves=6, settle_steps=0
+        )
+        assert report["cache"] == later["cache"]
+        assert set(report["server"]) == set(later["server"])
+        http_moved = {"http_requests", "bytes_in", "bytes_out"}
+        for key in set(later["server"]) - http_moved:
+            assert report["server"][key] == later["server"][key], key
+        assert later["server"]["http_requests"] == (
+            report["server"]["http_requests"] + 2
+        )
+
+    def test_consecutive_runs_report_their_own_interval(self):
+        """Runs in one process share the registry's request histograms;
+        each run reports only its own requests, its opening ``/metrics``
+        scrape and its ``/stats`` reading among them."""
+        trace = figure3_trace()
+        for moves in (6, 10):
+            storm = make_storm(
+                trace.span(), moves=moves, seed=7,
+                group_paths=default_group_paths(trace),
+            )
+            report = run_load(
+                trace=trace, sessions=2, moves=moves, settle_steps=0
+            )
+            ops = report["server_ops"]
+            scrubs = sum(move["op"] == "scrub" for move in storm)
+            assert ops["scrub"]["count"] == 2 * scrubs
+            assert ops["hello"]["count"] == ops["bye"]["count"] == 2
+            assert ops["http.metrics"]["count"] == 1
+            assert ops["http.stats"]["count"] == 1
+
+    def test_in_process_and_url_reports_have_the_same_keys(self):
+        trace = figure3_trace()
+        load = dict(trace=trace, sessions=2, moves=6, settle_steps=0)
+        in_process = run_load(**load)
+        with ReproServer(trace, ServerConfig(settle_steps=0)) as server:
+            by_url = run_load(url=server.url, **load)
+        assert set(in_process) == set(by_url)
+        assert set(in_process["server"]) == set(by_url["server"])
+        assert set(in_process["server_ops"]) == set(by_url["server_ops"])
+        assert in_process["server_ops"]["scrub"]["count"] == (
+            by_url["server_ops"]["scrub"]["count"]
+        )
+
+    def test_no_sessions_is_refused_before_a_server_starts(
+        self, monkeypatch
+    ):
+        def no_server(*args, **kwargs):
+            raise AssertionError("a server was started")
+
+        monkeypatch.setattr("repro.server.load.ReproServer", no_server)
+        for sessions in (0, -1):
+            with pytest.raises(ReproError, match="at least 1 session"):
+                run_load(trace=figure3_trace(), sessions=sessions, moves=3)
 
 
 class TestHealthz:
