@@ -29,7 +29,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".timeslice": ("TimeSlice", "animation_frames"),
     ".treemap": ("Treemap", "TreemapCell", "squarify"),
     ".view": ("TopologyView",),
-    ".visgraph": ("VisEdge", "VisGraph", "VisNode", "build_visgraph"),
+    ".visgraph": ("VisGraph", "VisNode", "build_visgraph"),
 })
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "Treemap",
     "TreemapCell",
     "TopologyView",
-    "VisEdge",
     "VisGraph",
     "VisNode",
     "VisualMapping",

@@ -17,8 +17,12 @@ directly) from one cache per concept:
 * **unit structures** — :class:`SharedTraceData` builds unit
   memberships, labels and the merged edge multiplicities once per
   canonical grouping token
-  (:attr:`~repro.core.hierarchy.GroupingState.state_key`); every view
-  looks its structure up there, so a slice move never rebuilds one;
+  (:attr:`~repro.core.hierarchy.GroupingState.state_key`), as index
+  arrays: member entity rows and offsets, kind and group codes, and
+  unit-index edge endpoints with their multiplicities.  Every view
+  looks its structure up there, so a slice move never rebuilds one; a
+  view's units read their member names from the rows only when a
+  caller asks, and its edge objects are built from the arrays;
 * **combined unit values** — the optional result cache, one entry per
   view keyed on ``(slice.as_tuple(), grouping.state_key, metrics)``:
   one read-only float64 array holding each metric's combined values
@@ -50,8 +54,9 @@ work once:
 A single-user :class:`~repro.core.session.AnalysisSession` builds a
 private :class:`SharedTraceData`.  Everything handed across the sharing
 boundary is genuinely immutable: cached mean and unit-value arrays are
-marked read-only and the structure tables are tuples, so one session
-can never observe another session's in-flight mutation
+marked read-only and the structure tables are tuples and read-only
+arrays, so one session can never observe another session's in-flight
+mutation
 (``tests/test_session_isolation.py``).
 """
 
@@ -158,7 +163,8 @@ class SliceCache:
 
 
 class _Structure:
-    """The slice-independent half of one view: units and edges.
+    """The slice-independent half of one view: units and edges, held as
+    index arrays.
 
     Valid for one canonical grouping token
     (:attr:`~repro.core.hierarchy.GroupingState.state_key`); rebuilding
@@ -168,27 +174,40 @@ class _Structure:
     memo) and shared freely across concurrent sessions whose collapsed
     sets coincide.
 
-    Per-unit tables (``members``, ``groups``, ``kinds``, ``labels``)
-    are tuples aligned with ``unit_order``.  The members are also kept
-    as entity indices of the trace's
-    :class:`~repro.trace.entities.EntityTable`: unit ``i`` owns
-    ``member_rows[member_offsets[i]:member_offsets[i + 1]]``, in member
-    order.  Every table is a pure function of the trace and ``key``,
-    so two structures built for the same token — say, one evicted and
-    rebuilt — agree position by position.
+    ``unit_order`` (the unit keys) and ``labels`` are tuples; every
+    other table is a read-only NumPy array over the units in that
+    order:
+
+    * ``kind_codes`` — int32 codes into the table's ``kind_names``;
+    * ``group_codes`` — int32 codes into ``group_paths`` (the collapsed
+      groups that own a unit), -1 for a plain entity;
+    * ``member_rows`` / ``member_offsets`` — unit ``i`` owns the
+      entities ``member_rows[member_offsets[i]:member_offsets[i + 1]]``
+      of the trace's :class:`~repro.trace.entities.EntityTable`, in
+      member order (:meth:`member_names` resolves them);
+    * ``edge_a`` / ``edge_b`` / ``edge_count`` — the merged unit edges,
+      sorted by endpoint keys: units ``edge_a[j]`` and ``edge_b[j]``
+      (the smaller key first) joined by ``edge_count[j]`` trace edge
+      segments.
+
+    Every table is a pure function of the trace and ``key``, so two
+    structures built for the same token — say, one evicted and rebuilt
+    — agree position by position.
     """
 
     __slots__ = (
         "key",
         "table",
         "unit_order",
-        "members",
+        "labels",
+        "group_paths",
+        "kind_codes",
+        "group_codes",
         "member_rows",
         "member_offsets",
-        "groups",
-        "kinds",
-        "labels",
-        "edges",
+        "edge_a",
+        "edge_b",
+        "edge_count",
         "_metric_layouts",
     )
 
@@ -228,61 +247,66 @@ class _Structure:
         # Units in the order of their first member, members in trace
         # order: the order a walk over the entities would meet them.
         order = np.argsort(first, kind="stable")
-        position = np.empty(len(order), dtype=np.int64)
-        position[order] = np.arange(len(order))
+        n_units = len(order)
+        position = np.empty(n_units, dtype=np.int64)
+        position[order] = np.arange(n_units)
         unit_of = position[inverse.reshape(-1)]
         rows = np.argsort(unit_of, kind="stable").astype(np.int32)
-        offsets = np.zeros(len(order) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(unit_of, minlength=len(order)), out=offsets[1:])
-        rows.setflags(write=False)
-        offsets.setflags(write=False)
+        offsets = np.zeros(n_units + 1, dtype=np.int32)
+        np.cumsum(np.bincount(unit_of, minlength=n_units), out=offsets[1:])
+        heads = first[order]
+        kind_codes = table.kinds[heads].astype(np.int32, copy=False)
+        group_codes = entity_owner[heads].astype(np.int32)
+        self.group_paths = tuple(visible)
+        # A plain entity's key and label are its name; an aggregate's
+        # label is its group path, its key the label plus its kind.
+        names, kind_names = table.names, table.kind_names
+        keys = list(map(names.__getitem__, heads.tolist()))
+        labels = list(keys)
+        aggregates = np.flatnonzero(group_codes >= 0).tolist()
+        for i, group, kind in zip(
+            aggregates,
+            group_codes[aggregates].tolist(),
+            kind_codes[aggregates].tolist(),
+        ):
+            path = self.group_paths[group]
+            labels[i] = "/".join(path)
+            keys[i] = unit_key(path, kind_names[kind])
+        self.unit_order = tuple(keys)
+        self.labels = tuple(labels)
         self.member_rows = rows
         self.member_offsets = offsets
-        names = table.names
-        bounds = offsets.tolist()
-        member_names = list(map(names.__getitem__, rows.tolist()))
-        self.members = tuple(
-            tuple(member_names[bounds[u]:bounds[u + 1]])
-            for u in range(len(order))
+        self.kind_codes = kind_codes
+        self.group_codes = group_codes
+        self.edge_a, self.edge_b, self.edge_count = _merged_edges(
+            self.unit_order, unit_of, edge_pairs
         )
-        groups_of = list(visible)
-        heads = first[order].tolist()
-        owners = entity_owner[heads].tolist()
-        self.groups = tuple(
-            groups_of[o] if o >= 0 else None for o in owners
-        )
-        self.kinds = tuple(table.kind(head) for head in heads)
-        self.unit_order = tuple(
-            unit_key(group, kind, names[head])
-            for group, kind, head in zip(self.groups, self.kinds, heads)
-        )
-        self.labels = tuple(
-            "/".join(group) if group is not None else names[head]
-            for group, head in zip(self.groups, heads)
-        )
-        self.edges = self._edges(unit_of, edge_pairs)
+        for array in (
+            rows, offsets, kind_codes, group_codes,
+            self.edge_a, self.edge_b, self.edge_count,
+        ):
+            array.setflags(write=False)
         self._metric_layouts: dict[
             str, tuple[np.ndarray, tuple, np.ndarray]
         ] = {}
 
-    def _edges(
-        self, unit_of: np.ndarray, edge_pairs: np.ndarray
-    ) -> tuple[AggregatedEdge, ...]:
-        """Merged unit edges, sorted by endpoint keys: every trace edge
-        segment between two different units counts once towards the
-        pair's multiplicity; segments inside one unit vanish."""
+    def member_names(self, i: int) -> tuple[str, ...]:
+        """The entity names of unit *i*'s members, in member order."""
+        offsets = self.member_offsets
+        rows = self.member_rows[offsets[i]:offsets[i + 1]].tolist()
+        return tuple(map(self.table.names.__getitem__, rows))
+
+    def edges(self) -> list[AggregatedEdge]:
+        """The merged unit edges as :class:`AggregatedEdge` objects,
+        built afresh for each view."""
         keys = self.unit_order
-        unit_of = unit_of.tolist()
-        multiplicity: dict[tuple[str, str], int] = {}
-        for x, y in edge_pairs.tolist():
-            ux, uy = keys[unit_of[x]], keys[unit_of[y]]
-            if ux != uy:
-                pair = (ux, uy) if ux <= uy else (uy, ux)
-                multiplicity[pair] = multiplicity.get(pair, 0) + 1
-        return tuple(
-            AggregatedEdge(a, b, count)
-            for (a, b), count in sorted(multiplicity.items())
-        )
+        return [
+            AggregatedEdge(keys[a], keys[b], count)
+            for a, b, count in zip(
+                self.edge_a.tolist(), self.edge_b.tolist(),
+                self.edge_count.tolist(),
+            )
+        ]
 
     def metric_layout(
         self, metric: str
@@ -318,6 +342,39 @@ class _Structure:
             cached = (rows, spans, slots)
             self._metric_layouts[metric] = cached
         return cached
+
+
+def _merged_edges(
+    keys: tuple[str, ...], unit_of: np.ndarray, edge_pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit edges of *edge_pairs*, entity-index pairs, whose
+    entities belong to the units *unit_of* gives, the units keyed by
+    *keys*: int32 ``(a, b, count)`` arrays.  Every segment between two
+    different units counts once towards the pair's multiplicity;
+    segments inside one unit vanish.  The pairs are sorted by their
+    endpoint keys, the smaller key first."""
+    n_units = len(keys)
+    a = unit_of[edge_pairs[:, 0]]
+    b = unit_of[edge_pairs[:, 1]]
+    cross = a != b
+    # Each unit's rank among the keys sorted as strings: ordering a pair
+    # by rank orders it by key, and a pair's code by rank sorts like its
+    # (key, key) tuple.
+    by_rank = np.asarray(
+        sorted(range(n_units), key=keys.__getitem__), dtype=np.int64
+    )
+    rank = np.empty(n_units, dtype=np.int64)
+    rank[by_rank] = np.arange(n_units)
+    ra, rb = rank[a[cross]], rank[b[cross]]
+    codes, counts = np.unique(
+        np.minimum(ra, rb) * n_units + np.maximum(ra, rb),
+        return_counts=True,
+    )
+    return (
+        by_rank[codes // n_units].astype(np.int32),
+        by_rank[codes % n_units].astype(np.int32),
+        counts.astype(np.int32),
+    )
 
 
 def _count_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -397,10 +454,11 @@ class SharedTraceData:
     """
 
     #: Distinct grouping structures, and distinct layout-seed entries,
-    #: kept before the oldest is dropped; a bound on pathological
-    #: sessions cycling through thousands of grouping states.  An
-    #: evicted structure is rebuilt on its next view, position for
-    #: position the same.
+    #: kept before the least recently used is dropped; a bound on
+    #: pathological sessions cycling through thousands of grouping
+    #: states.  A hit makes an entry the most recently used, so the
+    #: groupings every session returns to stay.  An evicted structure
+    #: is rebuilt on its next view, position for position the same.
     MAX_STRUCTURES = 256
 
     def __init__(self, trace: Trace) -> None:
@@ -462,11 +520,16 @@ class SharedTraceData:
 
         Keyed on the canonical ``state_key`` token, so any session
         whose collapsed groups coincide gets the same (immutable)
-        object back — counted in ``structure_shared_hits``.
+        object back — counted in ``structure_shared_hits``.  At most
+        :attr:`MAX_STRUCTURES` structures are kept, the least recently
+        used dropped first (``structure_evictions``).
         """
         key = grouping.state_key
         with self._lock:
-            structure = self._structures.get(key)
+            structure = self._structures.pop(key, None)
+            if structure is not None:
+                # Most recently used: the last entry to be evicted.
+                self._structures[key] = structure
         if structure is not None:
             self.stats["structure_shared_hits"] += 1
             return structure
@@ -494,15 +557,20 @@ class SharedTraceData:
         token, spring length)``; a grouping's graph always lists the
         units of its structure in the structure's order, and an entry
         whose row count differs from the graph is rebuilt.  At most
-        :attr:`MAX_STRUCTURES` entries are kept, oldest dropped first
-        (``seed_evictions``).
+        :attr:`MAX_STRUCTURES` entries are kept, the least recently used
+        dropped first (``seed_evictions``).
         """
         from repro.core.layout.seeding import radial_seed_array
 
         memo_key = (grouping_key, float(spring_length))
         with self._lock:
-            entry = self._seeds.get(memo_key)
-        if entry is not None and len(entry) == len(graph):
+            entry = self._seeds.pop(memo_key, None)
+            if entry is not None and len(entry) != len(graph):
+                entry = None
+            if entry is not None:
+                # Most recently used: the last entry to be evicted.
+                self._seeds[memo_key] = entry
+        if entry is not None:
             self.stats["seed_shared_hits"] += 1
             return entry
         seeds = radial_seed_array(
@@ -689,26 +757,36 @@ class AggregationEngine:
                     (metric, combined[at:at + width].tolist(), slots.tolist())
                 )
                 at += width
+        # Units name no members: each reads them from the structure's
+        # rows when first asked (AggregatedUnit.deferred).
+        kind_names = structure.table.kind_names
+        # Group code -1 (a plain entity) picks the trailing None.
+        groups = structure.group_paths + (None,)
+        labels = structure.labels
+        weights = np.diff(structure.member_offsets).tolist()
+        deferred = AggregatedUnit.deferred
         units: dict[str, AggregatedUnit] = {}
-        for i, key in enumerate(structure.unit_order):
+        for i, (key, kind, group) in enumerate(zip(
+            structure.unit_order,
+            structure.kind_codes.tolist(),
+            structure.group_codes.tolist(),
+        )):
             values: dict[str, float] = {}
             for metric, unit_values, slots in per_metric:
                 slot = slots[i]
                 if slot >= 0:
                     values[metric] = unit_values[slot]
-            units[key] = AggregatedUnit(
-                key=key,
-                label=structure.labels[i],
-                kind=structure.kinds[i],
-                members=structure.members[i],
-                group=structure.groups[i],
-                values=values,
+            units[key] = deferred(
+                structure, i, weights[i], key, labels[i], kind_names[kind],
+                groups[group], values,
             )
         view = AggregatedView(
             units=units,
-            edges=list(structure.edges),
+            edges=structure.edges(),
             tslice=tslice,
             entities=structure.table,
+            member_rows=structure.member_rows,
+            member_offsets=structure.member_offsets,
         )
         self.stats["views"] += 1
         view.stats = dict(self.stats)

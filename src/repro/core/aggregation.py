@@ -26,46 +26,124 @@ from repro.errors import AggregationError
 from repro.trace.trace import Entity, Trace
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.trace.entities import EntityTable
 
 __all__ = ["AggregatedUnit", "AggregatedEdge", "AggregatedView", "aggregate_view"]
 
 
-@dataclass(frozen=True)
 class AggregatedUnit:
-    """One display unit: a single entity or a (group, kind) aggregate."""
+    """One display unit: a single entity or a (group, kind) aggregate.
 
-    key: str
-    label: str
-    kind: str
-    members: tuple[str, ...]
-    group: Path | None  # None for a plain (uncollapsed) entity
-    values: dict[str, float] = field(default_factory=dict)
+    ``members`` names the unit's entities in trace order and ``weight``
+    counts them.  A unit built by
+    :class:`~repro.core.aggengine.AggregationEngine` holds no names: it
+    reads them from its unit structure's member rows the first time
+    ``members`` is read (:meth:`deferred`), and ``weight`` is the row
+    count.  Units compare equal field by field.
+    """
+
+    __slots__ = (
+        "key", "label", "kind", "group", "values", "weight",
+        "_members", "_source", "_index",
+    )
+
+    def __init__(
+        self,
+        key: str,
+        label: str,
+        kind: str,
+        members: Sequence[str],
+        group: Path | None,  # None for a plain (uncollapsed) entity
+        values: dict[str, float] | None = None,
+    ) -> None:
+        self.key = key
+        self.label = label
+        self.kind = kind
+        self.group = group
+        self.values = {} if values is None else values
+        self._members = tuple(members)
+        #: member count — the aggregated node's charge weight (Sec. 4.2)
+        self.weight = len(self._members)
+        self._source = None
+        self._index = -1
+
+    @classmethod
+    def deferred(
+        cls,
+        source,
+        index: int,
+        weight: int,
+        key: str,
+        label: str,
+        kind: str,
+        group: Path | None,
+        values: dict[str, float],
+    ) -> "AggregatedUnit":
+        """A unit of *weight* members whose names
+        ``source.member_names(index)`` gives when ``members`` is first
+        read."""
+        unit = cls.__new__(cls)
+        unit.key = key
+        unit.label = label
+        unit.kind = kind
+        unit.group = group
+        unit.values = values
+        unit.weight = weight
+        unit._members = None
+        unit._source = source
+        unit._index = index
+        return unit
+
+    @property
+    def members(self) -> tuple[str, ...]:
+        """The member entity names, in trace order."""
+        members = self._members
+        if members is None:
+            members = self._members = self._source.member_names(self._index)
+        return members
 
     @property
     def is_aggregate(self) -> bool:
         """Whether this unit folds several entities into one."""
         return self.group is not None
 
-    @property
-    def weight(self) -> int:
-        """Member count — the aggregated node's charge weight (Sec. 4.2)."""
-        return len(self.members)
-
     def value(self, metric: str, default: float = 0.0) -> float:
         """The aggregated value of *metric* (or *default* when absent)."""
         return self.values.get(metric, default)
 
+    def _fields(self) -> tuple:
+        return (
+            self.key, self.label, self.kind, self.members, self.group,
+            self.values,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AggregatedUnit):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]  # values is a dict
+
+    def __repr__(self) -> str:
+        return (
+            f"AggregatedUnit(key={self.key!r}, kind={self.kind!r}, "
+            f"weight={self.weight}, group={self.group!r})"
+        )
+
 
 #: Slotted dataclasses where the interpreter has them (Python 3.10+): a
-#: unit structure holds one edge object per unit pair, and a slotted
-#: edge takes half the memory of one with an attribute dict.
+#: view holds one edge object per unit pair, and a slotted edge takes
+#: half the memory of one with an attribute dict.
 _SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
 @dataclass(frozen=True, **_SLOTTED)
 class AggregatedEdge:
-    """An undirected edge between two units, merging parallel trace edges."""
+    """An undirected edge between two units, merging parallel trace
+    edges; ``multiplicity`` counts them.  The one edge class: a
+    :class:`~repro.core.visgraph.VisGraph` holds its view's edges."""
 
     a: str
     b: str
@@ -85,7 +163,11 @@ class AggregatedView:
     result-cache hits, cursor-advanced vs re-bisected slice moves); the
     scalar oracle path leaves it empty.  ``entities`` is the trace's
     :class:`~repro.trace.entities.EntityTable` the unit members name
-    entities of (the layout remembers positions by its indices).
+    entities of (the layout remembers positions by its indices).  An
+    engine view also carries its unit structure's ``member_rows`` and
+    ``member_offsets``: unit ``i`` (in ``units`` order) owns the
+    entities ``member_rows[member_offsets[i]:member_offsets[i + 1]]``,
+    in member order.  The oracle leaves both ``None``.
     """
 
     units: dict[str, AggregatedUnit]
@@ -93,6 +175,8 @@ class AggregatedView:
     tslice: TimeSlice
     stats: dict = field(default_factory=dict)
     entities: EntityTable | None = None
+    member_rows: np.ndarray | None = None
+    member_offsets: np.ndarray | None = None
 
     def unit(self, key: str) -> AggregatedUnit:
         """The unit with *key*, raising when unknown."""

@@ -13,6 +13,12 @@ positions:
 
 This is what makes "the layout smooth when aggregating, preventing the
 analyst to get confused when changing scale" (Fig. 8's caption).
+
+Positions are remembered per trace entity, by its row in the trace's
+entity table.  A graph built from an engine view carries its unit
+structure's member rows, so a sync reads each node's members as rows
+and never maps a member name; the same row arrays as at the last sync
+mean the same structure, which a scrub then keeps untouched.
 """
 
 from __future__ import annotations
@@ -104,14 +110,16 @@ class DynamicLayout:
         self._known = np.zeros(0, dtype=bool)
         self._slot: dict[str, int] | None = None
         self._names: dict[str, int] = {}
-        #: the member tuples of the nodes at the last sync, their
-        #: members' entity rows (concatenated in node order, node ``j``
-        #: owning ``_member_rows[_bounds[j]:_bounds[j + 1]]``), the
-        #: layout body of each node and its last remembered position
-        #: (its members take it when the node set next changes)
-        self._synced: list[tuple[str, ...]] = []
+        #: the nodes' members at the last sync: their entity rows
+        #: (concatenated in node order, node ``j`` owning
+        #: ``_member_rows[_bounds[j]:_bounds[j + 1]]``; a graph's own
+        #: arrays when it carries them), the member tuples of a graph
+        #: without rows (``None`` after a graph with them), the layout
+        #: body of each node and its last remembered position (its
+        #: members take it when the node set next changes)
         self._bounds = np.zeros(1, dtype=np.int32)
         self._member_rows = np.zeros(0, dtype=np.int32)
+        self._synced: list[tuple[str, ...]] | None = None
         self._node_body = np.zeros(0, dtype=np.int32)
         self._node_xy = np.zeros((0, 2))
         #: the edge pairs handed to the layout at the last sync
@@ -135,6 +143,11 @@ class DynamicLayout:
         traces", Section 3.3): a ``{node key: (x, y)}`` mapping, or a
         ``(len(graph), 2)`` array in graph node order with NaN rows for
         no seed.  Without it new nodes start at random.
+
+        A graph that carries member rows (:attr:`VisGraph.member_rows`)
+        is synced by them: the same row arrays as at the last sync mean
+        the same structure, so nothing is re-indexed.  A graph without
+        them is synced by member names.
         """
         self._remember_positions()
         nodes = graph.nodes()
@@ -143,12 +156,22 @@ class DynamicLayout:
         # the freed slot, so the body order (and with it every float
         # sum over bodies) must not depend on set iteration order.
         stale = [key for key in self.layout.names() if key not in target]
-        members = [node.members for node in nodes]
-        # A view of the same structure hands out the same member tuples:
-        # then the member rows of the last sync still hold.
-        restructured = bool(stale) or len(members) != len(self._synced) or (
-            not all(map(operator.is_, members, self._synced))
-        )
+        rows = graph.member_rows
+        if rows is not None:
+            # A view of the same structure hands out the same arrays.
+            members = None
+            restructured = (
+                rows is not self._member_rows
+                or graph.member_offsets is not self._bounds
+            )
+        else:
+            # ... or, without rows, the same member tuples.
+            members = [node.members for node in nodes]
+            synced = self._synced
+            restructured = synced is None or len(members) != len(synced) or (
+                not all(map(operator.is_, members, synced))
+            )
+        restructured = restructured or bool(stale)
         if restructured or any(node.key not in self.layout for node in nodes):
             self._spread_positions()
         self.layout.remove_nodes(stale)
@@ -189,9 +212,10 @@ class DynamicLayout:
         return {key: self.layout.position(key) for key in new_keys}
 
     def _index_members(
-        self, graph: VisGraph, members: list[tuple[str, ...]]
+        self, graph: VisGraph, members: list[tuple[str, ...]] | None
     ) -> None:
-        """Resolve every node's members to position-memory rows."""
+        """Take every node's members as position-memory rows: the
+        graph's own rows, or its *members* names resolved to rows."""
         table = getattr(graph, "entities", None)
         index = table.index if table is not None else self._names
         if index is not self._slot:
@@ -200,6 +224,10 @@ class DynamicLayout:
             self._slot = index
             self._xy = np.zeros((len(index), 2))
             self._known = np.zeros(len(index), dtype=bool)
+        if members is None:
+            self._member_rows = graph.member_rows
+            self._bounds = graph.member_offsets
+            return
         if table is None:
             for names in members:
                 for name in names:

@@ -13,9 +13,11 @@ children``) built level-by-level with vectorized group-bys, and forces
 are evaluated with a frontier traversal over blocks of about
 :data:`BLOCK_BODIES` bodies (each round expands every (body, cell) pair
 of the block whose cell fails the opening criterion into its
-children), so the traversal's memory does not grow with n.  A block's
-leaf hits become body pairs :data:`LEAF_CHUNK` hits at a time, so its
-leaf phase does not hold every pair of the block at once either.  Its
+children), so the traversal's memory does not grow with n.  A round is
+swept :data:`FRONTIER_CHUNK` pairs at a time (and the block's leaf
+hits after it as many at a time), each chunk adding its terms to
+per-body sums at once, so neither the widest round's temporaries nor
+the block's terms are held whole.  Its
 exact oracle is the O(n^2) :class:`~repro.core.layout.naive.NaiveLayout`,
 which ``theta == 0`` reproduces.
 """
@@ -29,7 +31,8 @@ import numpy as np
 from repro.errors import LayoutError
 
 __all__ = [
-    "ArrayQuadTree", "MAX_DEPTH", "BLOCK_BODIES", "LEAF_CHUNK", "root_cell",
+    "ArrayQuadTree", "MAX_DEPTH", "BLOCK_BODIES", "FRONTIER_CHUNK",
+    "root_cell",
 ]
 
 #: Stop subdividing past this depth; co-located bodies share a leaf.
@@ -42,12 +45,13 @@ MAX_DEPTH = 32
 #: fixed NumPy overhead, however few bodies it holds.
 BLOCK_BODIES = 256
 
-#: Leaf hits, the (body, leaf cell) pairs a block's sweep collects,
-#: that :meth:`ArrayQuadTree.forces` expands into body pairs at a
-#: time: the leaf phase holds one chunk's pair arrays plus each pair's
-#: slot and weights, instead of about ten arrays as long as every pair
-#: of the block.
-LEAF_CHUNK = 2048
+#: (body, cell) pairs of one frontier round that
+#: :meth:`ArrayQuadTree.forces` tests against the opening criterion at
+#: a time, and leaf hits it expands into body pairs at a time: a
+#: chunk's distance, acceptance and pair arrays are what a sweep holds
+#: beside the round's pairs, instead of arrays as long as the widest
+#: round or as every leaf pair of a block.
+FRONTIER_CHUNK = 2048
 
 #: Squared distance under which two bodies count as co-located and get
 #: the deterministic separation kick instead of a diverging force.
@@ -68,6 +72,37 @@ def root_cell(pos: np.ndarray) -> tuple[float, float, float]:
     lo, hi = pos.min(axis=0), pos.max(axis=0)
     half = float(max(hi[0] - lo[0], hi[1] - lo[1])) / 2.0 + 1e-9
     return float(lo[0] + hi[0]) / 2.0, float(lo[1] + hi[1]) / 2.0, half
+
+
+def _chunks(pieces: list, size: int):
+    """The (body, cell) pairs of *pieces*, a list of ``(bodies,
+    cells)`` array pairs, in order and *size* pairs at a time (the last
+    chunk may be shorter).  Each piece leaves the list as it is taken
+    up, so a swept piece is freed while the sweep goes on."""
+    pieces.reverse()
+    bodies: list[np.ndarray] = []
+    cells: list[np.ndarray] = []
+    held = 0
+    while pieces:
+        b, c = pieces.pop()
+        at = 0
+        while at < b.size:
+            take = min(size - held, b.size - at)
+            bodies.append(b[at:at + take])
+            cells.append(c[at:at + take])
+            held += take
+            at += take
+            if held == size:
+                yield _joined(bodies), _joined(cells)
+                bodies, cells, held = [], [], 0
+        del b, c
+    if held:
+        yield _joined(bodies), _joined(cells)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """*parts* as one array: the part itself when there is only one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _block_size(n: int) -> int:
@@ -298,10 +333,10 @@ class ArrayQuadTree:
         to ``2 * BLOCK_BODIES - 1`` bodies; each block runs its own
         frontier traversal and writes its rows before the next block
         starts, so the transient memory is bounded by the block rather
-        than growing with n log n.  Within a block, the leaf hits are
-        expanded into body pairs and evaluated :data:`LEAF_CHUNK` hits
-        at a time; only each pair's slot and two force terms wait for
-        the block's one ``bincount`` per axis.
+        than growing with n log n.  Within a block, each round is swept
+        :data:`FRONTIER_CHUNK` (body, cell) pairs at a time, and so are
+        the leaf hits after it; each chunk adds its far-cell or
+        leaf-pair terms to the block's per-body sums in traversal order.
 
         ``bodies`` restricts the evaluation to a subset of body indices
         — the primitive behind the sharded kernel, where each worker
@@ -370,117 +405,118 @@ class ArrayQuadTree:
     ) -> tuple[int, int]:
         """Write the repulsion on *block*'s bodies into their rows of *out*.
 
-        Far-cell terms and leaf cells are *collected* during the
-        frontier sweep and summed in one bincount per block, so
-        per-round work stays pure masking/arithmetic and each body's
-        terms are added in traversal order, whatever shares its block.
-        The leaf hits are then evaluated in chunks of
-        :data:`LEAF_CHUNK`, in collection order, and the chunks' terms
-        summed in one bincount per axis: the same order, so the same
-        bits, as expanding every pair at once.  Returns the exact leaf
+        The frontier of (body, cell) pairs is swept round by round, each
+        round :data:`FRONTIER_CHUNK` pairs at a time in traversal order.
+        A chunk adds its accepted far-cell terms to one per-body sum
+        with ``np.add.at``, collects its leaf hits, and hands its
+        descending pairs to the next round as a piece, dropped once
+        swept.  After the sweep the leaf hits are expanded into body
+        pairs :data:`FRONTIER_CHUNK` hits at a time, in collection
+        order, and their terms added to a second sum.  ``np.add.at``
+        adds in index order, as one ``bincount`` over every term of the
+        block would, so each body's terms are summed in traversal order
+        whatever shares its block or chunk.  Returns the exact leaf
         pairs and the accepted far cells.
         """
         k = block.size
-        far_body: list[np.ndarray] = []
-        far_fx: list[np.ndarray] = []
-        far_fy: list[np.ndarray] = []
-        leaf_body: list[np.ndarray] = []
-        leaf_cell: list[np.ndarray] = []
+        far_x, far_y = np.zeros(k), np.zeros(k)
+        pair_x, pair_y = np.zeros(k), np.zeros(k)
+        p2p = far = 0
+        hit_body: list[np.ndarray] = []
+        hit_cell: list[np.ndarray] = []
         com_x, com_y = self.com_x, self.com_y
         size2, cell_mass, is_leaf = self._size2, self.mass, self.is_leaf
         child_count, child_start = self._child_count, self._child_start
         child_list = self._child_list
-        # Frontier of (body, cell) pairs: the block's bodies vs root.
-        b = block
-        c = np.zeros(k, dtype=np.int64)
-        while b.size:
-            dx = x[b] - com_x[c]
-            dy = y[b] - com_y[c]
-            d2 = dx * dx + dy * dy
-            leaf = is_leaf[c]
-            accept = (d2 > _EPS2) & (size2[c] < theta2 * d2) & ~leaf
-            ai = accept.nonzero()[0]
-            if ai.size:
-                ab = b[ai]
-                ad2 = d2[ai]
-                scale = charge * m[ab] * cell_mass[c[ai]] / (ad2 * np.sqrt(ad2))
-                far_body.append(ab)
-                far_fx.append(scale * dx[ai])
-                far_fy.append(scale * dy[ai])
-            li = leaf.nonzero()[0]
-            if li.size:
-                leaf_body.append(b[li])
-                leaf_cell.append(c[li])
-            di = (~(accept | leaf)).nonzero()[0]
-            if not di.size:
-                break
-            # Free this round's arrays before the next frontier's.
-            del dx, dy, d2, leaf, accept
-            dc = c[di]
-            counts = child_count[dc]
-            # CSR expansion: child j of cell dc[i] sits at
-            # child_start[dc[i]] + j in the child list.
-            ends = counts.cumsum()
-            first = child_start[dc] - (ends - counts)
-            c = child_list[np.repeat(first, counts) + np.arange(ends[-1])]
-            b = np.repeat(b[di], counts)
-        fx = np.zeros(k)
-        fy = np.zeros(k)
-        far = 0
-        if far_body:
-            fs = slot[np.concatenate(far_body)]
-            far = fs.size
-            fx += np.bincount(fs, weights=np.concatenate(far_fx), minlength=k)
-            fy += np.bincount(fs, weights=np.concatenate(far_fy), minlength=k)
-            # Summed: the leaf phase need not hold the far terms.
-            del fs, far_body, far_fx, far_fy
-        p2p = 0
-        if leaf_body:
-            lb = np.concatenate(leaf_body)
-            lc = np.concatenate(leaf_cell)
-            del leaf_body, leaf_cell
-            # The hits are expanded into pairs LEAF_CHUNK at a time, in
-            # collection order; only each chunk's slots and weights are
-            # kept for the one bincount per axis.
-            pair_slot: list[np.ndarray] = []
-            pair_fx: list[np.ndarray] = []
-            pair_fy: list[np.ndarray] = []
-            for lo in range(0, lb.size, LEAF_CHUNK):
-                hit_body = lb[lo:lo + LEAF_CHUNK]
-                hit_cell = lc[lo:lo + LEAF_CHUNK]
-                cnt = self.leaf_count[hit_cell]
-                # CSR expansion: pair each hit's body with every
-                # resident of its leaf, then drop the self-pair.
-                me = np.repeat(hit_body, cnt)
-                first = self.leaf_start[hit_cell] - (cnt.cumsum() - cnt)
-                other = self.leaf_bodies[
-                    np.repeat(first, cnt) + np.arange(me.size)
-                ]
-                keep = other != me
-                me, other = me[keep], other[keep]
-                if not me.size:
+        # The first round: the block's bodies vs the root.
+        pieces = [(block, np.zeros(k, dtype=np.int64))]
+        while pieces:
+            frontier, pieces = pieces, []
+            for b, c in _chunks(frontier, FRONTIER_CHUNK):
+                dx = x[b] - com_x[c]
+                dy = y[b] - com_y[c]
+                d2 = dx * dx + dy * dy
+                leaf = is_leaf[c]
+                accept = (d2 > _EPS2) & (size2[c] < theta2 * d2) & ~leaf
+                ai = accept.nonzero()[0]
+                if ai.size:
+                    ab = b[ai]
+                    ad2 = d2[ai]
+                    scale = (
+                        charge * m[ab] * cell_mass[c[ai]]
+                        / (ad2 * np.sqrt(ad2))
+                    )
+                    ab = slot[ab]
+                    np.add.at(far_x, ab, scale * dx[ai])
+                    np.add.at(far_y, ab, scale * dy[ai])
+                    far += ai.size
+                li = leaf.nonzero()[0]
+                if li.size:
+                    hit_body.append(b[li])
+                    hit_cell.append(c[li])
+                di = (~(accept | leaf)).nonzero()[0]
+                if not di.size:
                     continue
-                ox = x[me] - x[other]
-                oy = y[me] - y[other]
-                od2 = ox * ox + oy * oy
-                close = od2 < _EPS2
-                if close.any():
-                    ox = np.where(close, _KICK[0], ox)
-                    oy = np.where(close, _KICK[1], oy)
-                    od2 = np.where(close, _KICK[2], od2)
-                scale = charge * m[me] * m[other] / (od2 * np.sqrt(od2))
-                pair_slot.append(slot[me])
-                pair_fx.append(scale * ox)
-                pair_fy.append(scale * oy)
-                p2p += me.size
-            if p2p:
-                ms = np.concatenate(pair_slot)
-                del pair_slot
-                fx += np.bincount(ms, weights=np.concatenate(pair_fx),
-                                  minlength=k)
-                del pair_fx
-                fy += np.bincount(ms, weights=np.concatenate(pair_fy),
-                                  minlength=k)
-        out[block, 0] = fx
-        out[block, 1] = fy
+                del dx, dy, d2, leaf, accept
+                dc = c[di]
+                counts = child_count[dc]
+                # CSR expansion: child j of cell dc[i] sits at
+                # child_start[dc[i]] + j in the child list.
+                ends = counts.cumsum()
+                first = child_start[dc] - (ends - counts)
+                pieces.append((
+                    np.repeat(b[di], counts),
+                    child_list[np.repeat(first, counts)
+                               + np.arange(ends[-1])],
+                ))
+        if hit_body:
+            hb = np.concatenate(hit_body)
+            hc = np.concatenate(hit_cell)
+            del hit_body, hit_cell
+            for lo in range(0, hb.size, FRONTIER_CHUNK):
+                p2p += self._leaf_pairs(
+                    x, y, m, hb[lo:lo + FRONTIER_CHUNK],
+                    hc[lo:lo + FRONTIER_CHUNK], slot, charge, pair_x, pair_y,
+                )
+        out[block, 0] = far_x + pair_x
+        out[block, 1] = far_y + pair_y
         return p2p, far
+
+    def _leaf_pairs(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        m: np.ndarray,
+        hit_body: np.ndarray,
+        hit_cell: np.ndarray,
+        slot: np.ndarray,
+        charge: float,
+        acc_x: np.ndarray,
+        acc_y: np.ndarray,
+    ) -> int:
+        """Add the exact repulsion of every resident of each hit leaf on
+        the hitting body to its row of *acc_x* / *acc_y*, hit after hit
+        in order; returns the body pairs evaluated."""
+        cnt = self.leaf_count[hit_cell]
+        # CSR expansion: pair each hit's body with every resident of
+        # its leaf, then drop the self-pair.
+        me = np.repeat(hit_body, cnt)
+        first = self.leaf_start[hit_cell] - (cnt.cumsum() - cnt)
+        other = self.leaf_bodies[np.repeat(first, cnt) + np.arange(me.size)]
+        keep = other != me
+        me, other = me[keep], other[keep]
+        if not me.size:
+            return 0
+        ox = x[me] - x[other]
+        oy = y[me] - y[other]
+        od2 = ox * ox + oy * oy
+        close = od2 < _EPS2
+        if close.any():
+            ox = np.where(close, _KICK[0], ox)
+            oy = np.where(close, _KICK[1], oy)
+            od2 = np.where(close, _KICK[2], od2)
+        scale = charge * m[me] * m[other] / (od2 * np.sqrt(od2))
+        rows = slot[me]
+        np.add.at(acc_x, rows, scale * ox)
+        np.add.at(acc_y, rows, scale * oy)
+        return me.size

@@ -37,18 +37,36 @@ def radial_seed_array(
     to ``spring_length * sqrt(n) / 2`` — the same scale the random
     placement uses, so the two initializations are comparable.
 
-    A float64 ``(len(graph), 2)`` array in graph node order; a node
+    The members are the graph's member rows
+    (:attr:`~repro.core.visgraph.VisGraph.member_rows`), or, for a graph
+    without them, the hierarchy table's rows of its member names.  A
+    float64 ``(len(graph), 2)`` array in graph node order; a node
     without a member in the hierarchy gets a NaN row (no seed).
     """
     cos, sin = hierarchy.leaf_circle()
-    index = hierarchy.table.index
     if radius is None:
         radius = spring_length * math.sqrt(len(graph)) / 2.0
+    rows, offsets = graph.member_rows, graph.member_offsets
+    if rows is None:
+        rows, offsets = _member_rows(hierarchy.table.index, graph)
     seeds = np.full((len(graph), 2), np.nan)
-    for j, node in enumerate(graph):
-        members = [i for i in map(index.get, node.members) if i is not None]
-        if not members:
-            continue
+    counts = np.diff(offsets)
+    # A one-member node points at its leaf: the centroid of one vector
+    # is that vector, so one gather seeds every such node.
+    single = np.flatnonzero(counts == 1)
+    if single.size:
+        leaves = rows[offsets[single]]
+        x, y = cos[leaves], sin[leaves]
+        norm = np.fromiter(
+            map(math.hypot, x.tolist(), y.tolist()), float, single.size
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spots = np.column_stack((radius * x / norm, radius * y / norm))
+        spots[norm < 1e-9] = 0.0
+        seeds[single] = spots
+    bounds = offsets.tolist()
+    for j in np.flatnonzero(counts > 1).tolist():
+        members = rows[bounds[j]:bounds[j + 1]]
         # Angular centroid via the vector mean (robust to wrap-around);
         # cumsum adds the members left to right, in member order.
         x = float(np.cumsum(cos[members])[-1]) / len(members)
@@ -59,6 +77,19 @@ def radial_seed_array(
         else:
             seeds[j] = (radius * x / norm, radius * y / norm)
     return seeds
+
+
+def _member_rows(
+    index: dict[str, int], graph: VisGraph
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and offsets of the names of *graph*'s node members that
+    *index* knows, in member order."""
+    rows: list[int] = []
+    offsets = [0]
+    for node in graph:
+        rows.extend(i for i in map(index.get, node.members) if i is not None)
+        offsets.append(len(rows))
+    return np.asarray(rows, dtype=np.int64), np.asarray(offsets)
 
 
 def radial_seeds(

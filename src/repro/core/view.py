@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.aggregation import AggregatedView
+from repro.core.aggregation import AggregatedEdge, AggregatedView
 from repro.core.timeslice import TimeSlice
-from repro.core.visgraph import VisEdge, VisGraph, VisNode
+from repro.core.visgraph import VisGraph, VisNode
 from repro.errors import LayoutError
 
 __all__ = ["TopologyView"]
@@ -41,7 +41,7 @@ class TopologyView:
         return self.graph.node(key)
 
     @property
-    def edges(self) -> tuple[VisEdge, ...]:
+    def edges(self) -> tuple[AggregatedEdge, ...]:
         """The styled edges of the underlying visual graph."""
         return self.graph.edges
 

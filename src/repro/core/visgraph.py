@@ -5,12 +5,19 @@ trace → temporal aggregation (time slice) → spatial aggregation
 (grouping) → metric-to-shape mapping → per-kind pixel scaling.  Node
 positions are *not* stored here; they belong to the dynamic layout
 engine, which persists across view changes so transitions stay smooth.
+
+A graph built from an engine view reads member names only on demand:
+each :class:`VisNode` takes them from its
+:class:`~repro.core.aggregation.AggregatedUnit`, and the graph carries
+its unit structure's member rows, which the layout syncs and seeds
+from.  Its edges are the view's
+:class:`~repro.core.aggregation.AggregatedEdge` objects, passed
+through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.aggregation import AggregatedEdge, AggregatedUnit, AggregatedView
 from repro.core.mapping import VisualMapping
@@ -18,12 +25,13 @@ from repro.core.scaling import ScaleSet
 from repro.errors import MappingError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.trace.entities import EntityTable
 
-__all__ = ["VisNode", "VisEdge", "VisGraph", "build_visgraph"]
+__all__ = ["VisNode", "VisGraph", "build_visgraph"]
 
 
-@dataclass(frozen=True)
 class VisNode:
     """One drawable node.
 
@@ -31,40 +39,80 @@ class VisNode:
     pixels (post-scaling); ``fill_fraction`` is the proportional filling
     in ``[0, 1]`` or None when the unit has no utilization metric;
     ``weight`` is the number of trace entities the node stands for (its
-    layout charge multiplier, Section 4.2).
+    layout charge multiplier, Section 4.2).  *members* is a sequence of
+    their names, or the :class:`~repro.core.aggregation.AggregatedUnit`
+    the node draws, whose names are then read from it on first access.
+    Nodes compare equal field by field.
     """
 
-    key: str
-    label: str
-    kind: str
-    shape: str
-    size_value: float
-    size_px: float
-    fill_fraction: float | None
-    color: str
-    members: tuple[str, ...]
-    values: dict[str, float]
-    #: optional composite fill: (metric, fraction) segments, stacked
-    fill_parts: tuple[tuple[str, float], ...] = ()
+    __slots__ = (
+        "key", "label", "kind", "shape", "size_value", "size_px",
+        "fill_fraction", "color", "values", "fill_parts", "weight",
+        "_members",
+    )
+
+    def __init__(
+        self,
+        key: str,
+        label: str,
+        kind: str,
+        shape: str,
+        size_value: float,
+        size_px: float,
+        fill_fraction: float | None,
+        color: str,
+        members: Sequence[str] | AggregatedUnit,
+        values: dict[str, float],
+        fill_parts: tuple[tuple[str, float], ...] = (),
+    ) -> None:
+        self.key = key
+        self.label = label
+        self.kind = kind
+        self.shape = shape
+        self.size_value = size_value
+        self.size_px = size_px
+        self.fill_fraction = fill_fraction
+        self.color = color
+        self.values = values
+        #: optional composite fill: (metric, fraction) segments, stacked
+        self.fill_parts = fill_parts
+        if isinstance(members, AggregatedUnit):
+            self.weight = members.weight
+        else:
+            members = tuple(members)
+            self.weight = len(members)
+        self._members = members
 
     @property
-    def weight(self) -> int:
-        """Number of concrete entities folded into this node."""
-        return len(self.members)
+    def members(self) -> tuple[str, ...]:
+        """The names of the trace entities folded into this node."""
+        members = self._members
+        return members if type(members) is tuple else members.members
 
     @property
     def is_aggregate(self) -> bool:
         """Whether the node stands for more than one entity."""
-        return len(self.members) > 1
+        return self.weight > 1
 
+    def _fields(self) -> tuple:
+        return (
+            self.key, self.label, self.kind, self.shape, self.size_value,
+            self.size_px, self.fill_fraction, self.color, self.members,
+            self.values, self.fill_parts,
+        )
 
-@dataclass(frozen=True)
-class VisEdge:
-    """One drawable edge; ``multiplicity`` counts merged trace edges."""
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VisNode):
+            return NotImplemented
+        return self._fields() == other._fields()
 
-    a: str
-    b: str
-    multiplicity: int = 1
+    __hash__ = None  # type: ignore[assignment]  # values is a dict
+
+    def __repr__(self) -> str:
+        return (
+            f"VisNode(key={self.key!r}, kind={self.kind!r}, "
+            f"shape={self.shape!r}, weight={self.weight})"
+        )
 
 
 class VisGraph:
@@ -73,16 +121,33 @@ class VisGraph:
     ``entities`` is the :class:`~repro.trace.entities.EntityTable` the
     node members name entities of, when the graph was built from a
     trace's view (:func:`build_visgraph`); the dynamic layout keeps its
-    per-entity position memory by that table's indices.
+    per-entity position memory by that table's indices.  A graph of an
+    engine view also carries its unit structure's ``member_rows`` and
+    ``member_offsets``: node ``j`` (in node order) stands for the
+    entities ``member_rows[member_offsets[j]:member_offsets[j + 1]]``
+    of ``entities``.  The layout syncs and seeds from those rows, and
+    reads member names only for a graph without them.
     """
 
     def __init__(
         self,
         nodes: list[VisNode],
-        edges: list[VisEdge],
+        edges: list[AggregatedEdge],
         entities: EntityTable | None = None,
+        member_rows: np.ndarray | None = None,
+        member_offsets: np.ndarray | None = None,
     ) -> None:
+        if member_rows is not None and (
+            entities is None or member_offsets is None
+            or len(member_offsets) != len(nodes) + 1
+        ):
+            raise MappingError(
+                "member rows need an entity table and one offset per "
+                "node plus one"
+            )
         self.entities = entities
+        self.member_rows = member_rows
+        self.member_offsets = member_offsets
         self._nodes: dict[str, VisNode] = {}
         for node in nodes:
             if node.key in self._nodes:
@@ -115,7 +180,7 @@ class VisGraph:
             raise MappingError(f"unknown node {key!r}") from None
 
     @property
-    def edges(self) -> tuple[VisEdge, ...]:
+    def edges(self) -> tuple[AggregatedEdge, ...]:
         """The deduplicated edges between visual nodes."""
         return tuple(self._edges)
 
@@ -146,7 +211,9 @@ def build_visgraph(
     """Style an aggregated view into a drawable graph.
 
     Calibrates *scales* on the view (the automatic per-kind scaling of
-    Section 4.1) and resolves every unit through *mapping*.
+    Section 4.1) and resolves every unit through *mapping*.  The nodes
+    read their members from the view's units, and the graph takes the
+    view's edges and member rows as they are.
     """
     styles = {key: mapping.style(unit) for key, unit in view.units.items()}
     by_kind: dict[str, list] = {}
@@ -167,12 +234,15 @@ def build_visgraph(
                 size_px=scales.pixel_size(unit.kind, style.size_value),
                 fill_fraction=style.fill_fraction,
                 color=style.color,
-                members=unit.members,
+                members=unit,
                 values=dict(unit.values),
                 fill_parts=style.fill_parts,
             )
         )
-    edges = [
-        VisEdge(edge.a, edge.b, edge.multiplicity) for edge in view.edges
-    ]
-    return VisGraph(nodes, edges, entities=view.entities)
+    return VisGraph(
+        nodes,
+        view.edges,
+        entities=view.entities,
+        member_rows=view.member_rows,
+        member_offsets=view.member_offsets,
+    )

@@ -4,9 +4,11 @@
 (``BLOCK_BODIES``), so the memory it holds while running is bounded by
 the block, not by the body count.  An all-at-once frontier holds every
 accepted (body, cell) pair until the end, roughly 100 MB at 20 000
-bodies.  Within a block, the leaf phase expands its leaf hits into body
-pairs ``LEAF_CHUNK`` hits at a time, so it holds one chunk's pair
-arrays rather than about ten arrays as long as every pair of the block.
+bodies.  Within a block, each frontier round, and then the block's
+leaf hits, are swept ``FRONTIER_CHUNK`` pairs at a time, and each chunk
+adds its terms to per-body sums at once: the sweep holds the round's
+pairs and one chunk's arrays, not arrays as long as the widest round
+nor every term of the block.
 """
 
 import tracemalloc
@@ -16,13 +18,16 @@ import numpy as np
 from repro.core.layout import ArrayQuadTree
 
 #: Allowed transient of one forces call; blocks of 256 bodies need
-#: about 2 MB at 20 000 bodies (blocks of 1024 needed about 5 MB).
+#: about 1.2 MB at 20 000 bodies (1.8 MB with whole frontier rounds and
+#: every far-cell term of a block held; blocks of 1024 needed about
+#: 5 MB).
 TRANSIENT_BOUND_MB = 4
 #: Allowed transient of one forces call on 900 clustered bodies (three
-#: blocks of 300): 0.60 MB with the chunked leaf phase, 0.91 MB when
-#: the leaf phase expanded every pair of a block at once, with the
-#: summed far-cell terms still held.
-CLUSTERED_BOUND_MB = 0.75
+#: blocks of 300): 0.34 MB with chunked rounds and summed terms, 0.60 MB
+#: with whole rounds and every far-cell term of a block held until its
+#: sum, 0.91 MB when the leaf phase also expanded every pair of a block
+#: at once.
+CLUSTERED_BOUND_MB = 0.42
 
 
 def test_forces_transient_is_bounded_at_20k_bodies():

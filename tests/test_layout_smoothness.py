@@ -13,8 +13,9 @@ import math
 
 import pytest
 
+from repro.core.aggregation import AggregatedEdge
 from repro.core.layout import DynamicLayout
-from repro.core.visgraph import VisEdge, VisGraph, VisNode
+from repro.core.visgraph import VisGraph, VisNode
 
 #: The seeding jitter is uniform(-1, 1) per axis, so a seeded node may
 #: land up to sqrt(2) away from its target; 2.5 leaves slack.
@@ -40,7 +41,7 @@ def detailed_graph():
     """Three hosts, a-b-c chain."""
     return VisGraph(
         [node("a", ["a"]), node("b", ["b"]), node("c", ["c"])],
-        [VisEdge("a", "b"), VisEdge("b", "c")],
+        [AggregatedEdge("a", "b"), AggregatedEdge("b", "c")],
     )
 
 
@@ -48,7 +49,7 @@ def collapsed_graph():
     """a and b collapsed into group g, still linked to c."""
     return VisGraph(
         [node("g", ["a", "b"]), node("c", ["c"])],
-        [VisEdge("g", "c")],
+        [AggregatedEdge("g", "c")],
     )
 
 

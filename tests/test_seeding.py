@@ -7,7 +7,7 @@ import pytest
 from repro.core import AnalysisSession, ScaleSet, VisualMapping, build_visgraph
 from repro.core.aggregation import aggregate_view
 from repro.core.hierarchy import GroupingState, Hierarchy
-from repro.core.layout.seeding import radial_seeds
+from repro.core.layout.seeding import radial_seed_array, radial_seeds
 from repro.core.timeslice import TimeSlice
 from repro.trace.synthetic import random_hierarchical_trace
 
@@ -217,3 +217,69 @@ class TestPrivateSessionSeeds:
             got = [v.positions for v in self.scrub(session, 8)]
             want = [v.positions for v in self.scrub(reference, 8)]
             assert got == want
+
+
+class TestMemberRows:
+    """A graph of an engine view carries its unit structure's member
+    rows, and the seeds and the layout sync read those instead of the
+    member names: the same bits as a graph of the oracle view, which
+    carries no rows and is read by name."""
+
+    GROUPINGS = (2, ("grid", "site-1"), 3, 1, None)
+
+    @staticmethod
+    def regroup(session, grouping):
+        if grouping is None:
+            session.disaggregate_all()
+        elif isinstance(grouping, int):
+            session.aggregate_depth(grouping)
+        else:
+            session.aggregate_depth(2)
+            session.disaggregate(grouping)
+
+    @staticmethod
+    def oracle_graph(session):
+        view = aggregate_view(
+            session.trace, session.grouping, session.time_slice
+        )
+        return build_visgraph(view, VisualMapping.paper_default(), ScaleSet())
+
+    def test_rows_seed_like_names(self):
+        trace = random_hierarchical_trace(
+            n_sites=3, clusters_per_site=2, hosts_per_cluster=5, seed=6
+        )
+        session = AnalysisSession(trace)
+        for grouping in self.GROUPINGS:
+            self.regroup(session, grouping)
+            graph = session.view(settle=False).graph
+            oracle = self.oracle_graph(session)
+            assert graph.member_rows is not None
+            assert oracle.member_rows is None
+            assert [n.key for n in graph] == [n.key for n in oracle]
+            got = radial_seed_array(session.hierarchy, graph)
+            want = radial_seed_array(session.hierarchy, oracle)
+            assert got.tobytes() == want.tobytes()
+
+    def test_sync_by_rows_places_like_sync_by_names(self):
+        """Two layouts follow the same regroupings and scrubs, one fed
+        the engine's graphs and one the oracle's: every position is
+        equal after every view."""
+        from repro.core.layout.engine import DynamicLayout
+
+        trace = random_hierarchical_trace(
+            n_sites=3, clusters_per_site=2, hosts_per_cluster=5, seed=7
+        )
+        session = AnalysisSession(trace, seed=7)
+        by_name = DynamicLayout(seed=7)
+        start, end = trace.span()
+        for grouping in self.GROUPINGS:
+            self.regroup(session, grouping)
+            for lo in (start, (start + end) / 2):
+                session.set_time_slice(lo, end)
+                view = session.view(settle_steps=2)
+                graph = self.oracle_graph(session)
+                by_name.sync(graph, seed_positions=radial_seed_array(
+                    session.hierarchy, graph
+                ))
+                by_name.settle(max_steps=2)
+                assert view.positions == by_name.positions()

@@ -41,6 +41,8 @@ from repro.server.state import (
 )
 from repro.trace.synthetic import random_hierarchical_trace
 
+from tests.test_store_differential import grid_trace  # noqa: F401 (fixture)
+
 
 @pytest.fixture(scope="module")
 def trace():
@@ -202,6 +204,56 @@ class TestFixedSliceRegrouping:
             assert got["edges"] == [
                 [e.a, e.b, e.multiplicity] for e in want.edges
             ]
+
+
+def drill_storm(hierarchy) -> list[dict]:
+    """The drill shape of the end-to-end benchmark: from the depth-2
+    view, expand and collapse every site in turn, flipping to depth 3
+    or 1 and back to 2 after each."""
+    storm = [{"op": "depth", "depth": 2}]
+    for i, site in enumerate(hierarchy.groups_at_depth(2)):
+        storm += [
+            {"op": "ungroup", "path": list(site)},
+            {"op": "group", "path": list(site)},
+            {"op": "depth", "depth": 1 if i % 2 else 3},
+            {"op": "depth", "depth": 2},
+        ]
+    return storm
+
+
+class TestDrillBesideScrubs:
+    def test_both_sessions_match_their_local_replays(
+        self, grid_trace  # noqa: F811
+    ):
+        """On the reduced Grid'5000 trace, a session drilling into
+        every site shares its structures, seeds and result cache with a
+        session scrubbing at depth 2, one move each in turn: each
+        session's reply bytes equal its ``SessionState.local``
+        replay."""
+        drill = drill_storm(Hierarchy.from_trace(grid_trace))
+        start, end = grid_trace.span()
+        width = (end - start) / 8
+        step = (end - start - width) / len(drill)
+        scrubs = [{"op": "depth", "depth": 2}] + [
+            {"op": "scrub", "start": start + i * step,
+             "end": start + i * step + width}
+            for i in range(1, len(drill))
+        ]
+        state = SharedServerState(grid_trace, ServerConfig(settle_steps=1))
+        sessions = state.create_session(), state.create_session()
+        replies: tuple[list[str], list[str]] = ([], [])
+        for i, moves in enumerate(zip(drill, scrubs)):
+            for session, move, got in zip(sessions, moves, replies):
+                got.append(session.reply(dict(move, id=i))[0])
+        assert len(drill) > 40
+        assert state.shared.stats["structure_builds"] == (
+            len(drill) - 1) // 4 + 3
+        assert replies[0] == replay_storm_local(
+            grid_trace, drill, settle_steps=1
+        )
+        assert replies[1] == replay_storm_local(
+            grid_trace, scrubs, settle_steps=1
+        )
 
 
 class TestStatsOp:

@@ -16,7 +16,10 @@ trace, an opened store plus the server state keeps one
 :class:`~repro.trace.entities.EntityTable` and no per-entity object.
 Per grouping, a view of a newly expanded site adds its unit structure,
 one seed array and the session layout's growth; the layout remembers
-entity positions in one array over the table's indices.
+entity positions in one array over the table's indices.  A unit
+structure holds its grouping as index arrays (member rows, kind and
+group codes, unit-index edges), so the structures of every site
+expansion, which a drill leaves in the shared memo, stay small too.
 
 The last bounds are transients: writing the reply of that view, and
 the server's whole reply path for it.  The one-pass writer holds about
@@ -32,6 +35,7 @@ import tracemalloc
 import pytest
 
 from repro.core.aggengine import SharedTraceData
+from repro.core.hierarchy import GroupingState
 from repro.core.session import AnalysisSession
 from repro.server.app import ReproServer, _Connection
 from repro.server.cache import SharedResultCache
@@ -100,9 +104,16 @@ PER_TRACE_BOUND_MB = 0.25
 #: Traced growth of one view after expanding the largest site of the
 #: reduced Grid'5000 trace at depth 2 (149 units): its unit structure
 #: with the per-metric layouts, the seed array and the session layout's
-#: growth.  74 KB with index arrays, 122 KB with name-keyed seed dicts
-#: and a per-entity position dict.
-PER_GROUPING_BOUND_KB = 95
+#: growth.  60 KB with the structure as index arrays, 86 KB when it
+#: kept per-unit member-name tuples, kind and group tuples and edge
+#: objects, 122 KB with name-keyed seed dicts and a per-entity position
+#: dict besides.
+PER_GROUPING_BOUND_KB = 75
+#: Traced memory the unit structures of all ten site expansions of
+#: the reduced Grid'5000 trace retain, with their per-metric layouts:
+#: 219 KB as index arrays, 361 KB with per-unit member-name tuples,
+#: kind and group tuples and edge objects.
+SITE_STRUCTURES_BOUND_KB = 270
 #: Traced peak of writing the reply of that view (149 units, a 30.6 KB
 #: reply): 61 KB with :func:`~repro.server.protocol.view_reply`, 353 KB
 #: as ``canonical_json(ok_envelope(..., view_payload(view)))``.  On the
@@ -184,6 +195,33 @@ def test_per_grouping_growth_stays_under_bound(grid_store):
     assert shared.stats["structure_builds"] == 2
     assert shared.stats["seed_builds"] == 2
     assert retained / 2**10 < PER_GROUPING_BOUND_KB
+
+
+def test_site_expansion_structures_stay_under_bound(grid_store):
+    """The unit structures of every site expansion, each with its
+    per-metric layouts, as the drill workload leaves them in the
+    shared memo."""
+    trace = open_store(grid_store).open_trace()
+    shared = SharedTraceData(trace)
+    metrics = trace.metric_names()
+    grouping = GroupingState(shared.hierarchy)
+    grouping.collapse_depth(2)
+    for metric in metrics:  # the per-trace lazies are not per grouping
+        shared.structure(grouping).metric_layout(metric)
+    sites = shared.hierarchy.groups_at_depth(2)
+
+    def expand_every_site():
+        for site in sites:
+            grouping.expand(site)
+            structure = shared.structure(grouping)
+            for metric in metrics:
+                structure.metric_layout(metric)
+            grouping.collapse(site)
+        return len(shared._structures)
+
+    structures, retained, _ = _traced(expand_every_site)
+    assert structures == len(sites) + 1 > 5
+    assert retained / 2**10 < SITE_STRUCTURES_BOUND_KB
 
 
 def _expanded_site_view(trace):

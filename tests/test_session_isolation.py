@@ -186,19 +186,29 @@ class TestPerSessionStateStaysPrivate:
 
 
 class TestSharedStructureImmutability:
-    def test_structure_tables_are_tuples(self, trace):
-        """The cross-session structure tables cannot be appended to or
-        reordered in place."""
+    def test_structure_tables_are_read_only(self, trace):
+        """The cross-session structure tables cannot be appended to,
+        reordered or written in place: the key and label tables are
+        tuples, and every index array is read-only."""
         shared = SharedTraceData(trace)
         session = AnalysisSession(trace, shared=shared, session_id="s")
+        session.aggregate_depth(2)
         session.view(settle_steps=0)
         structure = shared.structure(session.grouping)
+        n = len(structure.unit_order)
         assert isinstance(structure.unit_order, tuple)
-        assert isinstance(structure.edges, tuple)
-        for table in (
-            structure.members, structure.groups, structure.kinds,
-            structure.labels,
-        ):
-            assert isinstance(table, tuple)
-            assert len(table) == len(structure.unit_order)
-        assert all(isinstance(members, tuple) for members in structure.members)
+        assert isinstance(structure.labels, tuple)
+        assert len(structure.labels) == n
+        assert len(structure.member_offsets) == n + 1
+        arrays = [
+            structure.kind_codes, structure.group_codes,
+            structure.member_rows, structure.member_offsets,
+            structure.edge_a, structure.edge_b, structure.edge_count,
+            *structure.metric_layout(trace.metric_names()[0])[::2],
+        ]
+        for array in arrays:
+            assert array.size and array.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert len(structure.kind_codes) == len(structure.group_codes) == n
+        assert (structure.group_codes >= 0).any()

@@ -302,8 +302,9 @@ class TestPoisonedEntries:
 # ----------------------------------------------------------------------
 class TestSharedMemoBounds:
     """``SharedTraceData`` keeps at most ``MAX_STRUCTURES`` unit
-    structures and as many layout-seed entries, dropping the oldest
-    first, however many distinct groupings the sessions visit."""
+    structures and as many layout-seed entries, dropping the least
+    recently used first, however many distinct groupings the sessions
+    visit."""
 
     def test_structures_and_seeds_evict_oldest_first(self):
         trace = random_hierarchical_trace(
@@ -324,6 +325,34 @@ class TestSharedMemoBounds:
         assert [key[0] for key in shared._seeds] == visited[-3:]
         assert shared.stats["seed_builds"] == 6
         assert shared.stats["seed_evictions"] == 3
+
+    def test_a_grouping_kept_in_use_is_never_rebuilt(self, monkeypatch):
+        """A hit makes an entry the most recently used: the depth-2
+        grouping, viewed again between six new groupings, keeps its
+        structure and seeds while the new ones are evicted."""
+        monkeypatch.setattr(SharedTraceData, "MAX_STRUCTURES", 3)
+        trace = random_hierarchical_trace(
+            n_sites=3, clusters_per_site=2, hosts_per_cluster=2, seed=5
+        )
+        shared = SharedTraceData(trace)
+        session = AnalysisSession(trace, shared=shared)
+        session.aggregate_depth(2)
+        session.view(settle_steps=0)
+        hot = shared.structure(session.grouping)
+        visited = set()
+        for path in shared.hierarchy.groups()[3:9]:
+            session.disaggregate_all()
+            session.aggregate(path)
+            session.view(settle_steps=0)
+            visited.add(session.grouping.state_key)
+            session.aggregate_depth(2)
+            session.view(settle_steps=0)
+            assert shared.structure(session.grouping) is hot
+        assert len(visited) == 6 and hot.key not in visited
+        for memo in ("structure", "seed"):
+            assert shared.stats[f"{memo}_builds"] == 1 + 6
+            assert shared.stats[f"{memo}_evictions"] == 1 + 6 - 3
+        assert list(shared._structures)[-1] == hot.key
 
     def test_shared_memo_serves_second_session(self):
         """A second session on the same grouping takes the first

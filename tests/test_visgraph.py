@@ -1,12 +1,13 @@
 """Direct unit tests for the VisGraph container and build pipeline."""
 
+import numpy as np
 import pytest
 
 from repro.core import ScaleSet, VisualMapping, build_visgraph
-from repro.core.aggregation import aggregate_view
+from repro.core.aggregation import AggregatedEdge, aggregate_view
 from repro.core.hierarchy import GroupingState, Hierarchy
 from repro.core.timeslice import TimeSlice
-from repro.core.visgraph import VisEdge, VisGraph, VisNode
+from repro.core.visgraph import VisGraph, VisNode
 from repro.errors import MappingError
 from repro.trace.synthetic import figure1_trace, figure3_trace
 
@@ -33,10 +34,10 @@ class TestVisGraphContainer:
 
     def test_edge_endpoints_validated(self):
         with pytest.raises(MappingError):
-            VisGraph([node("a")], [VisEdge("a", "ghost")])
+            VisGraph([node("a")], [AggregatedEdge("a", "ghost")])
 
     def test_lookup_and_iteration(self):
-        graph = VisGraph([node("a"), node("b")], [VisEdge("a", "b")])
+        graph = VisGraph([node("a"), node("b")], [AggregatedEdge("a", "b")])
         assert len(graph) == 2
         assert "a" in graph and "c" not in graph
         assert {n.key for n in graph} == {"a", "b"}
@@ -47,11 +48,27 @@ class TestVisGraphContainer:
     def test_neighbours_and_degree(self):
         graph = VisGraph(
             [node("a"), node("b"), node("c")],
-            [VisEdge("a", "b"), VisEdge("a", "c")],
+            [AggregatedEdge("a", "b"), AggregatedEdge("a", "c")],
         )
         assert set(graph.neighbours("a")) == {"b", "c"}
         assert graph.degree("a") == 2
         assert graph.degree("b") == 1
+
+    def test_member_rows_need_a_table_and_one_offset_per_node(self):
+        table = figure1_trace().table
+        rows = np.zeros(2, dtype=np.int32)
+        for entities, offsets in (
+            (None, np.arange(3, dtype=np.int32)),
+            (table, None),
+            (table, np.arange(2, dtype=np.int32)),
+        ):
+            with pytest.raises(MappingError):
+                VisGraph([node("a"), node("b")], [], entities=entities,
+                         member_rows=rows, member_offsets=offsets)
+        graph = VisGraph([node("a"), node("b")], [], entities=table,
+                         member_rows=rows,
+                         member_offsets=np.arange(3, dtype=np.int32))
+        assert graph.member_rows is rows
 
     def test_nodes_of_kind(self):
         graph = VisGraph([node("a"), node("l", kind="link")], [])
