@@ -20,14 +20,14 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.core.hierarchy import GroupingState, Path
 from repro.core.timeslice import TimeSlice
 from repro.errors import AggregationError
 from repro.trace.trace import Entity, Trace
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.trace.entities import EntityTable
 
 __all__ = ["AggregatedUnit", "AggregatedEdge", "AggregatedView", "aggregate_view"]
@@ -158,25 +158,25 @@ class AggregatedEdge:
 class AggregatedView:
     """The unstyled aggregated graph for one time slice.
 
+    ``entities`` is the trace's
+    :class:`~repro.trace.entities.EntityTable`, and ``member_rows`` /
+    ``member_offsets`` hold the units' members as its entity indices:
+    unit ``i`` (in ``units`` order) owns the entities
+    ``member_rows[member_offsets[i]:member_offsets[i + 1]]``, in member
+    order (the layout syncs, seeds and remembers positions by them).
     ``stats`` carries a snapshot of the producing
     :class:`~repro.core.aggengine.AggregationEngine` counters (slice and
     result-cache hits, cursor-advanced vs re-bisected slice moves); the
-    scalar oracle path leaves it empty.  ``entities`` is the trace's
-    :class:`~repro.trace.entities.EntityTable` the unit members name
-    entities of (the layout remembers positions by its indices).  An
-    engine view also carries its unit structure's ``member_rows`` and
-    ``member_offsets``: unit ``i`` (in ``units`` order) owns the
-    entities ``member_rows[member_offsets[i]:member_offsets[i + 1]]``,
-    in member order.  The oracle leaves both ``None``.
+    scalar oracle path leaves it empty.
     """
 
     units: dict[str, AggregatedUnit]
     edges: list[AggregatedEdge]
     tslice: TimeSlice
+    entities: EntityTable
+    member_rows: np.ndarray
+    member_offsets: np.ndarray
     stats: dict = field(default_factory=dict)
-    entities: EntityTable | None = None
-    member_rows: np.ndarray | None = None
-    member_offsets: np.ndarray | None = None
 
     def unit(self, key: str) -> AggregatedUnit:
         """The unit with *key*, raising when unknown."""
@@ -228,7 +228,9 @@ def aggregate_view(
     net, which tests call directly.  Every session aggregates with
     :class:`~repro.core.aggengine.AggregationEngine`, which must match
     this function to roundoff on any input
-    (``tests/test_aggregation_differential.py``).
+    (``tests/test_aggregation_differential.py``), and give the same
+    ``member_rows`` and ``member_offsets``, which this function maps
+    from member names through ``trace.table.index``.
 
     Parameters
     ----------
@@ -251,7 +253,10 @@ def aggregate_view(
         meta[key] = (group, entity.kind)
         entity_unit[entity.name] = key
 
+    index = trace.table.index
     units: dict[str, AggregatedUnit] = {}
+    rows: list[int] = []
+    offsets = [0]
     for key, entities in members.items():
         group, kind = meta[key]
         values: dict[str, float] = {}
@@ -272,6 +277,8 @@ def aggregate_view(
             group=group,
             values=values,
         )
+        rows.extend(index[entity.name] for entity in entities)
+        offsets.append(len(rows))
 
     edge_multiplicity: dict[tuple[str, str], int] = {}
     for edge in trace.edges:
@@ -294,5 +301,10 @@ def aggregate_view(
         for (a, b), count in sorted(edge_multiplicity.items())
     ]
     return AggregatedView(
-        units=units, edges=edges, tslice=tslice, entities=trace.table
+        units=units,
+        edges=edges,
+        tslice=tslice,
+        entities=trace.table,
+        member_rows=np.asarray(rows, dtype=np.int32),
+        member_offsets=np.asarray(offsets, dtype=np.int32),
     )

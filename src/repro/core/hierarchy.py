@@ -20,9 +20,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import HierarchyError, TraceError
+from repro.errors import HierarchyError
 from repro.trace.entities import EntityTable
-from repro.trace.trace import Entity, Trace
+from repro.trace.trace import Trace
 
 __all__ = ["Hierarchy", "GroupingState"]
 
@@ -41,14 +41,7 @@ class Hierarchy:
     :meth:`groups_at_depth` and :meth:`max_depth`.
     """
 
-    def __init__(self, entities: Iterable[Entity] | EntityTable) -> None:
-        if isinstance(entities, EntityTable):
-            table = entities
-        else:
-            try:
-                table = EntityTable.from_entities(entities)
-            except TraceError as error:
-                raise HierarchyError(str(error)) from None
+    def __init__(self, table: EntityTable) -> None:
         #: the entity table the leaves index into (shared with the trace)
         self.table = table
         children: dict[Path, set[Path]] = {(): set()}

@@ -15,16 +15,15 @@ This is what makes "the layout smooth when aggregating, preventing the
 analyst to get confused when changing scale" (Fig. 8's caption).
 
 Positions are remembered per trace entity, by its row in the trace's
-entity table.  A graph built from an engine view carries its unit
-structure's member rows, so a sync reads each node's members as rows
-and never maps a member name; the same row arrays as at the last sync
-mean the same structure, which a scrub then keeps untouched.
+entity table.  Every graph carries its nodes' members as rows of that
+table, so a sync never maps a member name; the same row arrays as at
+the last sync mean the same structure, which a scrub then keeps
+untouched.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from collections.abc import Mapping
 
@@ -103,23 +102,18 @@ class DynamicLayout:
         self._rng = random.Random(seed ^ 0x5EED)
         #: last known position of every *trace entity* (not unit), the
         #: memory that makes aggregation/disaggregation transitions
-        #: smooth: row ``i`` is entity ``i`` of the synced graphs'
-        #: entity table (or of ``_names`` for graphs without one), and
-        #: ``_known`` marks the rows that hold a position
+        #: smooth: row ``i`` is entity ``i`` of ``_table``, the synced
+        #: graphs' entity table, and ``_known`` marks the rows that
+        #: hold a position
+        self._table = None
         self._xy = np.zeros((0, 2))
         self._known = np.zeros(0, dtype=bool)
-        self._slot: dict[str, int] | None = None
-        self._names: dict[str, int] = {}
-        #: the nodes' members at the last sync: their entity rows
-        #: (concatenated in node order, node ``j`` owning
-        #: ``_member_rows[_bounds[j]:_bounds[j + 1]]``; a graph's own
-        #: arrays when it carries them), the member tuples of a graph
-        #: without rows (``None`` after a graph with them), the layout
-        #: body of each node and its last remembered position (its
-        #: members take it when the node set next changes)
+        #: the last synced graph's own member rows and offsets (node
+        #: ``j`` owns ``_member_rows[_bounds[j]:_bounds[j + 1]]``), the
+        #: layout body of each node and its last remembered position
+        #: (its members take it when the node set next changes)
         self._bounds = np.zeros(1, dtype=np.int32)
         self._member_rows = np.zeros(0, dtype=np.int32)
-        self._synced: list[tuple[str, ...]] | None = None
         self._node_body = np.zeros(0, dtype=np.int32)
         self._node_xy = np.zeros((0, 2))
         #: the edge pairs handed to the layout at the last sync
@@ -144,10 +138,9 @@ class DynamicLayout:
         ``(len(graph), 2)`` array in graph node order with NaN rows for
         no seed.  Without it new nodes start at random.
 
-        A graph that carries member rows (:attr:`VisGraph.member_rows`)
-        is synced by them: the same row arrays as at the last sync mean
-        the same structure, so nothing is re-indexed.  A graph without
-        them is synced by member names.
+        The graph's members are its entity rows
+        (:attr:`VisGraph.member_rows`): the same row arrays as at the
+        last sync mean the same structure, so nothing is re-indexed.
         """
         self._remember_positions()
         nodes = graph.nodes()
@@ -156,27 +149,17 @@ class DynamicLayout:
         # the freed slot, so the body order (and with it every float
         # sum over bodies) must not depend on set iteration order.
         stale = [key for key in self.layout.names() if key not in target]
-        rows = graph.member_rows
-        if rows is not None:
-            # A view of the same structure hands out the same arrays.
-            members = None
-            restructured = (
-                rows is not self._member_rows
-                or graph.member_offsets is not self._bounds
-            )
-        else:
-            # ... or, without rows, the same member tuples.
-            members = [node.members for node in nodes]
-            synced = self._synced
-            restructured = synced is None or len(members) != len(synced) or (
-                not all(map(operator.is_, members, synced))
-            )
-        restructured = restructured or bool(stale)
+        # A view of the same structure hands out the same arrays.
+        restructured = (
+            bool(stale)
+            or graph.member_rows is not self._member_rows
+            or graph.member_offsets is not self._bounds
+        )
         if restructured or any(node.key not in self.layout for node in nodes):
             self._spread_positions()
         self.layout.remove_nodes(stale)
         if restructured:
-            self._index_members(graph, members)
+            self._index_members(graph)
         new_keys: list[str] = []
         new_weights: list[float] = []
         new_spots: list[tuple[float, float] | None] = []
@@ -208,43 +191,19 @@ class DynamicLayout:
             self._node_body = np.asarray(
                 [body[node.key] for node in nodes], dtype=np.int32
             )
-        self._synced = members
         return {key: self.layout.position(key) for key in new_keys}
 
-    def _index_members(
-        self, graph: VisGraph, members: list[tuple[str, ...]] | None
-    ) -> None:
-        """Take every node's members as position-memory rows: the
-        graph's own rows, or its *members* names resolved to rows."""
-        table = getattr(graph, "entities", None)
-        index = table.index if table is not None else self._names
-        if index is not self._slot:
+    def _index_members(self, graph: VisGraph) -> None:
+        """Take the graph's member rows as the position-memory rows."""
+        table = graph.entities
+        if table is not self._table:
             # A new entity numbering: positions under the old one are
             # not addressable any more.
-            self._slot = index
-            self._xy = np.zeros((len(index), 2))
-            self._known = np.zeros(len(index), dtype=bool)
-        if members is None:
-            self._member_rows = graph.member_rows
-            self._bounds = graph.member_offsets
-            return
-        if table is None:
-            for names in members:
-                for name in names:
-                    index.setdefault(name, len(index))
-            grow = len(index) - len(self._known)
-            if grow > 0:
-                self._xy = np.vstack([self._xy, np.zeros((grow, 2))])
-                self._known = np.concatenate(
-                    [self._known, np.zeros(grow, dtype=bool)]
-                )
-        self._member_rows = np.asarray(
-            [index[name] for names in members for name in names],
-            dtype=np.int32,
-        )
-        bounds = np.zeros(len(members) + 1, dtype=np.int32)
-        np.cumsum([len(names) for names in members], out=bounds[1:])
-        self._bounds = bounds
+            self._table = table
+            self._xy = np.zeros((len(table), 2))
+            self._known = np.zeros(len(table), dtype=bool)
+        self._member_rows = graph.member_rows
+        self._bounds = graph.member_offsets
 
     def _remember_positions(self) -> None:
         """Remember the synced nodes' current positions."""

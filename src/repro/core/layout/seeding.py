@@ -38,17 +38,14 @@ def radial_seed_array(
     placement uses, so the two initializations are comparable.
 
     The members are the graph's member rows
-    (:attr:`~repro.core.visgraph.VisGraph.member_rows`), or, for a graph
-    without them, the hierarchy table's rows of its member names.  A
-    float64 ``(len(graph), 2)`` array in graph node order; a node
-    without a member in the hierarchy gets a NaN row (no seed).
+    (:attr:`~repro.core.visgraph.VisGraph.member_rows`), entities of
+    the hierarchy's table.  A float64 ``(len(graph), 2)`` array in graph
+    node order; a node without members gets a NaN row (no seed).
     """
     cos, sin = hierarchy.leaf_circle()
     if radius is None:
         radius = spring_length * math.sqrt(len(graph)) / 2.0
     rows, offsets = graph.member_rows, graph.member_offsets
-    if rows is None:
-        rows, offsets = _member_rows(hierarchy.table.index, graph)
     seeds = np.full((len(graph), 2), np.nan)
     counts = np.diff(offsets)
     # A one-member node points at its leaf: the centroid of one vector
@@ -79,19 +76,6 @@ def radial_seed_array(
     return seeds
 
 
-def _member_rows(
-    index: dict[str, int], graph: VisGraph
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and offsets of the names of *graph*'s node members that
-    *index* knows, in member order."""
-    rows: list[int] = []
-    offsets = [0]
-    for node in graph:
-        rows.extend(i for i in map(index.get, node.members) if i is not None)
-        offsets.append(len(rows))
-    return np.asarray(rows, dtype=np.int64), np.asarray(offsets)
-
-
 def radial_seeds(
     hierarchy: Hierarchy,
     graph: VisGraph,
@@ -106,5 +90,5 @@ def radial_seeds(
     return {
         node.key: (x, y)
         for node, (x, y) in zip(graph, seeds)
-        if x == x  # NaN: no member in the hierarchy
+        if x == x  # NaN: no members
     }

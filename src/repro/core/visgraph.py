@@ -6,18 +6,17 @@ trace → temporal aggregation (time slice) → spatial aggregation
 positions are *not* stored here; they belong to the dynamic layout
 engine, which persists across view changes so transitions stay smooth.
 
-A graph built from an engine view reads member names only on demand:
-each :class:`VisNode` takes them from its
-:class:`~repro.core.aggregation.AggregatedUnit`, and the graph carries
-its unit structure's member rows, which the layout syncs and seeds
-from.  Its edges are the view's
+A graph reads member names only on demand: each :class:`VisNode`
+takes them from its :class:`~repro.core.aggregation.AggregatedUnit`,
+and the graph carries its view's member rows, which the layout syncs
+and seeds from.  Its edges are the view's
 :class:`~repro.core.aggregation.AggregatedEdge` objects, passed
 through.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.aggregation import AggregatedEdge, AggregatedUnit, AggregatedView
 from repro.core.mapping import VisualMapping
@@ -39,16 +38,16 @@ class VisNode:
     pixels (post-scaling); ``fill_fraction`` is the proportional filling
     in ``[0, 1]`` or None when the unit has no utilization metric;
     ``weight`` is the number of trace entities the node stands for (its
-    layout charge multiplier, Section 4.2).  *members* is a sequence of
-    their names, or the :class:`~repro.core.aggregation.AggregatedUnit`
-    the node draws, whose names are then read from it on first access.
-    Nodes compare equal field by field.
+    layout charge multiplier, Section 4.2), taken from *unit*, the
+    :class:`~repro.core.aggregation.AggregatedUnit` the node draws;
+    ``members`` reads their names from it.  Nodes compare equal field
+    by field.
     """
 
     __slots__ = (
         "key", "label", "kind", "shape", "size_value", "size_px",
         "fill_fraction", "color", "values", "fill_parts", "weight",
-        "_members",
+        "_unit",
     )
 
     def __init__(
@@ -61,7 +60,7 @@ class VisNode:
         size_px: float,
         fill_fraction: float | None,
         color: str,
-        members: Sequence[str] | AggregatedUnit,
+        unit: AggregatedUnit,
         values: dict[str, float],
         fill_parts: tuple[tuple[str, float], ...] = (),
     ) -> None:
@@ -76,18 +75,13 @@ class VisNode:
         self.values = values
         #: optional composite fill: (metric, fraction) segments, stacked
         self.fill_parts = fill_parts
-        if isinstance(members, AggregatedUnit):
-            self.weight = members.weight
-        else:
-            members = tuple(members)
-            self.weight = len(members)
-        self._members = members
+        self.weight = unit.weight
+        self._unit = unit
 
     @property
     def members(self) -> tuple[str, ...]:
         """The names of the trace entities folded into this node."""
-        members = self._members
-        return members if type(members) is tuple else members.members
+        return self._unit.members
 
     @property
     def is_aggregate(self) -> bool:
@@ -119,31 +113,31 @@ class VisGraph:
     """A set of styled nodes plus the edges connecting them.
 
     ``entities`` is the :class:`~repro.trace.entities.EntityTable` the
-    node members name entities of, when the graph was built from a
-    trace's view (:func:`build_visgraph`); the dynamic layout keeps its
-    per-entity position memory by that table's indices.  A graph of an
-    engine view also carries its unit structure's ``member_rows`` and
-    ``member_offsets``: node ``j`` (in node order) stands for the
-    entities ``member_rows[member_offsets[j]:member_offsets[j + 1]]``
-    of ``entities``.  The layout syncs and seeds from those rows, and
-    reads member names only for a graph without them.
+    node members are entities of, and ``member_rows`` /
+    ``member_offsets`` hold them as its indices: node ``j`` (in node
+    order) stands for the entities
+    ``member_rows[member_offsets[j]:member_offsets[j + 1]]``.  The
+    dynamic layout syncs and seeds from those rows and keeps its
+    per-entity position memory by the table's indices.
     """
 
     def __init__(
         self,
         nodes: list[VisNode],
         edges: list[AggregatedEdge],
-        entities: EntityTable | None = None,
-        member_rows: np.ndarray | None = None,
-        member_offsets: np.ndarray | None = None,
+        entities: EntityTable,
+        member_rows: np.ndarray,
+        member_offsets: np.ndarray,
     ) -> None:
-        if member_rows is not None and (
-            entities is None or member_offsets is None
+        if (
+            entities is None or member_rows is None or member_offsets is None
             or len(member_offsets) != len(nodes) + 1
+            or member_offsets[0] != 0
+            or member_offsets[-1] != len(member_rows)
         ):
             raise MappingError(
-                "member rows need an entity table and one offset per "
-                "node plus one"
+                "member rows need an entity table and offsets from 0 to "
+                "their count, one per node plus one"
             )
         self.entities = entities
         self.member_rows = member_rows
@@ -234,7 +228,7 @@ def build_visgraph(
                 size_px=scales.pixel_size(unit.kind, style.size_value),
                 fill_fraction=style.fill_fraction,
                 color=style.color,
-                members=unit,
+                unit=unit,
                 values=dict(unit.values),
                 fill_parts=style.fill_parts,
             )

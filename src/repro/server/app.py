@@ -572,10 +572,9 @@ class ReproServer:
                         "bad_depth", "'depth' is not an integer"
                     ) from None
                 session.apply({"op": "depth", "depth": depth})
-            session.apply(msg)
+            view = session.apply(msg)
             from repro.core.render.svg import SvgRenderer
 
-            view = session.session.view(settle_steps=self.config.settle_steps)
             markup = SvgRenderer().render(view)
         except ProtocolError as err:
             body = _json({"error": {"code": err.code, "message": err.message}})

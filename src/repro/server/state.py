@@ -260,7 +260,8 @@ class SessionState:
         return self._view_result()
 
     def _op_view(self, msg: dict) -> TopologyView:
-        """The current view, optionally restricted to some ``metrics``."""
+        """The current view, optionally restricted to some ``metrics``
+        (each named once)."""
         metrics = msg.get("metrics")
         if metrics is not None:
             if not isinstance(metrics, list) or not all(
@@ -268,6 +269,10 @@ class SessionState:
             ):
                 raise ProtocolError(
                     "bad_request", "field 'metrics' must be a list of strings"
+                )
+            if len(set(metrics)) != len(metrics):
+                raise ProtocolError(
+                    "bad_request", "field 'metrics' names a metric twice"
                 )
             known = set(self.session.metric_names())
             for metric in metrics:

@@ -26,9 +26,20 @@ from repro.trace.synthetic import figure3_trace, random_hierarchical_trace
 RTOL = 1e-9
 
 
+def assert_same_rows(fast, slow):
+    """The same member rows and offsets, over the same entity table,
+    array for array (dtype included)."""
+    assert fast.entities is slow.entities
+    for name in ("member_rows", "member_offsets"):
+        got, want = getattr(fast, name), getattr(slow, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
 def assert_views_equal(fast, slow):
     """Structural equality + value agreement to roundoff."""
     assert list(fast.units) == list(slow.units)
+    assert_same_rows(fast, slow)
     for key, want in slow.units.items():
         got = fast.units[key]
         assert got.members == want.members

@@ -4,19 +4,20 @@ import pytest
 
 from repro.core.hierarchy import GroupingState, Hierarchy
 from repro.errors import HierarchyError
+from repro.trace.entities import EntityTable
 from repro.trace.trace import Entity
 from repro.trace.synthetic import figure3_trace, random_hierarchical_trace
 
 
 def entities():
-    return [
+    return EntityTable.from_entities([
         Entity("h1", "host", ("grid", "s1", "c1", "h1")),
         Entity("h2", "host", ("grid", "s1", "c1", "h2")),
         Entity("h3", "host", ("grid", "s1", "c2", "h3")),
         Entity("h4", "host", ("grid", "s2", "c3", "h4")),
         Entity("l1", "link", ("grid", "s1", "c1", "l1")),
         Entity("bb", "link", ("grid", "bb")),
-    ]
+    ])
 
 
 class TestHierarchy:
@@ -70,10 +71,6 @@ class TestHierarchy:
         assert len(h) == 6
         assert set(h) == {"h1", "h2", "h3", "h4", "l1", "bb"}
 
-    def test_duplicate_entity_rejected(self):
-        with pytest.raises(HierarchyError):
-            Hierarchy([Entity("x", "host"), Entity("x", "host")])
-
     def test_is_group(self):
         h = Hierarchy(entities())
         assert h.is_group(("grid",))
@@ -109,8 +106,9 @@ class TestAnswersBuiltOnce:
             assert h.groups_at_depth(depth) == [
                 g for g in h.groups() if len(g) == depth
             ]
-        assert Hierarchy([]).max_depth() == 0
-        assert Hierarchy([]).groups() == []
+        empty = Hierarchy(EntityTable.from_entities([]))
+        assert empty.max_depth() == 0
+        assert empty.groups() == []
 
     def test_members_are_entity_indices_in_trace_order(self):
         trace = random_hierarchical_trace(seed=2)

@@ -423,13 +423,13 @@ class TestDynamicLayout:
         assert layout.edges()
 
     def test_new_edges_on_the_same_nodes_reach_the_layout(self):
-        from repro.core.visgraph import VisGraph
+        from tests.test_visgraph import hand_graph
 
         session = self.graph()
         graph = session.view(settle_steps=0).graph
         assert len(graph.edges) > 1
         first = graph.edges[0]
-        fewer = VisGraph(graph.nodes(), [first], graph.entities)
+        fewer = hand_graph(graph.nodes(), [first], graph.entities)
         session.dynamic.sync(fewer)
         assert session.dynamic.layout.edges() == [
             tuple(sorted((first.a, first.b)))

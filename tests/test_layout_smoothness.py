@@ -15,41 +15,34 @@ import pytest
 
 from repro.core.aggregation import AggregatedEdge
 from repro.core.layout import DynamicLayout
-from repro.core.visgraph import VisGraph, VisNode
+from repro.trace.entities import EntityTable
+from repro.trace.trace import Entity
+from tests.test_visgraph import hand_graph, node
 
 #: The seeding jitter is uniform(-1, 1) per axis, so a seeded node may
 #: land up to sqrt(2) away from its target; 2.5 leaves slack.
 SEED_RADIUS = 2.5
 
-
-def node(key, members):
-    return VisNode(
-        key=key,
-        label=key,
-        kind="host",
-        shape="square",
-        size_value=1.0,
-        size_px=10.0,
-        fill_fraction=None,
-        color="#888888",
-        members=tuple(members),
-        values={},
-    )
+#: The three hosts every graph below draws: one entity numbering, so
+#: the layout's position memory carries over from graph to graph.
+HOSTS = EntityTable.from_entities(Entity(name, "host") for name in "abc")
 
 
 def detailed_graph():
     """Three hosts, a-b-c chain."""
-    return VisGraph(
-        [node("a", ["a"]), node("b", ["b"]), node("c", ["c"])],
+    return hand_graph(
+        [node("a"), node("b"), node("c")],
         [AggregatedEdge("a", "b"), AggregatedEdge("b", "c")],
+        HOSTS,
     )
 
 
 def collapsed_graph():
     """a and b collapsed into group g, still linked to c."""
-    return VisGraph(
-        [node("g", ["a", "b"]), node("c", ["c"])],
+    return hand_graph(
+        [node("g", members=("a", "b")), node("c")],
         [AggregatedEdge("g", "c")],
+        HOSTS,
     )
 
 

@@ -10,6 +10,7 @@ from repro.core.hierarchy import GroupingState, Hierarchy
 from repro.core.layout.seeding import radial_seed_array, radial_seeds
 from repro.core.timeslice import TimeSlice
 from repro.trace.synthetic import random_hierarchical_trace
+from tests.test_aggregation_differential import assert_same_rows
 
 
 def graph_and_hierarchy(trace, collapse_depth=None):
@@ -221,9 +222,9 @@ class TestPrivateSessionSeeds:
 
 class TestMemberRows:
     """A graph of an engine view carries its unit structure's member
-    rows, and the seeds and the layout sync read those instead of the
-    member names: the same bits as a graph of the oracle view, which
-    carries no rows and is read by name."""
+    rows, and the seeds and the layout sync read those: the same rows,
+    and the same bits, as a graph of the oracle view, whose rows
+    :func:`aggregate_view` maps from the member names."""
 
     GROUPINGS = (2, ("grid", "site-1"), 3, 1, None)
 
@@ -253,8 +254,7 @@ class TestMemberRows:
             self.regroup(session, grouping)
             graph = session.view(settle=False).graph
             oracle = self.oracle_graph(session)
-            assert graph.member_rows is not None
-            assert oracle.member_rows is None
+            assert_same_rows(graph, oracle)
             assert [n.key for n in graph] == [n.key for n in oracle]
             got = radial_seed_array(session.hierarchy, graph)
             want = radial_seed_array(session.hierarchy, oracle)
@@ -278,6 +278,7 @@ class TestMemberRows:
                 session.set_time_slice(lo, end)
                 view = session.view(settle_steps=2)
                 graph = self.oracle_graph(session)
+                assert_same_rows(view.graph, graph)
                 by_name.sync(graph, seed_positions=radial_seed_array(
                     session.hierarchy, graph
                 ))

@@ -184,6 +184,8 @@ BATTERY = [
     ({"op": "depth", "depth": 1.5}, "bad_depth"),
     ({"op": "depth"}, "bad_depth"),
     ({"op": "view", "metrics": "usage"}, "bad_request"),
+    # Each repeat would be combined again and weigh on the result cache.
+    ({"op": "view", "metrics": ["usage", "usage"]}, "bad_request"),
     ({"op": "view", "metrics": ["imaginary"]}, "unknown_metric"),
 ]
 

@@ -3,8 +3,9 @@
 What a well-behaved client never does: reset during the handshake,
 send a fragmented message past the size cap, pipeline frames behind
 the upgrade request, ping.  Each case checks the wire answer and that
-the session lifecycle balances (every opened session is closed).  The
-last test covers how the load harness hosts the loop in-process.
+the session lifecycle balances (every opened session is closed).
+``/render`` is fetched raw too, for its content type.  The last test
+covers how the load harness hosts the loop in-process.
 """
 
 import asyncio
@@ -13,13 +14,16 @@ import os
 import socket
 import struct
 import time
+import xml.etree.ElementTree as ET
 
 import pytest
 
+from repro.core.layout.engine import DynamicLayout
+from repro.core.render.svg import SvgRenderer
 from repro.server import ws
-from repro.server.app import ReproServer
+from repro.server.app import ReproServer, _ephemeral_session
 from repro.server.client import WsClient, http_get
-from repro.server.state import ServerConfig
+from repro.server.state import ServerConfig, SessionState
 from repro.server.ws import (
     OP_CLOSE,
     OP_CONT,
@@ -211,6 +215,66 @@ def test_leaving_the_with_block_sends_1001_and_closes_sessions():
         )
     stats = server.state.stats
     assert stats["sessions_opened"] == stats["sessions_closed"] == 1
+
+
+def _raw_get(port: int, path: str) -> tuple[int, dict, bytes]:
+    """``(status, lowercase headers, body)`` of one plain GET."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(
+            f"GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n".encode()
+        )
+        raw = b""
+        while data := sock.recv(65536):
+            raw += data
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *fields = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for field in fields:
+        name, _, value = field.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split(" ")[1]), headers, body
+
+
+def test_render_draws_the_scrub_view_it_computed(monkeypatch):
+    """A ``/render`` tile is the one view its scrub computed: one sync
+    and one settle (plus one of each for ``depth``), and the bytes of
+    that view rendered.  Malformed queries get typed 400s."""
+    calls = []
+    for method in ("sync", "settle"):
+        real = getattr(DynamicLayout, method)
+
+        def counting(self, *args, _real=real, _name=method, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DynamicLayout, method, counting)
+    trace = figure3_trace()
+    start, end = trace.span()
+    query = f"start={start}&end={end}"
+    with ReproServer(trace, ServerConfig(settle_steps=2)) as server:
+        status, headers, body = _raw_get(server.port, f"/render?{query}")
+        assert status == 200, body
+        assert headers["content-type"] == "image/svg+xml"
+        assert ET.fromstring(body).tag == "{http://www.w3.org/2000/svg}svg"
+        assert calls == ["sync", "settle"]
+        del calls[:]
+        status, _, deep = _raw_get(server.port, f"/render?{query}&depth=1")
+        assert status == 200
+        assert calls == ["sync", "settle"] * 2
+        for path, code in (
+            (f"/render?start=x&end={end}", "bad_slice"),
+            (f"/render?{query}&depth=-1", "bad_depth"),
+            (f"/render?end={end}", "bad_request"),
+        ):
+            status, headers, error = _raw_get(server.port, path)
+            assert status == 400, path
+            assert headers["content-type"] == "application/json"
+            assert json.loads(error)["error"]["code"] == code, path
+        tile = SessionState(
+            "render", _ephemeral_session(server.state), settle_steps=2
+        )
+        view = tile.apply({"op": "scrub", "start": start, "end": end})
+    assert body == SvgRenderer().render(view).encode("utf-8")
 
 
 @pytest.mark.skipif(
