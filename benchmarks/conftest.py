@@ -4,11 +4,15 @@ Expensive simulations (the NAS-DT pair of Fig. 6/7, the Grid'5000
 master-worker run of Fig. 8/9) run once per session and are shared by
 every bench that needs their traces.  Each bench also appends the rows
 it reproduces to ``benchmarks/results/<name>.txt`` so the numbers
-survive the run (pytest captures stdout).
+survive the run (pytest captures stdout).  A table with a committed
+golden, ``benchmarks/goldens/<name>.txt``, must equal it; a deliberate
+change regenerates the goldens with ``REPRO_REGEN=1``.
 """
 
 from __future__ import annotations
 
+import difflib
+import os
 from pathlib import Path
 
 import pytest
@@ -24,18 +28,38 @@ from repro.platform import grid5000_platform, two_cluster_platform
 from repro.simulation import UsageMonitor
 
 RESULTS_DIR = Path(__file__).parent / "results"
+GOLDENS_DIR = Path(__file__).parent / "goldens"
 
 
 @pytest.fixture(scope="session")
 def report():
-    """A factory writing (and echoing) a named results table."""
+    """A factory writing (and echoing) a named results table.
+
+    When ``goldens/<name>.txt`` exists the table must equal it, byte
+    for byte; with ``REPRO_REGEN=1`` the table rewrites that golden
+    instead.  A table without a golden is only written.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
+    regen = bool(os.environ.get("REPRO_REGEN"))
 
     def write(name: str, lines: list[str]) -> Path:
         path = RESULTS_DIR / f"{name}.txt"
         text = "\n".join(lines) + "\n"
         path.write_text(text, encoding="utf-8")
         print(f"\n--- {name} ---\n{text}")
+        golden = GOLDENS_DIR / f"{name}.txt"
+        if golden.exists():
+            if regen:
+                golden.write_text(text, encoding="utf-8")
+            want = golden.read_text(encoding="utf-8")
+            assert text == want, (
+                f"{name} differs from its golden (a deliberate change "
+                f"regenerates it with REPRO_REGEN=1):\n"
+                + "".join(difflib.unified_diff(
+                    want.splitlines(True), text.splitlines(True),
+                    f"goldens/{name}.txt", f"results/{name}.txt",
+                ))
+            )
         return path
 
     return write

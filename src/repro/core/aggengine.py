@@ -444,7 +444,7 @@ class SharedTraceData:
       :attr:`~repro.core.hierarchy.GroupingState.state_key` token (two
       sessions with the same collapsed groups share one structure);
     * the radial layout seeds per grouping token (the hierarchical
-      arcs of :func:`~repro.core.layout.seeding.radial_seed_array`),
+      arcs of :func:`~repro.core.layout.seeding.radial_seeds`),
       one float64 array each.
 
     Everything stored here is immutable once built, so readers take no
@@ -551,7 +551,7 @@ class SharedTraceData:
         """Shared radial seed positions for one grouping's graph.
 
         The hierarchical arcs of Section 3.3
-        (:func:`~repro.core.layout.seeding.radial_seed_array`): a
+        (:func:`~repro.core.layout.seeding.radial_seeds`): a
         read-only float64 ``(len(graph), 2)`` array in graph node
         order, NaN rows for unseeded nodes.  Memoized per ``(grouping
         token, spring length)``; a grouping's graph always lists the
@@ -560,7 +560,7 @@ class SharedTraceData:
         :attr:`MAX_STRUCTURES` entries are kept, the least recently used
         dropped first (``seed_evictions``).
         """
-        from repro.core.layout.seeding import radial_seed_array
+        from repro.core.layout.seeding import radial_seeds
 
         memo_key = (grouping_key, float(spring_length))
         with self._lock:
@@ -573,9 +573,7 @@ class SharedTraceData:
         if entry is not None:
             self.stats["seed_shared_hits"] += 1
             return entry
-        seeds = radial_seed_array(
-            self.hierarchy, graph, spring_length=spring_length
-        )
+        seeds = radial_seeds(self.hierarchy, graph, spring_length)
         seeds.setflags(write=False)
         with self._lock:
             self._seeds[memo_key] = seeds

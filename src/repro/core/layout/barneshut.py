@@ -10,9 +10,10 @@ The layout's ``(n, 2)`` position ndarray feeds the flat
 :class:`ArrayQuadTree` directly and forces are evaluated by a batched
 frontier traversal over fixed blocks of bodies, so its memory stays
 flat as the graph grows.  The tree is reused across relaxation steps
-until some body drifts further than ``params.rebuild_drift`` of the
-root half-size (leaf interactions always read current positions, so
-``theta == 0`` stays exact even on a stale tree).  The sharded kernel
+until some body drifts further than
+:data:`~repro.core.layout.forces.REBUILD_DRIFT` of the root half-size
+(leaf interactions always read current positions, so ``theta == 0``
+stays exact even on a stale tree).  The sharded kernel
 (:class:`~repro.core.layout.sharded.ShardedBarnesHutLayout`) is this
 class with the traversal cut into per-process shards.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.layout import forces as force_model
 from repro.core.layout.base import ForceLayout
 from repro.core.layout.forces import LayoutParams
 from repro.core.layout.quadtree import ArrayQuadTree
@@ -55,7 +57,7 @@ class BarnesHutLayout(ForceLayout):
     def _needs_rebuild(self) -> bool:
         if self._tree_pos is None or len(self._tree_pos) != len(self._names):
             return True
-        limit = self.params.rebuild_drift * self._tree_half
+        limit = force_model.REBUILD_DRIFT * self._tree_half
         if limit <= 0.0:
             return True
         return bool(np.abs(self._pos - self._tree_pos).max() > limit)

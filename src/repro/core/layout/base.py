@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -78,23 +78,22 @@ class ForceLayout(ABC):
         given the seed).  Inserting many nodes one by one copies the
         whole SoA each time; use :meth:`add_nodes` for batches.
         """
-        self.add_nodes([name], [weight], [position])
+        spot = (np.nan, np.nan) if position is None else position
+        self.add_nodes([name], [weight], np.array([spot], dtype=float))
 
     def add_nodes(
         self,
         names: "Iterable[str]",
         weights: "Iterable[float] | None" = None,
-        positions: (
-            "np.ndarray | Iterable[tuple[float, float] | None] | None"
-        ) = None,
+        positions: np.ndarray | None = None,
     ) -> None:
         """Insert many nodes in one O(n) batch.
 
-        Placement matches a sequence of :meth:`add_node` calls: an
-        explicit position is used verbatim, and a node without one
-        (*positions* ``None``, or a ``None`` entry) lands at the
-        deterministic random-disc spot the per-node path would have
-        picked, drawn in name order.
+        *positions* is a float ``(len(names), 2)`` array.  A row is used
+        verbatim; a NaN row (or no array at all) means no position, and
+        the node lands at the deterministic random-disc spot a sequence
+        of :meth:`add_node` calls would have picked, drawn in name
+        order.
         """
         names = list(names)
         if not names:
@@ -115,35 +114,21 @@ class ForceLayout(ABC):
                 bad = float(w[w <= 0][0])
                 raise LayoutError(f"node weight must be > 0, got {bad}")
         base = len(self._names)
-        if isinstance(positions, np.ndarray):
-            pos = np.asarray(positions, dtype=float)
+        if positions is None:
+            pos = np.full((k, 2), np.nan)
+        else:
+            pos = np.array(positions, dtype=float)
             if pos.shape != (k, 2):
                 raise LayoutError(
                     f"{k} names but positions shape is {pos.shape}"
                 )
-        else:
-            spots = [None] * k if positions is None else list(positions)
-            if len(spots) != k:
-                raise LayoutError(f"{k} names but {len(spots)} positions")
-            given = [i for i, spot in enumerate(spots) if spot is not None]
-            pos = np.empty((k, 2), dtype=float)
-            if given:
-                explicit = np.asarray([spots[i] for i in given], dtype=float)
-                if explicit.shape != (len(given), 2):
-                    raise LayoutError(
-                        f"positions must be (x, y) pairs, got shape "
-                        f"{explicit.shape}"
-                    )
-                pos[given] = explicit
-            for i, spot in enumerate(spots):
-                if spot is None:
-                    radius = self.params.spring_length * max(
-                        1.0, math.sqrt(base + i + 1)
-                    )
-                    angle = self._rng.uniform(0.0, 2.0 * math.pi)
-                    r = radius * math.sqrt(self._rng.random())
-                    pos[i, 0] = r * math.cos(angle)
-                    pos[i, 1] = r * math.sin(angle)
+        for i in np.flatnonzero(np.isnan(pos).any(axis=1)).tolist():
+            radius = self.params.spring_length * max(
+                1.0, math.sqrt(base + i + 1)
+            )
+            angle = self._rng.uniform(0.0, 2.0 * math.pi)
+            r = radius * math.sqrt(self._rng.random())
+            pos[i] = (r * math.cos(angle), r * math.sin(angle))
         for i, name in enumerate(names):
             self._index[name] = base + i
         self._names.extend(names)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -123,9 +122,7 @@ class DynamicLayout:
     def sync(
         self,
         graph: VisGraph,
-        seed_positions: Mapping[str, tuple[float, float]]
-        | np.ndarray
-        | None = None,
+        seed_positions: np.ndarray | None = None,
     ) -> dict[str, tuple[float, float]]:
         """Reconcile the simulation with *graph*; return seed positions
         of the nodes that were created by this sync.
@@ -134,9 +131,9 @@ class DynamicLayout:
         whose members were never seen before — the session passes the
         hierarchical radial seeding here ("the scalable Barnes-hut
         algorithm combined with the hierarchical information from the
-        traces", Section 3.3): a ``{node key: (x, y)}`` mapping, or a
-        ``(len(graph), 2)`` array in graph node order with NaN rows for
-        no seed.  Without it new nodes start at random.
+        traces", Section 3.3): a ``(len(graph), 2)`` array in graph node
+        order, a NaN row for no seed.  Without a seed a new node starts
+        at random.
 
         The graph's members are its entity rows
         (:attr:`VisGraph.member_rows`): the same row arrays as at the
@@ -160,26 +157,26 @@ class DynamicLayout:
         self.layout.remove_nodes(stale)
         if restructured:
             self._index_members(graph)
-        new_keys: list[str] = []
+        new: list[int] = []
         new_weights: list[float] = []
-        new_spots: list[tuple[float, float] | None] = []
         for j, node in enumerate(nodes):
             weight = max(1.0, float(node.weight))
             if node.key in self.layout:
                 self.layout.set_weight(node.key, weight)
-                continue
+            else:
+                new.append(j)
+                new_weights.append(weight)
+        spots = (
+            np.full((len(new), 2), np.nan)
+            if seed_positions is None
+            else seed_positions[new]
+        )
+        for i, j in enumerate(new):
             position = self._seed_position(j)
-            if position is None and seed_positions is not None:
-                if isinstance(seed_positions, np.ndarray):
-                    x, y = seed_positions[j].tolist()
-                    if x == x:  # NaN: no seed for this node
-                        position = (x, y)
-                else:
-                    position = seed_positions.get(node.key)
-            new_keys.append(node.key)
-            new_weights.append(weight)
-            new_spots.append(position)
-        self.layout.add_nodes(new_keys, new_weights, new_spots)
+            if position is not None:
+                spots[i] = position
+        new_keys = [nodes[j].key for j in new]
+        self.layout.add_nodes(new_keys, new_weights, spots)
         # A scrub keeps the edges: rebuilding the springs (and the
         # spring index the next step derives from them) is then waste.
         pairs = [(e.a, e.b) for e in graph.edges]

@@ -29,13 +29,20 @@ TIMESTEP = 1.0
 #: start very close to each other.
 MAX_DISPLACEMENT = 25.0
 
+#: Quadtree reuse threshold, as a fraction of the root cell's half-size:
+#: the Barnes-Hut kernel keeps the tree from the previous relaxation
+#: step until some body has drifted further than ``REBUILD_DRIFT *
+#: root_half`` from its build-time spot (0 rebuilds every step).
+REBUILD_DRIFT = 0.05
+
 
 @dataclass(frozen=True)
 class LayoutParams:
     """Parameters of the force model and its integrator.
 
-    The integrator's step and displacement cap are the module constants
-    :data:`TIMESTEP` and :data:`MAX_DISPLACEMENT`.
+    The integrator's step and displacement cap and the Barnes-Hut tree
+    reuse threshold are the module constants :data:`TIMESTEP`,
+    :data:`MAX_DISPLACEMENT` and :data:`REBUILD_DRIFT`.
 
     Parameters
     ----------
@@ -52,12 +59,6 @@ class LayoutParams:
         Barnes-Hut opening criterion: a cell of size *s* at distance *d*
         is approximated by its center of mass when ``s / d < theta``;
         0 degenerates to the exact O(n^2) computation.
-    rebuild_drift:
-        Quadtree reuse threshold, as a fraction of the root cell's
-        half-size: the Barnes-Hut kernel keeps the tree from the
-        previous relaxation step until some body has drifted further
-        than ``rebuild_drift * root_half`` from its build-time spot.
-        0 rebuilds every step (the legacy behavior).
     """
 
     charge: float = 800.0
@@ -65,7 +66,6 @@ class LayoutParams:
     spring_length: float = 40.0
     damping: float = 0.6
     theta: float = 0.7
-    rebuild_drift: float = 0.05
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -86,10 +86,6 @@ class LayoutParams:
             raise LayoutError(f"damping must be in (0, 1], got {self.damping}")
         if self.theta < 0:
             raise LayoutError(f"theta must be >= 0, got {self.theta}")
-        if not 0 <= self.rebuild_drift < 1:
-            raise LayoutError(
-                f"rebuild_drift must be in [0, 1), got {self.rebuild_drift}"
-            )
 
     def with_(self, **changes) -> "LayoutParams":
         """A copy with some parameters replaced (the sliders of Fig. 5)."""

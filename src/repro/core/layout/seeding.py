@@ -19,13 +19,12 @@ import numpy as np
 from repro.core.hierarchy import Hierarchy
 from repro.core.visgraph import VisGraph
 
-__all__ = ["radial_seed_array", "radial_seeds"]
+__all__ = ["radial_seeds"]
 
 
-def radial_seed_array(
+def radial_seeds(
     hierarchy: Hierarchy,
     graph: VisGraph,
-    radius: float | None = None,
     spring_length: float = 40.0,
 ) -> np.ndarray:
     """Initial positions for *graph*'s nodes from the hierarchy.
@@ -33,8 +32,8 @@ def radial_seed_array(
     Leaves are ordered depth-first through the hierarchy and spread
     around a circle (:meth:`~repro.core.hierarchy.Hierarchy.leaf_circle`,
     computed once per hierarchy); each node (plain entity or aggregate)
-    seeds at the angular centroid of its members.  The radius defaults
-    to ``spring_length * sqrt(n) / 2`` — the same scale the random
+    seeds at the angular centroid of its members, on the circle of
+    radius ``spring_length * sqrt(n) / 2`` — the same scale the random
     placement uses, so the two initializations are comparable.
 
     The members are the graph's member rows
@@ -43,8 +42,7 @@ def radial_seed_array(
     node order; a node without members gets a NaN row (no seed).
     """
     cos, sin = hierarchy.leaf_circle()
-    if radius is None:
-        radius = spring_length * math.sqrt(len(graph)) / 2.0
+    radius = spring_length * math.sqrt(len(graph)) / 2.0
     rows, offsets = graph.member_rows, graph.member_offsets
     seeds = np.full((len(graph), 2), np.nan)
     counts = np.diff(offsets)
@@ -74,21 +72,3 @@ def radial_seed_array(
         else:
             seeds[j] = (radius * x / norm, radius * y / norm)
     return seeds
-
-
-def radial_seeds(
-    hierarchy: Hierarchy,
-    graph: VisGraph,
-    radius: float | None = None,
-    spring_length: float = 40.0,
-) -> dict[str, tuple[float, float]]:
-    """:func:`radial_seed_array` as a ``{node key: (x, y)}`` dict of
-    the seeded nodes."""
-    seeds = radial_seed_array(
-        hierarchy, graph, radius=radius, spring_length=spring_length
-    ).tolist()
-    return {
-        node.key: (x, y)
-        for node, (x, y) in zip(graph, seeds)
-        if x == x  # NaN: no members
-    }

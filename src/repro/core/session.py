@@ -331,21 +331,17 @@ class AnalysisSession:
             raise AggregationError("the trace has no entities to display")
         graph = build_visgraph(aggregated, self.mapping, self.scales)
         seeds = None
-        if self._shared is not None:
-            seeds = self._shared.layout_seeds(
-                self.grouping.state_key,
-                graph,
-                self.dynamic.params.spring_length,
-            )
-        elif any(
-            node.key not in self.dynamic.layout for node in graph.nodes()
-        ):
+        if any(node.key not in self.dynamic.layout for node in graph.nodes()):
             # Seeds place only nodes the layout lacks; a scrub adds none.
-            seeds = radial_seeds(
-                self.hierarchy,
-                graph,
-                spring_length=self.dynamic.params.spring_length,
-            )
+            spring_length = self.dynamic.params.spring_length
+            if self._shared is not None:
+                seeds = self._shared.layout_seeds(
+                    self.grouping.state_key, graph, spring_length
+                )
+            else:
+                seeds = radial_seeds(
+                    self.hierarchy, graph, spring_length=spring_length
+                )
         self.dynamic.sync(graph, seed_positions=seeds)
         if settle:
             self.dynamic.settle(max_steps=settle_steps)

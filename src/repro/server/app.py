@@ -571,7 +571,7 @@ class ReproServer:
                     raise ProtocolError(
                         "bad_depth", "'depth' is not an integer"
                     ) from None
-                session.apply({"op": "depth", "depth": depth})
+                session.regroup_depth({"depth": depth})
             view = session.apply(msg)
             from repro.core.render.svg import SvgRenderer
 

@@ -245,13 +245,18 @@ class SessionState:
             raise ProtocolError("unknown_group", str(err)) from None
         return self._view_result()
 
-    def _op_depth(self, msg: dict) -> TopologyView:
-        """Show exactly hierarchy level ``depth`` (0 = full detail)."""
+    def regroup_depth(self, msg: dict) -> None:
+        """Group at exactly hierarchy level ``depth`` (0 = full detail),
+        computing no view."""
         depth = require_int(msg, "depth", minimum=0, code="bad_depth")
         if depth == 0:
             self.session.disaggregate_all()
         else:
             self.session.aggregate_depth(depth)
+
+    def _op_depth(self, msg: dict) -> TopologyView:
+        """Show exactly hierarchy level ``depth`` (0 = full detail)."""
+        self.regroup_depth(msg)
         return self._view_result()
 
     def _op_expand_all(self, msg: dict) -> TopologyView:

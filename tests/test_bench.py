@@ -352,15 +352,25 @@ class TestBenchCli:
         payload = json.loads((tmp_path / "BENCH_signals.json").read_text())
         assert payload["quick"] is True
 
-    def test_compare_clean_rerun_exits_zero(self, tmp_path, capsys):
+    def test_compare_clean_rerun_exits_zero(self, tmp_path, capsys,
+                                             monkeypatch):
+        """A rerun whose every median drifted 1.4x stays inside
+        ``--rel-tol 0.5``: the gate passes.  The rerun is the first
+        run's payload so scaled, whatever the host's speed."""
         base_dir = tmp_path / "base"
         assert main(["bench", "--quick", "--suites", "signals",
                      "--out-dir", str(base_dir)]) == 0
+        first = json.loads((base_dir / "BENCH_signals.json").read_text())
+        drifted = copy.deepcopy(first)
+        for stats in drifted["cases"].values():
+            stats["median_s"] *= 1.4
+        monkeypatch.setattr(bench, "run_suite", lambda name, quick: drifted)
         code = main(["bench", "--quick", "--suites", "signals",
                      "--out-dir", str(tmp_path / "fresh"),
-                     "--compare", str(base_dir)])
+                     "--compare", str(base_dir), "--rel-tol", "0.5"])
         assert code == 0
-        assert "compare [signals]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "compare [signals]" in out and "regressed" not in out
 
     def test_compare_flags_injected_10x_slowdown(self, tmp_path, capsys):
         """Scaling the baseline's medians by 0.1 makes the (unchanged)

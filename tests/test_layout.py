@@ -16,6 +16,7 @@ from repro.core.layout import (
     ShardedBarnesHutLayout,
     make_layout,
 )
+from repro.core.layout.forces import REBUILD_DRIFT
 from repro.errors import LayoutError
 
 
@@ -531,11 +532,11 @@ class TestMakeLayoutValidation:
             make_layout("naive", params)
 
     def test_rebuild_drift_validated(self):
-        with pytest.raises(LayoutError):
-            LayoutParams(rebuild_drift=-0.1)
-        with pytest.raises(LayoutError):
-            LayoutParams(rebuild_drift=1.0)
-        LayoutParams(rebuild_drift=0.0)
+        """The tree reuse threshold is a module constant in [0, 1), not
+        a parameter."""
+        assert 0 <= REBUILD_DRIFT < 1
+        with pytest.raises(TypeError):
+            LayoutParams(rebuild_drift=0.05)
 
     def test_kernel_flag(self):
         """The worker count is the one kernel setting."""

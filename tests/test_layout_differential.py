@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.layout.forces as forces_module
 import repro.core.layout.sharded as sharded_module
 from repro.core.layout import (
     ArrayQuadTree,
@@ -365,10 +366,11 @@ class TestQuadTreeInvariants:
 
 
 class TestTreeReuse:
-    def test_tree_reused_until_drift_threshold(self):
+    def test_tree_reused_until_drift_threshold(self, monkeypatch):
         # Weak charge: one step moves nodes far less than the drift
         # limit, so the second step must reuse the first step's tree.
-        params = LayoutParams(charge=0.001, rebuild_drift=0.5)
+        monkeypatch.setattr(forces_module, "REBUILD_DRIFT", 0.5)
+        params = LayoutParams(charge=0.001)
         layout = make_layout("barneshut", params, seed=1)
         for i in range(30):
             layout.add_node(f"n{i}", position=(float(i % 6) * 10, float(i // 6) * 10))
@@ -378,17 +380,18 @@ class TestTreeReuse:
         # Tiny drift: the tree from step 1 is still in use.
         assert layout.stats["builds"] == 1
 
-    def test_drift_zero_rebuilds_every_step(self):
-        params = LayoutParams(rebuild_drift=0.0)
-        layout = make_layout("barneshut", params, seed=1)
+    def test_drift_zero_rebuilds_every_step(self, monkeypatch):
+        monkeypatch.setattr(forces_module, "REBUILD_DRIFT", 0.0)
+        layout = make_layout("barneshut", LayoutParams(), seed=1)
         for i in range(30):
             layout.add_node(f"n{i}", position=(float(i % 6) * 10, float(i // 6) * 10))
         layout.step()
         layout.step()
         assert layout.stats["builds"] == 2
 
-    def test_structural_changes_invalidate_tree(self):
-        layout = make_layout("barneshut", LayoutParams(rebuild_drift=0.9), seed=1)
+    def test_structural_changes_invalidate_tree(self, monkeypatch):
+        monkeypatch.setattr(forces_module, "REBUILD_DRIFT", 0.9)
+        layout = make_layout("barneshut", LayoutParams(), seed=1)
         for i in range(10):
             layout.add_node(f"n{i}", position=(float(i) * 5, 0.0))
         layout.step()
@@ -397,9 +400,10 @@ class TestTreeReuse:
         # The weight change forced a rebuild despite zero drift.
         assert layout.stats["builds"] == 2
 
-    def test_reused_tree_is_still_exact_at_theta_zero(self):
+    def test_reused_tree_is_still_exact_at_theta_zero(self, monkeypatch):
         """theta=0 visits every leaf, so stale trees stay exact."""
-        params = LayoutParams(theta=0.0, rebuild_drift=0.9)
+        monkeypatch.setattr(forces_module, "REBUILD_DRIFT", 0.9)
+        params = LayoutParams(theta=0.0)
         bh = make_layout("barneshut", params, seed=31)
         naive = make_layout("naive", params, seed=31)
         for layout in (bh, naive):
@@ -710,25 +714,31 @@ class TestBulkInsert:
         with pytest.raises(LayoutError):
             layout.add_nodes(["a", "b"], weights=[1.0, -1.0])
         with pytest.raises(LayoutError):
-            layout.add_nodes(["a"], positions=[(0.0, 0.0), (1.0, 1.0)])
+            layout.add_nodes(["a"], positions=np.zeros((2, 2)))
         with pytest.raises(LayoutError):
-            layout.add_nodes(["a", "b"], positions=[None, (0.0, 1.0, 2.0)])
+            layout.add_nodes(["a", "b"], positions=np.zeros((2, 3)))
         # Nothing was partially inserted by the failed batches.
         assert layout.names() == ["dup"]
 
     def test_add_nodes_mixed_positions_match_per_node_inserts(self):
-        """None entries draw the same random-disc spots, in the same
-        order, as per-node inserts interleaved with explicit spots."""
+        """NaN rows draw the same random-disc spots, in the same order,
+        as per-node inserts without a position interleaved with explicit
+        spots; the caller's array is left as it was."""
         bulk = make_layout("barneshut", seed=9)
         slow = make_layout("barneshut", seed=9)
         for layout in (bulk, slow):
             layout.add_node("first")
         names = [f"n{i}" for i in range(30)]
         spots = [None if i % 3 else (float(i), -float(i)) for i in range(30)]
+        rows = np.array(
+            [(np.nan, np.nan) if spot is None else spot for spot in spots]
+        )
+        given = rows.copy()
         weights = [1.0 + i for i in range(30)]
-        bulk.add_nodes(names, weights, spots)
+        bulk.add_nodes(names, weights, rows)
         for name, weight, spot in zip(names, weights, spots):
             slow.add_node(name, weight, spot)
+        assert rows.tobytes() == given.tobytes()
         assert bulk.names() == slow.names()
         assert bulk._pos.tobytes() == slow._pos.tobytes()
         assert bulk._weight.tobytes() == slow._weight.tobytes()

@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import AnalysisSession, ScaleSet, VisualMapping, build_visgraph
 from repro.core.aggregation import aggregate_view
 from repro.core.hierarchy import GroupingState, Hierarchy
-from repro.core.layout.seeding import radial_seed_array, radial_seeds
+from repro.core.layout.seeding import radial_seeds
 from repro.core.timeslice import TimeSlice
 from repro.trace.synthetic import random_hierarchical_trace
 from tests.test_aggregation_differential import assert_same_rows
@@ -24,13 +25,20 @@ def graph_and_hierarchy(trace, collapse_depth=None):
     return graph, hierarchy
 
 
-def walk_reference(hierarchy, graph, radius=None, spring_length=40.0):
+def circle_radius(graph, spring_length=40.0):
+    """The radius every radial seed lies at."""
+    return spring_length * math.sqrt(len(graph)) / 2.0
+
+
+def walk_reference(hierarchy, graph, spring_length=40.0):
     """Radial seeds by their definition, one node at a time.
 
     Walks the tree depth-first (a group's own leaves in trace order,
     then its sorted sub-groups), spreads the leaves over the circle at
     ``2 * pi * i / total`` and seeds each node at the vector mean of its
-    members' directions, summed left to right in member order.
+    members' directions, summed left to right in member order, on the
+    circle of radius ``spring_length * sqrt(n) / 2``.  A float64 array
+    in graph node order.
     """
     order = []
 
@@ -44,9 +52,8 @@ def walk_reference(hierarchy, graph, radius=None, spring_length=40.0):
     walk(())
     index = {name: i for i, name in enumerate(order)}
     total = max(len(order), 1)
-    if radius is None:
-        radius = spring_length * math.sqrt(len(graph)) / 2.0
-    seeds = {}
+    radius = circle_radius(graph, spring_length)
+    seeds = []
     for node in graph:
         angles = [2.0 * math.pi * index[m] / total for m in node.members]
         x = y = 0
@@ -55,10 +62,10 @@ def walk_reference(hierarchy, graph, radius=None, spring_length=40.0):
             y += math.sin(angle)
         x, y = x / len(angles), y / len(angles)
         norm = math.hypot(x, y)
-        seeds[node.key] = (
+        seeds.append(
             (0.0, 0.0) if norm < 1e-9 else (radius * x / norm, radius * y / norm)
         )
-    return seeds
+    return np.array(seeds)
 
 
 class TestRadialSeeds:
@@ -70,22 +77,24 @@ class TestRadialSeeds:
             n_sites=3, clusters_per_site=2, hosts_per_cluster=5, seed=6
         )
         graph, hierarchy = graph_and_hierarchy(trace, collapse_depth=depth)
-        assert radial_seeds(hierarchy, graph) == walk_reference(
-            hierarchy, graph
-        )
+        seeds = radial_seeds(hierarchy, graph)
+        assert seeds.tobytes() == walk_reference(hierarchy, graph).tobytes()
 
     def test_every_node_seeded(self):
         trace = random_hierarchical_trace(n_sites=3, seed=4)
         graph, hierarchy = graph_and_hierarchy(trace)
         seeds = radial_seeds(hierarchy, graph)
-        assert set(seeds) == {n.key for n in graph}
+        assert seeds.dtype == np.float64 and seeds.shape == (len(graph), 2)
+        assert not np.isnan(seeds).any()
 
     def test_seeds_on_circle(self):
         trace = random_hierarchical_trace(n_sites=2, seed=4)
         graph, hierarchy = graph_and_hierarchy(trace)
-        seeds = radial_seeds(hierarchy, graph, radius=100.0)
-        for x, y in seeds.values():
-            assert math.hypot(x, y) == pytest.approx(100.0, abs=1e-6)
+        for spring_length in (40.0, 25.0):
+            seeds = radial_seeds(hierarchy, graph, spring_length=spring_length)
+            radius = circle_radius(graph, spring_length)
+            for x, y in seeds.tolist():
+                assert math.hypot(x, y) == pytest.approx(radius, abs=1e-6)
 
     def test_same_cluster_entities_adjacent(self):
         """DFS ordering puts a cluster's hosts on a contiguous arc."""
@@ -93,10 +102,11 @@ class TestRadialSeeds:
             n_sites=2, clusters_per_site=2, hosts_per_cluster=6, seed=4
         )
         graph, hierarchy = graph_and_hierarchy(trace)
-        seeds = radial_seeds(hierarchy, graph, radius=100.0)
+        seeds = radial_seeds(hierarchy, graph).tolist()
+        row = {node.key: j for j, node in enumerate(graph)}
 
         def mean_distance(names):
-            positions = [seeds[n] for n in names if n in seeds]
+            positions = [seeds[row[n]] for n in names]
             total = count = 0
             for i, a in enumerate(positions):
                 for b in positions[i + 1 :]:
@@ -113,15 +123,18 @@ class TestRadialSeeds:
     def test_aggregates_seed_at_member_centroid_direction(self):
         trace = random_hierarchical_trace(n_sites=2, seed=4)
         graph, hierarchy = graph_and_hierarchy(trace, collapse_depth=3)
-        seeds = radial_seeds(hierarchy, graph, radius=50.0)
-        for node in graph:
-            if node.is_aggregate:
-                assert node.key in seeds
+        seeds = radial_seeds(hierarchy, graph)
+        aggregates = [j for j, node in enumerate(graph) if node.is_aggregate]
+        assert aggregates
+        radius = circle_radius(graph)
+        for j in aggregates:
+            assert math.hypot(*seeds[j]) == pytest.approx(radius, abs=1e-6)
 
     def test_deterministic(self):
         trace = random_hierarchical_trace(n_sites=2, seed=4)
         graph, hierarchy = graph_and_hierarchy(trace)
-        assert radial_seeds(hierarchy, graph) == radial_seeds(hierarchy, graph)
+        first = radial_seeds(hierarchy, graph)
+        assert first.tobytes() == radial_seeds(hierarchy, graph).tobytes()
 
 
 class TestSeededConvergence:
@@ -220,6 +233,38 @@ class TestPrivateSessionSeeds:
             assert got == want
 
 
+class TestServerSessionSeeds:
+    """A server session asks the shared seed memo only for a view that
+    adds a node to its layout: a scrub storm at one grouping makes no
+    memo lookup, a regroup one."""
+
+    def test_scrub_storm_looks_up_no_seeds(self):
+        from repro.server.state import ServerConfig, SharedServerState
+
+        trace = random_hierarchical_trace(n_sites=3, seed=5)
+        state = SharedServerState(trace, ServerConfig(settle_steps=2))
+        session = state.create_session()
+        stats = state.shared.stats
+
+        def lookups():
+            return stats["seed_shared_hits"] + stats["seed_builds"]
+
+        session.apply({"op": "depth", "depth": 2})
+        assert lookups() == 1
+        start, end = trace.span()
+        width = (end - start) / 5
+        for i in range(20):
+            lo = start + (end - start - width) * i / 19
+            session.apply({"op": "scrub", "start": lo, "end": lo + width})
+        assert lookups() == 1
+        session.apply({"op": "depth", "depth": 1})
+        assert lookups() == 2
+        for i in range(5):
+            lo = start + (end - start - width) * i / 4
+            session.apply({"op": "scrub", "start": lo, "end": lo + width})
+        assert lookups() == 2
+
+
 class TestMemberRows:
     """A graph of an engine view carries its unit structure's member
     rows, and the seeds and the layout sync read those: the same rows,
@@ -256,8 +301,8 @@ class TestMemberRows:
             oracle = self.oracle_graph(session)
             assert_same_rows(graph, oracle)
             assert [n.key for n in graph] == [n.key for n in oracle]
-            got = radial_seed_array(session.hierarchy, graph)
-            want = radial_seed_array(session.hierarchy, oracle)
+            got = radial_seeds(session.hierarchy, graph)
+            want = radial_seeds(session.hierarchy, oracle)
             assert got.tobytes() == want.tobytes()
 
     def test_sync_by_rows_places_like_sync_by_names(self):
@@ -279,7 +324,7 @@ class TestMemberRows:
                 view = session.view(settle_steps=2)
                 graph = self.oracle_graph(session)
                 assert_same_rows(view.graph, graph)
-                by_name.sync(graph, seed_positions=radial_seed_array(
+                by_name.sync(graph, seed_positions=radial_seeds(
                     session.hierarchy, graph
                 ))
                 by_name.settle(max_steps=2)

@@ -237,8 +237,9 @@ def _raw_get(port: int, path: str) -> tuple[int, dict, bytes]:
 
 def test_render_draws_the_scrub_view_it_computed(monkeypatch):
     """A ``/render`` tile is the one view its scrub computed: one sync
-    and one settle (plus one of each for ``depth``), and the bytes of
-    that view rendered.  Malformed queries get typed 400s."""
+    and one settle, also for a ``depth`` tile (its regrouping computes
+    no view), and the bytes of that view rendered.  Malformed queries
+    get typed 400s."""
     calls = []
     for method in ("sync", "settle"):
         real = getattr(DynamicLayout, method)
@@ -260,7 +261,7 @@ def test_render_draws_the_scrub_view_it_computed(monkeypatch):
         del calls[:]
         status, _, deep = _raw_get(server.port, f"/render?{query}&depth=1")
         assert status == 200
-        assert calls == ["sync", "settle"] * 2
+        assert calls == ["sync", "settle"]
         for path, code in (
             (f"/render?start=x&end={end}", "bad_slice"),
             (f"/render?{query}&depth=-1", "bad_depth"),
@@ -274,7 +275,13 @@ def test_render_draws_the_scrub_view_it_computed(monkeypatch):
             "render", _ephemeral_session(server.state), settle_steps=2
         )
         view = tile.apply({"op": "scrub", "start": start, "end": end})
+        deep_tile = SessionState(
+            "render", _ephemeral_session(server.state), settle_steps=2
+        )
+        deep_tile.regroup_depth({"depth": 1})
+        deep_view = deep_tile.apply({"op": "scrub", "start": start, "end": end})
     assert body == SvgRenderer().render(view).encode("utf-8")
+    assert deep == SvgRenderer().render(deep_view).encode("utf-8")
 
 
 @pytest.mark.skipif(
