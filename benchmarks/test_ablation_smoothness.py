@@ -8,6 +8,7 @@ centroid seeding vs (b) a fresh force layout recomputed from scratch.
 """
 
 import math
+from functools import partial
 
 import pytest
 
@@ -129,10 +130,10 @@ def test_hierarchical_seeding_beats_random(report):
 
     def converge(seeds):
         engine = DynamicLayout(seed=21)
-        engine.sync(graph, seed_positions=seeds)
+        engine.sync(graph, seeds)
         return engine.layout.run(max_steps=3000, tolerance=1.0)
 
-    seeded = converge(radial_seeds(hierarchy, graph))
+    seeded = converge(partial(radial_seeds, hierarchy))
     unseeded = converge(None)
     report(
         "ablation_seeding",

@@ -37,13 +37,6 @@ class StencilResult:
     #: time at which each iteration completed (globally, max over ranks)
     iteration_ends: tuple[float, ...]
 
-    @property
-    def mean_iteration(self) -> float:
-        """Average wall-clock time of one stencil iteration."""
-        if not self.iteration_ends:
-            return 0.0
-        return self.iteration_ends[-1] / len(self.iteration_ends)
-
 
 def _neighbours(rank: int, nx: int, ny: int) -> list[int]:
     x, y = rank % nx, rank // nx

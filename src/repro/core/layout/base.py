@@ -93,7 +93,9 @@ class ForceLayout(ABC):
         verbatim; a NaN row (or no array at all) means no position, and
         the node lands at the deterministic random-disc spot a sequence
         of :meth:`add_node` calls would have picked, drawn in name
-        order.
+        order.  An infinite coordinate or a weight that is not a finite
+        positive number raises :class:`~repro.errors.LayoutError` and
+        adds nothing.
         """
         names = list(names)
         if not names:
@@ -110,9 +112,11 @@ class ForceLayout(ABC):
             w = np.asarray(list(weights), dtype=float)
             if w.shape != (k,):
                 raise LayoutError(f"{k} names but {w.size} weights")
-            if (w <= 0).any():
-                bad = float(w[w <= 0][0])
-                raise LayoutError(f"node weight must be > 0, got {bad}")
+            bad = w[~((w > 0) & (w < np.inf))]
+            if bad.size:
+                raise LayoutError(
+                    f"node weight must be finite and > 0, got {bad[0]}"
+                )
         base = len(self._names)
         if positions is None:
             pos = np.full((k, 2), np.nan)
@@ -122,6 +126,8 @@ class ForceLayout(ABC):
                 raise LayoutError(
                     f"{k} names but positions shape is {pos.shape}"
                 )
+            if np.isinf(pos).any():
+                raise LayoutError("node positions must be finite")
         for i in np.flatnonzero(np.isnan(pos).any(axis=1)).tolist():
             radius = self.params.spring_length * max(
                 1.0, math.sqrt(base + i + 1)
@@ -185,8 +191,10 @@ class ForceLayout(ABC):
 
     def set_weight(self, name: str, weight: float) -> None:
         """Update a node's charge weight (its member count)."""
-        if weight <= 0:
-            raise LayoutError(f"node weight must be > 0, got {weight}")
+        if not 0 < weight < math.inf:
+            raise LayoutError(
+                f"node weight must be finite and > 0, got {weight}"
+            )
         self._weight[self._require(name)] = float(weight)
         self._on_bodies_changed()
 
@@ -197,11 +205,6 @@ class ForceLayout(ABC):
         self._require(a)
         self._require(b)
         self._edges[(a, b) if a <= b else (b, a)] = None
-        self._edge_index = None
-
-    def remove_edge(self, a: str, b: str) -> None:
-        """Remove the spring between *a* and *b* (no-op if absent)."""
-        self._edges.pop((a, b) if a <= b else (b, a), None)
         self._edge_index = None
 
     def set_edges(self, pairs: Iterable[tuple[str, str]]) -> None:
@@ -243,7 +246,10 @@ class ForceLayout(ABC):
         steps.
         """
         idx = self._require(name)
-        self._pos[idx] = np.asarray(position, dtype=float)
+        xy = np.asarray(position, dtype=float)
+        if not np.isfinite(xy).all():
+            raise LayoutError(f"position must be finite, got {position!r}")
+        self._pos[idx] = xy
         self._vel[idx] = 0.0
 
     def pin(self, name: str, pinned: bool = True) -> None:

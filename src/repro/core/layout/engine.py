@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Callable
 
 import numpy as np
 
@@ -108,116 +109,114 @@ class DynamicLayout:
         self._xy = np.zeros((0, 2))
         self._known = np.zeros(0, dtype=bool)
         #: the last synced graph's own member rows and offsets (node
-        #: ``j`` owns ``_member_rows[_bounds[j]:_bounds[j + 1]]``), the
-        #: layout body of each node and its last remembered position
-        #: (its members take it when the node set next changes)
+        #: ``j`` owns ``_member_rows[_bounds[j]:_bounds[j + 1]]``) and
+        #: the layout body of each node (its members take the body's
+        #: position when the node set next changes)
         self._bounds = np.zeros(1, dtype=np.int32)
         self._member_rows = np.zeros(0, dtype=np.int32)
         self._node_body = np.zeros(0, dtype=np.int32)
-        self._node_xy = np.zeros((0, 2))
-        #: the edge pairs handed to the layout at the last sync
-        self._edge_pairs: list[tuple[str, str]] | None = None
 
     # ------------------------------------------------------------------
     def sync(
         self,
         graph: VisGraph,
-        seed_positions: np.ndarray | None = None,
+        seeds: Callable[[VisGraph, float], np.ndarray] | None = None,
     ) -> dict[str, tuple[float, float]]:
         """Reconcile the simulation with *graph*; return seed positions
         of the nodes that were created by this sync.
 
-        ``seed_positions`` supplies fallback spots for brand-new nodes
-        whose members were never seen before — the session passes the
-        hierarchical radial seeding here ("the scalable Barnes-hut
-        algorithm combined with the hierarchical information from the
-        traces", Section 3.3): a ``(len(graph), 2)`` array in graph node
-        order, a NaN row for no seed.  Without a seed a new node starts
-        at random.
+        A graph that hands over the last sync's member arrays
+        (:attr:`VisGraph.member_rows` and ``member_offsets``) has the
+        last sync's nodes, weights and edges: a scrub.  Such a sync only
+        drops the layout's cached tree, as a weight update would, and
+        touches no node or edge.  Any other graph restructures: every
+        member of the last synced nodes remembers its node's position,
+        stale nodes go, new nodes come, and the edge set is replaced.
 
-        The graph's members are its entity rows
-        (:attr:`VisGraph.member_rows`): the same row arrays as at the
-        last sync mean the same structure, so nothing is re-indexed.
+        ``seeds(graph, spring_length)`` supplies fallback spots for
+        brand-new nodes whose members were never seen before — the
+        session passes the hierarchical radial seeding here ("the
+        scalable Barnes-hut algorithm combined with the hierarchical
+        information from the traces", Section 3.3): a ``(len(graph),
+        2)`` array in graph node order, a NaN row for no seed.  It is
+        called only when the sync adds a node.  Without a seed a new
+        node starts at random.
         """
+        if (
+            graph.member_rows is self._member_rows
+            and graph.member_offsets is self._bounds
+        ):
+            self.layout._on_bodies_changed()
+            return {}
         self._remember_positions()
+        # Forget the synced members until this sync completes: one that
+        # raises part way must leave no stale body indices behind.
+        self._member_rows = np.zeros(0, dtype=np.int32)
+        self._use_table(graph.entities)
+        layout = self.layout
         nodes = graph.nodes()
         target = {node.key for node in nodes}
         # Remove in layout index order: removal swaps the last body into
         # the freed slot, so the body order (and with it every float
         # sum over bodies) must not depend on set iteration order.
-        stale = [key for key in self.layout.names() if key not in target]
-        # A view of the same structure hands out the same arrays.
-        restructured = (
-            bool(stale)
-            or graph.member_rows is not self._member_rows
-            or graph.member_offsets is not self._bounds
+        layout.remove_nodes(
+            [key for key in layout.names() if key not in target]
         )
-        if restructured or any(node.key not in self.layout for node in nodes):
-            self._spread_positions()
-        self.layout.remove_nodes(stale)
-        if restructured:
-            self._index_members(graph)
         new: list[int] = []
         new_weights: list[float] = []
         for j, node in enumerate(nodes):
             weight = max(1.0, float(node.weight))
-            if node.key in self.layout:
-                self.layout.set_weight(node.key, weight)
+            if node.key in layout:
+                layout.set_weight(node.key, weight)
             else:
                 new.append(j)
                 new_weights.append(weight)
         spots = (
             np.full((len(new), 2), np.nan)
-            if seed_positions is None
-            else seed_positions[new]
+            if seeds is None or not new
+            else seeds(graph, layout.params.spring_length)[new]
         )
+        rows, bounds = graph.member_rows, graph.member_offsets
         for i, j in enumerate(new):
-            position = self._seed_position(j)
+            position = self._seed_position(rows[bounds[j]:bounds[j + 1]])
             if position is not None:
                 spots[i] = position
         new_keys = [nodes[j].key for j in new]
-        self.layout.add_nodes(new_keys, new_weights, spots)
-        # A scrub keeps the edges: rebuilding the springs (and the
-        # spring index the next step derives from them) is then waste.
-        pairs = [(e.a, e.b) for e in graph.edges]
-        if pairs != self._edge_pairs:
-            self.layout.set_edges(pairs)
-            self._edge_pairs = pairs
-        if restructured or new_keys:
-            body = self.layout._index
-            self._node_body = np.asarray(
-                [body[node.key] for node in nodes], dtype=np.int32
-            )
-        return {key: self.layout.position(key) for key in new_keys}
+        layout.add_nodes(new_keys, new_weights, spots)
+        layout.set_edges((edge.a, edge.b) for edge in graph.edges)
+        body = layout._index
+        self._node_body = np.asarray(
+            [body[node.key] for node in nodes], dtype=np.int32
+        )
+        self._member_rows, self._bounds = rows, bounds
+        return {key: layout.position(key) for key in new_keys}
 
-    def _index_members(self, graph: VisGraph) -> None:
-        """Take the graph's member rows as the position-memory rows."""
-        table = graph.entities
+    def _use_table(self, table) -> None:
+        """Keep the position memory over *table*, the synced graphs'
+        entity table."""
         if table is not self._table:
             # A new entity numbering: positions under the old one are
             # not addressable any more.
             self._table = table
             self._xy = np.zeros((len(table), 2))
             self._known = np.zeros(len(table), dtype=bool)
-        self._member_rows = graph.member_rows
-        self._bounds = graph.member_offsets
 
     def _remember_positions(self) -> None:
-        """Remember the synced nodes' current positions."""
-        self._node_xy = self.layout._pos[self._node_body]
-
-    def _spread_positions(self) -> None:
-        """Every member of every synced node takes the node's last
-        remembered position: one scatter per change of the node set."""
+        """Every member of every synced node takes the node's current
+        position: one scatter per change of the node set."""
         rows = self._member_rows
         if len(rows):
             counts = np.diff(self._bounds)
-            self._xy[rows] = np.repeat(self._node_xy, counts, axis=0)
+            self._xy[rows] = np.repeat(
+                self.layout._pos[self._node_body], counts, axis=0
+            )
             self._known[rows] = True
 
-    def _seed_position(self, j: int) -> tuple[float, float] | None:
-        """Spot of new node *j*: its members' remembered centroid."""
-        rows = self._member_rows[self._bounds[j]:self._bounds[j + 1]]
+    def _seed_position(
+        self, rows: np.ndarray
+    ) -> tuple[float, float] | None:
+        """Spot of a new node with member *rows*: their remembered
+        centroid."""
         known = rows[self._known[rows]]
         if len(known) == 0:
             return None  # let the layout pick a random spot
@@ -240,16 +239,9 @@ class DynamicLayout:
         """Relax the simulation for at most *max_steps* steps (300 when
         ``None``), stopping early after a step in which every node moved
         less than *tolerance*; returns the steps executed."""
-        steps = self.layout.run(
+        return self.layout.run(
             300 if max_steps is None else max_steps, tolerance
         )
-        self._remember_positions()
-        return steps
-
-    def step(self) -> float:
-        """One simulation step (for animated/interactive callers)."""
-        value = self.layout.step()
-        return value
 
     def positions(self) -> dict[str, tuple[float, float]]:
         """Current position of every node."""

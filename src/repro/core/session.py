@@ -32,7 +32,7 @@ from repro.core.mapping import VisualMapping
 from repro.core.scaling import ScaleSet
 from repro.core.timeslice import TimeSlice, animation_frames
 from repro.core.view import TopologyView
-from repro.core.visgraph import build_visgraph
+from repro.core.visgraph import VisGraph, build_visgraph
 from repro.errors import AggregationError, HierarchyError, ReproError
 from repro.trace.trace import Trace
 
@@ -330,19 +330,7 @@ class AnalysisSession:
         if not aggregated.units:
             raise AggregationError("the trace has no entities to display")
         graph = build_visgraph(aggregated, self.mapping, self.scales)
-        seeds = None
-        if any(node.key not in self.dynamic.layout for node in graph.nodes()):
-            # Seeds place only nodes the layout lacks; a scrub adds none.
-            spring_length = self.dynamic.params.spring_length
-            if self._shared is not None:
-                seeds = self._shared.layout_seeds(
-                    self.grouping.state_key, graph, spring_length
-                )
-            else:
-                seeds = radial_seeds(
-                    self.hierarchy, graph, spring_length=spring_length
-                )
-        self.dynamic.sync(graph, seed_positions=seeds)
+        self.dynamic.sync(graph, self._seeds)
         if settle:
             self.dynamic.settle(max_steps=settle_steps)
         return TopologyView(
@@ -351,6 +339,15 @@ class AnalysisSession:
             tslice=self._tslice,
             aggregated=aggregated,
         )
+
+    def _seeds(self, graph: VisGraph, spring_length: float):
+        """Radial seeds of *graph*, asked for by the layout only when a
+        view adds a node: the shared memo's, or a private call."""
+        if self._shared is not None:
+            return self._shared.layout_seeds(
+                self.grouping.state_key, graph, spring_length
+            )
+        return radial_seeds(self.hierarchy, graph, spring_length=spring_length)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

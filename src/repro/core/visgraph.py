@@ -118,7 +118,11 @@ class VisGraph:
     order) stands for the entities
     ``member_rows[member_offsets[j]:member_offsets[j + 1]]``.  The
     dynamic layout syncs and seeds from those rows and keeps its
-    per-entity position memory by the table's indices.
+    per-entity position memory by the table's indices.  A graph that
+    hands over another graph's ``member_rows`` and ``member_offsets``
+    arrays (the same objects) has that graph's nodes, weights and
+    edges: the aggregation engine hands them over only for the same
+    grouping, and the layout then takes the structure as unchanged.
     """
 
     def __init__(

@@ -120,11 +120,6 @@ class ServerTelemetry:
             self._log = JsonlWriter(access_log)
         self._histograms: dict[str, Histogram] = {}
 
-    @property
-    def access_log_path(self) -> "Path | None":
-        """Path of the access log, when one was opened from a path."""
-        return self._log.path if self._log is not None else None
-
     def now(self) -> float:
         """Seconds since the telemetry epoch (server start)."""
         return perf_counter() - self.t0

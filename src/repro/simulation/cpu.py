@@ -37,10 +37,6 @@ class CpuModel:
         if not running:
             del self._running[activity.host.name]
 
-    def activities_on(self, host: str) -> set[ComputeActivity]:
-        """The computations currently running on *host*."""
-        return set(self._running.get(host, ()))
-
     def rerate(self, host: Host, now: float) -> list[ComputeActivity]:
         """Recompute fair rates on *host*; return activities whose rate changed.
 
@@ -61,10 +57,6 @@ class CpuModel:
                 activity.version += 1
                 changed.append(activity)
         return changed
-
-    def total_rate(self, host: str) -> float:
-        """Aggregate allocated flops/s on *host* (its ``usage`` metric)."""
-        return sum(a.rate for a in self._running.get(host, ()))
 
     def rates_by_category(self, host: str) -> dict[str, float]:
         """Allocated flops/s on *host*, broken down by activity category."""

@@ -79,22 +79,6 @@ class NetworkModel:
                 changed.append(flow)
         return changed
 
-    def link_rate(self, link_name: str) -> float:
-        """Aggregate traffic (bytes/s) currently crossing *link_name*."""
-        total = 0.0
-        for flow in self._flows:
-            if any(l.name == link_name for l in flow.route.links):
-                total += flow.rate
-        return total
-
-    def link_rates(self) -> dict[str, float]:
-        """Aggregate traffic per link for every link carrying a flow."""
-        totals: dict[str, float] = {}
-        for flow in self._flows:
-            for link in flow.route.links:
-                totals[link.name] = totals.get(link.name, 0.0) + flow.rate
-        return totals
-
     def link_rates_by_category(self) -> dict[str, dict[str, float]]:
         """Per-link traffic broken down by flow category."""
         totals: dict[str, dict[str, float]] = {}

@@ -99,11 +99,6 @@ class SignalBank:
         self.lengths = np.diff(self.offsets)
 
     @classmethod
-    def from_signals(cls, signals: Sequence[Signal]) -> "SignalBank":
-        """Build a resident bank from *signals* (same as the constructor)."""
-        return cls(signals)
-
-    @classmethod
     def from_arrays(
         cls,
         times: np.ndarray,

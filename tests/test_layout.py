@@ -423,6 +423,62 @@ class TestDynamicLayout:
         assert len(calls) == 1
         assert layout.edges()
 
+    def test_scrub_sync_touches_no_node(self, monkeypatch):
+        """A slice move hands the layout the last sync's member arrays:
+        over 20 depth-2 scrub views the sync sets no weight and no edge,
+        lists no node and asks for no seeds.  A regroup asks for seeds
+        once."""
+        from repro.core import AnalysisSession
+        from repro.core.layout.base import ForceLayout
+        from repro.core.visgraph import VisGraph
+        from repro.trace.synthetic import random_hierarchical_trace
+
+        trace = random_hierarchical_trace(n_sites=3, seed=4)
+        session = AnalysisSession(trace, seed=0)
+        session.aggregate_depth(2)
+        session.view(settle_steps=1)
+        spied = [
+            (ForceLayout, "set_weight"),
+            (ForceLayout, "set_edges"),
+            (VisGraph, "nodes"),
+            (AnalysisSession, "_seeds"),
+        ]
+        calls = {name: 0 for _, name in spied}
+        for owner, name in spied:
+            def spy(*args, _real=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        start, end = trace.span()
+        width = (end - start) / 4
+        for i in range(20):
+            lo = start + i * width / 20
+            session.set_time_slice(lo, lo + width)
+            session.view(settle_steps=1)
+        assert calls == {name: 0 for _, name in spied}
+        session.aggregate_depth(3)
+        session.view(settle_steps=1)
+        assert calls["_seeds"] == 1
+
+    def test_a_failed_sync_leaves_the_layout_usable(self):
+        """A sync that raised part way is not taken as synced and leaves
+        no stale state: the same graph fails again with the same error,
+        and a good graph syncs."""
+        from repro.core.aggregation import AggregatedEdge
+        from tests.test_visgraph import hand_graph, node
+
+        good = hand_graph([node("a"), node("b"), node("c")])
+        table = good.entities
+        bad = hand_graph([node("a")], [AggregatedEdge("a", "a")], table)
+        dyn = DynamicLayout()
+        dyn.sync(good)
+        for _ in range(2):
+            with pytest.raises(LayoutError):
+                dyn.sync(bad)
+        dyn.sync(hand_graph([node("b"), node("c")], [], table))
+        assert sorted(dyn.positions()) == ["b", "c"]
+
     def test_new_edges_on_the_same_nodes_reach_the_layout(self):
         from tests.test_visgraph import hand_graph
 
@@ -530,6 +586,69 @@ class TestMakeLayoutValidation:
             make_layout("barneshut", params)
         with pytest.raises(LayoutError):
             make_layout("naive", params)
+
+    @staticmethod
+    def three_nodes():
+        """A Barnes-Hut layout holding three placed nodes."""
+        layout = make_layout("barneshut", seed=1)
+        layout.add_nodes(
+            ["a", "b", "c"],
+            [1.0, 2.0, 1.0],
+            np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 30.0]]),
+        )
+        return layout
+
+    @staticmethod
+    def state(layout):
+        """Everything a refused call must leave as it was."""
+        return (
+            layout.names(), layout._pos.tobytes(), layout._vel.tobytes(),
+            layout._weight.tobytes(), layout._rng.getstate(),
+        )
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_weight_or_move_rejected(self, value):
+        layout = self.three_nodes()
+        before = self.state(layout)
+        with pytest.raises(LayoutError):
+            layout.add_nodes(["d"], [value])
+        with pytest.raises(LayoutError):
+            layout.set_weight("a", value)
+        with pytest.raises(LayoutError):
+            layout.move("a", (value, 1.0))
+        assert self.state(layout) == before
+
+    @pytest.mark.parametrize(
+        "value", [v for v in NON_FINITE if math.isinf(v)]
+    )
+    def test_infinite_position_rejected(self, value):
+        """An infinite spot would turn every position NaN at the next
+        step; a NaN row still means "no position"."""
+        layout = self.three_nodes()
+        before = self.state(layout)
+        with pytest.raises(LayoutError):
+            layout.add_node("d", position=(value, 0.0))
+        with pytest.raises(LayoutError):
+            layout.add_nodes(
+                ["d", "e"],
+                positions=np.array([[np.nan, np.nan], [0.0, value]]),
+            )
+        assert self.state(layout) == before
+        layout.add_nodes(["d"], positions=np.array([[np.nan, np.nan]]))
+        layout.step()
+        assert np.isfinite(layout._pos).all()
+
+    def test_session_drag_refuses_a_non_finite_spot(self):
+        from repro.core import AnalysisSession
+        from repro.trace.synthetic import figure3_trace
+
+        session = AnalysisSession(figure3_trace(), seed=23)
+        before = session.view(settle_steps=0).positions
+        with pytest.raises(LayoutError):
+            session.drag("h3", (math.nan, 1.0))
+        assert session.dynamic.positions() == before
+        view = session.view(settle_steps=5)
+        assert np.isfinite(list(view.positions.values())).all()
 
     def test_rebuild_drift_validated(self):
         """The tree reuse threshold is a module constant in [0, 1), not

@@ -1,6 +1,7 @@
 """Tests for hierarchical radial seeding of the layout."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ class TestSeededConvergence:
         from repro.core.layout.engine import DynamicLayout
 
         seeded = DynamicLayout(seed=8)
-        seeded.sync(graph, seed_positions=radial_seeds(hierarchy, graph))
+        seeded.sync(graph, partial(radial_seeds, hierarchy))
         random_init = DynamicLayout(seed=8)
         random_init.sync(graph)
 
@@ -216,12 +217,13 @@ class TestPrivateSessionSeeds:
         reference = AnalysisSession(trace, seed=6)
         sync = reference.dynamic.sync
 
-        def seeded_sync(graph, seed_positions=None):
-            return sync(graph, seed_positions=radial_seeds(
+        def seeded_sync(graph, seeds=None):
+            array = radial_seeds(
                 reference.hierarchy,
                 graph,
                 spring_length=reference.dynamic.params.spring_length,
-            ))
+            )
+            return sync(graph, lambda graph, spring_length: array)
 
         reference.dynamic.sync = seeded_sync
         for depth in (None, 2):
@@ -324,8 +326,6 @@ class TestMemberRows:
                 view = session.view(settle_steps=2)
                 graph = self.oracle_graph(session)
                 assert_same_rows(view.graph, graph)
-                by_name.sync(graph, seed_positions=radial_seeds(
-                    session.hierarchy, graph
-                ))
+                by_name.sync(graph, partial(radial_seeds, session.hierarchy))
                 by_name.settle(max_steps=2)
                 assert view.positions == by_name.positions()

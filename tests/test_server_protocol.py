@@ -492,14 +492,17 @@ class TestViewReply:
         assert str(written.value) == str(oracle.value)
 
     def test_non_finite_position_answers_server_error(self):
-        """A NaN position (a NaN drag) answers the ``server_error``
-        envelope of an unserializable payload, and the session stays
-        usable once the node is back."""
+        """A NaN position answers the ``server_error`` envelope of an
+        unserializable payload, and the session stays usable once the
+        node is back."""
         server = SharedServerState(odd_trace(), ServerConfig(settle_steps=0))
         state = server.create_session()
         view = state.apply({"op": "view"})
         key = sorted(view.positions)[0]
-        state.session.dynamic.drag(key, (math.nan, 1.0))
+        # A drag refuses a NaN spot, so write one into the layout's
+        # positions, as a force model gone wrong would.
+        layout = state.session.dynamic.layout
+        layout._pos[layout._index[key]] = (math.nan, 1.0)
         reply, code = server.dispatch(state, {"id": 4, "op": "view"})
         with pytest.raises(ValueError) as err:
             canonical_json(math.nan)
